@@ -9,6 +9,7 @@ Segments are chained into polylines; output is deterministic in scan order.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -78,7 +79,7 @@ def _chain_segments(segments):
             continue
         used[start] = True
         p, q = segments[start]
-        chain = [p, q]
+        chain = deque((p, q))
         # extend forward from q, then backward from p
         for endpoint_side in (1, 0):
             while True:
@@ -96,10 +97,10 @@ def _chain_segments(segments):
                 if endpoint_side == 1:
                     chain.append(other)
                 else:
-                    chain.insert(0, other)
+                    chain.appendleft(other)
                 if _key(chain[0]) == _key(chain[-1]) and len(chain) > 2:
                     break  # closed loop
-        polylines.append(chain)
+        polylines.append(list(chain))
     return polylines
 
 

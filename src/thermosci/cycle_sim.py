@@ -48,7 +48,9 @@ from .info_core import (
     InfoQuantity,
     LikelihoodModel,
     Units,
+    _entropies,
     _entropy,
+    predictive_gain,
 )
 
 #: rounds whose total expected cost is at or below this are degenerate no-ops
@@ -84,10 +86,8 @@ class EnvironmentModel:
                 f"declared {self.intervention_count} interventions but likelihood has "
                 f"{self.likelihood.n_interventions}"
             )
-        # outcome entropy of each (u, state) row, reused by greedy policies
-        table = self.likelihood.table
-        row_h = np.array([[_entropy(table[u, s]) for s in range(table.shape[1])]
-                          for u in range(table.shape[0])])
+        # outcome entropy of each (u, state) row, the H(Y|s) term of every gain
+        row_h = _entropies(self.likelihood.table)
         row_h.flags.writeable = False
         object.__setattr__(self, "_row_entropies", row_h)
 
@@ -131,10 +131,10 @@ class CostModel:
     delta_f_mem: float = 0.0
 
     def __post_init__(self):
-        if self.kappa_meas < 1.0 or self.kappa_erase < 1.0:
-            raise InvalidParameter("kappa_meas and kappa_erase must be >= 1")
-        if self.delta_f_mem < 0.0:
-            raise InvalidParameter("delta_f_mem must be >= 0")
+        for name, low in (("kappa_meas", 1.0), ("kappa_erase", 1.0), ("delta_f_mem", 0.0)):
+            value = getattr(self, name)
+            if not low <= value < math.inf:
+                raise InvalidParameter(f"{name} must be finite and >= {low:g}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -158,11 +158,13 @@ class CompressionMap:
         return cls((0,) * n_outcomes)
 
     def pushforward(self, outcome_probs: np.ndarray) -> np.ndarray:
-        if len(self.mapping) != outcome_probs.size:
+        """Statistic probabilities of outcome probabilities; leading batch axes are kept."""
+        n_outcomes = outcome_probs.shape[-1]
+        if len(self.mapping) != n_outcomes:
             raise IncompleteMapping(
-                f"mapping covers {len(self.mapping)} outcomes, distribution has {outcome_probs.size}"
+                f"mapping covers {len(self.mapping)} outcomes, distribution has {n_outcomes}"
             )
-        return np.bincount(np.asarray(self.mapping), weights=outcome_probs)
+        return outcome_probs @ np.eye(max(self.mapping) + 1)[list(self.mapping)]
 
 
 def stored_entropy(
@@ -229,11 +231,9 @@ class GreedyInfoMax:
     """
 
     def choose(self, belief: np.ndarray, env: EnvironmentModel, t: int, history: History):
-        gains = np.empty(env.intervention_count)
-        row_h = env._row_entropies
-        for u in range(env.intervention_count):
-            pred = belief @ env.likelihood.table[u]
-            gains[u] = _entropy(pred) - float(belief @ row_h[u])
+        table = env.likelihood.table
+        beliefs = np.broadcast_to(belief, table.shape[:2])
+        _, _, gains = predictive_gain(beliefs, table, env._row_entropies)
         return int(np.argmax(gains))
 
 
@@ -415,40 +415,21 @@ def efficiency(ledger: WorkLedger) -> float:
     total_info = sum(r.info_gain for r in ledger.records)
     eta = total_info / ledger.budget_spent
     floor = sum(r.info_gain + r.stored_entropy for r in ledger.records)
-    if floor > 0.0:
-        assert eta <= total_info / floor + 1e-10, "efficiency exceeds its work-floor cap"
+    if floor > 0.0 and eta > total_info / floor + 1e-10:
+        raise InvalidLedger(f"efficiency {eta!r} exceeds its work-floor cap")
     return eta
 
 
 def round_work_lower_bound(record: RoundRecord) -> float:
     """Reversible floor ``info_gain + stored_entropy`` for one round, in nats."""
     bound = record.info_gain + record.stored_entropy
-    assert record.work_meas + record.work_erase >= bound - BUDGET_SLACK, (
-        f"round {record.round_index} work below its reversible floor"
-    )
+    if record.work_meas + record.work_erase < bound - BUDGET_SLACK:
+        raise InvalidLedger(f"round {record.round_index} work below its reversible floor")
     return bound
 
 
 # ---------------------------------------------------------------------------
 # episode execution
-
-
-def _round_quantities(belief: np.ndarray, table_u: np.ndarray,
-                      compression: CompressionMap | None):
-    """Expected info gain, outcome entropy, stored entropy, predictive, posteriors."""
-    pred = belief @ table_u
-    expected_post = 0.0
-    posts: list[np.ndarray | None] = [None] * table_u.shape[1]
-    for y in range(table_u.shape[1]):
-        py = float(pred[y])
-        if py > LOG_FLOOR:
-            post = belief * table_u[:, y] / py
-            posts[y] = post
-            expected_post += py * _entropy(post)
-    info = max(0.0, _entropy(belief) - expected_post)
-    hy = _entropy(pred)
-    hs = hy if compression is None else _entropy(compression.pushforward(pred))
-    return info, hy, hs, pred, posts
 
 
 def _choose(policy: Policy, belief: np.ndarray, env: EnvironmentModel,
@@ -462,9 +443,12 @@ def _choose(policy: Policy, belief: np.ndarray, env: EnvironmentModel,
 
 
 def _run_expected(env, policy, cost, budget, compression, max_rounds, node_cap):
-    table = env.likelihood.table
+    table, row_h = env.likelihood.table, env._row_entropies
     h_prior = _entropy(env.prior.probs)
-    nodes: list[tuple[float, np.ndarray, History]] = [(1.0, env.prior.probs, ())]
+    # the frontier: one row per outcome history
+    masses = np.ones(1)
+    beliefs = env.prior.probs[None]
+    histories: list[History] = [()]
     records: list[RoundRecord] = []
     spent = 0.0
     posterior_entropy = h_prior
@@ -472,24 +456,19 @@ def _run_expected(env, policy, cost, budget, compression, max_rounds, node_cap):
     t = 0
     while max_rounds is None or t < max_rounds:
         choices = []
-        for _, belief, history in nodes:
+        for belief, history in zip(beliefs, histories):
             u = _choose(policy, belief, env, t, history)
             if u is None:
-                choices = None
                 break
             choices.append(u)
-        if choices is None:
+        if len(choices) < len(histories):
             reason = "policy_exhausted"
             break
 
-        info_t = hy_t = hs_t = 0.0
-        per_node = []
-        for (p_node, belief, _), u in zip(nodes, choices):
-            info, hy, hs, pred, posts = _round_quantities(belief, table[u], compression)
-            info_t += p_node * info
-            hy_t += p_node * hy
-            hs_t += p_node * hs
-            per_node.append((pred, posts))
+        us = np.array(choices)
+        pred, hy, info = predictive_gain(beliefs, table[us], row_h[us])
+        hs = hy if compression is None else _entropies(compression.pushforward(pred))
+        info_t, hy_t, hs_t = (float(masses @ v) for v in (info, hy, hs))
 
         work_meas = cost.kappa_meas * (info_t + cost.delta_f_mem)
         work_erase = cost.kappa_erase * hs_t
@@ -503,36 +482,38 @@ def _run_expected(env, policy, cost, budget, compression, max_rounds, node_cap):
                 status = "budget_exhausted_immediately"
             break
 
-        new_nodes: list[tuple[float, np.ndarray, History]] = []
-        for (p_node, _, history), u, (pred, posts) in zip(nodes, choices, per_node):
-            for y, post in enumerate(posts):
-                if post is not None:
-                    new_nodes.append((p_node * float(pred[y]), post, history + ((u, y),)))
-        if len(new_nodes) > node_cap:
+        node, y = np.nonzero(pred > LOG_FLOOR)
+        if node.size > node_cap:
             raise TreeTooLarge(
-                f"outcome tree needs {len(new_nodes)} nodes at round {t}, cap is {node_cap}"
+                f"outcome tree needs {node.size} nodes at round {t}, cap is {node_cap}"
             )
-        posterior_entropy = sum(p * _entropy(b) for p, b, _ in new_nodes)
+        py = pred[node, y]
+        beliefs = beliefs[node] * table[us[node], :, y] / py[:, None]
+        masses = masses[node] * py
+        histories = [histories[k] + ((choices[k], yk),)
+                     for k, yk in zip(node.tolist(), y.tolist())]
+        posterior_entropy = float(masses @ _entropies(beliefs))
         u_rec = choices[0] if all(u == choices[0] for u in choices) else None
         records.append(RoundRecord(t, u_rec, info_t, hy_t, hs_t,
                                    work_meas, work_erase, posterior_entropy))
         spent += round_cost
-        nodes = new_nodes
         t += 1
 
     ledger = WorkLedger(tuple(records), budget, spent)
     cum = sum(r.info_gain for r in records)
-    # telescoping identity of the exact enumeration
-    assert abs(cum - (h_prior - posterior_entropy)) <= 1e-10, (
-        "cumulative information does not telescope to the entropy drop"
-    )
+    # telescoping: outcome-side gains against the posterior-side entropy drop
+    if abs(cum - (h_prior - posterior_entropy)) > 1e-10:
+        raise InvalidLedger(
+            f"cumulative information {cum!r} does not telescope to the entropy drop "
+            f"{h_prior - posterior_entropy!r}"
+        )
     summary = EpisodeSummary(status, "expected", reason, h_prior, posterior_entropy,
                              cum, len(records))
     return ledger, summary
 
 
 def _run_sampled(env, policy, cost, budget, compression, max_rounds, mode, node_cap):
-    table = env.likelihood.table
+    table, row_h = env.likelihood.table, env._row_entropies
     h_prior = _entropy(env.prior.probs)
     n_states, n_outcomes = env.n_states, env.n_outcomes
     seeds = np.random.SeedSequence(mode.seed).spawn(mode.trials)
@@ -557,7 +538,9 @@ def _run_sampled(env, policy, cost, budget, compression, max_rounds, mode, node_
             if u is None:
                 reason = "policy_exhausted"
                 break
-            info, hy, hs, pred, posts = _round_quantities(belief, table[u], compression)
+            pred, hy, info = predictive_gain(belief[None], table[u][None], row_h[u][None])
+            pred, hy, info = pred[0], float(hy[0]), float(info[0])
+            hs = hy if compression is None else _entropy(compression.pushforward(pred))
             work_meas = cost.kappa_meas * (info + cost.delta_f_mem)
             work_erase = cost.kappa_erase * hs
             round_cost = work_meas + work_erase
@@ -568,13 +551,10 @@ def _run_sampled(env, policy, cost, budget, compression, max_rounds, mode, node_
                 reason = "budget"
                 break
             y = int(rng.choice(n_outcomes, p=table[u, theta]))
-            post = posts[y]
-            if post is None:
-                py = float(pred[y])
-                if py <= 0.0:
-                    raise ZeroEvidence(f"drawn outcome {y} has zero predictive probability")
-                post = belief * table[u][:, y] / py
-            belief = post
+            py = float(pred[y])
+            if py <= 0.0:
+                raise ZeroEvidence(f"drawn outcome {y} has zero predictive probability")
+            belief = belief * table[u, :, y] / py
             rows.append((u, info, hy, hs, work_meas, work_erase, _entropy(belief)))
             spent_k += round_cost
             cum_k += info
@@ -647,8 +627,8 @@ def run_episode(
     """
     cost = cost if cost is not None else CostModel()
     mode = mode if mode is not None else ExpectedMode()
-    if budget < 0.0:
-        raise InvalidParameter("budget must be >= 0")
+    if not budget >= 0.0:
+        raise InvalidParameter(f"budget must be >= 0, got {budget!r}")
     if max_rounds is not None and max_rounds < 0:
         raise InvalidParameter("max_rounds must be >= 0")
     if compression is not None and len(compression.mapping) != env.n_outcomes:

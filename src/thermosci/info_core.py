@@ -7,8 +7,12 @@ unit conversion on :class:`InfoQuantity`. The conventions used throughout:
   exactly zero inside log terms.
 * Vectors whose sum is within ``1e-9`` of one are renormalized on
   construction; anything worse is rejected.
-* Entropies and mutual informations are clamped to zero from below within
-  a ``1e-12`` tolerance (floating-point noise only).
+* Entropies and mutual informations are clamped to zero from below; a value
+  more than ``1e-9`` below zero raises :class:`InvalidDistribution`.
+
+:func:`predictive_gain` is the single information-gain path: the greedy
+policy, both episode modes and :func:`expected_information_gain` all call it
+on a ``(nodes, states)`` belief matrix.
 """
 
 from __future__ import annotations
@@ -31,8 +35,10 @@ LN2 = float(np.log(2.0))
 LOG_FLOOR = 1e-15
 #: ingestion tolerance: sums off by at most this much get renormalized
 NORMALIZATION_TOL = 1e-9
-#: information quantities may sit this far below zero before being an error
+#: probability entries may sit this far below zero before being an error
 NEGATIVE_CLAMP = 1e-12
+#: information quantities may sit this far below zero before being an error
+GAIN_NOISE = 1e-9
 
 
 class Units(str, Enum):
@@ -59,13 +65,15 @@ def _as_prob_vector(values, what: str) -> np.ndarray:
     return arr
 
 
+def _entropies(probs: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Shannon entropies in nats along ``axis`` of a raw probability array."""
+    safe = np.where(probs > LOG_FLOOR, probs, 1.0)
+    return -(safe * np.log(safe)).sum(axis=axis)
+
+
 def _entropy(probs: np.ndarray) -> float:
-    """Shannon entropy in nats of a raw probability array."""
-    mask = probs > LOG_FLOOR
-    if not mask.any():
-        return 0.0
-    q = probs[mask]
-    return float(-(q * np.log(q)).sum())
+    """Shannon entropy in nats of a raw probability vector."""
+    return float(_entropies(probs))
 
 
 @dataclass(frozen=True)
@@ -187,7 +195,8 @@ class InfoQuantity:
 def _clamped_info(value: float) -> float:
     # entropies/MI are mathematically >= 0; tolerate only float noise below zero
     if value < 0.0:
-        assert value >= -1e-9, f"information quantity {value!r} is negative beyond noise"
+        if value < -GAIN_NOISE:
+            raise InvalidDistribution(f"information quantity {value!r} is negative beyond noise")
         return 0.0
     return value
 
@@ -232,20 +241,25 @@ def predictive_outcome_dist(
     return DiscreteDistribution(belief.probs @ lik.table[u])
 
 
-def _eig_outcome_side(belief: np.ndarray, table_u: np.ndarray) -> float:
-    pred = belief @ table_u
-    h_rows = np.apply_along_axis(_entropy, 1, table_u)
-    return _entropy(pred) - float(belief @ h_rows)
+def predictive_gain(beliefs: np.ndarray, tables: np.ndarray, row_h: np.ndarray):
+    """Outcome predictives, their entropies and expected information gains.
 
+    Args:
+        beliefs: ``(n, S)`` beliefs, one row per node.
+        tables: ``(n, S, Y)`` likelihood slice applied at each node.
+        row_h: ``(n, S)`` outcome entropy of each table row.
 
-def _eig_posterior_side(belief: np.ndarray, table_u: np.ndarray) -> float:
-    pred = belief @ table_u
-    expected_post = 0.0
-    for y in range(table_u.shape[1]):
-        py = pred[y]
-        if py > LOG_FLOOR:
-            expected_post += py * _entropy(belief * table_u[:, y] / py)
-    return _entropy(belief) - expected_post
+    Returns ``(pred (n, Y), H(Y) (n,), gain (n,))`` with the outcome-side
+    gain ``H(Y) - sum_s b(s) H(Y|s)``, clamped at zero like every other
+    information quantity.
+    """
+    pred = (beliefs[:, None, :] @ tables)[:, 0]
+    hy = _entropies(pred)
+    gain = hy - (beliefs * row_h).sum(axis=1)
+    worst = gain.min(initial=0.0)
+    if worst < -GAIN_NOISE:
+        raise InvalidDistribution(f"information gain {worst!r} is negative beyond noise")
+    return pred, hy, np.maximum(gain, 0.0)
 
 
 def expected_information_gain(
@@ -253,17 +267,21 @@ def expected_information_gain(
 ) -> InfoQuantity:
     """Mutual information between state and outcome under the current belief.
 
-    Evaluated both as outcome-entropy minus conditional outcome entropy and as
+    Evaluated by :func:`predictive_gain` and cross-checked against the
     expected posterior-entropy drop; the two must agree to 1e-10.
     """
     _check_compat(belief, lik, u)
-    table_u = lik.table[u]
-    outcome_side = _eig_outcome_side(belief.probs, table_u)
-    posterior_side = _eig_posterior_side(belief.probs, table_u)
-    assert abs(outcome_side - posterior_side) <= 1e-10, (
-        f"information-gain formulas disagree: {outcome_side!r} vs {posterior_side!r}"
-    )
-    return InfoQuantity(_clamped_info(outcome_side))
+    b, table_u = belief.probs, lik.table[u]
+    pred, _, gain = predictive_gain(b[None], table_u[None], _entropies(table_u)[None])
+    gain = float(gain[0])
+    live = pred[0] > LOG_FLOOR
+    posts = b[:, None] * table_u[:, live] / pred[0, live]
+    posterior_side = _entropy(b) - float(pred[0, live] @ _entropies(posts, axis=0))
+    if abs(gain - max(posterior_side, 0.0)) > 1e-10:
+        raise InvalidDistribution(
+            f"information-gain formulas disagree: {gain!r} vs {posterior_side!r}"
+        )
+    return InfoQuantity(gain)
 
 
 def _validated_joint(joint) -> np.ndarray:

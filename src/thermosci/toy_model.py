@@ -18,8 +18,7 @@ boundaries. For the fed-vs-gen pair the analytic boundary is
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -32,8 +31,6 @@ from .errors import (
     NBelowOne,
     NonPositiveOmega,
 )
-
-THREADS_ENV_VAR = "THERMOSCI_THREADS"
 
 
 class Pair(str, Enum):
@@ -153,6 +150,10 @@ class SecondAxis:
     def __post_init__(self):
         if self.kind not in ("c_spec", "n"):
             raise InvalidParameter(f"unknown axis kind {self.kind!r}")
+        for name in ("minimum", "maximum"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParameter(f"{self.kind} axis {name} must be finite, got {value!r}")
         if not self.minimum < self.maximum:
             raise InvalidParameter("axis minimum must be below maximum")
         if self.steps < 2:
@@ -182,6 +183,10 @@ class SweepAxes:
     def __post_init__(self):
         if self.omega_scale not in ("log", "linear"):
             raise InvalidParameter(f"unknown omega scale {self.omega_scale!r}")
+        for name in ("omega_min", "omega_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParameter(f"{name} must be finite, got {value!r}")
         if self.omega_min <= 0.0 or self.omega_max <= 0.0:
             raise InvalidParameter("omega endpoints must be > 0")
         if not self.omega_min < self.omega_max:
@@ -234,28 +239,8 @@ class SweepGrid:
             raise InvalidParameter("efficiency differences must lie in [-1, 1]")
 
 
-def _eta_row(omega: np.ndarray, c: float, alpha: float) -> np.ndarray:
-    return np.minimum(c / omega, 1.0 / (1.0 + alpha))
-
-
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            threads = 1
-    return max(1, threads)
-
-
-def sweep(pair: Pair | str, params: ToyParams, axes: SweepAxes,
-          threads: int | None = None) -> SweepGrid:
-    """Evaluate a comparison pair over a grid and attach its zero contours.
-
-    Row evaluation may fan out over a thread pool (capped by the
-    ``THERMOSCI_THREADS`` env var when ``threads`` is not given); the result
-    is identical for any parallelism degree.
-    """
+def sweep(pair: Pair | str, params: ToyParams, axes: SweepAxes) -> SweepGrid:
+    """Evaluate a comparison pair over a grid and attach its zero contours."""
     pair = Pair(pair)
     expected_kind = "c_spec" if pair == Pair.SPEC_GEN else "n"
     if axes.second.kind != expected_kind:
@@ -264,20 +249,11 @@ def sweep(pair: Pair | str, params: ToyParams, axes: SweepAxes,
         )
     omega = axes.omega_values()
     axis2 = axes.second.values()
-
-    def eval_row(j: int) -> tuple[np.ndarray, np.ndarray]:
-        (c1, a1), (c2, a2) = _pair_levers(pair, params, float(axis2[j]))
-        return _eta_row(omega, c1, a1), _eta_row(omega, c2, a2)
-
-    n_threads = _resolve_threads(threads)
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            rows = list(pool.map(eval_row, range(axis2.size)))
-    else:
-        rows = [eval_row(j) for j in range(axis2.size)]
-
-    eta_first = np.vstack([r[0] for r in rows])
-    eta_second = np.vstack([r[1] for r in rows])
+    # (row, strategy, lever): c varies along axis2, each strategy's alpha does not
+    levers = np.array([_pair_levers(pair, params, float(v)) for v in axis2])
+    eta_first, eta_second = (
+        np.minimum(levers[:, k, :1] / omega, 1.0 / (1.0 + levers[0, k, 1])) for k in (0, 1)
+    )
     delta = eta_first - eta_second
     grid = SweepGrid(pair.value, params, omega, axis2, axes.second.kind,
                      axes.omega_scale, eta_first, eta_second, delta, contours=[])

@@ -62,6 +62,13 @@ def test_simulate_rejects_sub_unity_kappa(tmp_path, env_file, capsys):
     assert payload["error"] == "InvalidParameter"
 
 
+def test_simulate_rejects_nan_kappa(env_file, capsys):
+    code = main(["simulate", "--env", str(env_file), "--budget", "1", "--kappa-meas", "nan",
+                 "--max-rounds", "3"])
+    assert code == 2
+    assert "kappa_meas" in capsys.readouterr().err
+
+
 def test_simulate_zero_budget_trivially_passes(tmp_path, env_file, capsys):
     code = main(["simulate", "--env", str(env_file), "--budget", "0"])
     assert code == 0

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +62,54 @@ def test_cost_model_validation():
         CostModel(kappa_erase=0.99)
     with pytest.raises(InvalidParameter):
         CostModel(delta_f_mem=-0.1)
+
+
+@pytest.mark.parametrize("field", ["kappa_meas", "kappa_erase", "delta_f_mem"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_cost_model_rejects_non_finite(field, value):
+    with pytest.raises(InvalidParameter, match=f"{field} must be finite"):
+        CostModel(**{field: value})
+
+
+@pytest.mark.parametrize("mode", [ExpectedMode(), SampledMode(seed=0, trials=5)])
+def test_nan_budget_rejected(mode):
+    with pytest.raises(InvalidParameter, match="budget"):
+        run_episode(asym_binary_env(), RoundRobin(), CostModel(), math.nan, mode,
+                    max_rounds=3)
+
+
+_INFLATED_GAIN_SCRIPT = """
+import sys
+import thermosci.cycle_sim as cs
+from thermosci.errors import InvalidLedger
+from thermosci.verify import random_environment
+import numpy as np
+
+kernel = cs.predictive_gain
+
+
+def inflated(*args):
+    pred, hy, gain = kernel(*args)
+    return pred, hy, gain + 1e-6
+
+
+cs.predictive_gain = inflated
+env = random_environment(np.random.default_rng(0))
+try:
+    cs.run_episode(env, cs.RoundRobin(), cs.CostModel(), 50.0, max_rounds=3)
+except InvalidLedger as exc:
+    print("InvalidLedger", sys.flags.optimize, exc)
+"""
+
+
+def test_telescoping_check_fires_under_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", _INFLATED_GAIN_SCRIPT],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InvalidLedger 1 "), proc.stdout
 
 
 def test_environment_consistency():

@@ -174,6 +174,17 @@ def test_axes_validation():
         SweepAxes(SecondAxis("n", 1.0, 20.0, 100), omega_steps=1)
 
 
+@pytest.mark.parametrize("field, build", [
+    ("minimum", lambda: SecondAxis("n", math.nan, 20.0, 100)),
+    ("maximum", lambda: SecondAxis("n", 1.0, math.inf, 100)),
+    ("omega_min", lambda: SweepAxes(SecondAxis("n", 1.0, 20.0, 100), omega_min=math.nan)),
+    ("omega_max", lambda: SweepAxes(SecondAxis("n", 1.0, 20.0, 100), omega_max=math.inf)),
+])
+def test_axes_reject_non_finite_endpoints(field, build):
+    with pytest.raises(InvalidParameter, match=f"{field} must be finite"):
+        build()
+
+
 def test_pair_axis_mismatch_rejected():
     params = ToyParams.symmetric()
     with pytest.raises(InvalidParameter):
@@ -209,15 +220,14 @@ def test_identical_strategies_give_zero_grid():
     assert np.max(np.abs(grid.delta[-1])) == 0.0
 
 
-def test_sweep_thread_count_does_not_change_values(monkeypatch):
+def test_sweep_thread_count_does_not_change_values():
+    # the grid is one broadcast; it must equal the pointwise law exactly
     params = ToyParams.asymmetric()
     axes = SweepAxes(SecondAxis("n", 1.0, 20.0, 30), omega_steps=50)
-    one = sweep(Pair.FED_GEN, params, axes, threads=1)
-    many = sweep(Pair.FED_GEN, params, axes, threads=5)
-    assert np.array_equal(one.delta, many.delta)
-    monkeypatch.setenv("THERMOSCI_THREADS", "3")
-    via_env = sweep(Pair.FED_GEN, params, axes)
-    assert np.array_equal(one.delta, via_env.delta)
+    grid = sweep(Pair.FED_GEN, params, axes)
+    for j, n in enumerate(grid.axis2):
+        for i, omega in enumerate(grid.omega):
+            assert grid.delta[j, i] == delta_eta(Pair.FED_GEN, float(omega), params, float(n))
 
 
 # ---------------------------------------------------------------------------
