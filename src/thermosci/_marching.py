@@ -18,9 +18,9 @@ import numpy as np
 # Edges: e0=c0-c1, e1=c1-c2, e2=c3-c2, e3=c0-c3
 _EDGE_CORNERS = ((0, 1), (1, 2), (3, 2), (0, 3))
 
-# case index -> list of (edge, edge) segments; saddles (5, 10) handled separately
+# case index -> list of (edge, edge) segments; saddles (5, 10) handled separately,
+# uniform cells (0, 15) never reach the segment code
 _SEGMENTS = {
-    0: (), 15: (),
     1: ((3, 0),), 14: ((3, 0),),
     2: ((0, 1),), 13: ((0, 1),),
     3: ((3, 1),), 12: ((3, 1),),
@@ -42,11 +42,8 @@ def _edge_point(corners, values, edge: int):
     return (xa + t * (xb - xa), ya + t * (yb - ya))
 
 
-def _cell_segments(i: int, j: int, values: np.ndarray):
-    v = (values[j, i], values[j, i + 1], values[j + 1, i + 1], values[j + 1, i])
-    case = sum(1 << k for k in range(4) if v[k] > 0.0)
-    if case in (0, 15):
-        return ()
+def _cell_segments(i: int, j: int, v, case: int):
+    """Segments of one crossing cell with corner values ``v`` = (c0, c1, c2, c3)."""
     corners = _corner_coords(i, j)
     if case in (5, 10):
         center_positive = (v[0] + v[1] + v[2] + v[3]) / 4.0 > 0.0
@@ -126,13 +123,17 @@ def zero_isolines(values: np.ndarray, x_axis: np.ndarray, y_axis: np.ndarray,
     ny, nx = values.shape
     if nx != x_axis.size or ny != y_axis.size:
         raise ValueError("axis lengths do not match the value grid")
+    # corner views in cell order c0..c3, each of shape (ny - 1, nx - 1)
+    v0, v1, v2, v3 = values[:-1, :-1], values[:-1, 1:], values[1:, 1:], values[1:, :-1]
+    cases = (v0 > 0.0) + 2 * (v1 > 0.0) + 4 * (v2 > 0.0) + 8 * (v3 > 0.0)
+    rows, cols = np.nonzero((cases != 0) & (cases != 15))  # row-major scan order
     segments = []
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            for p, q in _cell_segments(i, j, values):
-                # crossings pinned to an exactly-zero corner collapse to points
-                if _key(p) != _key(q):
-                    segments.append((p, q))
+    for j, i in zip(rows.tolist(), cols.tolist()):
+        v = (values[j, i], values[j, i + 1], values[j + 1, i + 1], values[j + 1, i])
+        for p, q in _cell_segments(i, j, v, int(cases[j, i])):
+            # crossings pinned to an exactly-zero corner collapse to points
+            if _key(p) != _key(q):
+                segments.append((p, q))
     chains = _chain_segments(segments)
     polylines = []
     for chain in chains:

@@ -629,6 +629,11 @@ def run_episode(
     mode = mode if mode is not None else ExpectedMode()
     if not budget >= 0.0:
         raise InvalidParameter(f"budget must be >= 0, got {budget!r}")
+    if math.isinf(budget) and max_rounds is None:
+        # an unbounded budget never stops a sampled trial whose belief has converged
+        raise InvalidParameter(
+            f"budget must be finite unless max_rounds is given, got {budget!r}"
+        )
     if max_rounds is not None and max_rounds < 0:
         raise InvalidParameter("max_rounds must be >= 0")
     if compression is not None and len(compression.mapping) != env.n_outcomes:

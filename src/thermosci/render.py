@@ -19,18 +19,21 @@ _MID = (247, 247, 247)  # zero
 _POS = (253, 231, 37)   # strong positive
 
 
-def _blend(a, b, t: float) -> str:
-    rgb = tuple(int(round(a[i] + (b[i] - a[i]) * t)) for i in range(3))
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
+def _cell_colors(delta: np.ndarray, vmax: float) -> tuple[list[str], np.ndarray]:
+    """Distinct ``#rrggbb`` fills, and each cell's index into them.
 
-
-def _color(value: float, vmax: float) -> str:
-    if vmax <= 0.0:
-        return _blend(_MID, _MID, 0.0)
-    t = max(-1.0, min(1.0, value / vmax))
-    if t >= 0.0:
-        return _blend(_MID, _POS, t)
-    return _blend(_MID, _NEG, -t)
+    Cells blend from the zero color toward either end by ``delta / vmax``.
+    """
+    t = np.clip(delta / vmax, -1.0, 1.0) if vmax > 0.0 else np.zeros_like(delta)
+    positive = t >= 0.0
+    weight = np.where(positive, t, -t)
+    code = np.zeros(delta.shape, dtype=np.int64)
+    for mid, pos, neg in zip(_MID, _POS, _NEG):
+        end = np.where(positive, pos, neg)
+        # np.rint rounds half to even, as round() does
+        code = code * 256 + np.rint(mid + (end - mid) * weight).astype(np.int64)
+    codes, inverse = np.unique(code, return_inverse=True)
+    return ["#%06x" % c for c in codes.tolist()], inverse.reshape(code.shape)
 
 
 def render_heatmap_svg(grid: SweepGrid, path, width: int = 720, height: int = 480) -> None:
@@ -61,55 +64,54 @@ def render_heatmap_svg(grid: SweepGrid, path, width: int = 720, height: int = 48
         # axis2 grows upward on the plot
         return top + plot_h - cell_h / 2.0 - frac * (plot_h - cell_h)
 
-    parts = [
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
     title = grid.pair or "sweep"
-    parts.append(
+    head.append(
         f'<text x="{left:.1f}" y="20" font-family="monospace" font-size="13">'
         f'delta-eta heatmap: {title}</text>'
     )
 
-    for j in range(n_y):
-        cy = y_px(float(grid.axis2[j]))
-        for i in range(n_x):
-            cx = x_px(float(grid.omega[i]))
-            color = _color(float(grid.delta[j, i]), vmax)
-            parts.append(
-                f'<rect x="{cx - cell_w / 2.0:.2f}" y="{cy - cell_h / 2.0:.2f}" '
-                f'width="{cell_w:.2f}" height="{cell_h:.2f}" fill="{color}"/>'
-            )
-
+    tail = []
     if grid.omega[0] <= grid.regime_marker_omega <= grid.omega[-1]:
         xm = x_px(grid.regime_marker_omega)
-        parts.append(
+        tail.append(
             f'<line x1="{xm:.2f}" y1="{top:.2f}" x2="{xm:.2f}" y2="{top + plot_h:.2f}" '
             f'stroke="white" stroke-width="1.5" stroke-dasharray="6,4"/>'
         )
 
     for line in grid.contours:
         pts = " ".join(f"{x_px(float(x)):.2f},{y_px(float(y)):.2f}" for x, y in line)
-        parts.append(
+        tail.append(
             f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1.2"/>'
         )
 
-    parts.append(
+    tail.append(
         f'<rect x="{left:.1f}" y="{top:.1f}" width="{plot_w:.1f}" height="{plot_h:.1f}" '
         f'fill="none" stroke="black" stroke-width="1"/>'
     )
     axis_label = grid.axis2_kind
-    parts.append(
+    tail.append(
         f'<text x="{left:.1f}" y="{height - 14}" font-family="monospace" font-size="12">'
         f'omega: {grid.omega[0]:.3g} .. {grid.omega[-1]:.3g} ({grid.omega_scale})</text>'
     )
-    parts.append(
+    tail.append(
         f'<text x="12" y="{top + 12:.1f}" font-family="monospace" font-size="12">'
         f'{axis_label}: {grid.axis2[0]:.3g} .. {grid.axis2[-1]:.3g}</text>'
     )
-    parts.append("</svg>")
+    tail.append("</svg>")
 
+    x_text = [f"{x_px(x) - cell_w / 2.0:.2f}" for x in grid.omega.tolist()]
+    size = f'width="{cell_w:.2f}" height="{cell_h:.2f}"'
+    palette, color_index = _cell_colors(grid.delta, vmax)
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(parts))
-        fh.write("\n")
+        fh.write("\n".join(head) + "\n")
+        # one write per axis2 row, so the cell rects are never all in memory
+        for a2, row_index in zip(grid.axis2.tolist(), color_index):
+            y = f"{y_px(a2) - cell_h / 2.0:.2f}"
+            fh.write("".join(f'<rect x="{x}" y="{y}" {size} fill="{palette[k]}"/>\n'
+                             for x, k in zip(x_text, row_index.tolist())))
+        fh.write("\n".join(tail) + "\n")

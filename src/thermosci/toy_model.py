@@ -17,8 +17,8 @@ boundaries. For the fed-vs-gen pair the analytic boundary is
 
 from __future__ import annotations
 
-import csv
 import math
+import warnings
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -51,6 +51,9 @@ class ToyParams:
     c_spec: float = 0.05
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not math.isfinite(value):
+                raise InvalidParameter(f"{name} must be finite, got {value!r}")
         if not 0.0 < self.c_min <= 1.0:
             raise InvalidParameter("c_min must be in (0, 1]")
         if self.gamma <= 0.0:
@@ -274,18 +277,19 @@ GRID_CSV_HEADER = ("omega", "axis2", "eta_first", "eta_second", "delta_eta")
 
 
 def write_grid_csv(grid: SweepGrid, path) -> None:
-    """Write the grid row-major (omega varying fastest), 9 significant digits."""
-    lines = [",".join(GRID_CSV_HEADER)]
-    for j in range(grid.axis2.size):
-        a2 = grid.axis2[j]
-        for i in range(grid.omega.size):
-            lines.append(
-                f"{grid.omega[i]:.9g},{a2:.9g},{grid.eta_first[j, i]:.9g},"
-                f"{grid.eta_second[j, i]:.9g},{grid.delta[j, i]:.9g}"
-            )
+    """Write the grid row-major (omega varying fastest), 9 significant digits.
+
+    Streams one axis2 row at a time, so memory stays at one row of text.
+    """
+    omega_text = [f"{x:.9g}," for x in grid.omega.tolist()]
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write(",".join(GRID_CSV_HEADER) + "\n")
+        for j, a2 in enumerate(grid.axis2.tolist()):
+            # %s takes the omega text; the row's axis2 text is part of the format
+            line = f"%s{a2:.9g},%.9g,%.9g,%.9g\n"
+            fh.write("".join(map(line.__mod__, zip(
+                omega_text, grid.eta_first[j].tolist(), grid.eta_second[j].tolist(),
+                grid.delta[j].tolist()))))
 
 
 def _infer_scale(axis: np.ndarray) -> str:
@@ -299,46 +303,49 @@ def _infer_scale(axis: np.ndarray) -> str:
 
 
 def read_grid_csv(path) -> SweepGrid:
-    """Reconstruct a grid written by :func:`write_grid_csv`."""
+    """Reconstruct a grid written by :func:`write_grid_csv`.
+
+    Accepts LF or CRLF line endings and blank lines (such as a trailing
+    newline); every other row must hold 5 numbers.
+    """
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+        with open(path) as fh:
+            line = fh.readline()
+            header = line.rstrip("\r\n").split(",") if line else None
             if header is None or tuple(h.strip() for h in header) != GRID_CSV_HEADER:
                 raise MalformedGrid(
                     f"expected header {','.join(GRID_CSV_HEADER)!r}, got {header!r}"
                 )
-            rows = [tuple(float(v) for v in row) for row in reader if row]
+            with warnings.catch_warnings():
+                # an empty body is reported below, not as numpy's UserWarning
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     except OSError as exc:
         raise MalformedGrid(f"cannot read grid file: {exc}") from exc
     except ValueError as exc:
-        raise MalformedGrid(f"non-numeric grid entry: {exc}") from exc
-    if not rows:
+        raise MalformedGrid(f"malformed grid entry: {exc}") from exc
+    if data.size == 0:
         raise MalformedGrid("grid file has no data rows")
-    if any(len(r) != 5 for r in rows):
+    if data.shape[1] != 5:
         raise MalformedGrid("grid rows must have 5 columns")
 
-    first_omega = rows[0][0]
-    n_omega = next((k for k in range(1, len(rows)) if rows[k][0] == first_omega), len(rows))
-    if len(rows) % n_omega != 0:
+    n_rows = data.shape[0]
+    repeats = np.flatnonzero(data[1:, 0] == data[0, 0])
+    n_omega = int(repeats[0]) + 1 if repeats.size else n_rows
+    if n_rows % n_omega != 0:
         raise MalformedGrid("row count is not a multiple of the omega resolution")
-    n_axis2 = len(rows) // n_omega
+    n_axis2 = n_rows // n_omega
     if n_omega < 2 or n_axis2 < 2:
         raise MalformedGrid("grid needs at least 2 points on each axis")
 
-    data = np.array(rows)
-    omega = data[:n_omega, 0]
-    axis2 = data[::n_omega, 1]
-    shape = (n_axis2, n_omega)
-    for j in range(n_axis2):
-        block = data[j * n_omega:(j + 1) * n_omega]
-        if not np.array_equal(block[:, 0], omega) or not np.all(block[:, 1] == axis2[j]):
-            raise MalformedGrid("grid rows are not row-major with omega varying fastest")
-    eta_first = data[:, 2].reshape(shape)
-    eta_second = data[:, 3].reshape(shape)
-    delta = data[:, 4].reshape(shape)
+    # (column, axis2 index, omega index)
+    blocks = data.T.reshape(5, n_axis2, n_omega)
+    omega = blocks[0, 0]
+    axis2 = blocks[1, :, 0]
+    if not (np.all(blocks[0] == omega) and np.all(blocks[1] == axis2[:, None])):
+        raise MalformedGrid("grid rows are not row-major with omega varying fastest")
     return SweepGrid(None, None, omega, axis2, "axis2", _infer_scale(omega),
-                     eta_first, eta_second, delta, contours=[])
+                     blocks[2], blocks[3], blocks[4], contours=[])
 
 
 def contours_to_json_dict(grid: SweepGrid, pair: str | None = None) -> dict:

@@ -138,6 +138,16 @@ def test_sweep_needs_pair_or_panel(capsys):
     assert payload["error"] == "InvalidParameter"
 
 
+def test_sweep_rejects_nan_alpha(tmp_path, capsys):
+    code = main(["sweep", "--pair", "fed-gen", "--alpha-gen", "nan",
+                 "--out", str(tmp_path / "g.csv")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "InvalidParameter"
+    assert "alpha_gen" in payload["message"]
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_sweep_svg_emission(tmp_path):
     out = tmp_path / "d.csv"
     svg = tmp_path / "d.svg"

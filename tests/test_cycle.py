@@ -78,6 +78,17 @@ def test_nan_budget_rejected(mode):
                     max_rounds=3)
 
 
+@pytest.mark.parametrize("mode", [ExpectedMode(), SampledMode(seed=0, trials=1)])
+def test_infinite_budget_needs_max_rounds(mode):
+    # sampled mode used to loop forever here: a converged belief keeps paying erasure
+    with pytest.raises(InvalidParameter, match="budget must be finite"):
+        run_episode(asym_binary_env(), RoundRobin(), CostModel(), math.inf, mode)
+    ledger, summary = run_episode(asym_binary_env(), RoundRobin(), CostModel(), math.inf,
+                                  mode, max_rounds=3)
+    assert summary.rounds == 3
+    assert len(ledger.records) == 3
+
+
 _INFLATED_GAIN_SCRIPT = """
 import sys
 import thermosci.cycle_sim as cs

@@ -1,0 +1,198 @@
+"""The array-based grid CSV, marching squares and SVG against the per-cell oracle.
+
+Every output must be byte-identical to ``oracle_files`` (the implementation
+before the file layer became array code), and the CSV reader must parse to
+exactly the floats that ``csv.reader`` plus ``float`` give.
+"""
+
+import json
+import warnings
+
+import numpy as np
+import pytest
+
+import oracle_files as oracle
+from thermosci._marching import zero_isolines
+from thermosci.cli import _PANELS, main
+from thermosci.errors import MalformedGrid
+from thermosci.render import render_heatmap_svg
+from thermosci.toy_model import (
+    GRID_CSV_HEADER,
+    SecondAxis,
+    SweepAxes,
+    SweepGrid,
+    ToyParams,
+    read_grid_csv,
+    sweep,
+    write_grid_csv,
+    zero_contours,
+)
+
+
+def _polylines_json(polylines) -> str:
+    # the polyline text of the contour command's JSON
+    return json.dumps([line.tolist() for line in polylines])
+
+
+def _rows(grid: SweepGrid) -> np.ndarray:
+    n_axis2, n_omega = grid.delta.shape
+    return np.column_stack([np.tile(grid.omega, n_axis2), np.repeat(grid.axis2, n_omega),
+                            grid.eta_first.ravel(), grid.eta_second.ravel(),
+                            grid.delta.ravel()])
+
+
+def _check_against_oracle(grid: SweepGrid, tmp_path) -> None:
+    new_csv, old_csv = tmp_path / "new.csv", tmp_path / "old.csv"
+    write_grid_csv(grid, new_csv)
+    oracle.write_grid_csv(grid, old_csv)
+    assert new_csv.read_bytes() == old_csv.read_bytes()
+
+    x_log = grid.omega_scale == "log"
+    expected = oracle.zero_isolines(grid.delta, grid.omega, grid.axis2, x_log=x_log)
+    assert _polylines_json(zero_contours(grid)) == _polylines_json(expected)
+
+    new_svg, old_svg = tmp_path / "new.svg", tmp_path / "old.svg"
+    render_heatmap_svg(grid, new_svg)
+    oracle.render_heatmap_svg(grid, old_svg)
+    assert new_svg.read_bytes() == old_svg.read_bytes()
+
+    # the contour command's path: parse the CSV, then contour what was parsed
+    parsed = read_grid_csv(new_csv)
+    rows = oracle.read_grid_rows(new_csv)
+    assert np.array_equal(_rows(parsed), rows)
+    n_omega = grid.omega.size
+    old_delta = rows[:, 4].reshape(-1, n_omega)
+    expected = oracle.zero_isolines(old_delta, rows[:n_omega, 0], rows[::n_omega, 1],
+                                    x_log=parsed.omega_scale == "log")
+    assert _polylines_json(zero_contours(parsed)) == _polylines_json(expected)
+
+
+def _panel_grid(panel: str) -> SweepGrid:
+    # the CLI defaults of ``sweep --panel``
+    pair, alphas, kind = _PANELS[panel]
+    params = ToyParams(c_min=0.05, gamma=1.0, c_spec=0.05, **alphas)
+    second = (SecondAxis("c_spec", 0.05, 1.0, 100) if kind == "c_spec"
+              else SecondAxis("n", 1.0, 20.0, 100))
+    return sweep(pair, params, SweepAxes(second))
+
+
+@pytest.mark.parametrize("panel", sorted(_PANELS))
+def test_panel_files_match_oracle(panel, tmp_path):
+    _check_against_oracle(_panel_grid(panel), tmp_path)
+
+
+def test_seeded_fed_gen_grid_matches_oracle(tmp_path):
+    rng = np.random.default_rng(3)
+    params = ToyParams(alpha_gen=rng.uniform(0.6, 1.0), alpha_fed=rng.uniform(0.1, 0.5),
+                       alpha_spec=rng.uniform(0.1, 0.4))
+    grid = sweep("fed-gen", params, SweepAxes(SecondAxis("n", 1.0, 20.0, 150),
+                                              omega_steps=300))
+    assert grid.contours
+    _check_against_oracle(grid, tmp_path)
+
+
+def _cases(values: np.ndarray) -> np.ndarray:
+    v0, v1, v2, v3 = values[:-1, :-1], values[:-1, 1:], values[1:, 1:], values[1:, :-1]
+    return (v0 > 0) + 2 * (v1 > 0) + 4 * (v2 > 0) + 8 * (v3 > 0)
+
+
+def _random_delta(seed: int, shape=(23, 31)) -> np.ndarray:
+    """Values in [-1, 1] with ~10% exact zeros (some negative) and forced saddles.
+
+    About 10% of cells hold a quarter step (|delta| = 1 is among them, so
+    ``delta / vmax`` is exact), which puts colour channels on exact .5 ties.
+    """
+    rng = np.random.default_rng(seed)
+    delta = rng.uniform(-1.0, 1.0, shape)
+    quarters = rng.random(shape) < 0.1
+    delta[quarters] = rng.choice([-1.0, -0.5, -0.25, 0.25, 0.5, 1.0],
+                                 size=np.count_nonzero(quarters))
+    delta[rng.random(shape) < 0.1] = 0.0
+    delta[rng.random(shape) < 0.02] = -0.0
+    # saddle cells on a sparse lattice: case 5 (+ - + -) or case 10 (- + - +)
+    for j in range(0, shape[0] - 1, 4):
+        for i in range(0, shape[1] - 1, 4):
+            signs = np.array([1, -1, 1, -1]) * (1 if (i + j) % 8 == 0 else -1)
+            mags = rng.uniform(0.05, 1.0, 4)
+            delta[j, i], delta[j, i + 1], delta[j + 1, i + 1], delta[j + 1, i] = signs * mags
+    cases = _cases(delta)
+    assert (cases == 5).any() and (cases == 10).any()
+    assert np.count_nonzero(delta == 0.0) > 0.05 * delta.size
+    assert np.max(np.abs(delta)) == 1.0
+    return delta
+
+
+def _random_grid(seed: int, omega_scale: str) -> SweepGrid:
+    delta = _random_delta(seed)
+    ny, nx = delta.shape
+    rng = np.random.default_rng(seed + 1000)
+    eta_first = rng.uniform(0.0, 1.0, delta.shape)
+    omega = (np.geomspace(1e-2, 1e2, nx) if omega_scale == "log"
+             else np.linspace(0.5, 3.0, nx))
+    grid = SweepGrid(None, None, omega, np.linspace(1.0, 20.0, ny), "n", omega_scale,
+                     eta_first, eta_first - delta, delta, contours=[])
+    grid.contours = zero_contours(grid)
+    return grid
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("omega_scale", ["log", "linear"])
+def test_random_grid_files_match_oracle(seed, omega_scale, tmp_path):
+    grid = _random_grid(seed, omega_scale)
+    assert grid.contours
+    _check_against_oracle(grid, tmp_path)
+
+
+@pytest.mark.parametrize("seed", [10, 11, 12, 13])
+@pytest.mark.parametrize("x_log, y_log", [(False, False), (True, False), (False, True),
+                                          (True, True)])
+def test_random_isolines_match_oracle(seed, x_log, y_log):
+    delta = _random_delta(seed, shape=(17, 13))
+    x_axis = np.geomspace(0.1, 10.0, 13) if x_log else np.linspace(-2.0, 2.0, 13)
+    y_axis = np.geomspace(1.0, 20.0, 17) if y_log else np.linspace(0.0, 1.0, 17)
+    got = zero_isolines(delta, x_axis, y_axis, x_log=x_log, y_log=y_log)
+    expected = oracle.zero_isolines(delta, x_axis, y_axis, x_log=x_log, y_log=y_log)
+    assert _polylines_json(got) == _polylines_json(expected)
+
+
+# ---------------------------------------------------------------------------
+# reader input handling
+
+HEADER = ",".join(GRID_CSV_HEADER) + "\n"
+_GOOD_ROWS = "".join(f"{o},{a},0.5,0.25,0.25\n" for a in (1, 2) for o in (0.1, 0.2, 0.3))
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    HEADER,
+    "omega,axis2\n1,2\n",
+    HEADER + _GOOD_ROWS + "0.1,3,0.5,0.25\n",
+    HEADER + _GOOD_ROWS + "0.1,3,0.5,x,0.25\n",
+    HEADER + "1,,3,4,5\n" + _GOOD_ROWS,
+], ids=["empty", "header-only", "wrong-header", "ragged-row", "non-numeric",
+        "empty-field"])
+def test_malformed_grid_rejected_without_warnings(text, tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MalformedGrid):
+            read_grid_csv(path)
+        code = main(["contour", "--grid", str(path), "--out", str(tmp_path / "x.json")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "MalformedGrid"
+
+
+@pytest.mark.parametrize("newline, tail", [("\r\n", ""), ("\n", "\n"), ("\r\n", "\r\n")],
+                         ids=["crlf", "trailing-blank-line", "crlf-trailing-blank-line"])
+def test_line_endings_and_trailing_blank_line_parse(newline, tail, tmp_path):
+    grid = _panel_grid("D")
+    plain = tmp_path / "plain.csv"
+    write_grid_csv(grid, plain)
+    variant = tmp_path / "variant.csv"
+    variant.write_bytes(plain.read_bytes().replace(b"\n", newline.encode()) + tail.encode())
+    parsed = read_grid_csv(variant)
+    assert np.array_equal(_rows(parsed), _rows(read_grid_csv(plain)))
+    assert np.array_equal(_rows(parsed), oracle.read_grid_rows(variant))
+    assert parsed.omega_scale == "log"

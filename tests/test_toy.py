@@ -157,6 +157,14 @@ def test_params_validation():
         ToyParams(c_min=0.5, c_spec=0.2)
 
 
+@pytest.mark.parametrize("field", ["c_min", "gamma", "alpha_gen", "alpha_fed",
+                                   "alpha_spec", "c_spec"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(InvalidParameter, match=f"{field} must be finite"):
+        ToyParams(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
