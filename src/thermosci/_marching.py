@@ -58,16 +58,12 @@ def _cell_segments(i: int, j: int, v, case: int):
                  for a, b in _SEGMENTS[case])
 
 
-def _key(point):
-    return (round(point[0], 9), round(point[1], 9))
-
-
 def _chain_segments(segments):
-    """Join shared endpoints into polylines, preserving scan order."""
+    """Join segment ends ``(point, key)`` with equal keys into polylines, in scan order."""
     adjacency: dict[tuple, list[int]] = {}
     for idx, (p, q) in enumerate(segments):
-        adjacency.setdefault(_key(p), []).append(idx)
-        adjacency.setdefault(_key(q), []).append(idx)
+        adjacency.setdefault(p[1], []).append(idx)
+        adjacency.setdefault(q[1], []).append(idx)
 
     used = [False] * len(segments)
     polylines = []
@@ -75,14 +71,13 @@ def _chain_segments(segments):
         if used[start]:
             continue
         used[start] = True
-        p, q = segments[start]
-        chain = deque((p, q))
+        chain = deque(segments[start])
         # extend forward from q, then backward from p
         for endpoint_side in (1, 0):
             while True:
                 tip = chain[-1] if endpoint_side == 1 else chain[0]
                 nxt = None
-                for idx in adjacency.get(_key(tip), ()):
+                for idx in adjacency.get(tip[1], ()):
                     if not used[idx]:
                         nxt = idx
                         break
@@ -90,14 +85,14 @@ def _chain_segments(segments):
                     break
                 used[nxt] = True
                 a, b = segments[nxt]
-                other = b if _key(a) == _key(tip) else a
+                other = b if a[1] == tip[1] else a
                 if endpoint_side == 1:
                     chain.append(other)
                 else:
                     chain.appendleft(other)
-                if _key(chain[0]) == _key(chain[-1]) and len(chain) > 2:
+                if chain[0][1] == chain[-1][1] and len(chain) > 2:
                     break  # closed loop
-        polylines.append(list(chain))
+        polylines.append([point for point, _ in chain])
     return polylines
 
 
@@ -130,16 +125,13 @@ def zero_isolines(values: np.ndarray, x_axis: np.ndarray, y_axis: np.ndarray,
     segments = []
     for j, i in zip(rows.tolist(), cols.tolist()):
         v = (values[j, i], values[j, i + 1], values[j + 1, i + 1], values[j + 1, i])
-        for p, q in _cell_segments(i, j, v, int(cases[j, i])):
+        segments.extend(_cell_segments(i, j, v, int(cases[j, i])))
+    # endpoint keys: (x, y) rounded to 9 decimals, exactly as np.float64.__round__ does
+    keys = np.round(np.array(segments, dtype=float).reshape(-1, 4), 9).tolist()
+    ends = [((p, (kx, ky)), (q, (lx, ly)))
+            for (p, q), (kx, ky, lx, ly) in zip(segments, keys)
             # crossings pinned to an exactly-zero corner collapse to points
-            if _key(p) != _key(q):
-                segments.append((p, q))
-    chains = _chain_segments(segments)
-    polylines = []
-    for chain in chains:
-        pts = np.array([
-            (_index_to_coord(x, x_axis, x_log), _index_to_coord(y, y_axis, y_log))
-            for x, y in chain
-        ])
-        polylines.append(pts)
-    return polylines
+            if (kx, ky) != (lx, ly)]
+    return [np.array([(_index_to_coord(x, x_axis, x_log), _index_to_coord(y, y_axis, y_log))
+                      for x, y in chain])
+            for chain in _chain_segments(ends)]

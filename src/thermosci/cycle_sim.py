@@ -59,6 +59,8 @@ ZERO_ROUND_TOL = 1e-15
 BUDGET_SLACK = 1e-12
 
 DEFAULT_NODE_CAP = 1_000_000
+#: rounds of uniform draws generated per sampled trial before a longer block is needed
+DRAW_BLOCK = 8
 
 
 # ---------------------------------------------------------------------------
@@ -512,98 +514,102 @@ def _run_expected(env, policy, cost, budget, compression, max_rounds, node_cap):
     return ledger, summary
 
 
-def _run_sampled(env, policy, cost, budget, compression, max_rounds, mode, node_cap):
+def _uniforms(seed: int, trials, m: int) -> np.ndarray:
+    """The first ``m`` uniforms of each listed trial, one row per trial.
+
+    Trial ``k`` draws from child ``k`` of ``SeedSequence(seed)``, the child
+    ``spawn`` gives it, so a longer block extends a shorter one.
+    """
+    return np.array([np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))).random(m)
+                     for k in trials])
+
+
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """Row CDFs built as ``Generator.choice`` builds them: uniform u picks ``#(cdf <= u)``."""
+    cdf = probs.cumsum(axis=-1)
+    return cdf / cdf[..., -1:]
+
+
+def _run_sampled(env, policy, cost, budget, compression, max_rounds, mode):
     table, row_h = env.likelihood.table, env._row_entropies
     h_prior = _entropy(env.prior.probs)
-    n_states, n_outcomes = env.n_states, env.n_outcomes
-    seeds = np.random.SeedSequence(mode.seed).spawn(mode.trials)
+    n, n_outcomes = mode.trials, env.n_outcomes
+    # draw 0 picks a trial's state, draw t + 1 its round-t outcome
+    draws = _uniforms(mode.seed, range(n), 1 + DRAW_BLOCK)
+    theta = (_cdf(env.prior.probs) <= draws[:, :1]).sum(axis=1)
+    table_cdf = _cdf(table)
 
-    trial_rows: list[list[tuple]] = []  # per trial: (u, info, hy, hs, wm, we, h_after)
-    trial_cum: list[float] = []
-    trial_final_h: list[float] = []
+    # the frontier: one row per distinct history among the running trials
+    beliefs, histories = env.prior.probs[None], [()]
+    live = np.arange(n)  # running trials
+    node = np.zeros(n, dtype=np.intp)  # frontier row of each running trial
+    spent, cum, h_now = np.zeros(n), np.zeros(n), np.full(n, h_prior)
     reasons: set[str] = set()
-
-    for k in range(mode.trials):
-        rng = np.random.default_rng(seeds[k])
-        theta = int(rng.choice(n_states, p=env.prior.probs))
-        belief = env.prior.probs
-        history: History = ()
-        rows: list[tuple] = []
-        spent_k = 0.0
-        cum_k = 0.0
-        t = 0
-        reason = "max_rounds"
-        while max_rounds is None or t < max_rounds:
-            u = _choose(policy, belief, env, t, history)
-            if u is None:
-                reason = "policy_exhausted"
-                break
-            pred, hy, info = predictive_gain(belief[None], table[u][None], row_h[u][None])
-            pred, hy, info = pred[0], float(hy[0]), float(info[0])
-            hs = hy if compression is None else _entropy(compression.pushforward(pred))
-            work_meas = cost.kappa_meas * (info + cost.delta_f_mem)
-            work_erase = cost.kappa_erase * hs
-            round_cost = work_meas + work_erase
-            if round_cost <= ZERO_ROUND_TOL:
-                reason = "degenerate"
-                break
-            if round_cost > budget - spent_k + BUDGET_SLACK:
-                reason = "budget"
-                break
-            y = int(rng.choice(n_outcomes, p=table[u, theta]))
-            py = float(pred[y])
-            if py <= 0.0:
-                raise ZeroEvidence(f"drawn outcome {y} has zero predictive probability")
-            belief = belief * table[u, :, y] / py
-            rows.append((u, info, hy, hs, work_meas, work_erase, _entropy(belief)))
-            spent_k += round_cost
-            cum_k += info
-            history = history + ((u, y),)
-            t += 1
-        reasons.add(reason)
-        trial_rows.append(rows)
-        trial_cum.append(cum_k)
-        trial_final_h.append(_entropy(belief))
-
-    trials = mode.trials
-    tau_max = max(len(rows) for rows in trial_rows)
     records: list[RoundRecord] = []
-    for t in range(tau_max):
-        active_us: set[int] = set()
-        cols = [[] for _ in range(5)]
-        h_after_col = []
-        for k in range(trials):
-            rows = trial_rows[k]
-            if t < len(rows):
-                u, i_, hy_, hs_, wm_, we_, ha_ = rows[t]
-                active_us.add(u)
-                vals = (i_, hy_, hs_, wm_, we_)
-                h_after_col.append(ha_)
-            else:
-                vals = (0.0, 0.0, 0.0, 0.0, 0.0)
-                h_after_col.append(trial_final_h[k])
-            for c, v in zip(cols, vals):
-                c.append(v)
-        info, hy, hs, wm, we = (math.fsum(c) / trials for c in cols)
-        h_after = math.fsum(h_after_col) / trials
-        u_rec = active_us.pop() if len(active_us) == 1 else None
-        records.append(RoundRecord(t, u_rec, info, hy, hs, wm, we, h_after))
+    t = 0
+    while max_rounds is None or t < max_rounds:
+        choices = [_choose(policy, b, env, t, h) for b, h in zip(beliefs, histories)]
+        if None in choices:
+            reasons.add("policy_exhausted")
+            go = np.array([u is not None for u in choices])[node]
+            live, node = live[go], node[go]
+            if not live.size:
+                break
+            keep, node = np.unique(node, return_inverse=True)
+            beliefs, histories = beliefs[keep], [histories[i] for i in keep]
+            choices = [choices[i] for i in keep]
 
-    spent = float(sum(r.work_meas + r.work_erase for r in records))
-    ledger = WorkLedger(tuple(records), budget, spent)
-    cum_mean = math.fsum(trial_cum) / trials
-    if trials > 1:
-        var = math.fsum((c - cum_mean) ** 2 for c in trial_cum) / (trials - 1)
-        se = math.sqrt(max(var, 0.0) / trials)
-    else:
-        se = None
-    posterior_entropy = math.fsum(trial_final_h) / trials
-    status = "ok"
-    if tau_max == 0 and reasons == {"budget"}:
-        status = "budget_exhausted_immediately"
+        us = np.array(choices)
+        pred, hy, info = predictive_gain(beliefs, table[us], row_h[us])
+        hs = hy
+        if compression is not None:  # (1, Y) products per row; one 2-D product rounds apart
+            hs = _entropies(compression.pushforward(pred[:, None]))[:, 0]
+        work_meas = cost.kappa_meas * (info + cost.delta_f_mem)
+        work_erase = cost.kappa_erase * hs
+        round_cost = (work_meas + work_erase)[node]
+        degenerate = round_cost <= ZERO_ROUND_TOL
+        over = ~degenerate & (round_cost > budget - spent[live] + BUDGET_SLACK)
+        reasons.update(w for w, hit in (("degenerate", degenerate), ("budget", over)) if hit.any())
+        run = ~(degenerate | over)
+        live, node = live[run], node[run]
+        if not live.size:
+            break
+
+        if t + 1 == draws.shape[1]:  # trials outlive their block: draw longer ones
+            draws = np.pad(draws, ((0, 0), (0, draws.shape[1])))
+            draws[live] = _uniforms(mode.seed, live.tolist(), draws.shape[1])
+        y = (table_cdf[us[node], theta[live]] <= draws[live, t + 1, None]).sum(axis=1)
+        if not (pred[node, y] > 0.0).all():
+            raise ZeroEvidence("a drawn outcome has zero predictive probability")
+        cols = np.zeros((5, n))
+        cols[:, live] = np.stack((info, hy, hs, work_meas, work_erase))[:, node]
+        spent[live] += round_cost[run]
+        cum[live] += info[node]
+        u_rec = int(us[node[0]]) if (us[node] == us[node[0]]).all() else None
+
+        children, node = np.unique(node * n_outcomes + y, return_inverse=True)
+        parent, y_child = np.divmod(children, n_outcomes)
+        beliefs = beliefs[parent] * table[us[parent], :, y_child] / pred[parent, y_child][:, None]
+        histories = [histories[p] + ((choices[p], yc),)
+                     for p, yc in zip(parent.tolist(), y_child.tolist())]
+        h_now[live] = _entropies(beliefs)[node]
+        records.append(RoundRecord(t, u_rec, *(math.fsum(c.tolist()) / n for c in cols),
+                                   math.fsum(h_now.tolist()) / n))
+        t += 1
+    if live.size:
+        reasons.add("max_rounds")
+
+    ledger = WorkLedger(tuple(records), budget, sum(r.work_meas + r.work_erase for r in records))
+    trial_cum = cum.tolist()
+    cum_mean = math.fsum(trial_cum) / n
+    se = None
+    if n > 1:
+        var = math.fsum((c - cum_mean) ** 2 for c in trial_cum) / (n - 1)
+        se = math.sqrt(max(var, 0.0) / n)
+    status = "budget_exhausted_immediately" if not records and reasons == {"budget"} else "ok"
     reason = reasons.pop() if len(reasons) == 1 else "mixed"
-    summary = EpisodeSummary(status, "sampled", reason, h_prior, posterior_entropy,
-                             cum_mean, len(records), trials, se)
+    summary = EpisodeSummary(status, "sampled", reason, h_prior, math.fsum(h_now.tolist()) / n,
+                             cum_mean, len(records), n, se)
     return ledger, summary
 
 
@@ -623,7 +629,8 @@ def run_episode(
     episode stops when the next round does not fit the remaining budget
     (status ``budget_exhausted_immediately`` if that happens before round 1),
     when ``max_rounds`` is reached, when a fixed-sequence policy runs out,
-    or when a round would be a zero-cost zero-gain no-op.
+    or when a round would be a zero-cost zero-gain no-op. ``node_cap`` caps
+    the outcome tree of expected mode only.
     """
     cost = cost if cost is not None else CostModel()
     mode = mode if mode is not None else ExpectedMode()
@@ -643,4 +650,4 @@ def run_episode(
         )
     if isinstance(mode, ExpectedMode):
         return _run_expected(env, policy, cost, budget, compression, max_rounds, node_cap)
-    return _run_sampled(env, policy, cost, budget, compression, max_rounds, mode, node_cap)
+    return _run_sampled(env, policy, cost, budget, compression, max_rounds, mode)

@@ -3,8 +3,9 @@
 Kept as the reference implementation for ``test_files_oracle.py``: the grid
 CSV is formatted one f-string per cell and parsed with ``csv.reader`` and
 ``float``, marching squares classifies every cell in Python, and the SVG
-heatmap blends each cell's colour with ``round``. Segment chaining and the
-index-to-data mapping were not changed and are shared with
+heatmap blends each cell's colour with ``round``. Segment chaining rounds
+each endpoint with the builtin ``round`` every time it compares two ends.
+The index-to-data mapping was not changed and is shared with
 :mod:`thermosci._marching`.
 """
 
@@ -12,10 +13,11 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import deque
 
 import numpy as np
 
-from thermosci._marching import _chain_segments, _index_to_coord, _key
+from thermosci._marching import _index_to_coord
 from thermosci.toy_model import GRID_CSV_HEADER
 
 # ---------------------------------------------------------------------------
@@ -88,6 +90,47 @@ def _cell_segments(i: int, j: int, values: np.ndarray):
                      for a, b in pairs)
     return tuple((_edge_point(corners, v, a), _edge_point(corners, v, b))
                  for a, b in _SEGMENTS[case])
+
+
+def _key(point):
+    return (round(point[0], 9), round(point[1], 9))
+
+
+def _chain_segments(segments):
+    adjacency: dict[tuple, list[int]] = {}
+    for idx, (p, q) in enumerate(segments):
+        adjacency.setdefault(_key(p), []).append(idx)
+        adjacency.setdefault(_key(q), []).append(idx)
+
+    used = [False] * len(segments)
+    polylines = []
+    for start in range(len(segments)):
+        if used[start]:
+            continue
+        used[start] = True
+        p, q = segments[start]
+        chain = deque((p, q))
+        for endpoint_side in (1, 0):
+            while True:
+                tip = chain[-1] if endpoint_side == 1 else chain[0]
+                nxt = None
+                for idx in adjacency.get(_key(tip), ()):
+                    if not used[idx]:
+                        nxt = idx
+                        break
+                if nxt is None:
+                    break
+                used[nxt] = True
+                a, b = segments[nxt]
+                other = b if _key(a) == _key(tip) else a
+                if endpoint_side == 1:
+                    chain.append(other)
+                else:
+                    chain.appendleft(other)
+                if _key(chain[0]) == _key(chain[-1]) and len(chain) > 2:
+                    break
+        polylines.append(list(chain))
+    return polylines
 
 
 def zero_isolines(values, x_axis, y_axis, x_log=False, y_log=False):

@@ -382,6 +382,23 @@ def test_sampled_random_policy_matches_expected():
     assert abs(smp.cumulative_info - exp.cumulative_info) <= 3 * smp.cumulative_info_se + 1e-12
 
 
+def test_sampled_stream_is_pinned():
+    # the README example, simulate --budget 2 --units bits --mode sampled:10000 --seed 7;
+    # the literals were recorded from the engine that ran one trial at a time
+    ledger, summary = run_episode(asym_binary_env(), GreedyInfoMax(), CostModel(), 2 * LN2,
+                                  SampledMode(seed=7, trials=10000))
+    assert summary.cumulative_info == 0.0863046217355341
+    assert summary.cumulative_info_se == 0.0
+    assert ledger.records[0].info_gain == 0.0863046217355341
+    # round 0 is the same in every trial; its mean posterior entropy counts the drawn outcomes
+    assert ledger.records[0].belief_entropy_after == 0.6073692298925107
+    # with two rounds the gains themselves depend on the draws
+    _, summary = run_episode(asym_binary_env(), RoundRobin(), CostModel(), 1.6,
+                             SampledMode(seed=7, trials=10000))
+    assert summary.cumulative_info == 0.15887349095419723
+    assert summary.cumulative_info_se == 7.466713417190446e-05
+
+
 # ---------------------------------------------------------------------------
 # randomized families
 

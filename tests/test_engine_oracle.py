@@ -3,7 +3,9 @@
 Every policy kind, with and without a compression map, in both modes, on
 random environments from :func:`thermosci.verify.random_environment`.
 Sampled runs use the same seed on both sides, so agreement to 1e-12 also
-pins the per-trial random stream.
+pins the per-trial random stream. Further sampled cases cover budget-only
+runs whose trials stop at different rounds, runs longer than the first
+block of uniform draws, a single trial, and how often the policy is asked.
 """
 
 import numpy as np
@@ -20,8 +22,10 @@ from thermosci import (
     SampledMode,
     run_episode,
 )
+from thermosci.cycle_sim import DRAW_BLOCK
 from thermosci.verify import random_environment
 
+from helpers import asym_binary_env, three_state_env
 from oracle_engine import run_reference
 
 TOL = 1e-12
@@ -76,3 +80,82 @@ def test_engines_match_reference(seed):
         got = run_episode(env, policy, cost, budget, mode, compression, max_rounds)
         want = run_reference(env, policy, cost, budget, mode, compression, max_rounds)
         _assert_same(got, want, label)
+
+
+# ---------------------------------------------------------------------------
+# sampled mode: trials advance together, one policy call per distinct history
+
+
+class _Recording:
+    """Delegates to ``inner`` and records every ``(round, history)`` it is asked about."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+
+    def choose(self, belief, env, t, history):
+        self.calls.append((t, history))
+        return self.inner.choose(belief, env, t, history)
+
+
+def _stop_rounds(calls):
+    """Rounds at which some trial stopped: histories asked about that no later call extends."""
+    went_on = {(t - 1, history[:-1]) for t, history in calls if t}
+    return {t for t, history in calls if (t, history) not in went_on}
+
+
+def _sampled_pair(env, policy, budget, mode, max_rounds=None, compression=None):
+    """Both engines on one case, checked equal; returns the result and the policy calls."""
+    recorder = _Recording(policy)
+    got = run_episode(env, recorder, CostModel(), budget, mode, compression, max_rounds)
+    want = run_reference(env, policy, CostModel(), budget, mode, compression, max_rounds)
+    _assert_same(got, want, (policy, mode, budget, max_rounds, compression))
+    return got, recorder.calls
+
+
+def test_sampled_budget_only_runs_match_reference():
+    staggered = 0
+    for seed in range(12):
+        rng = np.random.default_rng(500 + seed)
+        env = random_environment(rng)
+        for policy in (RoundRobin(), GreedyInfoMax(), RandomPolicy(seed)):
+            _, calls = _sampled_pair(env, policy, float(rng.uniform(1.0, 6.0)),
+                                     SampledMode(seed=seed, trials=40))
+            staggered += len(_stop_rounds(calls)) > 1
+    # half or more of these runs stop their trials at more than one round
+    assert staggered >= 18
+
+
+def test_sampled_run_longer_than_the_first_draw_block_matches_reference():
+    env = asym_binary_env()
+    for max_rounds, budget in ((None, 14.0), (3 * DRAW_BLOCK, 100.0)):
+        (_, summary), _ = _sampled_pair(env, RoundRobin(), budget,
+                                        SampledMode(seed=21, trials=60), max_rounds)
+        assert summary.rounds > DRAW_BLOCK
+
+
+def test_single_trial_matches_reference():
+    rng = np.random.default_rng(77)
+    env = random_environment(rng)
+    merge = CompressionMap((0,) * env.n_outcomes)
+    for compression in (None, merge):
+        (_, summary), _ = _sampled_pair(env, GreedyInfoMax(), 5.0,
+                                        SampledMode(seed=3, trials=1), compression=compression)
+        assert summary.cumulative_info_se is None
+
+
+def test_many_trial_random_policy_run_matches_reference():
+    rng = np.random.default_rng(78)
+    env = random_environment(rng)
+    _sampled_pair(env, RandomPolicy(11), 6.0, SampledMode(seed=5, trials=500))
+
+
+def test_sampled_mode_asks_the_policy_once_per_history():
+    env = three_state_env()
+    mode = SampledMode(seed=4, trials=2000)
+    got, want = _Recording(RandomPolicy(3)), _Recording(RandomPolicy(3))
+    _, summary = run_episode(env, got, CostModel(), 50.0, mode, max_rounds=4)
+    run_reference(env, want, CostModel(), 50.0, mode, max_rounds=4)
+    assert summary.rounds == 4
+    assert len(got.calls) == len(set(got.calls))
+    assert set(got.calls) == set(want.calls)
+    assert len(got.calls) < mode.trials < len(want.calls)
