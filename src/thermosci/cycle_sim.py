@@ -15,8 +15,9 @@ epistemically, so it terminates the episode instead of spinning.
 
 Two evaluation modes are supported:
 
-* ``ExpectedMode`` enumerates the full outcome tree and keeps the exact
-  mixture of posteriors, so each ledger row is an exact expectation and the
+* ``ExpectedMode`` enumerates the outcome tree and keeps the exact mixture
+  of posteriors, merging branches with equal outcome counts when the policy
+  allows it, so each ledger row is an exact expectation and the
   telescoping identity  sum_t info_t == prior entropy - expected final
   posterior entropy  holds to float precision.
 * ``SampledMode`` draws the true state once per trial from the prior,
@@ -186,12 +187,23 @@ def stored_entropy(
 
 History = tuple[tuple[int, int], ...]
 
+# A policy whose class sets ``history_free = True`` chooses from (belief, t)
+# alone. Bayes updates commute, so the (u, y) counts are a sufficient
+# statistic, and expected mode merges that policy's branches with equal
+# counts; any other policy is asked about every ordered history.
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # numpy seeds must be >= 0; fail here, naming the field
+        raise InvalidParameter(f"seed must be >= 0, got {seed!r}")
+
 
 @dataclass(frozen=True)
 class FixedSequence:
     """Play a fixed list of interventions; the episode ends when it runs out."""
 
     interventions: tuple[int, ...]
+    history_free = True
 
     def choose(self, belief: np.ndarray, env: EnvironmentModel, t: int, history: History):
         if t >= len(self.interventions):
@@ -202,6 +214,8 @@ class FixedSequence:
 @dataclass(frozen=True)
 class RoundRobin:
     """Cycle through interventions in index order."""
+
+    history_free = True
 
     def choose(self, belief: np.ndarray, env: EnvironmentModel, t: int, history: History):
         return t % env.intervention_count
@@ -216,6 +230,10 @@ class RandomPolicy:
     """
 
     seed: int = 0
+    history_free = False
+
+    def __post_init__(self):
+        _check_seed(self.seed)
 
     def choose(self, belief: np.ndarray, env: EnvironmentModel, t: int, history: History):
         material = [self.seed, t]
@@ -231,6 +249,8 @@ class GreedyInfoMax:
 
     Ties are broken by the lowest intervention index.
     """
+
+    history_free = True
 
     def choose(self, belief: np.ndarray, env: EnvironmentModel, t: int, history: History):
         table = env.likelihood.table
@@ -259,6 +279,7 @@ class SampledMode:
     trials: int = 1000
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.trials < 1:
             raise InvalidParameter("trials must be >= 1")
 
@@ -447,10 +468,13 @@ def _choose(policy: Policy, belief: np.ndarray, env: EnvironmentModel,
 def _run_expected(env, policy, cost, budget, compression, max_rounds, node_cap):
     table, row_h = env.likelihood.table, env._row_entropies
     h_prior = _entropy(env.prior.probs)
-    # the frontier: one row per outcome history
+    merge = getattr(policy, "history_free", False)
+    # the frontier: one row per outcome history, or per count vector when merging
     masses = np.ones(1)
     beliefs = env.prior.probs[None]
-    histories: list[History] = [()]
+    counts = np.zeros((1, env.intervention_count * env.n_outcomes), dtype=np.int32)
+    edges = np.eye(counts.shape[1], dtype=np.int32)  # row u * Y + y counts one (u, y)
+    histories: list[History] = [()]  # with merging, the history of the row's first member
     records: list[RoundRecord] = []
     spent = 0.0
     posterior_entropy = h_prior
@@ -485,13 +509,23 @@ def _run_expected(env, policy, cost, budget, compression, max_rounds, node_cap):
             break
 
         node, y = np.nonzero(pred > LOG_FLOOR)
+        child_masses = masses[node] * pred[node, y]
+        if merge:
+            counts = counts[node] + edges[us[node] * env.n_outcomes + y]
+        if merge and masses.size > 1:  # the children of one row all differ
+            order = np.lexsort(counts.T)
+            keys = counts[order]
+            first = np.ones(node.size, dtype=bool)  # starts a run of equal sorted keys
+            np.any(keys[1:] != keys[:-1], axis=1, out=first[1:])
+            child_masses = np.bincount(first.cumsum() - 1, weights=child_masses[order])
+            order = order[first]
+            node, y, counts = node[order], y[order], keys[first]
         if node.size > node_cap:
             raise TreeTooLarge(
                 f"outcome tree needs {node.size} nodes at round {t}, cap is {node_cap}"
             )
-        py = pred[node, y]
-        beliefs = beliefs[node] * table[us[node], :, y] / py[:, None]
-        masses = masses[node] * py
+        beliefs = beliefs[node] * table[us[node], :, y] / pred[node, y][:, None]
+        masses = child_masses
         histories = [histories[k] + ((choices[k], yk),)
                      for k, yk in zip(node.tolist(), y.tolist())]
         posterior_entropy = float(masses @ _entropies(beliefs))
@@ -630,7 +664,9 @@ def run_episode(
     (status ``budget_exhausted_immediately`` if that happens before round 1),
     when ``max_rounds`` is reached, when a fixed-sequence policy runs out,
     or when a round would be a zero-cost zero-gain no-op. ``node_cap`` caps
-    the outcome tree of expected mode only.
+    expected mode's frontier, counted in merged nodes: one per outcome-count
+    vector under a history-free policy (``FixedSequence``, ``RoundRobin``,
+    ``GreedyInfoMax``), one per ordered history otherwise.
     """
     cost = cost if cost is not None else CostModel()
     mode = mode if mode is not None else ExpectedMode()

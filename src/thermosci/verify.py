@@ -25,6 +25,7 @@ from .cycle_sim import (
     RandomPolicy,
     RoundRobin,
     SampledMode,
+    _check_seed,
     cumulative_information,
     efficiency,
     run_episode,
@@ -494,6 +495,7 @@ def run_suite(scope: str, seed: int) -> dict:
     if scope != "all" and scope not in _SUITES:
         raise ValueError(f"unknown scope {scope!r}; expected one of "
                          f"{sorted(_SUITES)} or 'all'")
+    _check_seed(seed)
     scopes = sorted(_SUITES) if scope == "all" else [scope]
     checks = []
     for name in scopes:

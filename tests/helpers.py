@@ -89,3 +89,18 @@ def enumerate_episode(env: EnvironmentModel, u_of_round, n_rounds: int):
         nodes = children
     leaf_entropy = sum(w * entropy_of(b) for w, b in nodes)
     return infos, outcome_entropies, leaf_entropy
+
+
+class Recording:
+    """Delegates to ``inner`` and records every ``(round, history)`` it is asked about.
+
+    It is history-free exactly when ``inner`` is, so an engine treats the two alike.
+    """
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+        self.history_free = getattr(inner, "history_free", False)
+
+    def choose(self, belief, env, t, history):
+        self.calls.append((t, history))
+        return self.inner.choose(belief, env, t, history)

@@ -69,6 +69,20 @@ def test_simulate_rejects_nan_kappa(env_file, capsys):
     assert "kappa_meas" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--mode", "sampled:5", "--seed", "-1"],
+    ["simulate", "--policy", "random", "--seed", "-3"],
+    ["verify", "--seed", "-1"],
+])
+def test_negative_seed_exits_2(env_file, capsys, argv):
+    if argv[0] == "simulate":
+        argv = [*argv, "--env", str(env_file), "--budget", "1"]
+    assert main(argv) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "InvalidParameter"
+    assert "seed" in payload["message"]
+
+
 def test_simulate_zero_budget_trivially_passes(tmp_path, env_file, capsys):
     code = main(["simulate", "--env", str(env_file), "--budget", "0"])
     assert code == 0

@@ -40,6 +40,7 @@ from thermosci.errors import (
 from thermosci.verify import random_environment, random_policy
 
 from helpers import (
+    Recording,
     asym_binary_env,
     constant_likelihood_env,
     enumerate_episode,
@@ -53,6 +54,12 @@ LN2 = math.log(2.0)
 
 # ---------------------------------------------------------------------------
 # types
+
+
+def test_negative_seed_rejected():
+    for build in (lambda: SampledMode(seed=-1, trials=5), lambda: RandomPolicy(-3)):
+        with pytest.raises(InvalidParameter, match="seed must be >= 0"):
+            build()
 
 
 def test_cost_model_validation():
@@ -272,6 +279,49 @@ def test_tree_node_cap():
     with pytest.raises(TreeTooLarge):
         run_episode(env, RoundRobin(), CostModel(), 100.0, ExpectedMode(),
                     max_rounds=4, node_cap=2)
+
+
+def test_node_cap_counts_merged_nodes():
+    # 30 binary rounds: 31 count vectors, against 2^30 ordered histories
+    env = asym_binary_env()
+    for cap in (64, 31):
+        _, summary = run_episode(env, RoundRobin(), CostModel(), 100.0, ExpectedMode(),
+                                 max_rounds=30, node_cap=cap)
+        assert summary.rounds == 30
+    for policy, cap in ((RoundRobin(), 30), (RandomPolicy(0), 64)):
+        with pytest.raises(TreeTooLarge):
+            run_episode(env, policy, CostModel(), 100.0, ExpectedMode(),
+                        max_rounds=30, node_cap=cap)
+
+
+def _binomial_mixture_entropy(n: int) -> float:
+    """Expected posterior entropy of the README environment after n rounds.
+
+    The posterior depends only on k, the number of outcome-0 draws, and each
+    k is reached by comb(n, k) equally likely orderings.
+    """
+    terms = []
+    for k in range(n + 1):
+        joint = (0.5 * 0.2 ** k * 0.8 ** (n - k), 0.5 * 0.6 ** k * 0.4 ** (n - k))
+        evidence = sum(joint)
+        entropy = -sum(p / evidence * math.log(p / evidence) for p in joint if p > 0.0)
+        terms.append(math.comb(n, k) * evidence * entropy)
+    return math.fsum(terms)
+
+
+def test_long_horizon_matches_binomial_mixture():
+    rounds = 200
+    policy = Recording(RoundRobin())
+    ledger, summary = run_episode(asym_binary_env(), policy, CostModel(), 1000.0,
+                                  ExpectedMode(), max_rounds=rounds)
+    assert summary.rounds == rounds
+    # merged branches: round t asks about t + 1 count vectors, not 2^t histories
+    assert [t for t, _ in policy.calls] == [t for t in range(rounds) for _ in range(t + 1)]
+    h = [_binomial_mixture_entropy(n) for n in range(rounds + 1)]
+    for t, rec in enumerate(ledger.records):
+        assert abs(rec.info_gain - (h[t] - h[t + 1])) <= 1e-12
+        assert abs(rec.belief_entropy_after - h[t + 1]) <= 1e-12
+    assert abs(summary.posterior_entropy - h[rounds]) <= 1e-12
 
 
 def test_telescoping_against_enumeration_oracle():

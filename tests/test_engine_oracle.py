@@ -6,7 +6,11 @@ Sampled runs use the same seed on both sides, so agreement to 1e-12 also
 pins the per-trial random stream. Further sampled cases cover budget-only
 runs whose trials stop at different rounds, runs longer than the first
 block of uniform draws, a single trial, and how often the policy is asked.
+Expected-mode cases at 10-12 rounds on 2-outcome environments cover the
+merging of branches with equal outcome counts.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -25,7 +29,7 @@ from thermosci import (
 from thermosci.cycle_sim import DRAW_BLOCK
 from thermosci.verify import random_environment
 
-from helpers import asym_binary_env, three_state_env
+from helpers import Recording, asym_binary_env, three_state_env
 from oracle_engine import run_reference
 
 TOL = 1e-12
@@ -86,17 +90,6 @@ def test_engines_match_reference(seed):
 # sampled mode: trials advance together, one policy call per distinct history
 
 
-class _Recording:
-    """Delegates to ``inner`` and records every ``(round, history)`` it is asked about."""
-
-    def __init__(self, inner):
-        self.inner, self.calls = inner, []
-
-    def choose(self, belief, env, t, history):
-        self.calls.append((t, history))
-        return self.inner.choose(belief, env, t, history)
-
-
 def _stop_rounds(calls):
     """Rounds at which some trial stopped: histories asked about that no later call extends."""
     went_on = {(t - 1, history[:-1]) for t, history in calls if t}
@@ -105,7 +98,7 @@ def _stop_rounds(calls):
 
 def _sampled_pair(env, policy, budget, mode, max_rounds=None, compression=None):
     """Both engines on one case, checked equal; returns the result and the policy calls."""
-    recorder = _Recording(policy)
+    recorder = Recording(policy)
     got = run_episode(env, recorder, CostModel(), budget, mode, compression, max_rounds)
     want = run_reference(env, policy, CostModel(), budget, mode, compression, max_rounds)
     _assert_same(got, want, (policy, mode, budget, max_rounds, compression))
@@ -152,10 +145,52 @@ def test_many_trial_random_policy_run_matches_reference():
 def test_sampled_mode_asks_the_policy_once_per_history():
     env = three_state_env()
     mode = SampledMode(seed=4, trials=2000)
-    got, want = _Recording(RandomPolicy(3)), _Recording(RandomPolicy(3))
+    got, want = Recording(RandomPolicy(3)), Recording(RandomPolicy(3))
     _, summary = run_episode(env, got, CostModel(), 50.0, mode, max_rounds=4)
     run_reference(env, want, CostModel(), 50.0, mode, max_rounds=4)
     assert summary.rounds == 4
     assert len(got.calls) == len(set(got.calls))
     assert set(got.calls) == set(want.calls)
     assert len(got.calls) < mode.trials < len(want.calls)
+
+
+# ---------------------------------------------------------------------------
+# expected mode: branches with equal outcome counts merge for history-free policies
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_merged_expected_mode_matches_reference(seed):
+    rng = np.random.default_rng(900 + seed)
+    env = random_environment(rng, max_outcomes=2)
+    max_rounds = int(rng.integers(10, 13))
+    seq = tuple(int(u) for u in rng.integers(0, env.intervention_count,
+                                              size=int(rng.integers(10, 13))))
+    for policy in (FixedSequence(seq), RoundRobin(), GreedyInfoMax()):
+        for compression in (None, CompressionMap((0, 0))):
+            budget = 100.0
+            if seed % 2:  # stop on the budget one round before the unbudgeted run ends
+                full, _ = run_episode(env, policy, CostModel(), budget, ExpectedMode(),
+                                      compression, max_rounds)
+                last = full.records[-1]
+                budget = full.budget_spent - 0.5 * (last.work_meas + last.work_erase)
+            recorder = Recording(policy)
+            got = run_episode(env, recorder, CostModel(), budget, ExpectedMode(),
+                              compression, max_rounds)
+            want = run_reference(env, policy, CostModel(), budget, ExpectedMode(),
+                                 compression, max_rounds)
+            _assert_same(got, want, (seed, policy, compression, budget))
+            rounds = got[1].rounds
+            assert rounds >= 9
+            if seed % 2:
+                assert got[1].stop_reason == "budget"
+            # the frontier held fewer than half the rows of the ordered-history tree
+            assert len(recorder.calls) * 2 < 2 ** (rounds + 1)
+
+
+def test_random_policy_is_asked_about_every_ordered_history():
+    env = asym_binary_env()
+    policy = Recording(RandomPolicy(5))
+    run_episode(env, policy, CostModel(), 100.0, ExpectedMode(), max_rounds=8)
+    for t in range(8):
+        asked = [history for r, history in policy.calls if r == t]
+        assert sorted(asked) == sorted(itertools.product(((0, 0), (0, 1)), repeat=t))

@@ -2,6 +2,7 @@ import pytest
 
 from thermosci import verify
 from thermosci import toy_model
+from thermosci.errors import InvalidParameter
 
 
 @pytest.mark.parametrize("scope", ["info", "cycle", "bounds", "toy"])
@@ -20,6 +21,11 @@ def test_suites_pass_on_other_seeds():
 def test_unknown_scope_rejected():
     with pytest.raises(ValueError):
         verify.run_suite("everything", seed=1)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(InvalidParameter, match="seed must be >= 0"):
+        verify.run_suite("all", seed=-1)
 
 
 def test_mutated_efficiency_law_is_caught(monkeypatch):
