@@ -187,10 +187,13 @@ def stored_entropy(
 
 History = tuple[tuple[int, int], ...]
 
-# A policy whose class sets ``history_free = True`` chooses from (belief, t)
-# alone. Bayes updates commute, so the (u, y) counts are a sufficient
-# statistic, and expected mode merges that policy's branches with equal
-# counts; any other policy is asked about every ordered history.
+# A policy's ``choose(belief, env, t, history)`` returns an intervention, or
+# None once it has run out; ``history`` holds the ordered (u, y) pairs so far.
+# An optional ``choose_rows(beliefs, env, t)`` chooses for a ``(rows, S)``
+# belief matrix at once (None, one index for all rows, or an index array),
+# and then no histories are built. A class setting ``history_free = True``
+# chooses from (belief, t) alone; Bayes updates commute, so expected mode
+# merges its branches with equal (u, y) counts.
 
 
 def _check_seed(seed: int) -> None:
@@ -205,10 +208,12 @@ class FixedSequence:
     interventions: tuple[int, ...]
     history_free = True
 
-    def choose(self, belief: np.ndarray, env: EnvironmentModel, t: int, history: History):
+    def choose(self, belief: np.ndarray, env: EnvironmentModel, t: int, history: History = ()):
         if t >= len(self.interventions):
             return None
         return int(self.interventions[t])
+
+    choose_rows = choose  # the same answer for every row
 
 
 @dataclass(frozen=True)
@@ -217,8 +222,10 @@ class RoundRobin:
 
     history_free = True
 
-    def choose(self, belief: np.ndarray, env: EnvironmentModel, t: int, history: History):
+    def choose(self, belief: np.ndarray, env: EnvironmentModel, t: int, history: History = ()):
         return t % env.intervention_count
+
+    choose_rows = choose  # the same answer for every row
 
 
 @dataclass(frozen=True)
@@ -253,10 +260,12 @@ class GreedyInfoMax:
     history_free = True
 
     def choose(self, belief: np.ndarray, env: EnvironmentModel, t: int, history: History):
-        table = env.likelihood.table
-        beliefs = np.broadcast_to(belief, table.shape[:2])
-        _, _, gains = predictive_gain(beliefs, table, env._row_entropies)
-        return int(np.argmax(gains))
+        return int(self.choose_rows(belief[None], env, t)[0])
+
+    def choose_rows(self, beliefs: np.ndarray, env: EnvironmentModel, t: int):
+        # (rows, 1, S) beliefs against the (U, S, Y) tables: one gain per row and intervention
+        _, _, gains = predictive_gain(beliefs[:, None], env.likelihood.table, env._row_entropies)
+        return gains.argmax(axis=1)
 
 
 Policy = FixedSequence | RoundRobin | RandomPolicy | GreedyInfoMax
@@ -290,6 +299,10 @@ Mode = ExpectedMode | SampledMode
 # ---------------------------------------------------------------------------
 # ledger
 
+#: the float fields of a round record, in ledger JSON order
+_RECORD_FLOATS = ("info_gain", "outcome_entropy", "stored_entropy", "work_meas", "work_erase",
+                  "belief_entropy_after")
+
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -309,9 +322,12 @@ class RoundRecord:
     belief_entropy_after: float
 
     def __post_init__(self):
-        for name in ("info_gain", "outcome_entropy", "stored_entropy",
-                     "work_meas", "work_erase", "belief_entropy_after"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in _RECORD_FLOATS:
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise InvalidLedger(f"round {self.round_index}: {name} must be finite, "
+                                    f"got {value!r}")
+            object.__setattr__(self, name, value)
         if self.info_gain < -BUDGET_SLACK:
             raise InvalidLedger(f"round {self.round_index}: negative info gain {self.info_gain!r}")
         if self.work_meas < self.info_gain - BUDGET_SLACK:
@@ -344,6 +360,10 @@ class WorkLedger:
         object.__setattr__(self, "records", tuple(self.records))
         object.__setattr__(self, "budget_total", float(self.budget_total))
         object.__setattr__(self, "budget_spent", float(self.budget_spent))
+        if math.isnan(self.budget_total):  # +inf is an unbounded budget
+            raise InvalidLedger("budget_total must not be NaN")
+        if not math.isfinite(self.budget_spent):
+            raise InvalidLedger(f"budget_spent must be finite, got {self.budget_spent!r}")
         spent = sum(r.work_meas + r.work_erase for r in self.records)
         if abs(spent - self.budget_spent) > 1e-10:
             raise InvalidLedger(
@@ -361,19 +381,9 @@ class WorkLedger:
     def to_json_dict(self, units: Units | str = Units.NATS) -> dict:
         units = Units(units)
         scale = 1.0 if units == Units.NATS else 1.0 / LN2
-        recs = [
-            {
-                "round": r.round_index,
-                "intervention": r.intervention,
-                "info_gain": r.info_gain * scale,
-                "outcome_entropy": r.outcome_entropy * scale,
-                "stored_entropy": r.stored_entropy * scale,
-                "work_meas": r.work_meas * scale,
-                "work_erase": r.work_erase * scale,
-                "belief_entropy_after": r.belief_entropy_after * scale,
-            }
-            for r in self.records
-        ]
+        recs = [{"round": r.round_index, "intervention": r.intervention,
+                 **{name: getattr(r, name) * scale for name in _RECORD_FLOATS}}
+                for r in self.records]
         return {
             "units": units.value,
             "budget_total": self.budget_total * scale,
@@ -393,16 +403,9 @@ class WorkLedger:
             units = Units(data.get("units", "nats"))
             scale = 1.0 if units == Units.NATS else LN2
             records = tuple(
-                RoundRecord(
-                    round_index=int(r["round"]),
-                    intervention=None if r["intervention"] is None else int(r["intervention"]),
-                    info_gain=float(r["info_gain"]) * scale,
-                    outcome_entropy=float(r["outcome_entropy"]) * scale,
-                    stored_entropy=float(r["stored_entropy"]) * scale,
-                    work_meas=float(r["work_meas"]) * scale,
-                    work_erase=float(r["work_erase"]) * scale,
-                    belief_entropy_after=float(r["belief_entropy_after"]) * scale,
-                )
+                RoundRecord(int(r["round"]),
+                            None if r["intervention"] is None else int(r["intervention"]),
+                            *(float(r[name]) * scale for name in _RECORD_FLOATS))
                 for r in data["records"]
             )
             return cls(records, float(data["budget_total"]) * scale,
@@ -455,97 +458,72 @@ def round_work_lower_bound(record: RoundRecord) -> float:
 # episode execution
 
 
-def _choose(policy: Policy, belief: np.ndarray, env: EnvironmentModel,
-            t: int, history: History):
-    u = policy.choose(belief, env, t, history)
-    if u is not None and not 0 <= u < env.intervention_count:
-        raise IndexOutOfRange(
-            f"policy chose intervention {u} outside [0, {env.intervention_count})"
-        )
-    return u
+class _Frontier:
+    """The distinct belief rows of a round, and how they split into children.
 
+    Rows are keyed by ``int32`` ``(u, y)`` counts, one column per edge
+    ``u * Y + y``, when merging, and by ordered history otherwise; children
+    with equal keys share the row of the first of them. Histories are kept
+    only for a policy without ``choose_rows``.
+    """
 
-def _run_expected(env, policy, cost, budget, compression, max_rounds, node_cap):
-    table, row_h = env.likelihood.table, env._row_entropies
-    h_prior = _entropy(env.prior.probs)
-    merge = getattr(policy, "history_free", False)
-    # the frontier: one row per outcome history, or per count vector when merging
-    masses = np.ones(1)
-    beliefs = env.prior.probs[None]
-    counts = np.zeros((1, env.intervention_count * env.n_outcomes), dtype=np.int32)
-    edges = np.eye(counts.shape[1], dtype=np.int32)  # row u * Y + y counts one (u, y)
-    histories: list[History] = [()]  # with merging, the history of the row's first member
-    records: list[RoundRecord] = []
-    spent = 0.0
-    posterior_entropy = h_prior
-    status, reason = "ok", "max_rounds"
-    t = 0
-    while max_rounds is None or t < max_rounds:
-        choices = []
-        for belief, history in zip(beliefs, histories):
-            u = _choose(policy, belief, env, t, history)
-            if u is None:
-                break
-            choices.append(u)
-        if len(choices) < len(histories):
-            reason = "policy_exhausted"
-            break
+    def __init__(self, env: EnvironmentModel, policy: Policy, merge: bool, cap: float):
+        self.env, self.policy, self.cap, self.rounds = env, policy, cap, 0
+        self.beliefs = env.prior.probs[None]
+        self.counts = (np.zeros((1, env.intervention_count * env.n_outcomes), dtype=np.int32)
+                       if merge else None)
+        self.histories = None if hasattr(policy, "choose_rows") else [()]
 
-        us = np.array(choices)
-        pred, hy, info = predictive_gain(beliefs, table[us], row_h[us])
-        hs = hy if compression is None else _entropies(compression.pushforward(pred))
-        info_t, hy_t, hs_t = (float(masses @ v) for v in (info, hy, hs))
+    def choose(self, t: int) -> np.ndarray:
+        """Each row's intervention at round ``t``; -1 where the policy has run out."""
+        env, count = self.env, self.env.intervention_count
+        if self.histories is not None:
+            picks = [self.policy.choose(b, env, t, h)
+                     for b, h in zip(self.beliefs, self.histories)]
+            wrong = [u for u in picks if u is not None and not 0 <= u < count]
+            us = np.array([-1 if u is None else u for u in picks])
+        else:
+            us = self.policy.choose_rows(self.beliefs, env, t)
+            if isinstance(us, np.ndarray):
+                wrong = us[(us < 0) | (us >= count)]
+            else:  # None, or one index for every row
+                wrong = [] if us is None or 0 <= us < count else [us]
+                us = np.full(len(self.beliefs), -1 if us is None else us)
+        if len(wrong):
+            raise IndexOutOfRange(f"policy chose intervention {wrong[0]} outside [0, {count})")
+        return us
 
-        work_meas = cost.kappa_meas * (info_t + cost.delta_f_mem)
-        work_erase = cost.kappa_erase * hs_t
-        round_cost = work_meas + work_erase
-        if round_cost <= ZERO_ROUND_TOL:
-            reason = "degenerate"
-            break
-        if round_cost > budget - spent + BUDGET_SLACK:
-            reason = "budget"
-            if t == 0:
-                status = "budget_exhausted_immediately"
-            break
-
-        node, y = np.nonzero(pred > LOG_FLOOR)
-        child_masses = masses[node] * pred[node, y]
-        if merge:
-            counts = counts[node] + edges[us[node] * env.n_outcomes + y]
-        if merge and masses.size > 1:  # the children of one row all differ
-            order = np.lexsort(counts.T)
-            keys = counts[order]
-            first = np.ones(node.size, dtype=bool)  # starts a run of equal sorted keys
+    def advance(self, us: np.ndarray, pred: np.ndarray, parent: np.ndarray,
+                y: np.ndarray) -> np.ndarray:
+        """Move to the children ``(parent[i], y[i])``; return each one's row."""
+        n_outcomes = self.env.n_outcomes
+        if self.counts is None:
+            keys = (parent * n_outcomes + y)[:, None]
+            repeats = (keys[1:] <= keys[:-1]).any()  # keys listed in increasing order are distinct
+        else:
+            keys = self.counts[parent]
+            keys[np.arange(parent.size), us[parent] * n_outcomes + y] += 1
+            repeats = len(self.beliefs) > 1  # the children of one row all differ
+        rows = np.arange(parent.size)
+        if repeats:
+            order = np.lexsort(keys.T)
+            keys = keys[order]
+            first = np.ones(parent.size, dtype=bool)  # starts a run of equal sorted keys
             np.any(keys[1:] != keys[:-1], axis=1, out=first[1:])
-            child_masses = np.bincount(first.cumsum() - 1, weights=child_masses[order])
+            rows[order] = first.cumsum() - 1
             order = order[first]
-            node, y, counts = node[order], y[order], keys[first]
-        if node.size > node_cap:
-            raise TreeTooLarge(
-                f"outcome tree needs {node.size} nodes at round {t}, cap is {node_cap}"
-            )
-        beliefs = beliefs[node] * table[us[node], :, y] / pred[node, y][:, None]
-        masses = child_masses
-        histories = [histories[k] + ((choices[k], yk),)
-                     for k, yk in zip(node.tolist(), y.tolist())]
-        posterior_entropy = float(masses @ _entropies(beliefs))
-        u_rec = choices[0] if all(u == choices[0] for u in choices) else None
-        records.append(RoundRecord(t, u_rec, info_t, hy_t, hs_t,
-                                   work_meas, work_erase, posterior_entropy))
-        spent += round_cost
-        t += 1
-
-    ledger = WorkLedger(tuple(records), budget, spent)
-    cum = sum(r.info_gain for r in records)
-    # telescoping: outcome-side gains against the posterior-side entropy drop
-    if abs(cum - (h_prior - posterior_entropy)) > 1e-10:
-        raise InvalidLedger(
-            f"cumulative information {cum!r} does not telescope to the entropy drop "
-            f"{h_prior - posterior_entropy!r}"
-        )
-    summary = EpisodeSummary(status, "expected", reason, h_prior, posterior_entropy,
-                             cum, len(records))
-    return ledger, summary
+            parent, y, keys = parent[order], y[order], keys[first]
+        if parent.size > self.cap:
+            raise TreeTooLarge(f"outcome tree needs {parent.size} nodes at round "
+                               f"{self.rounds}, cap is {self.cap}")
+        self.counts = None if self.counts is None else keys
+        if self.histories is not None:
+            self.histories = [self.histories[p] + ((u, yk),) for p, u, yk in
+                              zip(parent.tolist(), us[parent].tolist(), y.tolist())]
+        table = self.env.likelihood.table
+        self.beliefs = self.beliefs[parent] * table[us[parent], :, y] / pred[parent, y][:, None]
+        self.rounds += 1
+        return rows
 
 
 def _uniforms(seed: int, trials, m: int) -> np.ndarray:
@@ -564,69 +542,78 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
     return cdf / cdf[..., -1:]
 
 
-def _run_sampled(env, policy, cost, budget, compression, max_rounds, mode):
+def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
     table, row_h = env.likelihood.table, env._row_entropies
     h_prior = _entropy(env.prior.probs)
-    n, n_outcomes = mode.trials, env.n_outcomes
-    # draw 0 picks a trial's state, draw t + 1 its round-t outcome
-    draws = _uniforms(mode.seed, range(n), 1 + DRAW_BLOCK)
-    theta = (_cdf(env.prior.probs) <= draws[:, :1]).sum(axis=1)
-    table_cdf = _cdf(table)
+    sampled = isinstance(mode, SampledMode)
+    # Walkers: in sampled mode one per trial, each on one frontier row; in
+    # expected mode one, the whole tree with its rows weighted by mass. Only
+    # expected mode merges rows: sampled rows stay keyed by ordered history,
+    # so a seed keeps giving the same ledger to the last bit.
+    n = mode.trials if sampled else 1
+    frontier = _Frontier(env, policy, not sampled and getattr(policy, "history_free", False),
+                         math.inf if sampled else node_cap)
+    if sampled:
+        # draw 0 picks a trial's state, draw t + 1 its round-t outcome
+        draws = _uniforms(mode.seed, range(n), 1 + DRAW_BLOCK)
+        theta = (_cdf(env.prior.probs) <= draws[:, :1]).sum(axis=1)
+        table_cdf = _cdf(table)
+        node = np.zeros(n, dtype=np.intp)  # frontier row of each running trial
+    masses = np.ones(1)
 
-    # the frontier: one row per distinct history among the running trials
-    beliefs, histories = env.prior.probs[None], [()]
-    live = np.arange(n)  # running trials
-    node = np.zeros(n, dtype=np.intp)  # frontier row of each running trial
-    spent, cum, h_now = np.zeros(n), np.zeros(n), np.full(n, h_prior)
+    def per_walker(v):  # each running walker's value of a per-row quantity
+        return v[node] if sampled else masses @ v[:, None]  # same bits as masses @ v
+
+    live = np.arange(n)  # running walkers
+    spent = np.zeros(n)  # work spent by each running walker
+    cum, h_now = np.zeros(n), np.full(n, h_prior)  # per walker, running or not
     reasons: set[str] = set()
     records: list[RoundRecord] = []
     t = 0
     while max_rounds is None or t < max_rounds:
-        choices = [_choose(policy, b, env, t, h) for b, h in zip(beliefs, histories)]
-        if None in choices:
-            reasons.add("policy_exhausted")
-            go = np.array([u is not None for u in choices])[node]
-            live, node = live[go], node[go]
-            if not live.size:
-                break
-            keep, node = np.unique(node, return_inverse=True)
-            beliefs, histories = beliefs[keep], [histories[i] for i in keep]
-            choices = [choices[i] for i in keep]
-
-        us = np.array(choices)
-        pred, hy, info = predictive_gain(beliefs, table[us], row_h[us])
+        us = frontier.choose(t)  # a -1 row is evaluated on the last table; its walkers stop
+        pred, hy, info = predictive_gain(frontier.beliefs, table[us], row_h[us])
         hs = hy
         if compression is not None:  # (1, Y) products per row; one 2-D product rounds apart
             hs = _entropies(compression.pushforward(pred[:, None]))[:, 0]
+        info, hy, hs = per_walker(info), per_walker(hy), per_walker(hs)
         work_meas = cost.kappa_meas * (info + cost.delta_f_mem)
         work_erase = cost.kappa_erase * hs
-        round_cost = (work_meas + work_erase)[node]
-        degenerate = round_cost <= ZERO_ROUND_TOL
-        over = ~degenerate & (round_cost > budget - spent[live] + BUDGET_SLACK)
-        reasons.update(w for w, hit in (("degenerate", degenerate), ("budget", over)) if hit.any())
-        run = ~(degenerate | over)
-        live, node = live[run], node[run]
-        if not live.size:
-            break
+        round_cost = work_meas + work_erase
+        run = (round_cost > ZERO_ROUND_TOL) & (round_cost <= budget - spent + BUDGET_SLACK)
+        if us.min() < 0 or not run.all():  # some walkers stop: only then find out why
+            exhausted = per_walker(us < 0) > 0  # a tree stops whole when a branch runs out
+            degenerate = ~exhausted & (round_cost <= ZERO_ROUND_TOL)
+            run &= ~exhausted
+            for why, hit in (("policy_exhausted", exhausted), ("degenerate", degenerate),
+                             ("budget", ~(exhausted | degenerate | run))):
+                if hit.any():
+                    reasons.add(why)
+            live = live[run]
+            if not live.size:
+                break
+            node = node[run]  # only sampled mode gets here: expected mode has one walker
+            info, hy, hs, work_meas, work_erase, round_cost, spent = (
+                v[run] for v in (info, hy, hs, work_meas, work_erase, round_cost, spent))
+        spent += round_cost
+        cum[live] += info
+        cols = (info, hy, hs, work_meas, work_erase)
 
-        if t + 1 == draws.shape[1]:  # trials outlive their block: draw longer ones
-            draws = np.pad(draws, ((0, 0), (0, draws.shape[1])))
-            draws[live] = _uniforms(mode.seed, live.tolist(), draws.shape[1])
-        y = (table_cdf[us[node], theta[live]] <= draws[live, t + 1, None]).sum(axis=1)
-        if not (pred[node, y] > 0.0).all():
-            raise ZeroEvidence("a drawn outcome has zero predictive probability")
-        cols = np.zeros((5, n))
-        cols[:, live] = np.stack((info, hy, hs, work_meas, work_erase))[:, node]
-        spent[live] += round_cost[run]
-        cum[live] += info[node]
-        u_rec = int(us[node[0]]) if (us[node] == us[node[0]]).all() else None
-
-        children, node = np.unique(node * n_outcomes + y, return_inverse=True)
-        parent, y_child = np.divmod(children, n_outcomes)
-        beliefs = beliefs[parent] * table[us[parent], :, y_child] / pred[parent, y_child][:, None]
-        histories = [histories[p] + ((choices[p], yc),)
-                     for p, yc in zip(parent.tolist(), y_child.tolist())]
-        h_now[live] = _entropies(beliefs)[node]
+        if sampled:
+            if t + 1 == draws.shape[1]:  # trials outlive their block: draw longer ones
+                draws = np.pad(draws, ((0, 0), (0, draws.shape[1])))
+                draws[live] = _uniforms(mode.seed, live.tolist(), draws.shape[1])
+            parent, y = node, (table_cdf[us[node], theta[live]] <= draws[live, t + 1, None]).sum(1)
+            if not (pred[node, y] > 0.0).all():
+                raise ZeroEvidence("a drawn outcome has zero predictive probability")
+        else:
+            parent, y = np.nonzero(pred > LOG_FLOOR)
+        used = us[parent]
+        u_rec = int(used[0]) if (used == used[0]).all() else None
+        node = frontier.advance(us, pred, parent, y)  # the row of each trial, or of each branch
+        if not sampled:
+            masses = np.bincount(node, weights=masses[parent] * pred[parent, y])
+        h_now[live] = per_walker(_entropies(frontier.beliefs))
         records.append(RoundRecord(t, u_rec, *(math.fsum(c.tolist()) / n for c in cols),
                                    math.fsum(h_now.tolist()) / n))
         t += 1
@@ -636,15 +623,19 @@ def _run_sampled(env, policy, cost, budget, compression, max_rounds, mode):
     ledger = WorkLedger(tuple(records), budget, sum(r.work_meas + r.work_erase for r in records))
     trial_cum = cum.tolist()
     cum_mean = math.fsum(trial_cum) / n
-    se = None
-    if n > 1:
-        var = math.fsum((c - cum_mean) ** 2 for c in trial_cum) / (n - 1)
-        se = math.sqrt(max(var, 0.0) / n)
+    h_end = math.fsum(h_now.tolist()) / n
     status = "budget_exhausted_immediately" if not records and reasons == {"budget"} else "ok"
     reason = reasons.pop() if len(reasons) == 1 else "mixed"
-    summary = EpisodeSummary(status, "sampled", reason, h_prior, math.fsum(h_now.tolist()) / n,
-                             cum_mean, len(records), n, se)
-    return ledger, summary
+    se = None
+    if sampled and n > 1:
+        var = math.fsum((c - cum_mean) ** 2 for c in trial_cum) / (n - 1)
+        se = math.sqrt(max(var, 0.0) / n)
+    # telescoping: outcome-side gains against the posterior-side entropy drop
+    if not sampled and abs(cum_mean - (h_prior - h_end)) > 1e-10:
+        raise InvalidLedger(f"cumulative information {cum_mean!r} does not telescope to "
+                            f"the entropy drop {h_prior - h_end!r}")
+    return ledger, EpisodeSummary(status, "sampled" if sampled else "expected", reason, h_prior,
+                                  h_end, cum_mean, len(records), n if sampled else None, se)
 
 
 def run_episode(
@@ -662,11 +653,15 @@ def run_episode(
     ``budget`` is the beta-normalized total work available, in nats. The
     episode stops when the next round does not fit the remaining budget
     (status ``budget_exhausted_immediately`` if that happens before round 1),
-    when ``max_rounds`` is reached, when a fixed-sequence policy runs out,
-    or when a round would be a zero-cost zero-gain no-op. ``node_cap`` caps
-    expected mode's frontier, counted in merged nodes: one per outcome-count
-    vector under a history-free policy (``FixedSequence``, ``RoundRobin``,
-    ``GreedyInfoMax``), one per ordered history otherwise.
+    when ``max_rounds`` is reached, when the policy runs out, or when a
+    round would be a zero-cost zero-gain no-op; in sampled mode each trial
+    stops on its own. The policy is asked once per round through
+    ``choose_rows`` when it has one, else once per frontier row through
+    ``choose`` with the ordered history. ``node_cap`` caps expected mode's
+    frontier, counted in merged nodes: one per outcome-count vector under a
+    history-free policy (``FixedSequence``, ``RoundRobin``,
+    ``GreedyInfoMax``), one per ordered history otherwise. Sampled mode
+    never merges, so its ledgers stay bit-for-bit reproducible per seed.
     """
     cost = cost if cost is not None else CostModel()
     mode = mode if mode is not None else ExpectedMode()
@@ -684,6 +679,4 @@ def run_episode(
             f"compression covers {len(compression.mapping)} outcomes, environment has "
             f"{env.n_outcomes}"
         )
-    if isinstance(mode, ExpectedMode):
-        return _run_expected(env, policy, cost, budget, compression, max_rounds, node_cap)
-    return _run_sampled(env, policy, cost, budget, compression, max_rounds, mode)
+    return _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode)

@@ -249,13 +249,16 @@ def predictive_gain(beliefs: np.ndarray, tables: np.ndarray, row_h: np.ndarray):
         tables: ``(n, S, Y)`` likelihood slice applied at each node.
         row_h: ``(n, S)`` outcome entropy of each table row.
 
+    Leading axes broadcast: ``(n, 1, S)`` beliefs on ``(U, S, Y)`` tables
+    give ``(n, U)`` in place of ``n``, every node under every intervention.
+
     Returns ``(pred (n, Y), H(Y) (n,), gain (n,))`` with the outcome-side
     gain ``H(Y) - sum_s b(s) H(Y|s)``, clamped at zero like every other
     information quantity.
     """
-    pred = (beliefs[:, None, :] @ tables)[:, 0]
+    pred = (beliefs[..., None, :] @ tables)[..., 0, :]
     hy = _entropies(pred)
-    gain = hy - (beliefs * row_h).sum(axis=1)
+    gain = hy - (beliefs * row_h).sum(axis=-1)
     worst = gain.min(initial=0.0)
     if worst < -GAIN_NOISE:
         raise InvalidDistribution(f"information gain {worst!r} is negative beyond noise")

@@ -248,3 +248,36 @@ def test_verify_flags_violating_scenario(tmp_path, env_file, capsys):
                  "--ledger", str(ledger_path), "--scenario", str(scenario_path)])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def _saved_ledger(tmp_path, env_file, *extra):
+    path = tmp_path / "ledger.json"
+    assert main(["simulate", "--env", str(env_file), "--out", str(path), *extra]) == 0
+    return path
+
+
+def _verify_ledger(path):
+    return main(["verify", "--scope", "bounds", "--seed", "1", "--ledger", str(path)])
+
+
+@pytest.mark.parametrize("field, value", [("budget_total", math.nan),
+                                          ("budget_spent", math.nan),
+                                          ("budget_spent", math.inf),
+                                          ("info_gain", math.nan),
+                                          ("work_erase", -math.inf)])
+def test_verify_rejects_non_finite_ledger_values(tmp_path, env_file, capsys, field, value):
+    path = _saved_ledger(tmp_path, env_file, "--budget", str(2 * LN2))
+    data = json.loads(path.read_text())
+    target = data["records"][0] if field in data["records"][0] else data
+    target[field] = value
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert _verify_ledger(path) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_infinite_budget_ledger_round_trips(tmp_path, env_file, capsys):
+    path = _saved_ledger(tmp_path, env_file, "--budget", "inf", "--max-rounds", "3")
+    assert '"budget_total": Infinity' in path.read_text()
+    capsys.readouterr()
+    assert _verify_ledger(path) == 0

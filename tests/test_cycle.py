@@ -167,6 +167,29 @@ def test_ledger_invariants():
         WorkLedger((rec,), budget_total=1.0, budget_spent=1.1)  # overdraft
 
 
+RECORD_FIELDS = ("info_gain", "outcome_entropy", "stored_entropy", "work_meas", "work_erase",
+                 "belief_entropy_after")
+
+
+@pytest.mark.parametrize("field", RECORD_FIELDS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_round_record_rejects_non_finite(field, value):
+    values = dict(zip(RECORD_FIELDS, (0.5, 0.6, 0.6, 0.5, 0.6, 0.1)), **{field: value})
+    with pytest.raises(InvalidLedger, match=field):
+        RoundRecord(0, 0, **values)
+
+
+def test_ledger_rejects_non_finite_budget_fields():
+    rec = RoundRecord(0, 0, 0.5, 0.6, 0.6, 0.5, 0.6, 0.1)
+    with pytest.raises(InvalidLedger, match="budget_total"):
+        WorkLedger((rec,), budget_total=math.nan, budget_spent=1.1)
+    for spent in (math.nan, math.inf):
+        with pytest.raises(InvalidLedger, match="budget_spent"):
+            WorkLedger((rec,), budget_total=math.inf, budget_spent=spent)
+    # an unbounded budget is a valid total
+    assert WorkLedger((rec,), budget_total=math.inf, budget_spent=1.1).budget_total == math.inf
+
+
 # ---------------------------------------------------------------------------
 # stored entropy and the per-round floor
 
@@ -309,6 +332,21 @@ def _binomial_mixture_entropy(n: int) -> float:
     return math.fsum(terms)
 
 
+def _log_binomial_mixture_entropy(n: int) -> float:
+    """:func:`_binomial_mixture_entropy` in log space, so no term underflows at large n."""
+    terms = []
+    for k in range(n + 1):
+        log_joint = [math.log(0.5) + k * math.log(a) + (n - k) * math.log(1.0 - a)
+                     for a in (0.2, 0.6)]
+        top = max(log_joint)
+        log_evidence = top + math.log(sum(math.exp(v - top) for v in log_joint))
+        posterior = [math.exp(v - log_evidence) for v in log_joint]
+        entropy = -sum(p * math.log(p) for p in posterior if p > 0.0)
+        log_comb = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        terms.append(math.exp(log_comb + log_evidence) * entropy)
+    return math.fsum(terms)
+
+
 def test_long_horizon_matches_binomial_mixture():
     rounds = 200
     policy = Recording(RoundRobin())
@@ -322,6 +360,21 @@ def test_long_horizon_matches_binomial_mixture():
         assert abs(rec.info_gain - (h[t] - h[t + 1])) <= 1e-12
         assert abs(rec.belief_entropy_after - h[t + 1]) <= 1e-12
     assert abs(summary.posterior_entropy - h[rounds]) <= 1e-12
+
+    # a bare RoundRobin chooses for all rows at once and is never shown a history
+    rounds = 1000
+    ledger, summary = run_episode(asym_binary_env(), RoundRobin(), CostModel(), 1e4,
+                                  ExpectedMode(), max_rounds=rounds)
+    assert summary.rounds == rounds
+    for t in range(0, rounds, 100):
+        h_t, h_next = _log_binomial_mixture_entropy(t), _log_binomial_mixture_entropy(t + 1)
+        rec = ledger.records[t]
+        assert abs(rec.info_gain - (h_t - h_next)) <= 1e-12
+        assert abs(rec.belief_entropy_after - h_next) <= 1e-12
+        # the entropy falls below 1e-12 by round 200; it still agrees to 1e-6 relative
+        assert abs(rec.belief_entropy_after - h_next) <= 1e-6 * h_next
+    h_end = _log_binomial_mixture_entropy(rounds)
+    assert abs(summary.posterior_entropy - h_end) <= min(1e-12, 1e-6 * h_end)
 
 
 def test_telescoping_against_enumeration_oracle():

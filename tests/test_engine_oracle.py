@@ -7,7 +7,8 @@ pins the per-trial random stream. Further sampled cases cover budget-only
 runs whose trials stop at different rounds, runs longer than the first
 block of uniform draws, a single trial, and how often the policy is asked.
 Expected-mode cases at 10-12 rounds on 2-outcome environments cover the
-merging of branches with equal outcome counts.
+merging of branches with equal outcome counts. The policy-protocol cases
+cover a policy asked row by row and one that chooses for all rows at once.
 """
 
 import itertools
@@ -18,15 +19,19 @@ import pytest
 from thermosci import (
     CompressionMap,
     CostModel,
+    DiscreteDistribution,
+    EnvironmentModel,
     ExpectedMode,
     FixedSequence,
     GreedyInfoMax,
+    LikelihoodModel,
     RandomPolicy,
     RoundRobin,
     SampledMode,
     run_episode,
 )
 from thermosci.cycle_sim import DRAW_BLOCK
+from thermosci.errors import IndexOutOfRange
 from thermosci.verify import random_environment
 
 from helpers import Recording, asym_binary_env, three_state_env
@@ -194,3 +199,83 @@ def test_random_policy_is_asked_about_every_ordered_history():
     for t in range(8):
         asked = [history for r, history in policy.calls if r == t]
         assert sorted(asked) == sorted(itertools.product(((0, 0), (0, 1)), repeat=t))
+
+
+# ---------------------------------------------------------------------------
+# the policy protocol: per-row ``choose`` with a history, or ``choose_rows``
+
+
+class _PerRowOutOfRange:
+    """Asked row by row; picks one past the last intervention from round 1 on."""
+
+    def choose(self, belief, env, t, history):
+        return env.intervention_count if t else 0
+
+
+class _BatchOutOfRange:
+    """Chooses for all rows at once; from round 1 on, one row gets an index past the end."""
+
+    history_free = True
+
+    def choose(self, belief, env, t, history):
+        return int(self.choose_rows(belief[None], env, t)[0])
+
+    def choose_rows(self, beliefs, env, t):
+        us = np.zeros(len(beliefs), dtype=int)
+        us[-1] = env.intervention_count if t else 0
+        return us
+
+
+class _StopsAfterOutcomeZero:
+    """Asked row by row; runs out on every history whose last outcome was 0."""
+
+    def choose(self, belief, env, t, history):
+        if history and history[-1][1] == 0:
+            return None
+        return t % env.intervention_count
+
+
+@pytest.mark.parametrize("policy", [_PerRowOutOfRange(), _BatchOutOfRange()],
+                         ids=["per-row", "batch"])
+@pytest.mark.parametrize("mode", [ExpectedMode(), SampledMode(seed=2, trials=30)],
+                         ids=["expected", "sampled"])
+def test_out_of_range_choice_raises(policy, mode):
+    env = three_state_env()
+    for run in (run_episode, run_reference):
+        with pytest.raises(IndexOutOfRange, match="outside"):
+            run(env, policy, CostModel(), 50.0, mode, max_rounds=4)
+
+
+def test_policy_running_out_on_some_histories_stops_only_their_trials():
+    env = three_state_env()
+    policy = _StopsAfterOutcomeZero()
+    (ledger, summary), calls = _sampled_pair(env, policy, 50.0, SampledMode(seed=8, trials=300),
+                                             max_rounds=5)
+    assert summary.stop_reason == "mixed"
+    assert summary.rounds == 5  # the trials that never drew outcome 0 run to max_rounds
+    assert len(_stop_rounds(calls)) > 2  # the others stop at the round after their first 0
+    # expected mode stops the whole tree at the first history the policy cannot serve
+    got = run_episode(env, policy, CostModel(), 50.0, ExpectedMode(), max_rounds=5)
+    want = run_reference(env, policy, CostModel(), 50.0, ExpectedMode(), max_rounds=5)
+    _assert_same(got, want, "expected")
+    assert got[1].stop_reason == "policy_exhausted" and got[1].rounds == 1
+
+
+def _tied_environment() -> EnvironmentModel:
+    """Intervention 0 tells nothing; 1 and 2 are the same informative experiment."""
+    informative = [[0.7, 0.2, 0.1], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]]
+    return EnvironmentModel(DiscreteDistribution([0.5, 0.3, 0.2]),
+                            LikelihoodModel([[[1 / 3] * 3] * 3, informative, informative]))
+
+
+def test_greedy_batch_choice_equals_per_row_choice():
+    policy = GreedyInfoMax()
+    envs = [random_environment(np.random.default_rng(700 + k)) for k in range(30)]
+    for k, env in enumerate(envs + [_tied_environment()]):
+        rng = np.random.default_rng(k)
+        beliefs = np.vstack((env.prior.probs, rng.dirichlet(np.ones(env.n_states), size=40)))
+        batch = policy.choose_rows(beliefs, env, 0)
+        assert batch.shape == (len(beliefs),)
+        assert batch.tolist() == [policy.choose(b, env, 0, ()) for b in beliefs], k
+    # exact ties between the identical interventions go to the lower index
+    assert batch.tolist() == [1] * len(beliefs)
