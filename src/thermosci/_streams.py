@@ -1,0 +1,148 @@
+"""numpy's seeded random streams, seeded and stepped for many rows at once.
+
+``np.random.default_rng(np.random.SeedSequence(...))`` builds one PCG64
+generator per seed. Both algorithms are fixed and public, so a whole array of
+them can be run as ``uint64`` arithmetic with the same bits:
+
+* ``SeedSequence`` hashes 32-bit entropy words into a 4-word pool with
+  O'Neill's ``seed_seq_fe`` mixing (numpy NEP 19) and draws PCG64's seed from
+  the pool.
+* PCG64 is a 128-bit LCG with the XSL-RR output function (O'Neill 2014,
+  "PCG: A Family of Simple Fast Space-Efficient Statistically Good
+  Algorithms for Random Number Generation"). Its 128-bit multiply is done on
+  64-bit halves with 32-bit limbs.
+* ``Generator.random()`` keeps the top 53 bits of an output.
+  ``Generator.integers(n)`` takes the 32-bit halves of the outputs, low half
+  first, through Lemire's rejection method (Lemire 2019, "Fast Random
+  Integer Generation in an Interval").
+
+A batch of streams is a ``(4, rows)`` ``uint64`` array: the high and low
+halves of each row's state, then of its increment.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+_M32 = 0xFFFFFFFF
+_POOL = 4  # SeedSequence's default pool size, in 32-bit words
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_HI, _PCG_LO = 2549297995355413924, 4865540595714422341  # the 128-bit LCG multiplier
+
+
+def words(n: int) -> list[int]:
+    """The 32-bit words, least significant first, that ``SeedSequence`` makes of an int >= 0."""
+    out = [n & _M32]
+    while n := n >> 32:
+        out.append(n & _M32)
+    return out
+
+
+def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
+    """``init * mult**k`` mod 2**32, k <= calls: hash call k xors entry k, multiplies by k + 1."""
+    return np.cumprod(np.r_[init, np.full(calls, mult)].astype(np.uint32), dtype=np.uint32)
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    v = (values ^ xor) * mult
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    v = x * _MIX_L - y * _MIX_R
+    return v ^ (v >> 16)
+
+
+def _pool(entropy: np.ndarray) -> np.ndarray:
+    """The ``(rows, 4)`` pools ``SeedSequence`` mixes from ``(rows, L)`` entropy words."""
+    rows, n = entropy.shape
+    extra = max(n - _POOL, 0)
+    hc = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * extra)
+    mixer = np.zeros((rows, _POOL), dtype=np.uint32)  # a short entropy is hashed as zeros
+    mixer[:, :n] = entropy[:, :_POOL]
+    mixer = _hashmix(mixer, hc[:4], hc[1:5])
+    k = 4
+    for src in range(_POOL):  # every pool word into every other, in order
+        for dst in range(_POOL):
+            if src != dst:
+                mixer[:, dst] = _mix(mixer[:, dst], _hashmix(mixer[:, src], hc[k], hc[k + 1]))
+                k += 1
+    if extra:  # each further word into each pool word; the hashes do not depend on the pool
+        late = entropy.T[_POOL:, :, None]  # (extra, rows, 1)
+        late = _hashmix(late, hc[16:-1].reshape(extra, 1, 4), hc[17:].reshape(extra, 1, 4))
+        late *= _MIX_R
+        for i in range(extra):
+            mixer *= _MIX_L
+            mixer -= late[i]
+            mixer ^= mixer >> 16
+    return mixer
+
+
+def _step(s: np.ndarray) -> None:
+    """Advance every state by one LCG step, ``state * mult + inc`` mod 2**128, in place."""
+    hi, lo = s[0], s[1]
+    a0, a1 = lo & _M32, lo >> 32
+    p00, p01, p10 = a0 * (_PCG_LO & _M32), a0 * (_PCG_LO >> 32), a1 * (_PCG_LO & _M32)
+    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+    carry = a1 * (_PCG_LO >> 32) + (p01 >> 32) + (p10 >> 32) + (mid >> 32)  # high half of lo*mult
+    new_hi = carry + lo * _PCG_HI + hi * _PCG_LO + s[2]
+    new_lo = lo * _PCG_LO
+    s[1] = new_lo + s[3]
+    s[0] = new_hi + (s[1] < new_lo)
+
+
+def streams(entropy: np.ndarray) -> np.ndarray:
+    """The PCG64 streams of ``default_rng(SeedSequence(...))``, one per row of entropy words.
+
+    A row holds the words ``SeedSequence`` assembles: the entropy's words,
+    padded with zeros to 4 when there is a spawn key, then the key's words.
+    """
+    hb = _hash_consts(_INIT_B, _MULT_B, 8)
+    w = _hashmix(_pool(entropy)[:, [0, 1, 2, 3, 0, 1, 2, 3]], hb[:8], hb[1:]).astype(np.uint64)
+    seed = (w[:, 0::2] | (w[:, 1::2] << 32)).T  # seed hi, seed lo, sequence hi, sequence lo
+    s = np.empty((4, len(w)), dtype=np.uint64)
+    s[2] = (seed[2] << 1) | (seed[3] >> 63)  # the increment is (sequence << 1) | 1
+    s[3] = (seed[3] << 1) | 1
+    s[0], s[1] = s[2] + seed[0], s[3] + seed[1]  # one step from 0 reaches inc; add the seed
+    s[0] += s[1] < s[3]
+    _step(s)
+    return s
+
+
+def spawned(seed: int, n: int) -> np.ndarray:
+    """Streams of the first ``n`` (< 2**32) children of ``SeedSequence(seed)``, as ``spawn(n)``."""
+    run = words(seed)
+    entropy = np.empty((n, max(len(run), _POOL) + 1), dtype=np.uint32)
+    entropy[:, :-1] = run + [0] * (_POOL - len(run))
+    entropy[:, -1] = np.arange(n)
+    return streams(entropy)
+
+
+def _next64(s: np.ndarray) -> np.ndarray:
+    """Step every stream in place and return its next 64-bit output."""
+    _step(s)
+    x, rot = s[0] ^ s[1], s[0] >> 58
+    return (x >> rot) | (x << ((64 - rot) & 63))
+
+
+def random(s: np.ndarray) -> np.ndarray:
+    """Each stream's next ``Generator.random()`` double."""
+    return (_next64(s) >> 11) * 2.0**-53
+
+
+def integers(s: np.ndarray, n: int) -> np.ndarray:
+    """Each fresh stream's first ``Generator.integers(n)``, for ``1 <= n <= 2**32``."""
+    threshold = (2**32 - n) % n  # Lemire: a low word below this is rejected
+    todo = np.arange(s.shape[1])
+    out = np.empty(todo.size, dtype=np.int64)
+    while todo.size:
+        sub = s[:, todo]
+        raw = _next64(sub)
+        s[:, todo] = sub
+        low, high = (raw & _M32) * n, (raw >> 32) * n  # high is the buffered second draw
+        ok_low = (low & _M32) >= threshold
+        ok = ok_low | ((high & _M32) >= threshold)
+        out[todo] = np.where(ok_low, low, high) >> 32
+        todo = todo[~ok]
+    return out

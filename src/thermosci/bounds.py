@@ -9,6 +9,7 @@ budget) is vacuous, so it is clamped rather than reported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,6 +25,13 @@ _GAP_TOL = 1e-12
 _CONSISTENCY_TOL = 1e-10
 
 
+def _check_nonnegative(what: str, **fields: float) -> None:
+    """Raise, naming the field, unless every value is >= 0; NaN fails, +inf passes."""
+    for name, value in fields.items():
+        if not value >= 0.0:
+            raise InvalidParameter(f"{what}{name} must be >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SubdomainBudget:
     """One subdomain's share: mass, conditional prior entropy, budget, outcome entropy sum."""
@@ -34,8 +42,8 @@ class SubdomainBudget:
     sum_hy: float
 
     def __post_init__(self):
-        if min(self.p, self.h, self.beta_w, self.sum_hy) < 0.0:
-            raise InvalidParameter("subdomain fields must all be >= 0")
+        _check_nonnegative("subdomain ", p=self.p, h=self.h, beta_w=self.beta_w,
+                           sum_hy=self.sum_hy)
 
 
 @dataclass(frozen=True)
@@ -53,8 +61,7 @@ class BudgetScenario:
     subdomains: tuple[SubdomainBudget, ...] | None = None
 
     def __post_init__(self):
-        if min(self.h0, self.beta_w, self.sum_hy) < 0.0:
-            raise InvalidParameter("h0, beta_w and sum_hy must all be >= 0")
+        _check_nonnegative("", h0=self.h0, beta_w=self.beta_w, sum_hy=self.sum_hy)
         if self.subdomains is not None:
             subs = tuple(self.subdomains)
             if not subs:
@@ -110,8 +117,7 @@ def unpartitioned_eta_cap(s: BudgetScenario) -> float:
 
 def per_subdomain_cap(p: float, h: float, beta_w: float, sum_hy: float) -> float:
     """Information cap for one subdomain's budgeted cycle."""
-    if min(p, h, beta_w, sum_hy) < 0.0:
-        raise InvalidParameter("subdomain inputs must all be >= 0")
+    _check_nonnegative("subdomain ", p=p, h=h, beta_w=beta_w, sum_hy=sum_hy)
     return max(0.0, min(h, beta_w - sum_hy))
 
 
@@ -163,11 +169,12 @@ def regime_classify(beta_w: float, h: float,
     The asymptotic regimes are made deterministic by explicit ratio
     thresholds (defaults 10 and 0.1).
     """
+    if math.isnan(h):
+        raise InvalidParameter("h must be > 0, got nan")
     if h <= 0.0:
         raise ZeroPriorEntropy("regime classification requires prior entropy > 0")
-    if beta_w < 0.0:
-        raise InvalidParameter("beta_w must be >= 0")
-    if threshold_lo >= threshold_hi:
+    _check_nonnegative("", beta_w=beta_w)
+    if not threshold_lo < threshold_hi:  # NaN fails too
         raise InvalidParameter("threshold_lo must be below threshold_hi")
     ratio = beta_w / h
     if ratio > threshold_hi:

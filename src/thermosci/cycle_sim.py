@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _streams
 from .errors import (
     DimensionMismatch,
     IncompleteMapping,
@@ -60,8 +61,6 @@ ZERO_ROUND_TOL = 1e-15
 BUDGET_SLACK = 1e-12
 
 DEFAULT_NODE_CAP = 1_000_000
-#: rounds of uniform draws generated per sampled trial before a longer block is needed
-DRAW_BLOCK = 8
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +188,13 @@ History = tuple[tuple[int, int], ...]
 
 # A policy's ``choose(belief, env, t, history)`` returns an intervention, or
 # None once it has run out; ``history`` holds the ordered (u, y) pairs so far.
-# An optional ``choose_rows(beliefs, env, t)`` chooses for a ``(rows, S)``
-# belief matrix at once (None, one index for all rows, or an index array),
-# and then no histories are built. A class setting ``history_free = True``
-# chooses from (belief, t) alone; Bayes updates commute, so expected mode
-# merges its branches with equal (u, y) counts.
+# An optional ``choose_rows(beliefs, env, t, paths)`` chooses for a
+# ``(rows, S)`` belief matrix at once (None, one index for all rows, or an
+# index array); ``paths`` is the ``int32`` ``(rows, t, 2)`` array of each
+# row's ordered (u, y) pairs. A class setting ``history_free = True`` chooses
+# from (belief, t) alone: its ``choose_rows`` is called without ``paths``
+# (None), and no paths are kept. Bayes updates commute, so expected mode
+# merges the branches of such a policy with equal (u, y) counts.
 
 
 def _check_seed(seed: int) -> None:
@@ -249,6 +250,16 @@ class RandomPolicy:
         rng = np.random.default_rng(np.random.SeedSequence(material))
         return int(rng.integers(env.intervention_count))
 
+    def choose_rows(self, beliefs: np.ndarray, env: EnvironmentModel, t: int,
+                    paths: np.ndarray):
+        # ``choose`` for every row at once, bit for bit. ``choose`` keeps numpy's own
+        # generator: it is faster for one row, and it is the reference the batch is tested against
+        head = _streams.words(self.seed) + _streams.words(t)
+        entropy = np.empty((len(paths), len(head) + 2 * paths.shape[1]), dtype=np.uint32)
+        entropy[:, :len(head)] = head
+        entropy[:, len(head):] = paths.reshape(len(paths), -1)
+        return _streams.integers(_streams.streams(entropy), env.intervention_count)
+
 
 @dataclass(frozen=True)
 class GreedyInfoMax:
@@ -262,7 +273,7 @@ class GreedyInfoMax:
     def choose(self, belief: np.ndarray, env: EnvironmentModel, t: int, history: History):
         return int(self.choose_rows(belief[None], env, t)[0])
 
-    def choose_rows(self, beliefs: np.ndarray, env: EnvironmentModel, t: int):
+    def choose_rows(self, beliefs: np.ndarray, env: EnvironmentModel, t: int, paths=None):
         # (rows, 1, S) beliefs against the (U, S, Y) tables: one gain per row and intervention
         _, _, gains = predictive_gain(beliefs[:, None], env.likelihood.table, env._row_entropies)
         return gains.argmax(axis=1)
@@ -463,8 +474,9 @@ class _Frontier:
 
     Rows are keyed by ``int32`` ``(u, y)`` counts, one column per edge
     ``u * Y + y``, when merging, and by ordered history otherwise; children
-    with equal keys share the row of the first of them. Histories are kept
-    only for a policy without ``choose_rows``.
+    with equal keys share the row of the first of them. Each row's ordered
+    ``(u, y)`` pairs are kept, as an ``int32`` ``(rows, t, 2)`` array, only for
+    a policy that is not history-free or has no ``choose_rows``.
     """
 
     def __init__(self, env: EnvironmentModel, policy: Policy, merge: bool, cap: float):
@@ -472,18 +484,21 @@ class _Frontier:
         self.beliefs = env.prior.probs[None]
         self.counts = (np.zeros((1, env.intervention_count * env.n_outcomes), dtype=np.int32)
                        if merge else None)
-        self.histories = None if hasattr(policy, "choose_rows") else [()]
+        self.batch = hasattr(policy, "choose_rows")
+        self.paths = (None if self.batch and getattr(policy, "history_free", False)
+                      else np.zeros((1, 0, 2), dtype=np.int32))
 
     def choose(self, t: int) -> np.ndarray:
         """Each row's intervention at round ``t``; -1 where the policy has run out."""
         env, count = self.env, self.env.intervention_count
-        if self.histories is not None:
-            picks = [self.policy.choose(b, env, t, h)
-                     for b, h in zip(self.beliefs, self.histories)]
+        if not self.batch:
+            picks = [self.policy.choose(b, env, t, tuple(map(tuple, p.tolist())))
+                     for b, p in zip(self.beliefs, self.paths)]
             wrong = [u for u in picks if u is not None and not 0 <= u < count]
             us = np.array([-1 if u is None else u for u in picks])
         else:
-            us = self.policy.choose_rows(self.beliefs, env, t)
+            us = (self.policy.choose_rows(self.beliefs, env, t) if self.paths is None
+                  else self.policy.choose_rows(self.beliefs, env, t, self.paths))
             if isinstance(us, np.ndarray):
                 wrong = us[(us < 0) | (us >= count)]
             else:  # None, or one index for every row
@@ -517,23 +532,14 @@ class _Frontier:
             raise TreeTooLarge(f"outcome tree needs {parent.size} nodes at round "
                                f"{self.rounds}, cap is {self.cap}")
         self.counts = None if self.counts is None else keys
-        if self.histories is not None:
-            self.histories = [self.histories[p] + ((u, yk),) for p, u, yk in
-                              zip(parent.tolist(), us[parent].tolist(), y.tolist())]
+        used = us[parent]
+        if self.paths is not None:
+            step = np.stack((used, y), axis=1).astype(np.int32)[:, None]
+            self.paths = np.concatenate((self.paths[parent], step), axis=1)
         table = self.env.likelihood.table
-        self.beliefs = self.beliefs[parent] * table[us[parent], :, y] / pred[parent, y][:, None]
+        self.beliefs = self.beliefs[parent] * table[used, :, y] / pred[parent, y][:, None]
         self.rounds += 1
         return rows
-
-
-def _uniforms(seed: int, trials, m: int) -> np.ndarray:
-    """The first ``m`` uniforms of each listed trial, one row per trial.
-
-    Trial ``k`` draws from child ``k`` of ``SeedSequence(seed)``, the child
-    ``spawn`` gives it, so a longer block extends a shorter one.
-    """
-    return np.array([np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))).random(m)
-                     for k in trials])
 
 
 def _cdf(probs: np.ndarray) -> np.ndarray:
@@ -554,9 +560,10 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
     frontier = _Frontier(env, policy, not sampled and getattr(policy, "history_free", False),
                          math.inf if sampled else node_cap)
     if sampled:
-        # draw 0 picks a trial's state, draw t + 1 its round-t outcome
-        draws = _uniforms(mode.seed, range(n), 1 + DRAW_BLOCK)
-        theta = (_cdf(env.prior.probs) <= draws[:, :1]).sum(axis=1)
+        # trial k draws from child k of SeedSequence(seed): its first uniform picks its
+        # state, then one uniform per round it runs picks that round's outcome
+        streams = _streams.spawned(mode.seed, n)
+        theta = (_cdf(env.prior.probs) <= _streams.random(streams)[:, None]).sum(axis=1)
         table_cdf = _cdf(table)
         node = np.zeros(n, dtype=np.intp)  # frontier row of each running trial
     masses = np.ones(1)
@@ -592,7 +599,8 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
             live = live[run]
             if not live.size:
                 break
-            node = node[run]  # only sampled mode gets here: expected mode has one walker
+            # only sampled mode gets here: expected mode has one walker
+            node, streams = node[run], streams[:, run]
             info, hy, hs, work_meas, work_erase, round_cost, spent = (
                 v[run] for v in (info, hy, hs, work_meas, work_erase, round_cost, spent))
         spent += round_cost
@@ -600,10 +608,8 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
         cols = (info, hy, hs, work_meas, work_erase)
 
         if sampled:
-            if t + 1 == draws.shape[1]:  # trials outlive their block: draw longer ones
-                draws = np.pad(draws, ((0, 0), (0, draws.shape[1])))
-                draws[live] = _uniforms(mode.seed, live.tolist(), draws.shape[1])
-            parent, y = node, (table_cdf[us[node], theta[live]] <= draws[live, t + 1, None]).sum(1)
+            draw = _streams.random(streams)[:, None]
+            parent, y = node, (table_cdf[us[node], theta[live]] <= draw).sum(1)
             if not (pred[node, y] > 0.0).all():
                 raise ZeroEvidence("a drawn outcome has zero predictive probability")
         else:
@@ -656,12 +662,14 @@ def run_episode(
     when ``max_rounds`` is reached, when the policy runs out, or when a
     round would be a zero-cost zero-gain no-op; in sampled mode each trial
     stops on its own. The policy is asked once per round through
-    ``choose_rows`` when it has one, else once per frontier row through
-    ``choose`` with the ordered history. ``node_cap`` caps expected mode's
-    frontier, counted in merged nodes: one per outcome-count vector under a
-    history-free policy (``FixedSequence``, ``RoundRobin``,
-    ``GreedyInfoMax``), one per ordered history otherwise. Sampled mode
-    never merges, so its ledgers stay bit-for-bit reproducible per seed.
+    ``choose_rows`` when it has one, with each frontier row's ordered
+    ``(u, y)`` pairs as ``paths`` unless it is history-free, else once per
+    frontier row through ``choose`` with the ordered history as a tuple.
+    ``node_cap`` caps expected mode's frontier, counted in merged nodes: one
+    per outcome-count vector under a history-free policy (``FixedSequence``,
+    ``RoundRobin``, ``GreedyInfoMax``), one per ordered history otherwise.
+    Sampled mode never merges, so its ledgers stay bit-for-bit reproducible
+    per seed.
     """
     cost = cost if cost is not None else CostModel()
     mode = mode if mode is not None else ExpectedMode()

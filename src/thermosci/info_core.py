@@ -68,7 +68,9 @@ def _as_prob_vector(values, what: str) -> np.ndarray:
 def _entropies(probs: np.ndarray, axis: int = -1) -> np.ndarray:
     """Shannon entropies in nats along ``axis`` of a raw probability array."""
     safe = np.where(probs > LOG_FLOOR, probs, 1.0)
-    return -(safe * np.log(safe)).sum(axis=axis)
+    h = -(safe * np.log(safe)).sum(axis=axis)
+    # a vector summing to just above 1 gives a tiny negative sum; a point mass keeps its -0.0
+    return np.where(h < 0.0, 0.0, h)
 
 
 def _entropy(probs: np.ndarray) -> float:

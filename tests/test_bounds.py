@@ -177,6 +177,27 @@ def test_regime_classification():
         regime_classify(1.0, 0.0)
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: regime_classify(math.nan, 1.0), "beta_w"),
+    (lambda: regime_classify(1.0, math.nan), "h"),
+    (lambda: regime_classify(1.0, 1.0, threshold_lo=math.nan), "threshold_lo"),
+    (lambda: per_subdomain_cap(math.nan, 1.0, 1.0, 0.0), "p"),
+    (lambda: per_subdomain_cap(0.5, 1.0, 1.0, math.nan), "sum_hy"),
+    (lambda: SubdomainBudget(1.0, 1.0, math.nan, 0.0), "beta_w"),
+    (lambda: BudgetScenario(math.nan, 1.0, 0.0), "h0"),
+    (lambda: BudgetScenario(1.0, 1.0, math.nan), "sum_hy"),
+])
+def test_nan_inputs_are_rejected_by_name(build, field):
+    with pytest.raises(InvalidParameter, match=field):
+        build()
+
+
+def test_infinite_inputs_stay_valid():
+    assert regime_classify(math.inf, 1.0).regime is Regime.PRIOR_LIMITED
+    assert per_subdomain_cap(1.0, 1.0, math.inf, 0.0) == 1.0
+    assert unpartitioned_info_cap(BudgetScenario(1.0, math.inf, 0.0)) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # properties
 

@@ -250,6 +250,22 @@ def test_verify_flags_violating_scenario(tmp_path, env_file, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("field", ["h0", "beta_w"])
+def test_verify_rejects_nan_scenario_field(tmp_path, env_file, capsys, field):
+    ledger_path = tmp_path / "ledger.json"
+    assert main(["simulate", "--env", str(env_file), "--budget", str(2 * LN2),
+                 "--out", str(ledger_path)]) == 0
+    scenario = {"h0": LN2, "beta_w": 2 * LN2, "sum_hy": LN2, "subdomains": None}
+    scenario[field] = math.nan
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario))
+    capsys.readouterr()
+    code = main(["verify", "--scope", "bounds", "--seed", "1",
+                 "--ledger", str(ledger_path), "--scenario", str(scenario_path)])
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
 def _saved_ledger(tmp_path, env_file, *extra):
     path = tmp_path / "ledger.json"
     assert main(["simulate", "--env", str(env_file), "--out", str(path), *extra]) == 0

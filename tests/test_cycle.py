@@ -485,6 +485,15 @@ def test_sampled_random_policy_matches_expected():
     assert abs(smp.cumulative_info - exp.cumulative_info) <= 3 * smp.cumulative_info_se + 1e-12
 
 
+def test_constant_compression_stores_no_negative_entropy():
+    # the pushforward of a constant map can sum to 1.0000000000000002, whose entropy is < 0
+    env = random_environment(np.random.default_rng(8))
+    ledger, _ = run_episode(env, RandomPolicy(9), CostModel(delta_f_mem=0.0023), 5.37,
+                            SampledMode(seed=0, trials=182), CompressionMap((0, 0)), 50)
+    assert min(r.stored_entropy for r in ledger.records) >= 0.0
+    assert min(r.work_erase for r in ledger.records) >= 0.0
+
+
 def test_sampled_stream_is_pinned():
     # the README example, simulate --budget 2 --units bits --mode sampled:10000 --seed 7;
     # the literals were recorded from the engine that ran one trial at a time

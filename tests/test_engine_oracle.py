@@ -30,7 +30,6 @@ from thermosci import (
     SampledMode,
     run_episode,
 )
-from thermosci.cycle_sim import DRAW_BLOCK
 from thermosci.errors import IndexOutOfRange
 from thermosci.verify import random_environment
 
@@ -124,11 +123,12 @@ def test_sampled_budget_only_runs_match_reference():
 
 
 def test_sampled_run_longer_than_the_first_draw_block_matches_reference():
+    # 8 rounds was the block of uniforms an earlier engine drew per trial before re-seeding
     env = asym_binary_env()
-    for max_rounds, budget in ((None, 14.0), (3 * DRAW_BLOCK, 100.0)):
+    for max_rounds, budget in ((None, 14.0), (3 * 8, 100.0)):
         (_, summary), _ = _sampled_pair(env, RoundRobin(), budget,
                                         SampledMode(seed=21, trials=60), max_rounds)
-        assert summary.rounds > DRAW_BLOCK
+        assert summary.rounds > 8
 
 
 def test_single_trial_matches_reference():
@@ -145,6 +145,18 @@ def test_many_trial_random_policy_run_matches_reference():
     rng = np.random.default_rng(78)
     env = random_environment(rng)
     _sampled_pair(env, RandomPolicy(11), 6.0, SampledMode(seed=5, trials=500))
+
+
+def test_long_random_policy_run_matches_reference():
+    # every trial keeps its own history row: one intervention, four states, two outcomes
+    env = random_environment(np.random.default_rng(8))
+    assert (env.intervention_count, env.n_states, env.n_outcomes) == (1, 4, 2)
+    args = (env, RandomPolicy(9), CostModel(delta_f_mem=0.0023), 5.37,
+            SampledMode(seed=3, trials=182), CompressionMap((0, 0)))
+    _assert_same(run_episode(*args, 50), run_reference(*args, 50), "50 rounds")
+    # a seeding cost that grew with the history once made 200 rounds take many seconds
+    _, summary = run_episode(*args, 200)
+    assert summary.rounds == 200
 
 
 def test_sampled_mode_asks_the_policy_once_per_history():
