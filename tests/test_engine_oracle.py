@@ -4,8 +4,8 @@ Every policy kind, with and without a compression map, in both modes, on
 random environments from :func:`thermosci.verify.random_environment`.
 Sampled runs use the same seed on both sides, so agreement to 1e-12 also
 pins the per-trial random stream. Further sampled cases cover budget-only
-runs whose trials stop at different rounds, runs longer than the first
-block of uniform draws, a single trial, and how often the policy is asked.
+runs whose trials stop at different rounds, runs of more than 8 rounds,
+a single trial, a long ``RandomPolicy`` run, and how often the policy is asked.
 Expected-mode cases at 10-12 rounds on 2-outcome environments cover the
 merging of branches with equal outcome counts. The policy-protocol cases
 cover a policy asked row by row and one that chooses for all rows at once.
