@@ -142,6 +142,7 @@ def federated_eta_cap(s: BudgetScenario) -> float:
 
 def partition_entropy_gap(h_gen: float, h_fed: float) -> float:
     """Entropy removed by conditioning on the partition: ``h_gen - h_fed``, >= 0."""
+    _check_nonnegative("", h_gen=h_gen, h_fed=h_fed)
     if h_fed > h_gen + _GAP_TOL:
         raise NegativeGap(
             f"conditional entropy {h_fed!r} exceeds unconditional {h_gen!r}: "

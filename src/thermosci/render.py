@@ -18,6 +18,10 @@ _NEG = (68, 1, 84)      # strong negative
 _MID = (247, 247, 247)  # zero
 _POS = (253, 231, 37)   # strong positive
 
+# canvas size and plot margins, in pixels
+_WIDTH, _HEIGHT = 720, 480
+_LEFT, _RIGHT, _TOP, _BOTTOM = 60.0, 20.0, 36.0, 48.0
+
 
 def _cell_colors(delta: np.ndarray, vmax: float) -> tuple[list[str], np.ndarray]:
     """Distinct ``#rrggbb`` fills, and each cell's index into them.
@@ -36,11 +40,10 @@ def _cell_colors(delta: np.ndarray, vmax: float) -> tuple[list[str], np.ndarray]
     return ["#%06x" % c for c in codes.tolist()], inverse.reshape(code.shape)
 
 
-def render_heatmap_svg(grid: SweepGrid, path, width: int = 720, height: int = 480) -> None:
+def render_heatmap_svg(grid: SweepGrid, path) -> None:
     """Render one grid to an SVG file."""
-    left, right, top, bottom = 60.0, 20.0, 36.0, 48.0
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    plot_w = _WIDTH - _LEFT - _RIGHT
+    plot_h = _HEIGHT - _TOP - _BOTTOM
     n_x = grid.omega.size
     n_y = grid.axis2.size
     cell_w = plot_w / n_x
@@ -57,21 +60,21 @@ def render_heatmap_svg(grid: SweepGrid, path, width: int = 720, height: int = 48
     def x_px(omega: float) -> float:
         v = math.log(omega) if log_x else omega
         frac = (v - x_lo) / (x_hi - x_lo) if x_hi > x_lo else 0.0
-        return left + cell_w / 2.0 + frac * (plot_w - cell_w)
+        return _LEFT + cell_w / 2.0 + frac * (plot_w - cell_w)
 
     def y_px(a2: float) -> float:
         frac = (a2 - y_lo) / (y_hi - y_lo) if y_hi > y_lo else 0.0
         # axis2 grows upward on the plot
-        return top + plot_h - cell_h / 2.0 - frac * (plot_h - cell_h)
+        return _TOP + plot_h - cell_h / 2.0 - frac * (plot_h - cell_h)
 
     head = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     title = grid.pair or "sweep"
     head.append(
-        f'<text x="{left:.1f}" y="20" font-family="monospace" font-size="13">'
+        f'<text x="{_LEFT:.1f}" y="20" font-family="monospace" font-size="13">'
         f'delta-eta heatmap: {title}</text>'
     )
 
@@ -79,7 +82,7 @@ def render_heatmap_svg(grid: SweepGrid, path, width: int = 720, height: int = 48
     if grid.omega[0] <= grid.regime_marker_omega <= grid.omega[-1]:
         xm = x_px(grid.regime_marker_omega)
         tail.append(
-            f'<line x1="{xm:.2f}" y1="{top:.2f}" x2="{xm:.2f}" y2="{top + plot_h:.2f}" '
+            f'<line x1="{xm:.2f}" y1="{_TOP:.2f}" x2="{xm:.2f}" y2="{_TOP + plot_h:.2f}" '
             f'stroke="white" stroke-width="1.5" stroke-dasharray="6,4"/>'
         )
 
@@ -90,16 +93,16 @@ def render_heatmap_svg(grid: SweepGrid, path, width: int = 720, height: int = 48
         )
 
     tail.append(
-        f'<rect x="{left:.1f}" y="{top:.1f}" width="{plot_w:.1f}" height="{plot_h:.1f}" '
+        f'<rect x="{_LEFT:.1f}" y="{_TOP:.1f}" width="{plot_w:.1f}" height="{plot_h:.1f}" '
         f'fill="none" stroke="black" stroke-width="1"/>'
     )
     axis_label = grid.axis2_kind
     tail.append(
-        f'<text x="{left:.1f}" y="{height - 14}" font-family="monospace" font-size="12">'
+        f'<text x="{_LEFT:.1f}" y="{_HEIGHT - 14}" font-family="monospace" font-size="12">'
         f'omega: {grid.omega[0]:.3g} .. {grid.omega[-1]:.3g} ({grid.omega_scale})</text>'
     )
     tail.append(
-        f'<text x="12" y="{top + 12:.1f}" font-family="monospace" font-size="12">'
+        f'<text x="12" y="{_TOP + 12:.1f}" font-family="monospace" font-size="12">'
         f'{axis_label}: {grid.axis2[0]:.3g} .. {grid.axis2[-1]:.3g}</text>'
     )
     tail.append("</svg>")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BudgetScenario, SubdomainBudget
+from .bounds import BudgetScenario, SubdomainBudget, _check_nonnegative
 from .errors import (
     IndexOutOfRange,
     InvalidParameter,
@@ -47,8 +47,7 @@ class PartitionSpec:
         budgets = tuple(float(b) for b in self.budgets)
         if len(budgets) != n:
             raise InvalidParameter(f"{len(budgets)} budgets for {n} subdomains")
-        if any(b < 0.0 for b in budgets):
-            raise InvalidParameter("budgets must all be >= 0")
+        _check_nonnegative("", **{f"budgets[{i}]": b for i, b in enumerate(budgets)})
         object.__setattr__(self, "budgets", budgets)
 
         for i, (p, w) in enumerate(zip(self.masses.probs, budgets)):
@@ -65,8 +64,8 @@ class PartitionSpec:
             derived = tuple(_entropy(pr.probs) for pr in priors)
             if self.subdomain_entropies is not None:
                 supplied = tuple(float(h) for h in self.subdomain_entropies)
-                if len(supplied) != n or any(
-                    abs(a - b) > _ENTROPY_TOL for a, b in zip(supplied, derived)
+                if len(supplied) != n or not all(  # NaN fails too
+                    abs(a - b) <= _ENTROPY_TOL for a, b in zip(supplied, derived)
                 ):
                     raise InvalidParameter(
                         "supplied subdomain entropies disagree with conditional priors"
@@ -80,18 +79,21 @@ class PartitionSpec:
             entropies = tuple(float(h) for h in self.subdomain_entropies)
             if len(entropies) != n:
                 raise InvalidParameter(f"{len(entropies)} entropies for {n} subdomains")
-            if any(h < 0.0 for h in entropies):
-                raise InvalidParameter("subdomain entropies must all be >= 0")
+            _check_nonnegative("", **{f"subdomain_entropies[{i}]": h
+                                      for i, h in enumerate(entropies)})
             object.__setattr__(self, "subdomain_entropies", entropies)
 
         weighted = sum(p * w for p, w in zip(self.masses.probs, budgets))
         if self.total_budget is None:
             object.__setattr__(self, "total_budget", weighted)
-        elif abs(weighted - self.total_budget) > _BUDGET_TOL:
-            raise InvalidParameter(
-                f"mass-weighted budgets {weighted!r} do not reproduce declared total "
-                f"{self.total_budget!r}"
-            )
+        else:
+            _check_nonnegative("", total_budget=self.total_budget)
+            # equal infinite totals match without forming inf - inf
+            if weighted != self.total_budget and abs(weighted - self.total_budget) > _BUDGET_TOL:
+                raise InvalidParameter(
+                    f"mass-weighted budgets {weighted!r} do not reproduce declared total "
+                    f"{self.total_budget!r}"
+                )
 
     @property
     def n(self) -> int:
@@ -130,8 +132,7 @@ def h_fed(part: PartitionSpec) -> float:
 
 def generalist_partition(prior: DiscreteDistribution, budget: float) -> PartitionSpec:
     """The trivial one-subdomain partition: full prior, full budget."""
-    if budget < 0.0:
-        raise InvalidParameter("budget must be >= 0")
+    _check_nonnegative("", budget=budget)
     return PartitionSpec(
         masses=DiscreteDistribution([1.0]),
         budgets=(float(budget),),
@@ -150,8 +151,7 @@ def specialist_partition(
     n = len(priors)
     if not 0 <= i_star < n:
         raise IndexOutOfRange(f"subdomain index {i_star} outside [0, {n})")
-    if budget < 0.0:
-        raise InvalidParameter("budget must be >= 0")
+    _check_nonnegative("", budget=budget)
     masses = np.zeros(n)
     masses[i_star] = 1.0
     budgets = [0.0] * n

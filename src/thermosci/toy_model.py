@@ -78,23 +78,23 @@ class ToyParams:
 
 def eta_toy(omega: float, c: float, alpha: float) -> float:
     """Efficiency of one strategy at normalized budget ``omega``."""
-    if omega <= 0.0:
+    if not omega > 0.0:  # NaN fails too
         raise NonPositiveOmega(f"omega must be > 0, got {omega!r}")
     if not 0.0 < c <= 1.0:
         raise InvalidParameter(f"c must be in (0, 1], got {c!r}")
-    if alpha < 0.0:
+    if not alpha >= 0.0:
         raise InvalidParameter(f"alpha must be >= 0, got {alpha!r}")
     return min(c / omega, 1.0 / (1.0 + alpha))
 
 
 def c_fed(n: float, c_min: float = 0.05, gamma: float = 1.0) -> float:
     """Effective prior-entropy ratio of an N-way federated decomposition."""
-    if n < 1.0:
-        raise NBelowOne(f"partition count must be >= 1, got {n!r}")
+    if not n >= 1.0:  # NaN fails too
+        raise NBelowOne(f"partition count n must be >= 1, got {n!r}")
     if not 0.0 < c_min <= 1.0:
         raise InvalidParameter("c_min must be in (0, 1]")
-    if gamma <= 0.0:
-        raise InvalidParameter("gamma must be > 0")
+    if not gamma > 0.0:
+        raise InvalidParameter(f"gamma must be > 0, got {gamma!r}")
     return c_min + (1.0 - c_min) / n**gamma
 
 
@@ -102,7 +102,7 @@ def crossover_omega(c: float, alpha: float) -> float:
     """Budget at which the prior-limited branch meets the overhead ceiling."""
     if not 0.0 < c <= 1.0:
         raise InvalidParameter(f"c must be in (0, 1], got {c!r}")
-    if alpha < 0.0:
+    if not alpha >= 0.0:  # NaN fails too
         raise InvalidParameter(f"alpha must be >= 0, got {alpha!r}")
     return c * (1.0 + alpha)
 

@@ -1,15 +1,16 @@
 """Seeded randomized property suites, runnable from the CLI or from tests.
 
-Each suite returns a list of :class:`CheckResult`; a suite passes when every
-check does. The suites intentionally re-derive expectations through
-independent routes (brute-force enumeration, direct formula evaluation)
-rather than trusting the code paths they exercise.
+Each suite returns a list of checks, ``{"name", "passed", "detail"}`` dicts;
+a suite passes when every check does. A randomized check is a nested
+function named after its check that returns the detail of its first failure,
+or ``None`` when it passes. The suites intentionally re-derive expectations
+through independent routes (brute-force enumeration, direct formula
+evaluation) rather than trusting the code paths they exercise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,15 +44,14 @@ from .info_core import (
 from .strategies import generalist_partition, scenario_from_partition
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+def _check(name: str, condition: bool, detail: str = "") -> dict:
+    return {"name": name, "passed": bool(condition), "detail": detail}
 
 
-def _check(name: str, condition: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name, bool(condition), detail)
+def _run(*checks) -> list[dict]:
+    """Call each check in order; a check returns its first failure's detail, or None."""
+    details = [check() for check in checks]
+    return [_check(c.__name__, d is None, d or "") for c, d in zip(checks, details)]
 
 
 # ---------------------------------------------------------------------------
@@ -89,178 +89,156 @@ def _random_distribution(rng: np.random.Generator, max_size: int = 6) -> Discret
 # info suite
 
 
-def verify_info(seed: int, trials: int = 200) -> list[CheckResult]:
+def verify_info(seed: int) -> list[dict]:
     rng = np.random.default_rng(seed)
-    results = []
+    trials = 200
 
-    ok, detail = True, ""
-    for _ in range(trials):
-        d = _random_distribution(rng)
-        if entropy(d).value > math.log(len(d)) + 1e-12:
-            ok, detail = False, f"entropy above uniform bound for {d.probs}"
-            break
-    results.append(_check("entropy_maximized_by_uniform", ok, detail))
+    def entropy_maximized_by_uniform():
+        for _ in range(trials):
+            d = _random_distribution(rng)
+            if entropy(d).value > math.log(len(d)) + 1e-12:
+                return f"entropy above uniform bound for {d.probs}"
 
-    ok, detail = True, ""
-    for _ in range(trials):
-        env = random_environment(rng)
-        belief = DiscreteDistribution(rng.dirichlet(np.ones(env.n_states)))
-        u = int(rng.integers(0, env.intervention_count))
-        gain = expected_information_gain(belief, env.likelihood, u).value
-        if gain > entropy(belief).value + 1e-12:
-            ok, detail = False, f"gain {gain} exceeds belief entropy"
-            break
-        # independent posterior-side evaluation
-        pred = belief.probs @ env.likelihood.table[u]
-        expected_post = 0.0
-        for y in range(env.n_outcomes):
-            if pred[y] > 1e-15:
-                post = belief.probs * env.likelihood.table[u][:, y] / pred[y]
-                expected_post += pred[y] * _entropy(post)
-        alt = _entropy(belief.probs) - expected_post
-        if abs(gain - max(alt, 0.0)) > 1e-10:
-            ok, detail = False, f"formulas disagree: {gain} vs {alt}"
-            break
-    results.append(_check("information_gain_bounded_and_consistent", ok, detail))
+    def information_gain_bounded_and_consistent():
+        for _ in range(trials):
+            env = random_environment(rng)
+            belief = DiscreteDistribution(rng.dirichlet(np.ones(env.n_states)))
+            u = int(rng.integers(0, env.intervention_count))
+            gain = expected_information_gain(belief, env.likelihood, u).value
+            if gain > entropy(belief).value + 1e-12:
+                return f"gain {gain} exceeds belief entropy"
+            # independent posterior-side evaluation
+            pred = belief.probs @ env.likelihood.table[u]
+            expected_post = 0.0
+            for y in range(env.n_outcomes):
+                if pred[y] > 1e-15:
+                    post = belief.probs * env.likelihood.table[u][:, y] / pred[y]
+                    expected_post += pred[y] * _entropy(post)
+            alt = _entropy(belief.probs) - expected_post
+            if abs(gain - max(alt, 0.0)) > 1e-10:
+                return f"formulas disagree: {gain} vs {alt}"
 
-    ok, detail = True, ""
-    for _ in range(trials):
-        env = random_environment(rng)
-        u = int(rng.integers(0, env.intervention_count))
-        pred = predictive_outcome_dist(env.prior, env.likelihood, u)
-        mixture = np.zeros(env.n_states)
-        for y in range(env.n_outcomes):
-            if pred.probs[y] > 0.0:
-                mixture += pred.probs[y] * posterior_update(env.prior, env.likelihood, u, y).probs
-        if np.max(np.abs(mixture - env.prior.probs)) > 1e-12:
-            ok, detail = False, "posterior mixture does not reproduce the prior"
-            break
-    results.append(_check("belief_martingale", ok, detail))
+    def belief_martingale():
+        for _ in range(trials):
+            env = random_environment(rng)
+            u = int(rng.integers(0, env.intervention_count))
+            pred = predictive_outcome_dist(env.prior, env.likelihood, u)
+            mixture = np.zeros(env.n_states)
+            for y in range(env.n_outcomes):
+                if pred.probs[y] > 0.0:
+                    post = posterior_update(env.prior, env.likelihood, u, y).probs
+                    mixture += pred.probs[y] * post
+            if np.max(np.abs(mixture - env.prior.probs)) > 1e-12:
+                return "posterior mixture does not reproduce the prior"
 
-    ok, detail = True, ""
-    for _ in range(trials):
-        joint = rng.dirichlet(np.ones(int(rng.integers(4, 13)))).reshape(-1)
-        rows = int(rng.integers(2, 5))
-        while joint.size % rows:
-            rows -= 1
-        table = joint.reshape(rows, -1)
-        a = mutual_information_of_joint(table).value
-        b = mutual_information_of_joint(table.T).value
-        if abs(a - b) > 1e-12:
-            ok, detail = False, f"asymmetric MI: {a} vs {b}"
-            break
-    results.append(_check("mutual_information_symmetric", ok, detail))
+    def mutual_information_symmetric():
+        for _ in range(trials):
+            joint = rng.dirichlet(np.ones(int(rng.integers(4, 13)))).reshape(-1)
+            rows = int(rng.integers(2, 5))
+            while joint.size % rows:
+                rows -= 1
+            table = joint.reshape(rows, -1)
+            a = mutual_information_of_joint(table).value
+            b = mutual_information_of_joint(table.T).value
+            if abs(a - b) > 1e-12:
+                return f"asymmetric MI: {a} vs {b}"
 
+    results = _run(entropy_maximized_by_uniform, information_gain_bounded_and_consistent,
+                   belief_martingale, mutual_information_symmetric)
     px = rng.dirichlet(np.ones(4))
     pk = rng.dirichlet(np.ones(3))
     product_mi = mutual_information_of_joint(np.outer(px, pk)).value
-    results.append(_check("independent_joint_has_zero_mi", product_mi <= 1e-12,
-                          f"mi={product_mi}"))
-    return results
+    return results + [_check("independent_joint_has_zero_mi", product_mi <= 1e-12,
+                             f"mi={product_mi}")]
 
 
 # ---------------------------------------------------------------------------
 # cycle suite
 
 
-def verify_cycle(seed: int, n_envs: int = 25) -> list[CheckResult]:
+def verify_cycle(seed: int) -> list[dict]:
     rng = np.random.default_rng(seed)
-    results = []
+    n_envs = 25
 
-    ok, detail = True, ""
-    for _ in range(n_envs):
-        env = random_environment(rng)
-        policy = random_policy(rng, env)
-        budget = float(rng.uniform(0.5, 5.0))
-        ledger, summary = run_episode(env, policy, CostModel(), budget,
-                                      ExpectedMode(), max_rounds=4)
-        gap = abs(summary.cumulative_info -
-                  (summary.prior_entropy - summary.posterior_entropy))
-        if gap > 1e-10:
-            ok, detail = False, f"telescoping gap {gap}"
-            break
-    results.append(_check("telescoping_identity", ok, detail))
+    def telescoping_identity():
+        for _ in range(n_envs):
+            env = random_environment(rng)
+            policy = random_policy(rng, env)
+            budget = float(rng.uniform(0.5, 5.0))
+            _, summary = run_episode(env, policy, CostModel(), budget,
+                                     ExpectedMode(), max_rounds=4)
+            gap = abs(summary.cumulative_info -
+                      (summary.prior_entropy - summary.posterior_entropy))
+            if gap > 1e-10:
+                return f"telescoping gap {gap}"
 
-    ok, detail = True, ""
-    for _ in range(n_envs):
-        env = random_environment(rng)
-        policy = random_policy(rng, env)
-        cost = CostModel(float(rng.uniform(1.0, 3.0)), float(rng.uniform(1.0, 3.0)),
-                         float(rng.uniform(0.0, 0.5)))
-        budget = float(rng.uniform(0.5, 6.0))
-        ledger, summary = run_episode(env, policy, cost, budget,
-                                      ExpectedMode(), max_rounds=4)
-        floor = sum(r.info_gain + r.stored_entropy for r in ledger.records)
-        work = ledger.budget_spent
-        for r in ledger.records:
-            if r.work_meas + r.work_erase < r.info_gain + r.stored_entropy - 1e-10:
-                ok, detail = False, f"round {r.round_index} below its work floor"
-                break
-        if not ok:
-            break
-        if work < floor - 1e-10:
-            ok, detail = False, "total work below cumulative floor"
-            break
-        if work > 0.0 and floor > 0.0:
-            eta = efficiency(ledger)
-            cap = sum(r.info_gain for r in ledger.records) / floor
-            if eta > cap + 1e-10 or cap > 1.0 + 1e-10:
-                ok, detail = False, f"efficiency {eta} above cap {cap}"
-                break
-    results.append(_check("work_bounds_hold", ok, detail))
+    def work_bounds_hold():
+        for _ in range(n_envs):
+            env = random_environment(rng)
+            policy = random_policy(rng, env)
+            cost = CostModel(float(rng.uniform(1.0, 3.0)), float(rng.uniform(1.0, 3.0)),
+                             float(rng.uniform(0.0, 0.5)))
+            budget = float(rng.uniform(0.5, 6.0))
+            ledger, _ = run_episode(env, policy, cost, budget, ExpectedMode(), max_rounds=4)
+            for r in ledger.records:
+                if r.work_meas + r.work_erase < r.info_gain + r.stored_entropy - 1e-10:
+                    return f"round {r.round_index} below its work floor"
+            floor = sum(r.info_gain + r.stored_entropy for r in ledger.records)
+            work = ledger.budget_spent
+            if work < floor - 1e-10:
+                return "total work below cumulative floor"
+            if work > 0.0 and floor > 0.0:
+                eta = efficiency(ledger)
+                cap = sum(r.info_gain for r in ledger.records) / floor
+                if eta > cap + 1e-10 or cap > 1.0 + 1e-10:
+                    return f"efficiency {eta} above cap {cap}"
 
-    ok, detail = True, ""
-    for _ in range(n_envs):
-        env = random_environment(rng)
-        policy = random_policy(rng, env)
-        budget = float(rng.uniform(0.5, 5.0))
-        ledger, summary = run_episode(env, policy, CostModel(), budget,
-                                      ExpectedMode(), max_rounds=4)
-        scenario = bounds_mod.scenario_from_ledger(ledger, summary.prior_entropy)
-        cap = bounds_mod.unpartitioned_info_cap(scenario)
-        cum = cumulative_information(ledger).value
-        if ledger.budget_spent > 0.0 and cum > cap + 1e-10:
-            ok, detail = False, f"cumulative info {cum} above cap {cap}"
-            break
-    results.append(_check("info_cap_respected", ok, detail))
+    def info_cap_respected():
+        for _ in range(n_envs):
+            env = random_environment(rng)
+            policy = random_policy(rng, env)
+            budget = float(rng.uniform(0.5, 5.0))
+            ledger, summary = run_episode(env, policy, CostModel(), budget,
+                                          ExpectedMode(), max_rounds=4)
+            scenario = bounds_mod.scenario_from_ledger(ledger, summary.prior_entropy)
+            cap = bounds_mod.unpartitioned_info_cap(scenario)
+            cum = cumulative_information(ledger).value
+            if ledger.budget_spent > 0.0 and cum > cap + 1e-10:
+                return f"cumulative info {cum} above cap {cap}"
 
-    ok, detail = True, ""
-    for _ in range(10):
-        env = random_environment(rng)
-        merge = tuple(int(v) for v in
-                      rng.integers(0, max(1, env.n_outcomes - 1), size=env.n_outcomes))
-        compression = CompressionMap(merge)
-        policy = RoundRobin()
-        plain, _ = run_episode(env, policy, CostModel(), 50.0, ExpectedMode(), max_rounds=3)
-        squeezed, _ = run_episode(env, policy, CostModel(), 50.0, ExpectedMode(),
-                                  compression=compression, max_rounds=3)
-        for a, b in zip(plain.records, squeezed.records):
-            if b.stored_entropy > a.outcome_entropy + 1e-12:
-                ok, detail = False, "compression raised stored entropy"
-                break
-        if not ok:
-            break
-        if plain.budget_spent > 0.0 and squeezed.budget_spent > 0.0:
-            if efficiency(squeezed) < efficiency(plain) - 1e-12:
-                ok, detail = False, "compression lowered fixed-horizon efficiency"
-                break
-    results.append(_check("compression_never_hurts", ok, detail))
+    def compression_never_hurts():
+        for _ in range(10):
+            env = random_environment(rng)
+            merge = tuple(int(v) for v in
+                          rng.integers(0, max(1, env.n_outcomes - 1), size=env.n_outcomes))
+            compression = CompressionMap(merge)
+            policy = RoundRobin()
+            plain, _ = run_episode(env, policy, CostModel(), 50.0, ExpectedMode(), max_rounds=3)
+            squeezed, _ = run_episode(env, policy, CostModel(), 50.0, ExpectedMode(),
+                                      compression=compression, max_rounds=3)
+            for a, b in zip(plain.records, squeezed.records):
+                if b.stored_entropy > a.outcome_entropy + 1e-12:
+                    return "compression raised stored entropy"
+            if (plain.budget_spent > 0.0 and squeezed.budget_spent > 0.0
+                    and efficiency(squeezed) < efficiency(plain) - 1e-12):
+                return "compression lowered fixed-horizon efficiency"
 
-    ok, detail = True, ""
-    for _ in range(10):
-        env = random_environment(rng)
-        greedy_ledger, _ = run_episode(env, GreedyInfoMax(), CostModel(), 50.0,
-                                       ExpectedMode(), max_rounds=1)
-        best = max(
-            run_episode(env, FixedSequence((u,)), CostModel(), 50.0,
-                        ExpectedMode(), max_rounds=1)[0].records[0].info_gain
-            for u in range(env.intervention_count)
-        )
-        got = greedy_ledger.records[0].info_gain
-        if got < best - 1e-12:
-            ok, detail = False, f"greedy gain {got} below best fixed {best}"
-            break
-    results.append(_check("greedy_argmax_round_one", ok, detail))
+    def greedy_argmax_round_one():
+        for _ in range(10):
+            env = random_environment(rng)
+            greedy_ledger, _ = run_episode(env, GreedyInfoMax(), CostModel(), 50.0,
+                                           ExpectedMode(), max_rounds=1)
+            best = max(
+                run_episode(env, FixedSequence((u,)), CostModel(), 50.0,
+                            ExpectedMode(), max_rounds=1)[0].records[0].info_gain
+                for u in range(env.intervention_count)
+            )
+            got = greedy_ledger.records[0].info_gain
+            if got < best - 1e-12:
+                return f"greedy gain {got} below best fixed {best}"
+
+    results = _run(telescoping_identity, work_bounds_hold, info_cap_respected,
+                   compression_never_hurts, greedy_argmax_round_one)
 
     # sampled trials track expected-mode information (4 standard errors + noise floor)
     prior = DiscreteDistribution([0.5, 0.5])
@@ -271,212 +249,184 @@ def verify_cycle(seed: int, n_envs: int = 25) -> list[CheckResult]:
                                       SampledMode(seed=seed, trials=4000))
     se = summary_s.cumulative_info_se or 0.0
     gap = abs(summary_s.cumulative_info - summary_e.cumulative_info)
-    results.append(_check(
+    return results + [_check(
         "sampled_matches_expected", gap <= 4.0 * se + 1e-12,
         f"gap {gap:.3e}, se {se:.3e}, tau_e={ledger_e.rounds_completed}, "
-        f"tau_s={ledger_s.rounds_completed}"))
-    return results
+        f"tau_s={ledger_s.rounds_completed}")]
 
 
 # ---------------------------------------------------------------------------
 # bounds suite
 
 
-def verify_bounds(seed: int, trials: int = 500) -> list[CheckResult]:
+def verify_bounds(seed: int) -> list[dict]:
     rng = np.random.default_rng(seed)
-    results = []
+    trials = 500
 
-    ok, detail = True, ""
-    for _ in range(trials):
-        h0 = float(rng.uniform(0.0, 3.0))
-        bw = float(rng.uniform(0.0, 5.0))
-        shy = float(rng.uniform(0.0, 3.0))
-        bump = float(rng.uniform(0.0, 2.0))
-        s = bounds_mod.BudgetScenario(h0, bw, shy)
-        s_more_work = bounds_mod.BudgetScenario(h0, bw + bump, shy)
-        s_more_noise = bounds_mod.BudgetScenario(h0, bw, shy + bump)
-        if bounds_mod.unpartitioned_info_cap(s_more_work) < bounds_mod.unpartitioned_info_cap(s) - 1e-12:
-            ok, detail = False, "info cap not monotone in budget"
-            break
-        if bounds_mod.unpartitioned_info_cap(s_more_noise) > bounds_mod.unpartitioned_info_cap(s) + 1e-12:
-            ok, detail = False, "info cap not antitone in outcome entropy"
-            break
-    results.append(_check("caps_monotone", ok, detail))
+    def caps_monotone():
+        for _ in range(trials):
+            h0 = float(rng.uniform(0.0, 3.0))
+            bw = float(rng.uniform(0.0, 5.0))
+            shy = float(rng.uniform(0.0, 3.0))
+            bump = float(rng.uniform(0.0, 2.0))
+            cap = bounds_mod.unpartitioned_info_cap(bounds_mod.BudgetScenario(h0, bw, shy))
+            more_work = bounds_mod.BudgetScenario(h0, bw + bump, shy)
+            more_noise = bounds_mod.BudgetScenario(h0, bw, shy + bump)
+            if bounds_mod.unpartitioned_info_cap(more_work) < cap - 1e-12:
+                return "info cap not monotone in budget"
+            if bounds_mod.unpartitioned_info_cap(more_noise) > cap + 1e-12:
+                return "info cap not antitone in outcome entropy"
 
-    ok, detail = True, ""
-    for _ in range(trials):
-        prior = _random_distribution(rng)
-        budget = float(rng.uniform(0.05, 5.0))
-        shy = float(rng.uniform(0.0, 2.0))
-        part = generalist_partition(prior, budget)
-        scenario = scenario_from_partition(part, _entropy(prior.probs), (shy,))
-        fed = bounds_mod.federated_eta_cap(scenario)
-        flat = bounds_mod.unpartitioned_eta_cap(scenario)
-        if fed != flat:
-            ok, detail = False, f"generalist reduction broke: {fed!r} != {flat!r}"
-            break
-    results.append(_check("generalist_reduces_exactly", ok, detail))
+    def generalist_reduces_exactly():
+        for _ in range(trials):
+            prior = _random_distribution(rng)
+            budget = float(rng.uniform(0.05, 5.0))
+            shy = float(rng.uniform(0.0, 2.0))
+            part = generalist_partition(prior, budget)
+            scenario = scenario_from_partition(part, _entropy(prior.probs), (shy,))
+            fed = bounds_mod.federated_eta_cap(scenario)
+            flat = bounds_mod.unpartitioned_eta_cap(scenario)
+            if fed != flat:
+                return f"generalist reduction broke: {fed!r} != {flat!r}"
 
-    ok, detail = True, ""
-    for _ in range(trials):
-        n = int(rng.integers(2, 5))
-        p = rng.dirichlet(np.ones(n))
-        h = rng.uniform(0.0, 2.0, size=n)
-        shy = rng.uniform(0.0, 1.0, size=n)
-        # non-negative per-subdomain headroom keeps the zero floor inactive,
-        # where the two displayed global caps are sharp
-        w = shy + rng.uniform(0.0, 4.0, size=n)
-        subs = tuple(bounds_mod.SubdomainBudget(float(p[i]), float(h[i]),
-                                                float(w[i]), float(shy[i]))
-                     for i in range(n))
-        beta_w = sum(s.p * s.beta_w for s in subs)
-        scenario = bounds_mod.BudgetScenario(float(np.max(h)), beta_w,
-                                             sum(s.p * s.sum_hy for s in subs), subs)
-        fed = bounds_mod.federated_info_cap(scenario)
-        cap_h = sum(s.p * s.h for s in subs)
-        cap_w = beta_w - sum(s.p * s.sum_hy for s in subs)
-        if fed > min(cap_h, cap_w) + 1e-12:
-            ok, detail = False, "federated cap exceeds its global caps"
-            break
-    results.append(_check("federated_below_global_caps", ok, detail))
+    def federated_below_global_caps():
+        for _ in range(trials):
+            n = int(rng.integers(2, 5))
+            p = rng.dirichlet(np.ones(n))
+            h = rng.uniform(0.0, 2.0, size=n)
+            shy = rng.uniform(0.0, 1.0, size=n)
+            # non-negative per-subdomain headroom keeps the zero floor inactive,
+            # where the two displayed global caps are sharp
+            w = shy + rng.uniform(0.0, 4.0, size=n)
+            subs = tuple(bounds_mod.SubdomainBudget(float(p[i]), float(h[i]),
+                                                    float(w[i]), float(shy[i]))
+                         for i in range(n))
+            beta_w = sum(s.p * s.beta_w for s in subs)
+            scenario = bounds_mod.BudgetScenario(float(np.max(h)), beta_w,
+                                                 sum(s.p * s.sum_hy for s in subs), subs)
+            fed = bounds_mod.federated_info_cap(scenario)
+            cap_h = sum(s.p * s.h for s in subs)
+            cap_w = beta_w - sum(s.p * s.sum_hy for s in subs)
+            if fed > min(cap_h, cap_w) + 1e-12:
+                return "federated cap exceeds its global caps"
 
-    ok, detail = True, ""
-    for _ in range(trials // 5):
-        n_states = int(rng.integers(2, 9))
-        n_sub = int(rng.integers(2, 5))
-        joint = rng.dirichlet(np.ones(n_states * n_sub)).reshape(n_states, n_sub)
-        h_gen = _entropy(joint.sum(axis=1))
-        masses = joint.sum(axis=0)
-        h_cond = sum(masses[k] * _entropy(joint[:, k] / masses[k])
-                     for k in range(n_sub) if masses[k] > 0.0)
-        gap = bounds_mod.partition_entropy_gap(h_gen, h_cond)
-        mi = mutual_information_of_joint(joint).value
-        if abs(gap - mi) > 1e-10:
-            ok, detail = False, f"gap {gap} != mutual information {mi}"
-            break
-    results.append(_check("entropy_gap_matches_mutual_information", ok, detail))
+    def entropy_gap_matches_mutual_information():
+        for _ in range(trials // 5):
+            n_states = int(rng.integers(2, 9))
+            n_sub = int(rng.integers(2, 5))
+            joint = rng.dirichlet(np.ones(n_states * n_sub)).reshape(n_states, n_sub)
+            h_gen = _entropy(joint.sum(axis=1))
+            masses = joint.sum(axis=0)
+            h_cond = sum(masses[k] * _entropy(joint[:, k] / masses[k])
+                         for k in range(n_sub) if masses[k] > 0.0)
+            gap = bounds_mod.partition_entropy_gap(h_gen, h_cond)
+            mi = mutual_information_of_joint(joint).value
+            if abs(gap - mi) > 1e-10:
+                return f"gap {gap} != mutual information {mi}"
 
     r = bounds_mod.regime_classify(100.0, 1.0)
     b = bounds_mod.regime_classify(0.01, 1.0)
     c = bounds_mod.regime_classify(1.0, 1.0)
-    results.append(_check(
+    return _run(caps_monotone, generalist_reduces_exactly, federated_below_global_caps,
+                entropy_gap_matches_mutual_information) + [_check(
         "regime_thresholds",
         r.regime is bounds_mod.Regime.PRIOR_LIMITED
         and b.regime is bounds_mod.Regime.BUDGET_LIMITED
-        and c.regime is bounds_mod.Regime.CROSSOVER and c.ratio == 1.0))
-    return results
+        and c.regime is bounds_mod.Regime.CROSSOVER and c.ratio == 1.0)]
 
 
 # ---------------------------------------------------------------------------
 # toy suite
 
 
-def verify_toy(seed: int) -> list[CheckResult]:
+def verify_toy(seed: int) -> list[dict]:
     rng = np.random.default_rng(seed)
-    results = []
-
-    ok, detail = True, ""
-    for _ in range(300):
-        omega = float(rng.uniform(1e-3, 1e3))
-        c = float(rng.uniform(1e-3, 1.0))
-        alpha = float(rng.uniform(0.0, 3.0))
-        eta = toy.eta_toy(omega, c, alpha)
-        if not 0.0 < eta <= 1.0:
-            ok, detail = False, f"eta {eta} outside (0, 1]"
-            break
-        if toy.eta_toy(omega, min(1.0, c + 0.1), alpha) < eta - 1e-12:
-            ok, detail = False, "eta not nondecreasing in c"
-            break
-        if toy.eta_toy(omega, c, alpha + 0.5) > eta + 1e-12:
-            ok, detail = False, "eta not nonincreasing in alpha"
-            break
-        if toy.eta_toy(omega * 1.5, c, alpha) > eta + 1e-12:
-            ok, detail = False, "eta not nonincreasing in omega"
-            break
-    results.append(_check("eta_law_shape", ok, detail))
-
-    ok, detail = True, ""
-    prev = None
-    for n in np.linspace(1.0, 40.0, 80):
-        val = toy.c_fed(float(n), 0.05, 1.0)
-        if not 0.05 < val <= 1.0 + 1e-12:
-            ok, detail = False, f"c_fed({n}) = {val} outside (c_min, 1]"
-            break
-        if prev is not None and val >= prev:
-            ok, detail = False, "c_fed not strictly decreasing"
-            break
-        prev = val
-    results.append(_check("federated_compression_shape", ok, detail))
-
     params = toy.ToyParams.symmetric()
     grid = toy.sweep(toy.Pair.FED_GEN, params, toy.SweepAxes.default_n())
-    ok = bool(np.all(grid.delta <= 1e-15))
-    detail = "" if ok else f"max delta {float(np.max(grid.delta))}"
-    if ok:
-        spec_grid = toy.sweep(toy.Pair.FED_SPEC, params, toy.SweepAxes.default_n())
-        ok = bool(np.all(spec_grid.delta >= -1e-15))
-        detail = "" if ok else "federated fell below the focused specialist"
-    results.append(_check("symmetric_ordering", ok, detail))
-
-    ok, detail = True, ""
-    for _ in range(200):
-        pair = toy.Pair(["spec-gen", "fed-gen", "fed-spec"][int(rng.integers(0, 3))])
-        j = int(rng.integers(0, grid.axis2.size))
-        i = int(rng.integers(0, grid.omega.size))
-        axis_value = (float(rng.uniform(0.06, 1.0)) if pair == toy.Pair.SPEC_GEN
-                      else float(grid.axis2[j]))
-        omega = float(grid.omega[i])
-        p = toy.ToyParams.asymmetric()
-        d = toy.delta_eta(pair, omega, p, axis_value)
-        e1, e2 = toy.strategy_etas(pair, omega, p, axis_value)
-        if abs(d - (e1 - e2)) > 1e-15 or not (0.0 < e1 <= 1.0 and 0.0 < e2 <= 1.0):
-            ok, detail = False, f"inconsistent point evaluation at {pair} {omega}"
-            break
-    results.append(_check("pointwise_evaluations_consistent", ok, detail))
-
     asym = toy.ToyParams.asymmetric()
     grid_d = toy.sweep(toy.Pair.FED_GEN, asym, toy.SweepAxes.default_n())
-    ok = bool(grid_d.contours)
-    detail = "" if ok else "no contour extracted on the asymmetric fed-gen grid"
-    if ok:
-        log_step = math.log(grid_d.omega[1] / grid_d.omega[0])
-        worst = 0.0
+
+    def eta_law_shape():
+        for _ in range(300):
+            omega = float(rng.uniform(1e-3, 1e3))
+            c = float(rng.uniform(1e-3, 1.0))
+            alpha = float(rng.uniform(0.0, 3.0))
+            eta = toy.eta_toy(omega, c, alpha)
+            if not 0.0 < eta <= 1.0:
+                return f"eta {eta} outside (0, 1]"
+            if toy.eta_toy(omega, min(1.0, c + 0.1), alpha) < eta - 1e-12:
+                return "eta not nondecreasing in c"
+            if toy.eta_toy(omega, c, alpha + 0.5) > eta + 1e-12:
+                return "eta not nonincreasing in alpha"
+            if toy.eta_toy(omega * 1.5, c, alpha) > eta + 1e-12:
+                return "eta not nonincreasing in omega"
+
+    def federated_compression_shape():
+        prev = None
+        for n in np.linspace(1.0, 40.0, 80):
+            val = toy.c_fed(float(n), 0.05, 1.0)
+            if not 0.05 < val <= 1.0 + 1e-12:
+                return f"c_fed({n}) = {val} outside (c_min, 1]"
+            if prev is not None and val >= prev:
+                return "c_fed not strictly decreasing"
+            prev = val
+
+    def symmetric_ordering():
+        if not np.all(grid.delta <= 1e-15):
+            return f"max delta {float(np.max(grid.delta))}"
+        spec_grid = toy.sweep(toy.Pair.FED_SPEC, params, toy.SweepAxes.default_n())
+        if not np.all(spec_grid.delta >= -1e-15):
+            return "federated fell below the focused specialist"
+
+    def pointwise_evaluations_consistent():
+        for _ in range(200):
+            pair = toy.Pair(["spec-gen", "fed-gen", "fed-spec"][int(rng.integers(0, 3))])
+            j = int(rng.integers(0, grid.axis2.size))
+            i = int(rng.integers(0, grid.omega.size))
+            axis_value = (float(rng.uniform(0.06, 1.0)) if pair == toy.Pair.SPEC_GEN
+                          else float(grid.axis2[j]))
+            omega = float(grid.omega[i])
+            d = toy.delta_eta(pair, omega, asym, axis_value)
+            e1, e2 = toy.strategy_etas(pair, omega, asym, axis_value)
+            if abs(d - (e1 - e2)) > 1e-15 or not (0.0 < e1 <= 1.0 and 0.0 < e2 <= 1.0):
+                return f"inconsistent point evaluation at {pair} {omega}"
+
+    def contour_points_near_zero():
         for line in grid_d.contours:
             for omega, n in line:
-                target = (1.0 + asym.alpha_gen) * toy.c_fed(float(n), asym.c_min, asym.gamma)
-                worst = max(worst, abs(math.log(float(omega)) - math.log(target)) / log_step)
-        ok = worst <= 1.0 + 1e-6
-        detail = f"worst contour offset {worst:.3f} cells"
-    results.append(_check("fed_gen_boundary_matches_analysis", ok, detail))
+                val = abs(toy.delta_eta(toy.Pair.FED_GEN, float(omega), asym, float(n)))
+                # tolerance: the delta variation across the containing grid cell
+                i = min(max(int(np.searchsorted(grid_d.omega, omega)), 1),
+                        grid_d.omega.size - 1)
+                j = min(max(int(np.searchsorted(grid_d.axis2, n)), 1),
+                        grid_d.axis2.size - 1)
+                corners = grid_d.delta[j - 1:j + 1, i - 1:i + 1]
+                local = float(corners.max() - corners.min())
+                if val > max(1e-9, local):
+                    return f"contour point off-zero by {val:.3e} (local {local:.3e})"
 
+    log_step = math.log(grid_d.omega[1] / grid_d.omega[0])
+    targets = ((float(omega), (1.0 + asym.alpha_gen) * toy.c_fed(float(n), asym.c_min, asym.gamma))
+               for line in grid_d.contours for omega, n in line)
+    worst = max((abs(math.log(omega) - math.log(target)) / log_step for omega, target in targets),
+                default=0.0)
     probe_pos = toy.delta_eta(toy.Pair.FED_GEN, 0.4, asym, 4.0)
     probe_neg = toy.delta_eta(toy.Pair.FED_GEN, 0.6, asym, 4.0)
-    results.append(_check("fed_gen_sign_probes", probe_pos > 0.0 > probe_neg,
-                          f"delta(0.4)={probe_pos:.6f}, delta(0.6)={probe_neg:.6f}"))
-
     low = toy.delta_eta(toy.Pair.FED_SPEC, 0.01, asym, 8.0)
     high = toy.delta_eta(toy.Pair.FED_SPEC, 50.0, asym, 8.0)
-    results.append(_check("fed_spec_crossover", low < 0.0 < high,
-                          f"delta(0.01)={low:.6f}, delta(50)={high:.6f}"))
-
-    ok, detail = True, ""
-    for line in grid_d.contours:
-        for omega, n in line:
-            val = abs(toy.delta_eta(toy.Pair.FED_GEN, float(omega), asym, float(n)))
-            # tolerance: the delta variation across the containing grid cell
-            i = min(max(int(np.searchsorted(grid_d.omega, omega)), 1),
-                    grid_d.omega.size - 1)
-            j = min(max(int(np.searchsorted(grid_d.axis2, n)), 1),
-                    grid_d.axis2.size - 1)
-            corners = grid_d.delta[j - 1:j + 1, i - 1:i + 1]
-            local = float(corners.max() - corners.min())
-            if val > max(1e-9, local):
-                ok, detail = False, f"contour point off-zero by {val:.3e} (local {local:.3e})"
-                break
-        if not ok:
-            break
-    results.append(_check("contour_points_near_zero", ok, detail))
-    return results
+    return [
+        *_run(eta_law_shape, federated_compression_shape, symmetric_ordering,
+              pointwise_evaluations_consistent),
+        _check("fed_gen_boundary_matches_analysis",
+               bool(grid_d.contours) and worst <= 1.0 + 1e-6,
+               f"worst contour offset {worst:.3f} cells" if grid_d.contours
+               else "no contour extracted on the asymmetric fed-gen grid"),
+        _check("fed_gen_sign_probes", probe_pos > 0.0 > probe_neg,
+               f"delta(0.4)={probe_pos:.6f}, delta(0.6)={probe_neg:.6f}"),
+        _check("fed_spec_crossover", low < 0.0 < high,
+               f"delta(0.01)={low:.6f}, delta(50)={high:.6f}"),
+        *_run(contour_points_near_zero),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +447,7 @@ def run_suite(scope: str, seed: int) -> dict:
                          f"{sorted(_SUITES)} or 'all'")
     _check_seed(seed)
     scopes = sorted(_SUITES) if scope == "all" else [scope]
-    checks = []
-    for name in scopes:
-        for result in _SUITES[name](seed):
-            checks.append({"suite": name, "name": result.name,
-                           "passed": result.passed, "detail": result.detail})
+    checks = [{"suite": name, **check} for name in scopes for check in _SUITES[name](seed)]
     return {
         "scope": scope,
         "seed": seed,

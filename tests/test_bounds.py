@@ -166,6 +166,15 @@ def test_entropy_gap_rejects_inconsistent_inputs():
     assert partition_entropy_gap(1.0, 1.0 + 5e-13) == 0.0
 
 
+@pytest.mark.parametrize("h_gen, h_fed, field", [
+    (math.nan, 0.0, "h_gen"),
+    (1.0, math.nan, "h_fed"),
+])
+def test_entropy_gap_rejects_nan_by_name(h_gen, h_fed, field):
+    with pytest.raises(InvalidParameter, match=field):
+        partition_entropy_gap(h_gen, h_fed)
+
+
 def test_regime_classification():
     assert regime_classify(100.0, 1.0).regime is Regime.PRIOR_LIMITED
     assert regime_classify(0.01, 1.0).regime is Regime.BUDGET_LIMITED

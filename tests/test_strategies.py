@@ -67,6 +67,43 @@ def test_declared_total_budget_checked():
     assert spec.total_budget == pytest.approx(2.0, abs=1e-15)
 
 
+HALVES = DiscreteDistribution([0.5, 0.5])
+
+
+def test_nan_budget_rejected_by_name():
+    with pytest.raises(InvalidParameter, match=r"budgets\[1\]"):
+        PartitionSpec(HALVES, (1.0, math.nan), subdomain_entropies=(0.1, 0.2))
+
+
+def test_nan_subdomain_entropy_rejected_by_name():
+    with pytest.raises(InvalidParameter, match=r"subdomain_entropies\[1\]"):
+        PartitionSpec(HALVES, (1.0, 1.0), subdomain_entropies=(0.1, math.nan))
+
+
+def test_nan_supplied_entropy_fails_the_prior_cross_check():
+    priors = (HALVES, DiscreteDistribution([1.0, 0.0]))
+    with pytest.raises(InvalidParameter, match="subdomain entropies"):
+        PartitionSpec(HALVES, (1.0, 1.0), conditional_priors=priors,
+                      subdomain_entropies=(LN2, math.nan))
+
+
+def test_nan_total_budget_rejected_by_name():
+    with pytest.raises(InvalidParameter, match="total_budget"):
+        PartitionSpec(HALVES, (1.0, 1.0), subdomain_entropies=(0.1, 0.2),
+                      total_budget=math.nan)
+
+
+def test_nan_constructor_budget_rejected_by_name():
+    with pytest.raises(InvalidParameter, match="budget must be >= 0, got nan"):
+        generalist_partition(HALVES, math.nan)
+    with pytest.raises(InvalidParameter, match="budget must be >= 0, got nan"):
+        specialist_partition([HALVES], 0, math.nan)
+
+
+def test_infinite_budget_stays_valid():
+    assert generalist_partition(HALVES, math.inf).total_budget == math.inf
+
+
 def test_partition_json_round_trip():
     priors = (DiscreteDistribution([0.5, 0.5]), DiscreteDistribution([0.25, 0.75]))
     spec = PartitionSpec(DiscreteDistribution([0.4, 0.6]), (1.0, 2.0),

@@ -60,6 +60,26 @@ def test_eta_rejects_bad_inputs():
         eta_toy(1.0, 1.0, -0.1)
 
 
+@pytest.mark.parametrize("call, error, field", [
+    (lambda: eta_toy(math.nan, 0.5, 0.1), NonPositiveOmega, "omega"),
+    (lambda: eta_toy(1.0, 0.5, math.nan), InvalidParameter, "alpha"),
+    (lambda: c_fed(math.nan), NBelowOne, "n must"),
+    (lambda: c_fed(2.0, 0.05, math.nan), InvalidParameter, "gamma"),
+    (lambda: crossover_omega(0.5, math.nan), InvalidParameter, "alpha"),
+], ids=["eta_toy-omega", "eta_toy-alpha", "c_fed-n", "c_fed-gamma", "crossover_omega-alpha"])
+def test_toy_law_rejects_nan_by_name(call, error, field):
+    with pytest.raises(error, match=field):
+        call()
+
+
+def test_toy_law_infinite_inputs_unchanged():
+    assert eta_toy(math.inf, 0.5, 0.1) == 0.0
+    assert eta_toy(1.0, 0.5, math.inf) == 0.0
+    assert c_fed(math.inf) == 0.05
+    assert c_fed(2.0, 0.05, math.inf) == 0.05
+    assert crossover_omega(0.5, math.inf) == math.inf
+
+
 def test_eta_monotonicities():
     rng = np.random.default_rng(2)
     for _ in range(300):
