@@ -146,10 +146,13 @@ class CompressionMap:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        mapping = tuple(int(m) for m in self.mapping)
-        if len(mapping) < 1 or any(m < 0 for m in mapping):
+        if len(self.mapping) < 1:
             raise IncompleteMapping("mapping must be a non-empty tuple of indices >= 0")
-        object.__setattr__(self, "mapping", mapping)
+        for i, m in enumerate(self.mapping):  # an integral float such as 2.0 passes
+            if not (0 <= m < math.inf and m == int(m)):
+                raise IncompleteMapping(f"mapping[{i}] must be an integral index >= 0, "
+                                        f"got {m!r}")
+        object.__setattr__(self, "mapping", tuple(int(m) for m in self.mapping))
 
     @classmethod
     def identity(cls, n_outcomes: int) -> "CompressionMap":
@@ -542,6 +545,40 @@ class _Frontier:
         return rows
 
 
+#: the low 27 of a float64's 52 stored significand bits; clearing them leaves 26 bits
+_TAIL_BITS = np.int64((1 << 27) - 1)
+#: counts at or above this are split as well, so that every partial product is exact
+_COUNT_SPLIT = 1 << 26
+#: a sum over rows replaces the sum over trials only when it has this many fewer terms:
+#: its dozen numpy calls cost about as much as fsum over this many more trials
+_GROUPING_GAIN = 128
+
+
+def _counted_terms(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Floats that sum exactly to ``counts @ values``, along the last axis of ``values``.
+
+    ``math.fsum`` rounds exactly (Shewchuk 1997), so ``math.fsum`` of a row of the
+    result is ``math.fsum(np.repeat(row, counts).tolist())`` bit for bit, unless a partial
+    sum overflows. Each value splits into a head of 26 significand bits and a tail of at
+    most 27, and each count into a multiple of 2**26 and a rest below 2**26, so every
+    product of a part of each is exact (Dekker 1971). Zero counts are dropped and the
+    tail keeps the value's sign, so a zero sum keeps its sign too.
+    """
+    if not counts.all():
+        keep = np.flatnonzero(counts)
+        values, counts = values[..., keep], counts[keep]
+    head = (values.view(np.int64) & ~_TAIL_BITS).view(np.float64)
+    tail = np.copysign(values - head, values)
+    rest = counts % _COUNT_SPLIT
+    parts = [head * rest, tail * rest]
+    if counts.size and counts.max() >= _COUNT_SPLIT:
+        parts += [head * (counts - rest), tail * (counts - rest)]
+    terms = np.concatenate(parts, axis=-1)
+    if not np.isfinite(terms).all():  # a non-finite value, or a product past the float range
+        return np.repeat(values, counts, axis=-1)
+    return terms
+
+
 def _cdf(probs: np.ndarray) -> np.ndarray:
     """Row CDFs built as ``Generator.choice`` builds them: uniform u picks ``#(cdf <= u)``."""
     cdf = probs.cumsum(axis=-1)
@@ -574,6 +611,12 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
     live = np.arange(n)  # running walkers
     spent = np.zeros(n)  # work spent by each running walker
     cum, h_now = np.zeros(n), np.full(n, h_prior)  # per walker, running or not
+    # Sampled sums are exact (fsum), so they may run over each row's value times its
+    # trial count instead of over the trials: the bits are the same. They do so when
+    # that gives _GROUPING_GAIN fewer terms. ``stopped`` holds the exact terms of the
+    # stopped trials' posterior entropies, and ``h_rows`` each current row's entropy.
+    stopped: list[float] = []
+    h_rows = np.full(1, h_prior)
     reasons: set[str] = set()
     records: list[RoundRecord] = []
     t = 0
@@ -583,10 +626,14 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
         hs = hy
         if compression is not None:  # (1, Y) products per row; one 2-D product rounds apart
             hs = _entropies(compression.pushforward(pred[:, None]))[:, 0]
-        info, hy, hs = per_walker(info), per_walker(hy), per_walker(hs)
+        if not sampled:
+            info, hy, hs = (per_walker(v) for v in (info, hy, hs))
         work_meas = cost.kappa_meas * (info + cost.delta_f_mem)
         work_erase = cost.kappa_erase * hs
-        round_cost = work_meas + work_erase
+        cols = (info, hy, hs, work_meas, work_erase)  # per row in sampled mode, else per walker
+        gain, round_cost = info, work_meas + work_erase
+        if sampled:
+            gain, round_cost = gain[node], round_cost[node]
         run = (round_cost > ZERO_ROUND_TOL) & (round_cost <= budget - spent + BUDGET_SLACK)
         if us.min() < 0 or not run.all():  # some walkers stop: only then find out why
             exhausted = per_walker(us < 0) > 0  # a tree stops whole when a branch runs out
@@ -600,12 +647,19 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
             if not live.size:
                 break
             # only sampled mode gets here: expected mode has one walker
+            gone = np.bincount(node[~run], minlength=h_rows.size)
+            stopped += _counted_terms(h_rows, gone).tolist()
             node, streams = node[run], streams[:, run]
-            info, hy, hs, work_meas, work_erase, round_cost, spent = (
-                v[run] for v in (info, hy, hs, work_meas, work_erase, round_cost, spent))
+            gain, round_cost, spent = gain[run], round_cost[run], spent[run]
         spent += round_cost
-        cum[live] += info
-        cols = (info, hy, hs, work_meas, work_erase)
+        cum[live] += gain
+        if not sampled:
+            sums = [math.fsum(c.tolist()) for c in cols]
+        elif 2 * len(frontier.beliefs) + _GROUPING_GAIN < live.size:
+            counts = np.bincount(node, minlength=len(frontier.beliefs))
+            sums = [math.fsum(r) for r in _counted_terms(np.array(cols), counts).tolist()]
+        else:
+            sums = [math.fsum(c[node].tolist()) for c in cols]
 
         if sampled:
             draw = _streams.random(streams)[:, None]
@@ -617,25 +671,39 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
         used = us[parent]
         u_rec = int(used[0]) if (used == used[0]).all() else None
         node = frontier.advance(us, pred, parent, y)  # the row of each trial, or of each branch
-        if not sampled:
+        if not sampled:  # no per-row array outlives the round of an expected tree
             masses = np.bincount(node, weights=masses[parent] * pred[parent, y])
-        h_now[live] = per_walker(_entropies(frontier.beliefs))
-        records.append(RoundRecord(t, u_rec, *(math.fsum(c.tolist()) / n for c in cols),
-                                   math.fsum(h_now.tolist()) / n))
+            h_now[live] = per_walker(_entropies(frontier.beliefs))
+        else:
+            h_rows = _entropies(frontier.beliefs)
+            h_now[live] = h_rows[node]
+        if sampled and 2 * h_rows.size + len(stopped) + _GROUPING_GAIN < n:
+            h_sum = math.fsum(stopped + _counted_terms(h_rows, np.bincount(node)).tolist())
+        else:
+            h_sum = math.fsum(h_now.tolist())
+        records.append(RoundRecord(t, u_rec, *(s / n for s in sums), h_sum / n))
         t += 1
     if live.size:
         reasons.add("max_rounds")
 
     ledger = WorkLedger(tuple(records), budget, sum(r.work_meas + r.work_erase for r in records))
-    trial_cum = cum.tolist()
-    cum_mean = math.fsum(trial_cum) / n
-    h_end = math.fsum(h_now.tolist()) / n
+    h_end = records[-1].belief_entropy_after if records else math.fsum(h_now.tolist()) / n
+    values, counts = cum, None  # the trials' totals, grouped by value when that is shorter
+    if sampled:
+        distinct, repeats = np.unique(cum, return_counts=True)
+        if 2 * distinct.size + _GROUPING_GAIN < n:
+            values, counts = distinct, repeats
+    listed = values.tolist()
+    cum_mean = math.fsum(listed if counts is None
+                         else _counted_terms(values, counts).tolist()) / n
     status = "budget_exhausted_immediately" if not records and reasons == {"budget"} else "ok"
     reason = reasons.pop() if len(reasons) == 1 else "mixed"
     se = None
     if sampled and n > 1:
-        var = math.fsum((c - cum_mean) ** 2 for c in trial_cum) / (n - 1)
-        se = math.sqrt(max(var, 0.0) / n)
+        squares = [(c - cum_mean) ** 2 for c in listed]  # numpy's square may round apart
+        if counts is not None:
+            squares = _counted_terms(np.array(squares), counts).tolist()
+        se = math.sqrt(max(math.fsum(squares) / (n - 1), 0.0) / n)
     # telescoping: outcome-side gains against the posterior-side entropy drop
     if not sampled and abs(cum_mean - (h_prior - h_end)) > 1e-10:
         raise InvalidLedger(f"cumulative information {cum_mean!r} does not telescope to "

@@ -203,8 +203,7 @@ def scenario_from_partition(
     sum_hy = tuple(float(v) for v in sum_hy)
     if len(sum_hy) != part.n:
         raise InvalidParameter(f"{len(sum_hy)} outcome-entropy sums for {part.n} subdomains")
-    if any(v < 0.0 for v in sum_hy):
-        raise InvalidParameter("outcome-entropy sums must all be >= 0")
+    _check_nonnegative("", h_gen=h_gen, **{f"sum_hy[{i}]": v for i, v in enumerate(sum_hy)})
     subs = tuple(
         SubdomainBudget(float(p), float(h), w, s)
         for p, h, w, s in zip(part.masses.probs, part.subdomain_entropies,

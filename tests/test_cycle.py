@@ -3,10 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from thermosci import (
     CompressionMap,
@@ -29,6 +32,7 @@ from thermosci import (
     run_episode,
     stored_entropy,
 )
+from thermosci.cycle_sim import _counted_terms
 from thermosci.errors import (
     DimensionMismatch,
     IncompleteMapping,
@@ -217,6 +221,21 @@ def test_stored_entropy_incomplete_mapping():
     d = DiscreteDistribution([0.25, 0.25, 0.25, 0.25])
     with pytest.raises(IncompleteMapping):
         stored_entropy(d, CompressionMap((0, 1)))
+
+
+@pytest.mark.parametrize("mapping, message", [
+    ((0, float("nan")), r"mapping\[1\] .* got nan"),
+    ((0, 1.5), r"mapping\[1\] .* got 1\.5"),
+    ((0, 1, math.inf), r"mapping\[2\] .* got inf"),
+    ((-1, 0), r"mapping\[0\] .* got -1"),
+], ids=["nan", "non-integral", "inf", "negative"])
+def test_compression_map_rejects_bad_entry_by_index(mapping, message):
+    with pytest.raises(IncompleteMapping, match=message):
+        CompressionMap(mapping)
+
+
+def test_compression_map_keeps_integral_floats():
+    assert CompressionMap((0, 2.0, np.int64(1))).mapping == (0, 2, 1)
 
 
 def test_round_work_lower_bound_values():
@@ -509,6 +528,94 @@ def test_sampled_stream_is_pinned():
                              SampledMode(seed=7, trials=10000))
     assert summary.cumulative_info == 0.15887349095419723
     assert summary.cumulative_info_se == 7.466713417190446e-05
+
+
+def test_multi_row_sampled_ledger_is_pinned():
+    # a 6x3x3 environment under RandomPolicy with compression: trials spread over many
+    # frontier rows and run out of budget in rounds 4, 5 and 6; recorded from the engine
+    # that summed every ledger column trial by trial
+    env = random_environment(np.random.default_rng(7), 6, 3, 3)
+    assert (env.n_states, env.n_outcomes, env.intervention_count) == (6, 3, 3)
+    ledger, summary = run_episode(env, RandomPolicy(11), CostModel(1.5, 1.2, 0.05), 5.0,
+                                  SampledMode(seed=3, trials=1000), CompressionMap((0, 1, 1)))
+    assert [repr(r) for r in ledger.records] == [
+        "RoundRecord(round_index=0, intervention=0, info_gain=0.1194986961236273, "
+        "outcome_entropy=1.0948227337908547, stored_entropy=0.6066805241399778, "
+        "work_meas=0.2542480441854409, work_erase=0.7280166289679733, "
+        "belief_entropy_after=1.1510908518986438)",
+        "RoundRecord(round_index=1, intervention=None, info_gain=0.13814361768854871, "
+        "outcome_entropy=1.0701314190792643, stored_entropy=0.6435999499686336, "
+        "work_meas=0.28221542653282305, work_erase=0.7723199399623603, "
+        "belief_entropy_after=1.0165747581299)",
+        "RoundRecord(round_index=2, intervention=None, info_gain=0.12177820007363561, "
+        "outcome_entropy=1.0049085103854254, stored_entropy=0.6124668134407926, "
+        "work_meas=0.2576673001104534, work_erase=0.7349601761289509, "
+        "belief_entropy_after=0.9009942822662369)",
+        "RoundRecord(round_index=3, intervention=None, info_gain=0.10645710371322295, "
+        "outcome_entropy=0.9935865846142898, stored_entropy=0.6210959772931043, "
+        "work_meas=0.23468565556983442, work_erase=0.7453151727517251, "
+        "belief_entropy_after=0.7862914393824966)",
+        "RoundRecord(round_index=4, intervention=None, info_gain=0.03883100433511564, "
+        "outcome_entropy=0.5827496585281114, stored_entropy=0.3667143744790359, "
+        "work_meas=0.10332150650267345, work_erase=0.44005724937484303, "
+        "belief_entropy_after=0.7488235702757298)",
+        "RoundRecord(round_index=5, intervention=2, info_gain=0.00010614509415264761, "
+        "outcome_entropy=0.003994557762086187, stored_entropy=0.0018178213904259067, "
+        "work_meas=0.00045921764122897144, work_erase=0.002181385668511088, "
+        "belief_entropy_after=0.7488274654239854)",
+    ]
+    assert ledger.budget_spent == 4.555447703396818
+    assert repr(summary) == (
+        "EpisodeSummary(status='ok', mode='sampled', stop_reason='budget', "
+        "prior_entropy=1.2714470935576125, posterior_entropy=0.7488274654239854, "
+        "cumulative_info=0.5248147670283029, rounds=6, trials=1000, "
+        "cumulative_info_se=0.0021318404515452893)")
+
+
+#: finite floats from subnormal to 1e307, both zeros and both signs
+SUM_VALUES = st.floats(min_value=-1e307, max_value=1e307) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e307, -1e307])
+
+
+def _fits(values, counts):  # no partial sum of either list can overflow
+    return sum(abs(Fraction(v)) * c for v, c in zip(values, counts)) < 10**308
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(SUM_VALUES, st.integers(min_value=0, max_value=40)),
+                min_size=1, max_size=8))
+def test_counted_terms_sum_like_the_repeated_values(pairs):
+    values = np.array([v for v, _ in pairs])
+    counts = np.array([c for _, c in pairs])
+    assume(_fits(values, counts))
+    for row, got in zip((values, -values),
+                        _counted_terms(np.stack((values, -values)), counts).tolist()):
+        expected = math.fsum(np.repeat(row, counts).tolist())
+        total = math.fsum(got)
+        assert (total, math.copysign(1.0, total)) == (expected, math.copysign(1.0, expected))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(SUM_VALUES, st.integers(min_value=2**26 - 2, max_value=2**40)
+                          | st.integers(min_value=0, max_value=3)), min_size=1, max_size=6))
+def test_counted_terms_split_counts_from_2_to_the_26(pairs):
+    # too many trials to repeat: the exact rational sum, rounded half to even as fsum rounds
+    assume(_fits(*zip(*pairs)))
+    values = np.array([v for v, _ in pairs])
+    counts = np.array([c for _, c in pairs])
+    exact = sum(Fraction(v) * c for v, c in pairs)
+    assert math.fsum(_counted_terms(values, counts).tolist()) == float(exact)
+
+
+def test_counted_terms_keep_the_sign_of_zero_and_the_float_range():
+    for values, counts in (([-0.0], [2**26 + 3]), ([-0.0, 0.0], [2, 0]), ([0.0, -0.0], [0, 5])):
+        got = math.fsum(_counted_terms(np.array(values), np.array(counts)).tolist())
+        expected = math.fsum(np.repeat(values, np.minimum(counts, 5)).tolist())
+        assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+    # a product past the float range, or a non-finite value, falls back to the repeated list
+    for values, counts in (([1e308], [3]), ([math.inf, 1.0], [2, 1])):
+        terms = _counted_terms(np.array(values), np.array(counts))
+        assert terms.tolist() == np.repeat(values, counts).tolist()
 
 
 # ---------------------------------------------------------------------------

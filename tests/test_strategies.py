@@ -100,6 +100,18 @@ def test_nan_constructor_budget_rejected_by_name():
         specialist_partition([HALVES], 0, math.nan)
 
 
+def test_scenario_from_partition_names_nan_h_gen():
+    part = generalist_partition(HALVES, 1.0)
+    with pytest.raises(InvalidParameter, match="h_gen must be >= 0, got nan"):
+        scenario_from_partition(part, math.nan)
+
+
+def test_scenario_from_partition_names_nan_sum_hy_entry():
+    part = PartitionSpec(HALVES, (1.0, 1.0), subdomain_entropies=(0.1, 0.2))
+    with pytest.raises(InvalidParameter, match=r"sum_hy\[1\] must be >= 0, got nan"):
+        scenario_from_partition(part, LN2, (0.1, math.nan))
+
+
 def test_infinite_budget_stays_valid():
     assert generalist_partition(HALVES, math.inf).total_budget == math.inf
 
