@@ -17,6 +17,7 @@ from .errors import (
     InvalidParameter,
     MissingPartition,
     NegativeGap,
+    ThermosciError,
     ZeroBudget,
     ZeroPriorEntropy,
 )
@@ -25,11 +26,12 @@ _GAP_TOL = 1e-12
 _CONSISTENCY_TOL = 1e-10
 
 
-def _check_nonnegative(what: str, **fields: float) -> None:
-    """Raise, naming the field, unless every value is >= 0; NaN fails, +inf passes."""
+def _check_at_least(low: float, what: str = "",
+                    error: type[ThermosciError] = InvalidParameter, **fields: float) -> None:
+    """Raise ``error`` naming the field unless each value is >= ``low``; NaN fails, +inf passes."""
     for name, value in fields.items():
-        if not value >= 0.0:
-            raise InvalidParameter(f"{what}{name} must be >= 0, got {value!r}")
+        if not value >= low:
+            raise error(f"{what}{name} must be >= {low:g}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,8 @@ class SubdomainBudget:
     sum_hy: float
 
     def __post_init__(self):
-        _check_nonnegative("subdomain ", p=self.p, h=self.h, beta_w=self.beta_w,
-                           sum_hy=self.sum_hy)
+        _check_at_least(0.0, "subdomain ", p=self.p, h=self.h, beta_w=self.beta_w,
+                        sum_hy=self.sum_hy)
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ class BudgetScenario:
     subdomains: tuple[SubdomainBudget, ...] | None = None
 
     def __post_init__(self):
-        _check_nonnegative("", h0=self.h0, beta_w=self.beta_w, sum_hy=self.sum_hy)
+        _check_at_least(0.0, h0=self.h0, beta_w=self.beta_w, sum_hy=self.sum_hy)
         if self.subdomains is not None:
             subs = tuple(self.subdomains)
             if not subs:
@@ -117,7 +119,7 @@ def unpartitioned_eta_cap(s: BudgetScenario) -> float:
 
 def per_subdomain_cap(p: float, h: float, beta_w: float, sum_hy: float) -> float:
     """Information cap for one subdomain's budgeted cycle."""
-    _check_nonnegative("subdomain ", p=p, h=h, beta_w=beta_w, sum_hy=sum_hy)
+    _check_at_least(0.0, "subdomain ", p=p, h=h, beta_w=beta_w, sum_hy=sum_hy)
     return max(0.0, min(h, beta_w - sum_hy))
 
 
@@ -142,7 +144,7 @@ def federated_eta_cap(s: BudgetScenario) -> float:
 
 def partition_entropy_gap(h_gen: float, h_fed: float) -> float:
     """Entropy removed by conditioning on the partition: ``h_gen - h_fed``, >= 0."""
-    _check_nonnegative("", h_gen=h_gen, h_fed=h_fed)
+    _check_at_least(0.0, h_gen=h_gen, h_fed=h_fed)
     if h_fed > h_gen + _GAP_TOL:
         raise NegativeGap(
             f"conditional entropy {h_fed!r} exceeds unconditional {h_gen!r}: "
@@ -174,7 +176,7 @@ def regime_classify(beta_w: float, h: float,
         raise InvalidParameter("h must be > 0, got nan")
     if h <= 0.0:
         raise ZeroPriorEntropy("regime classification requires prior entropy > 0")
-    _check_nonnegative("", beta_w=beta_w)
+    _check_at_least(0.0, beta_w=beta_w)
     if not threshold_lo < threshold_hi:  # NaN fails too
         raise InvalidParameter("threshold_lo must be below threshold_hi")
     ratio = beta_w / h

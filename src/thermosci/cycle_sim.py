@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _streams
+from .bounds import _check_at_least
 from .errors import (
     DimensionMismatch,
     IncompleteMapping,
@@ -112,8 +113,8 @@ class EnvironmentModel:
     @classmethod
     def from_json_dict(cls, data: dict) -> "EnvironmentModel":
         try:
-            prior = DiscreteDistribution(data["prior"])
-            lik = LikelihoodModel(data["likelihood"])
+            prior = DiscreteDistribution(data["prior"], what="prior")
+            lik = LikelihoodModel(data["likelihood"], what="likelihood")
             count = int(data["interventions"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DimensionMismatch(f"environment JSON does not match schema: {exc}") from exc
@@ -200,11 +201,6 @@ History = tuple[tuple[int, int], ...]
 # merges the branches of such a policy with equal (u, y) counts.
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:  # numpy seeds must be >= 0; fail here, naming the field
-        raise InvalidParameter(f"seed must be >= 0, got {seed!r}")
-
-
 @dataclass(frozen=True)
 class FixedSequence:
     """Play a fixed list of interventions; the episode ends when it runs out."""
@@ -243,8 +239,8 @@ class RandomPolicy:
     seed: int = 0
     history_free = False
 
-    def __post_init__(self):
-        _check_seed(self.seed)
+    def __post_init__(self):  # numpy seeds must be >= 0; fail here, naming the field
+        _check_at_least(0, seed=self.seed)
 
     def choose(self, belief: np.ndarray, env: EnvironmentModel, t: int, history: History):
         material = [self.seed, t]
@@ -302,9 +298,8 @@ class SampledMode:
     trials: int = 1000
 
     def __post_init__(self):
-        _check_seed(self.seed)
-        if self.trials < 1:
-            raise InvalidParameter("trials must be >= 1")
+        _check_at_least(0, seed=self.seed)
+        _check_at_least(1, trials=self.trials)
 
 
 Mode = ExpectedMode | SampledMode
@@ -342,8 +337,8 @@ class RoundRecord:
                 raise InvalidLedger(f"round {self.round_index}: {name} must be finite, "
                                     f"got {value!r}")
             object.__setattr__(self, name, value)
-        if self.info_gain < -BUDGET_SLACK:
-            raise InvalidLedger(f"round {self.round_index}: negative info gain {self.info_gain!r}")
+        _check_at_least(-BUDGET_SLACK, f"round {self.round_index}: ", InvalidLedger,
+                        info_gain=self.info_gain, belief_entropy_after=self.belief_entropy_after)
         if self.work_meas < self.info_gain - BUDGET_SLACK:
             raise InvalidLedger(
                 f"round {self.round_index}: measurement work {self.work_meas!r} below "
@@ -358,8 +353,6 @@ class RoundRecord:
             raise InvalidLedger(
                 f"round {self.round_index}: stored entropy exceeds outcome entropy"
             )
-        if self.belief_entropy_after < -BUDGET_SLACK:
-            raise InvalidLedger(f"round {self.round_index}: negative belief entropy")
 
 
 @dataclass(frozen=True)
@@ -568,11 +561,12 @@ def _counted_terms(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
         keep = np.flatnonzero(counts)
         values, counts = values[..., keep], counts[keep]
     head = (values.view(np.int64) & ~_TAIL_BITS).view(np.float64)
-    tail = np.copysign(values - head, values)
     rest = counts % _COUNT_SPLIT
-    parts = [head * rest, tail * rest]
-    if counts.size and counts.max() >= _COUNT_SPLIT:
-        parts += [head * (counts - rest), tail * (counts - rest)]
+    with np.errstate(over="ignore", invalid="ignore"):  # the fallback below takes those
+        tail = np.copysign(values - head, values)
+        parts = [head * rest, tail * rest]
+        if counts.size and counts.max() >= _COUNT_SPLIT:
+            parts += [head * (counts - rest), tail * (counts - rest)]
     terms = np.concatenate(parts, axis=-1)
     if not np.isfinite(terms).all():  # a non-finite value, or a product past the float range
         return np.repeat(values, counts, axis=-1)
@@ -741,8 +735,7 @@ def run_episode(
     """
     cost = cost if cost is not None else CostModel()
     mode = mode if mode is not None else ExpectedMode()
-    if not budget >= 0.0:
-        raise InvalidParameter(f"budget must be >= 0, got {budget!r}")
+    _check_at_least(0.0, budget=budget)
     if math.isinf(budget) and max_rounds is None:
         # an unbounded budget never stops a sampled trial whose belief has converged
         raise InvalidParameter(

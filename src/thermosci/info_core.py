@@ -17,7 +17,8 @@ on a ``(nodes, states)`` belief matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import InitVar, dataclass
 from enum import Enum
 
 import numpy as np
@@ -26,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     InvalidDistribution,
     InvalidJoint,
+    ThermosciError,
     ZeroEvidence,
 )
 
@@ -46,21 +48,42 @@ class Units(str, Enum):
     BITS = "bits"
 
 
-def _as_prob_vector(values, what: str) -> np.ndarray:
+#: what a value of each rank must look like, for the shape error
+_SHAPES = {1: "a non-empty 1-D vector", 2: "a 2-D table",
+           3: "3-D (interventions, states, outcomes)"}
+
+
+def _normalised(values, rank: int, what: str, error: type[ThermosciError]) -> np.ndarray:
+    """``values`` as a read-only float array of ``rank`` axes that sums to one.
+
+    A rank-3 likelihood table sums to one along each ``(u, state)`` row; a
+    vector or a joint table sums to one as a whole. The sum is renormalized
+    away when within ``NORMALIZATION_TOL`` of one. Failures raise ``error``,
+    checked in this order: shape, non-finite, negative beyond
+    ``NEGATIVE_CLAMP``, sum.
+    """
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise InvalidDistribution(f"{what} must be a non-empty 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidDistribution(f"{what} contains non-finite entries")
-    if np.any(arr < -NEGATIVE_CLAMP):
-        raise InvalidDistribution(f"{what} has negative entries")
-    arr = np.clip(arr, 0.0, None)
-    total = float(arr.sum())
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise InvalidDistribution(
-            f"{what} sums to {total!r}; expected 1 within {NORMALIZATION_TOL}"
-        )
-    arr = arr / total
+    if arr.ndim != rank or arr.size < 1:
+        raise error(f"{what} must be {_SHAPES[rank]}, got shape {arr.shape}")
+    lo, hi = float(arr.min()), float(arr.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # a NaN passes through both
+        raise error(f"{what} contains non-finite entries")
+    if lo < -NEGATIVE_CLAMP:
+        raise error(f"{what} has negative entries")
+    if lo <= 0.0:  # clipping also turns -0.0 into 0.0
+        arr = np.clip(arr, 0.0, None)
+    if rank == 3:
+        sums = arr.sum(axis=2, keepdims=True)
+        worst = float(np.abs(sums - 1.0).max())
+        if worst > NORMALIZATION_TOL:
+            raise error(f"likelihood rows must sum to 1 within {NORMALIZATION_TOL} "
+                        f"(worst deviation {worst:.3e})")
+    else:
+        sums = float(arr.sum())
+        if abs(sums - 1.0) > NORMALIZATION_TOL:
+            within = f" within {NORMALIZATION_TOL}" if rank == 1 else ""
+            raise error(f"{what} sums to {sums!r}; expected 1{within}")
+    arr = arr / sums
     arr.flags.writeable = False
     return arr
 
@@ -74,8 +97,10 @@ def _entropies(probs: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _entropy(probs: np.ndarray) -> float:
-    """Shannon entropy in nats of a raw probability vector."""
-    return float(_entropies(probs))
+    """Shannon entropy in nats of a raw probability vector, as ``float(_entropies(probs))``."""
+    safe = np.where(probs > LOG_FLOOR, probs, 1.0)
+    h = -float((safe * np.log(safe)).sum())
+    return 0.0 if h < 0.0 else h
 
 
 @dataclass(frozen=True)
@@ -85,13 +110,15 @@ class DiscreteDistribution:
     Args:
         probs: non-negative weights summing to one (within ingestion tolerance).
         labels: optional identifiers, one per support point.
+        what: the name validation errors give the vector, such as an input field.
     """
 
     probs: np.ndarray
     labels: tuple[str, ...] | None = None
+    what: InitVar[str] = "distribution"
 
-    def __post_init__(self):
-        arr = _as_prob_vector(self.probs, "distribution")
+    def __post_init__(self, what: str):
+        arr = _normalised(self.probs, 1, what, InvalidDistribution)
         object.__setattr__(self, "probs", arr)
         if self.labels is not None:
             labels = tuple(self.labels)
@@ -125,30 +152,14 @@ class LikelihoodModel:
 
     Every ``(u, state)`` row must be a valid distribution over outcomes; rows
     are renormalized under the same ingestion tolerance as distributions.
+    ``what`` is the name validation errors give the table.
     """
 
     table: np.ndarray
+    what: InitVar[str] = "likelihood table"
 
-    def __post_init__(self):
-        arr = np.asarray(self.table, dtype=float)
-        if arr.ndim != 3 or min(arr.shape) < 1:
-            raise InvalidDistribution(
-                f"likelihood table must be 3-D (interventions, states, outcomes), got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise InvalidDistribution("likelihood table contains non-finite entries")
-        if np.any(arr < -NEGATIVE_CLAMP):
-            raise InvalidDistribution("likelihood table has negative entries")
-        arr = np.clip(arr, 0.0, None)
-        sums = arr.sum(axis=2)
-        if np.any(np.abs(sums - 1.0) > NORMALIZATION_TOL):
-            worst = float(np.max(np.abs(sums - 1.0)))
-            raise InvalidDistribution(
-                f"likelihood rows must sum to 1 within {NORMALIZATION_TOL} (worst deviation {worst:.3e})"
-            )
-        arr = arr / sums[:, :, None]
-        arr.flags.writeable = False
-        object.__setattr__(self, "table", arr)
+    def __post_init__(self, what: str):
+        object.__setattr__(self, "table", _normalised(self.table, 3, what, InvalidDistribution))
 
     @property
     def n_interventions(self) -> int:
@@ -289,24 +300,9 @@ def expected_information_gain(
     return InfoQuantity(gain)
 
 
-def _validated_joint(joint) -> np.ndarray:
-    arr = np.asarray(joint, dtype=float)
-    if arr.ndim != 2 or min(arr.shape) < 1:
-        raise InvalidJoint(f"joint must be a 2-D table, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidJoint("joint contains non-finite entries")
-    if np.any(arr < -NEGATIVE_CLAMP):
-        raise InvalidJoint("joint has negative entries")
-    arr = np.clip(arr, 0.0, None)
-    total = float(arr.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise InvalidJoint(f"joint sums to {total!r}; expected 1")
-    return arr / total
-
-
 def mutual_information_of_joint(joint) -> InfoQuantity:
     """Mutual information of a 2-D joint table, clamped at zero from below."""
-    arr = _validated_joint(joint)
+    arr = _normalised(joint, 2, "joint", InvalidJoint)
     px = arr.sum(axis=1)
     pk = arr.sum(axis=0)
     mask = arr > LOG_FLOOR

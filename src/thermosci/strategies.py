@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BudgetScenario, SubdomainBudget, _check_nonnegative
+from .bounds import BudgetScenario, SubdomainBudget, _check_at_least
 from .errors import (
     IndexOutOfRange,
+    InvalidJoint,
     InvalidParameter,
     ZeroMassSubdomain,
 )
-from .info_core import DiscreteDistribution, _entropy, _validated_joint
+from .info_core import DiscreteDistribution, _entropy, _normalised
 
 _ENTROPY_TOL = 1e-10
 _BUDGET_TOL = 1e-10
@@ -47,7 +48,7 @@ class PartitionSpec:
         budgets = tuple(float(b) for b in self.budgets)
         if len(budgets) != n:
             raise InvalidParameter(f"{len(budgets)} budgets for {n} subdomains")
-        _check_nonnegative("", **{f"budgets[{i}]": b for i, b in enumerate(budgets)})
+        _check_at_least(0.0, **{f"budgets[{i}]": b for i, b in enumerate(budgets)})
         object.__setattr__(self, "budgets", budgets)
 
         for i, (p, w) in enumerate(zip(self.masses.probs, budgets)):
@@ -79,15 +80,15 @@ class PartitionSpec:
             entropies = tuple(float(h) for h in self.subdomain_entropies)
             if len(entropies) != n:
                 raise InvalidParameter(f"{len(entropies)} entropies for {n} subdomains")
-            _check_nonnegative("", **{f"subdomain_entropies[{i}]": h
-                                      for i, h in enumerate(entropies)})
+            _check_at_least(0.0, **{f"subdomain_entropies[{i}]": h
+                                    for i, h in enumerate(entropies)})
             object.__setattr__(self, "subdomain_entropies", entropies)
 
         weighted = sum(p * w for p, w in zip(self.masses.probs, budgets))
         if self.total_budget is None:
             object.__setattr__(self, "total_budget", weighted)
         else:
-            _check_nonnegative("", total_budget=self.total_budget)
+            _check_at_least(0.0, total_budget=self.total_budget)
             # equal infinite totals match without forming inf - inf
             if weighted != self.total_budget and abs(weighted - self.total_budget) > _BUDGET_TOL:
                 raise InvalidParameter(
@@ -112,11 +113,12 @@ class PartitionSpec:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PartitionSpec":
         try:
-            masses = DiscreteDistribution(data["masses"])
+            masses = DiscreteDistribution(data["masses"], what="masses")
             priors = data.get("conditional_priors")
             conditional = None
             if priors is not None:
-                conditional = tuple(DiscreteDistribution(p) for p in priors)
+                conditional = tuple(DiscreteDistribution(p, what=f"conditional_priors[{i}]")
+                                    for i, p in enumerate(priors))
             entropies = data.get("entropies")
             budgets = tuple(float(b) for b in data["budgets"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -132,7 +134,7 @@ def h_fed(part: PartitionSpec) -> float:
 
 def generalist_partition(prior: DiscreteDistribution, budget: float) -> PartitionSpec:
     """The trivial one-subdomain partition: full prior, full budget."""
-    _check_nonnegative("", budget=budget)
+    _check_at_least(0.0, budget=budget)
     return PartitionSpec(
         masses=DiscreteDistribution([1.0]),
         budgets=(float(budget),),
@@ -151,7 +153,7 @@ def specialist_partition(
     n = len(priors)
     if not 0 <= i_star < n:
         raise IndexOutOfRange(f"subdomain index {i_star} outside [0, {n})")
-    _check_nonnegative("", budget=budget)
+    _check_at_least(0.0, budget=budget)
     masses = np.zeros(n)
     masses[i_star] = 1.0
     budgets = [0.0] * n
@@ -171,7 +173,7 @@ def build_partition_from_joint(joint, budgets) -> PartitionSpec:
     normalized columns. Zero-mass columns get a uniform placeholder prior,
     which never enters any mass-weighted aggregate.
     """
-    arr = _validated_joint(joint)
+    arr = _normalised(joint, 2, "joint", InvalidJoint)
     n_states, n_sub = arr.shape
     masses = arr.sum(axis=0)
     priors = []
@@ -203,7 +205,7 @@ def scenario_from_partition(
     sum_hy = tuple(float(v) for v in sum_hy)
     if len(sum_hy) != part.n:
         raise InvalidParameter(f"{len(sum_hy)} outcome-entropy sums for {part.n} subdomains")
-    _check_nonnegative("", h_gen=h_gen, **{f"sum_hy[{i}]": v for i, v in enumerate(sum_hy)})
+    _check_at_least(0.0, h_gen=h_gen, **{f"sum_hy[{i}]": v for i, v in enumerate(sum_hy)})
     subs = tuple(
         SubdomainBudget(float(p), float(h), w, s)
         for p, h, w, s in zip(part.masses.probs, part.subdomain_entropies,

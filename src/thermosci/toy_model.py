@@ -25,12 +25,18 @@ from enum import Enum
 import numpy as np
 
 from ._marching import zero_isolines
+from .bounds import _check_at_least
 from .errors import (
     InvalidParameter,
     MalformedGrid,
     NBelowOne,
     NonPositiveOmega,
 )
+
+
+#: most cells a sweep grid may have: a 1000x500 grid peaks near 100 bytes a cell with
+#: its SVG, so this cap holds a sweep to about 1 GB
+MAX_GRID_CELLS = 10_000_000
 
 
 class Pair(str, Enum):
@@ -82,15 +88,13 @@ def eta_toy(omega: float, c: float, alpha: float) -> float:
         raise NonPositiveOmega(f"omega must be > 0, got {omega!r}")
     if not 0.0 < c <= 1.0:
         raise InvalidParameter(f"c must be in (0, 1], got {c!r}")
-    if not alpha >= 0.0:
-        raise InvalidParameter(f"alpha must be >= 0, got {alpha!r}")
+    _check_at_least(0.0, alpha=alpha)
     return min(c / omega, 1.0 / (1.0 + alpha))
 
 
 def c_fed(n: float, c_min: float = 0.05, gamma: float = 1.0) -> float:
     """Effective prior-entropy ratio of an N-way federated decomposition."""
-    if not n >= 1.0:  # NaN fails too
-        raise NBelowOne(f"partition count n must be >= 1, got {n!r}")
+    _check_at_least(1.0, "partition count ", NBelowOne, n=n)
     if not 0.0 < c_min <= 1.0:
         raise InvalidParameter("c_min must be in (0, 1]")
     if not gamma > 0.0:
@@ -102,8 +106,7 @@ def crossover_omega(c: float, alpha: float) -> float:
     """Budget at which the prior-limited branch meets the overhead ceiling."""
     if not 0.0 < c <= 1.0:
         raise InvalidParameter(f"c must be in (0, 1], got {c!r}")
-    if not alpha >= 0.0:  # NaN fails too
-        raise InvalidParameter(f"alpha must be >= 0, got {alpha!r}")
+    _check_at_least(0.0, alpha=alpha)
     return c * (1.0 + alpha)
 
 
@@ -159,8 +162,7 @@ class SecondAxis:
                 raise InvalidParameter(f"{self.kind} axis {name} must be finite, got {value!r}")
         if not self.minimum < self.maximum:
             raise InvalidParameter("axis minimum must be below maximum")
-        if self.steps < 2:
-            raise InvalidParameter("axis needs at least 2 steps")
+        _check_at_least(2, f"{self.kind} axis ", steps=self.steps)
         if self.kind == "c_spec" and (self.minimum <= 0.0 or self.maximum > 1.0):
             raise InvalidParameter("c_spec axis must lie in (0, 1]")
         if self.kind == "n" and self.minimum < 1.0:
@@ -194,8 +196,10 @@ class SweepAxes:
             raise InvalidParameter("omega endpoints must be > 0")
         if not self.omega_min < self.omega_max:
             raise InvalidParameter("omega_min must be below omega_max")
-        if self.omega_steps < 2:
-            raise InvalidParameter("omega axis needs at least 2 steps")
+        _check_at_least(2, omega_steps=self.omega_steps)
+        if self.omega_steps * self.second.steps > MAX_GRID_CELLS:  # before any array exists
+            raise InvalidParameter(f"omega_steps={self.omega_steps} by {self.second.kind} axis "
+                                   f"steps={self.second.steps} is over {MAX_GRID_CELLS:,} cells")
 
     def omega_values(self) -> np.ndarray:
         if self.omega_scale == "log":

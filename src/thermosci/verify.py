@@ -26,7 +26,6 @@ from .cycle_sim import (
     RandomPolicy,
     RoundRobin,
     SampledMode,
-    _check_seed,
     cumulative_information,
     efficiency,
     run_episode,
@@ -445,7 +444,7 @@ def run_suite(scope: str, seed: int) -> dict:
     if scope != "all" and scope not in _SUITES:
         raise ValueError(f"unknown scope {scope!r}; expected one of "
                          f"{sorted(_SUITES)} or 'all'")
-    _check_seed(seed)
+    bounds_mod._check_at_least(0, seed=seed)
     scopes = sorted(_SUITES) if scope == "all" else [scope]
     checks = [{"suite": name, **check} for name in scopes for check in _SUITES[name](seed)]
     return {

@@ -83,6 +83,23 @@ def test_negative_seed_exits_2(env_file, capsys, argv):
     assert "seed" in payload["message"]
 
 
+@pytest.mark.parametrize("field, message", [
+    ("prior", "prior contains non-finite entries"),
+    ("likelihood", "likelihood has negative entries"),
+])
+def test_simulate_names_the_bad_probability_field(tmp_path, capsys, field, message):
+    env = noiseless_binary_env().to_json_dict()
+    if field == "prior":
+        env["prior"] = [math.nan, 0.5]
+    else:
+        env["likelihood"][0][0] = [1.5, -0.5]
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(env))
+    assert main(["simulate", "--env", str(path), "--budget", "1"]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "InvalidDistribution", "message": message}
+
+
 def test_simulate_zero_budget_trivially_passes(tmp_path, env_file, capsys):
     code = main(["simulate", "--env", str(env_file), "--budget", "0"])
     assert code == 0
@@ -160,6 +177,17 @@ def test_sweep_rejects_nan_alpha(tmp_path, capsys):
     assert payload["error"] == "InvalidParameter"
     assert "alpha_gen" in payload["message"]
     assert not (tmp_path / "g.csv").exists()
+
+
+def test_sweep_rejects_a_grid_over_the_cell_cap(tmp_path, capsys):
+    # the cap is checked on the step counts, before any grid array exists
+    out = tmp_path / "g.csv"
+    assert main(["sweep", "--panel", "D", "--omega-steps", "100000000", "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "InvalidParameter"
+    assert "omega_steps=100000000" in payload["message"]
+    assert "n axis steps=100" in payload["message"]
+    assert not out.exists()
 
 
 def test_sweep_svg_emission(tmp_path):

@@ -20,6 +20,7 @@ from thermosci import (
 )
 from thermosci.errors import (
     IndexOutOfRange,
+    InvalidDistribution,
     InvalidParameter,
     ZeroMassSubdomain,
 )
@@ -110,6 +111,18 @@ def test_scenario_from_partition_names_nan_sum_hy_entry():
     part = PartitionSpec(HALVES, (1.0, 1.0), subdomain_entropies=(0.1, 0.2))
     with pytest.raises(InvalidParameter, match=r"sum_hy\[1\] must be >= 0, got nan"):
         scenario_from_partition(part, LN2, (0.1, math.nan))
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"masses": [0.5, math.nan], "entropies": [0.1, 0.2]},
+     "masses contains non-finite entries"),
+    ({"masses": [0.5, 0.5], "conditional_priors": [[0.5, 0.5], [0.7, 0.2]]},
+     "conditional_priors[1] sums to 0.8999999999999999; expected 1 within 1e-09"),
+], ids=["masses", "conditional_priors"])
+def test_partition_json_names_the_bad_probability_field(data, message):
+    with pytest.raises(InvalidDistribution) as info:
+        PartitionSpec.from_json_dict({**data, "budgets": [1.0, 1.0]})
+    assert str(info.value) == message
 
 
 def test_infinite_budget_stays_valid():
