@@ -12,6 +12,7 @@ import sys
 from .bounds import (
     BoundCheck,
     BudgetScenario,
+    _check_at_least,
     bound_report,
     unpartitioned_eta_cap,
     unpartitioned_info_cap,
@@ -99,6 +100,7 @@ def _parse_mode(text: str, seed: int):
 
 
 def _cmd_simulate(args) -> int:
+    _check_at_least(0, seed=args.seed)  # in every mode, not only where a seed is used
     with open(args.env) as fh:
         env = EnvironmentModel.from_json_dict(json.load(fh))
     units = Units(args.units)

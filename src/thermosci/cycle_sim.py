@@ -41,6 +41,7 @@ from .errors import (
     InvalidLedger,
     InvalidParameter,
     NoWorkSpent,
+    TooManyRounds,
     TreeTooLarge,
     ZeroEvidence,
 )
@@ -62,6 +63,9 @@ ZERO_ROUND_TOL = 1e-15
 BUDGET_SLACK = 1e-12
 
 DEFAULT_NODE_CAP = 1_000_000
+#: most rounds an episode runs when no ``max_rounds`` is given: the merged expected
+#: frontier grows a row a round, so rounds cost O(R^2); 2,000 take about 2 s
+DEFAULT_ROUND_CAP = 2_000
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +617,8 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
     h_rows = np.full(1, h_prior)
     reasons: set[str] = set()
     records: list[RoundRecord] = []
-    t = 0
-    while max_rounds is None or t < max_rounds:
+    t, rounds = 0, DEFAULT_ROUND_CAP if max_rounds is None else max_rounds
+    while t < rounds:
         us = frontier.choose(t)  # a -1 row is evaluated on the last table; its walkers stop
         pred, hy, info = predictive_gain(frontier.beliefs, table[us], row_h[us])
         hs = hy
@@ -678,6 +682,10 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
         records.append(RoundRecord(t, u_rec, *(s / n for s in sums), h_sum / n))
         t += 1
     if live.size:
+        if max_rounds is None:
+            raise TooManyRounds("episode still running after the default cap of "
+                                f"{DEFAULT_ROUND_CAP:,} rounds; pass max_rounds "
+                                "(--max-rounds) to run longer")
         reasons.add("max_rounds")
 
     ledger = WorkLedger(tuple(records), budget, sum(r.work_meas + r.work_erase for r in records))
@@ -723,10 +731,12 @@ def run_episode(
     (status ``budget_exhausted_immediately`` if that happens before round 1),
     when ``max_rounds`` is reached, when the policy runs out, or when a
     round would be a zero-cost zero-gain no-op; in sampled mode each trial
-    stops on its own. The policy is asked once per round through
-    ``choose_rows`` when it has one, with each frontier row's ordered
-    ``(u, y)`` pairs as ``paths`` unless it is history-free, else once per
-    frontier row through ``choose`` with the ordered history as a tuple.
+    stops on its own. Without ``max_rounds`` an episode still running after
+    ``DEFAULT_ROUND_CAP`` rounds raises ``TooManyRounds``. The policy is
+    asked once per round through ``choose_rows`` when it has one, with each
+    frontier row's ordered ``(u, y)`` pairs as ``paths`` unless it is
+    history-free, else once per frontier row through ``choose`` with the
+    ordered history as a tuple.
     ``node_cap`` caps expected mode's frontier, counted in merged nodes: one
     per outcome-count vector under a history-free policy (``FixedSequence``,
     ``RoundRobin``, ``GreedyInfoMax``), one per ordered history otherwise.
@@ -741,8 +751,8 @@ def run_episode(
         raise InvalidParameter(
             f"budget must be finite unless max_rounds is given, got {budget!r}"
         )
-    if max_rounds is not None and max_rounds < 0:
-        raise InvalidParameter("max_rounds must be >= 0")
+    if max_rounds is not None:
+        _check_at_least(0, max_rounds=max_rounds)
     if compression is not None and len(compression.mapping) != env.n_outcomes:
         raise IncompleteMapping(
             f"compression covers {len(compression.mapping)} outcomes, environment has "

@@ -29,6 +29,10 @@ class TreeTooLarge(ThermosciError):
     """Exhaustive outcome-tree enumeration would exceed the node cap."""
 
 
+class TooManyRounds(ThermosciError):
+    """An episode reached the default round cap with no ``max_rounds`` given."""
+
+
 class NoWorkSpent(ThermosciError):
     """Efficiency is undefined on a ledger with zero spent work."""
 

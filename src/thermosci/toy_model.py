@@ -240,8 +240,9 @@ class SweepGrid:
         for arr in (self.eta_first, self.eta_second, self.delta):
             if arr.shape != (self.axis2.size, self.omega.size):
                 raise InvalidParameter("grid arrays do not match the axes")
-            if not np.all(np.isfinite(arr)):
-                raise InvalidParameter("grid contains non-finite values")
+        for name in ("omega", "axis2", "eta_first", "eta_second", "delta"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InvalidParameter(f"{name} contains non-finite values")
         if np.any(np.abs(self.delta) > 1.0 + 1e-12):
             raise InvalidParameter("efficiency differences must lie in [-1, 1]")
 
@@ -284,16 +285,19 @@ def write_grid_csv(grid: SweepGrid, path) -> None:
     """Write the grid row-major (omega varying fastest), 9 significant digits.
 
     Streams one axis2 row at a time, so memory stays at one row of text.
+    Each row is one ``%`` on a template of the omega and ``eta_second`` texts
+    (``\\0`` marks axis2), rebuilt only where ``eta_second``'s bytes change.
     """
     omega_text = [f"{x:.9g}," for x in grid.omega.tolist()]
+    values = [0.0] * (2 * grid.omega.size)  # eta_first and delta, interleaved
     with open(path, "w", newline="") as fh:
         fh.write(",".join(GRID_CSV_HEADER) + "\n")
         for j, a2 in enumerate(grid.axis2.tolist()):
-            # %s takes the omega text; the row's axis2 text is part of the format
-            line = f"%s{a2:.9g},%.9g,%.9g,%.9g\n"
-            fh.write("".join(map(line.__mod__, zip(
-                omega_text, grid.eta_first[j].tolist(), grid.eta_second[j].tolist(),
-                grid.delta[j].tolist()))))
+            if j == 0 or grid.eta_second[j].tobytes() != grid.eta_second[j - 1].tobytes():
+                template = "".join(f"{o}\0,%.9g,{e:.9g},%.9g\n" for o, e in
+                                   zip(omega_text, grid.eta_second[j].tolist()))
+            values[0::2], values[1::2] = grid.eta_first[j].tolist(), grid.delta[j].tolist()
+            fh.write(template.replace("\0", f"{a2:.9g}") % tuple(values))
 
 
 def _infer_scale(axis: np.ndarray) -> str:
@@ -332,6 +336,10 @@ def read_grid_csv(path) -> SweepGrid:
         raise MalformedGrid("grid file has no data rows")
     if data.shape[1] != 5:
         raise MalformedGrid("grid rows must have 5 columns")
+    finite = np.isfinite(data).all(axis=0)
+    if not finite.all():  # before a NaN omega can pass for a short omega axis
+        raise MalformedGrid(f"{GRID_CSV_HEADER[int(np.argmin(finite))]} contains "
+                            "non-finite values")
 
     n_rows = data.shape[0]
     repeats = np.flatnonzero(data[1:, 0] == data[0, 0])

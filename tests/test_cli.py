@@ -1,10 +1,12 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from thermosci.cli import main
+from thermosci.cycle_sim import DEFAULT_ROUND_CAP
 from thermosci.toy_model import read_grid_csv
 
 from helpers import asym_binary_env, noiseless_binary_env
@@ -325,3 +327,89 @@ def test_infinite_budget_ledger_round_trips(tmp_path, env_file, capsys):
     assert '"budget_total": Infinity' in path.read_text()
     capsys.readouterr()
     assert _verify_ledger(path) == 0
+
+
+@pytest.mark.parametrize("policy", ["roundrobin", "greedy", "fixed:0"])
+def test_negative_seed_exits_2_in_expected_mode(env_file, capsys, policy):
+    # expected mode draws nothing, but a seed it is given must still be valid
+    assert main(["simulate", "--env", str(env_file), "--budget", "1", "--policy", policy,
+                 "--seed", "-5"]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "InvalidParameter", "message": "seed must be >= 0, got -5"}
+
+
+# ---------------------------------------------------------------------------
+# the default round cap: each run below used to go on for more than 10 s
+
+_NEAR_NOISELESS = 1e-9
+
+
+def _sharp_env_file(tmp_path):
+    path = tmp_path / "sharp.json"
+    e = _NEAR_NOISELESS
+    path.write_text(json.dumps({"prior": [0.5, 0.5], "interventions": 1,
+                                "likelihood": [[[1.0 - e, e], [e, 1.0 - e]]]}))
+    return path
+
+
+def _readme_env_file(tmp_path):
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(asym_binary_env().to_json_dict()))
+    return path
+
+
+@pytest.mark.parametrize("env, budget, mode", [
+    (_readme_env_file, "1e300", "expected"),
+    (_readme_env_file, "1e300", "sampled:1"),
+    (_sharp_env_file, "5", "expected"),
+    (_sharp_env_file, "5", "sampled"),
+], ids=["readme-huge-budget-expected", "readme-huge-budget-sampled",
+        "near-noiseless-expected", "near-noiseless-sampled"])
+def test_runaway_episode_stops_at_the_round_cap(tmp_path, capsys, env, budget, mode):
+    start = time.perf_counter()
+    code = main(["simulate", "--env", str(env(tmp_path)), "--budget", budget,
+                 "--policy", "roundrobin", "--mode", mode])
+    assert time.perf_counter() - start < 30.0
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "TooManyRounds"
+    assert f"{DEFAULT_ROUND_CAP:,} rounds" in payload["message"]
+    assert "--max-rounds" in payload["message"]
+
+
+def test_explicit_max_rounds_runs_past_the_round_cap(tmp_path, capsys):
+    rounds = DEFAULT_ROUND_CAP + 100
+    assert main(["simulate", "--env", str(_sharp_env_file(tmp_path)), "--budget", "5",
+                 "--policy", "roundrobin", "--mode", "sampled:1",
+                 "--max-rounds", str(rounds)]) == 0
+    assert capsys.readouterr().out.startswith(f"status=ok stop=max_rounds rounds={rounds}\n")
+
+
+def test_negative_max_rounds_names_the_value(env_file, capsys):
+    assert main(["simulate", "--env", str(env_file), "--budget", "1",
+                 "--max-rounds", "-1"]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "InvalidParameter",
+                       "message": "max_rounds must be >= 0, got -1"}
+
+
+# ---------------------------------------------------------------------------
+# non-finite grid entries
+
+@pytest.mark.parametrize("column", range(5))
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_contour_names_the_non_finite_grid_column(tmp_path, capsys, column, value):
+    assert main(["sweep", "--panel", "D", "--omega-steps", "4", "--n-steps", "3",
+                 "--out", str(tmp_path / "grid.csv")]) == 0
+    lines = (tmp_path / "grid.csv").read_text().splitlines()
+    fields = lines[1].split(",")  # the first omega cell, which sizes the omega axis
+    fields[column] = value
+    lines[1] = ",".join(fields)
+    (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["contour", "--grid", str(tmp_path / "bad.csv"),
+                 "--out", str(tmp_path / "c.json")]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    name = ("omega", "axis2", "eta_first", "eta_second", "delta_eta")[column]
+    assert payload == {"error": "MalformedGrid",
+                       "message": f"{name} contains non-finite values"}

@@ -14,7 +14,7 @@ import pytest
 import oracle_files as oracle
 from thermosci._marching import zero_isolines
 from thermosci.cli import _PANELS, main
-from thermosci.errors import MalformedGrid
+from thermosci.errors import InvalidParameter, MalformedGrid
 from thermosci.render import render_heatmap_svg
 from thermosci.toy_model import (
     GRID_CSV_HEADER,
@@ -196,3 +196,44 @@ def test_line_endings_and_trailing_blank_line_parse(newline, tail, tmp_path):
     assert np.array_equal(_rows(parsed), _rows(read_grid_csv(plain)))
     assert np.array_equal(_rows(parsed), oracle.read_grid_rows(variant))
     assert parsed.omega_scale == "log"
+
+
+# ---------------------------------------------------------------------------
+# writer edge cases: repeated eta_second rows, signed zeros, float extremes
+
+def test_writer_matches_oracle_on_repeated_rows_and_extreme_values(tmp_path):
+    omega = np.array([5e-324, 1e-300, 0.5, 1.0, 1e300])
+    row_a = np.array([0.0, -0.0, 5e-324, 1e300, -1.7976931348623157e300])
+    row_b = row_a.copy()
+    row_b[0] = -0.0  # equal to row A as values, not as bytes
+    second = np.array([row_a, row_a, row_b, row_a, row_b])
+    first = np.array([[-0.0, 0.0, -5e-324, 9.999999995e299, 1.2345678949999999e300],
+                      [1e300, 5e-324, -0.0, 0.0, 0.1],
+                      [0.0, 0.0, 0.0, 0.0, 0.0],
+                      [-1e-300, 1e300, 2.5e-324, -0.0, 1.0],
+                      [0.3, -0.0, 1e299, 5e-324, 7e300]])
+    delta = np.array([[0.0, -0.0, 5e-324, -5e-324, 1.0],
+                      [-1.0, 0.999999999, -0.0, 1e-300, 0.0],
+                      [-0.0, 0.0, -0.0, 0.0, -0.0],
+                      [0.1234567895, 5e-324, -1e-300, 0.0, -0.5],
+                      [2.5e-324, -0.0, 1.0, -1.0, 0.0]])
+    grid = SweepGrid(None, None, omega, np.array([-0.0, 0.0, 5e-324, 1.0, 1e300]), "n",
+                     "linear", first, second, delta, contours=[])
+    new_csv, old_csv = tmp_path / "new.csv", tmp_path / "old.csv"
+    write_grid_csv(grid, new_csv)
+    oracle.write_grid_csv(grid, old_csv)
+    assert new_csv.read_bytes() == old_csv.read_bytes()
+    # rows A and B differ only in the sign of one zero, and the file keeps it
+    lines = new_csv.read_text().splitlines()
+    assert [lines[1 + 5 * j].split(",")[3] for j in range(5)] == ["0", "0", "-0", "0", "-0"]
+
+
+@pytest.mark.parametrize("name", ["omega", "axis2", "eta_first", "eta_second", "delta"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_grid_names_the_non_finite_field(name, value):
+    # a grid built in-process must not write a CSV that read_grid_csv rejects
+    arrays = {k: np.zeros((2, 3)) for k in ("eta_first", "eta_second", "delta")}
+    arrays["omega"], arrays["axis2"] = np.array([0.1, 0.2, 0.3]), np.array([1.0, 2.0])
+    arrays[name][-1] = value
+    with pytest.raises(InvalidParameter, match=f"^{name} contains non-finite values$"):
+        SweepGrid(None, None, axis2_kind="n", omega_scale="log", contours=[], **arrays)
