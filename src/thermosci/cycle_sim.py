@@ -546,8 +546,8 @@ class _Frontier:
 _TAIL_BITS = np.int64((1 << 27) - 1)
 #: counts at or above this are split as well, so that every partial product is exact
 _COUNT_SPLIT = 1 << 26
-#: a sum over rows replaces the sum over trials only when it has this many fewer terms:
-#: its dozen numpy calls cost about as much as fsum over this many more trials
+#: the split terms replace the repeated values only when they are this many fewer:
+#: the split's dozen numpy calls cost about as much as fsum over this many more terms
 _GROUPING_GAIN = 128
 
 
@@ -575,6 +575,17 @@ def _counted_terms(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if not np.isfinite(terms).all():  # a non-finite value, or a product past the float range
         return np.repeat(values, counts, axis=-1)
     return terms
+
+
+def _exact_terms(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Floats whose ``math.fsum`` is that of ``values`` repeated ``counts`` times.
+
+    Along the last axis: the ``_counted_terms`` split when it has ``_GROUPING_GAIN``
+    fewer terms than the repeated values, else the repeated values; the bits are the same.
+    """
+    if 2 * values.shape[-1] + _GROUPING_GAIN < counts.sum():
+        return _counted_terms(values, counts)
+    return np.repeat(values, counts, axis=-1)
 
 
 def _cdf(probs: np.ndarray) -> np.ndarray:
@@ -608,13 +619,12 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
 
     live = np.arange(n)  # running walkers
     spent = np.zeros(n)  # work spent by each running walker
-    cum, h_now = np.zeros(n), np.full(n, h_prior)  # per walker, running or not
-    # Sampled sums are exact (fsum), so they may run over each row's value times its
-    # trial count instead of over the trials: the bits are the same. They do so when
-    # that gives _GROUPING_GAIN fewer terms. ``stopped`` holds the exact terms of the
-    # stopped trials' posterior entropies, and ``h_rows`` each current row's entropy.
-    stopped: list[float] = []
-    h_rows = np.full(1, h_prior)
+    cum = np.zeros(n)  # information gained by each walker, running or not
+    # Sampled sums are exact (fsum) over each row's value repeated its trial count times;
+    # _exact_terms chooses between the split terms and the repeated values, with the
+    # same bits either way. ``stopped`` holds the terms of the stopped trials' posterior
+    # entropies, and ``h_rows`` each current row's entropy.
+    stopped, h_rows = [], np.full(1, h_prior)
     reasons: set[str] = set()
     records: list[RoundRecord] = []
     t, rounds = 0, DEFAULT_ROUND_CAP if max_rounds is None else max_rounds
@@ -646,40 +656,31 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
                 break
             # only sampled mode gets here: expected mode has one walker
             gone = np.bincount(node[~run], minlength=h_rows.size)
-            stopped += _counted_terms(h_rows, gone).tolist()
+            stopped += _exact_terms(h_rows, gone).tolist()
             node, streams = node[run], streams[:, run]
             gain, round_cost, spent = gain[run], round_cost[run], spent[run]
         spent += round_cost
         cum[live] += gain
-        if not sampled:
-            sums = [math.fsum(c.tolist()) for c in cols]
-        elif 2 * len(frontier.beliefs) + _GROUPING_GAIN < live.size:
-            counts = np.bincount(node, minlength=len(frontier.beliefs))
-            sums = [math.fsum(r) for r in _counted_terms(np.array(cols), counts).tolist()]
-        else:
-            sums = [math.fsum(c[node].tolist()) for c in cols]
-
         if sampled:
+            counts = np.bincount(node, minlength=len(frontier.beliefs))
+            sums = [math.fsum(r) for r in _exact_terms(np.array(cols), counts).tolist()]
             draw = _streams.random(streams)[:, None]
             parent, y = node, (table_cdf[us[node], theta[live]] <= draw).sum(1)
             if not (pred[node, y] > 0.0).all():
                 raise ZeroEvidence("a drawn outcome has zero predictive probability")
         else:
+            sums = [math.fsum(c.tolist()) for c in cols]
             parent, y = np.nonzero(pred > LOG_FLOOR)
         used = us[parent]
         u_rec = int(used[0]) if (used == used[0]).all() else None
         node = frontier.advance(us, pred, parent, y)  # the row of each trial, or of each branch
-        if not sampled:  # no per-row array outlives the round of an expected tree
-            masses = np.bincount(node, weights=masses[parent] * pred[parent, y])
-            h_now[live] = per_walker(_entropies(frontier.beliefs))
-        else:
+        if sampled:
             h_rows = _entropies(frontier.beliefs)
-            h_now[live] = h_rows[node]
-        if sampled and 2 * h_rows.size + len(stopped) + _GROUPING_GAIN < n:
-            h_sum = math.fsum(stopped + _counted_terms(h_rows, np.bincount(node)).tolist())
-        else:
-            h_sum = math.fsum(h_now.tolist())
-        records.append(RoundRecord(t, u_rec, *(s / n for s in sums), h_sum / n))
+            h_terms = stopped + _exact_terms(h_rows, np.bincount(node)).tolist()
+        else:  # no per-row array outlives the round of an expected tree
+            masses = np.bincount(node, weights=masses[parent] * pred[parent, y])
+            h_terms = per_walker(_entropies(frontier.beliefs)).tolist()
+        records.append(RoundRecord(t, u_rec, *(s / n for s in sums), math.fsum(h_terms) / n))
         t += 1
     if live.size:
         if max_rounds is None:
@@ -689,23 +690,19 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
         reasons.add("max_rounds")
 
     ledger = WorkLedger(tuple(records), budget, sum(r.work_meas + r.work_erase for r in records))
-    h_end = records[-1].belief_entropy_after if records else math.fsum(h_now.tolist()) / n
-    values, counts = cum, None  # the trials' totals, grouped by value when that is shorter
-    if sampled:
-        distinct, repeats = np.unique(cum, return_counts=True)
-        if 2 * distinct.size + _GROUPING_GAIN < n:
-            values, counts = distinct, repeats
-    listed = values.tolist()
-    cum_mean = math.fsum(listed if counts is None
-                         else _counted_terms(values, counts).tolist()) / n
+    h_end = records[-1].belief_entropy_after if records else math.fsum([h_prior] * n) / n
+    if sampled:  # the trials' totals, grouped by value
+        values, counts = np.unique(cum, return_counts=True)
+        cum_mean = math.fsum(_exact_terms(values, counts).tolist()) / n
+    else:
+        cum_mean = math.fsum(cum.tolist()) / n
     status = "budget_exhausted_immediately" if not records and reasons == {"budget"} else "ok"
     reason = reasons.pop() if len(reasons) == 1 else "mixed"
     se = None
     if sampled and n > 1:
-        squares = [(c - cum_mean) ** 2 for c in listed]  # numpy's square may round apart
-        if counts is not None:
-            squares = _counted_terms(np.array(squares), counts).tolist()
-        se = math.sqrt(max(math.fsum(squares) / (n - 1), 0.0) / n)
+        # squared one by one in Python: numpy's square may round apart
+        squares = np.array([(c - cum_mean) ** 2 for c in values.tolist()])
+        se = math.sqrt(max(math.fsum(_exact_terms(squares, counts).tolist()) / (n - 1), 0.0) / n)
     # telescoping: outcome-side gains against the posterior-side entropy drop
     if not sampled and abs(cum_mean - (h_prior - h_end)) > 1e-10:
         raise InvalidLedger(f"cumulative information {cum_mean!r} does not telescope to "

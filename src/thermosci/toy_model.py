@@ -64,8 +64,8 @@ class ToyParams:
             raise InvalidParameter("c_min must be in (0, 1]")
         if self.gamma <= 0.0:
             raise InvalidParameter("gamma must be > 0")
-        if min(self.alpha_gen, self.alpha_fed, self.alpha_spec) < 0.0:
-            raise InvalidParameter("alphas must all be >= 0")
+        _check_at_least(0.0, alpha_gen=self.alpha_gen, alpha_fed=self.alpha_fed,
+                        alpha_spec=self.alpha_spec)
         if not self.c_min <= self.c_spec <= 1.0:
             raise InvalidParameter("c_spec must be in [c_min, 1]")
 
@@ -156,17 +156,20 @@ class SecondAxis:
     def __post_init__(self):
         if self.kind not in ("c_spec", "n"):
             raise InvalidParameter(f"unknown axis kind {self.kind!r}")
+        what = f"{self.kind} axis "
         for name in ("minimum", "maximum"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise InvalidParameter(f"{self.kind} axis {name} must be finite, got {value!r}")
+                raise InvalidParameter(f"{what}{name} must be finite, got {value!r}")
         if not self.minimum < self.maximum:
-            raise InvalidParameter("axis minimum must be below maximum")
-        _check_at_least(2, f"{self.kind} axis ", steps=self.steps)
-        if self.kind == "c_spec" and (self.minimum <= 0.0 or self.maximum > 1.0):
-            raise InvalidParameter("c_spec axis must lie in (0, 1]")
-        if self.kind == "n" and self.minimum < 1.0:
-            raise InvalidParameter("n axis must start at 1 or above")
+            raise InvalidParameter(f"{what}minimum must be below maximum, got {self.minimum!r}")
+        _check_at_least(2, what, steps=self.steps)
+        if self.kind == "c_spec" and not self.minimum > 0.0:
+            raise InvalidParameter(f"c_spec axis minimum must be > 0, got {self.minimum!r}")
+        if self.kind == "c_spec" and self.maximum > 1.0:
+            raise InvalidParameter(f"c_spec axis maximum must be <= 1, got {self.maximum!r}")
+        if self.kind == "n":
+            _check_at_least(1.0, what, minimum=self.minimum)
 
     def values(self) -> np.ndarray:
         vals = np.linspace(self.minimum, self.maximum, self.steps)
@@ -190,10 +193,8 @@ class SweepAxes:
             raise InvalidParameter(f"unknown omega scale {self.omega_scale!r}")
         for name in ("omega_min", "omega_max"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvalidParameter(f"{name} must be finite, got {value!r}")
-        if self.omega_min <= 0.0 or self.omega_max <= 0.0:
-            raise InvalidParameter("omega endpoints must be > 0")
+            if not 0.0 < value < math.inf:
+                raise InvalidParameter(f"{name} must be finite and > 0, got {value!r}")
         if not self.omega_min < self.omega_max:
             raise InvalidParameter("omega_min must be below omega_max")
         _check_at_least(2, omega_steps=self.omega_steps)

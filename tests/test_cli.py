@@ -413,3 +413,19 @@ def test_contour_names_the_non_finite_grid_column(tmp_path, capsys, column, valu
     name = ("omega", "axis2", "eta_first", "eta_second", "delta_eta")[column]
     assert payload == {"error": "MalformedGrid",
                        "message": f"{name} contains non-finite values"}
+
+
+# ---------------------------------------------------------------------------
+# toy-law ranges: the message names the field
+
+@pytest.mark.parametrize("panel, flags, message", [
+    ("D", ["--alpha-gen", "-1"], "alpha_gen must be >= 0, got -1.0"),
+    ("D", ["--omega-min", "-1"], "omega_min must be finite and > 0, got -1.0"),
+    ("D", ["--n-min", "5", "--n-max", "2"], "n axis minimum must be below maximum, got 5.0"),
+    ("A", ["--cspec-max", "2"], "c_spec axis maximum must be <= 1, got 2.0"),
+    ("D", ["--n-min", "0.5"], "n axis minimum must be >= 1, got 0.5"),
+])
+def test_sweep_range_error_names_the_field(tmp_path, capsys, panel, flags, message):
+    assert main(["sweep", "--panel", panel, "--out", str(tmp_path / "grid.csv"), *flags]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "InvalidParameter", "message": message}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from thermosci import (
@@ -32,7 +33,7 @@ from thermosci import (
     run_episode,
     stored_entropy,
 )
-from thermosci.cycle_sim import _counted_terms
+from thermosci.cycle_sim import _GROUPING_GAIN, _counted_terms, _exact_terms
 from thermosci.errors import (
     DimensionMismatch,
     IncompleteMapping,
@@ -572,6 +573,47 @@ def test_multi_row_sampled_ledger_is_pinned():
         "cumulative_info_se=0.0021318404515452893)")
 
 
+def test_sampled_ledger_across_the_grouping_threshold_is_pinned():
+    # README environment, 2,000 trials, 40 rounds: the frontier doubles each round, so
+    # the ledger columns are summed from split row terms in rounds 0-10 (1 to 750 rows)
+    # and from repeated row values from round 11 on (1,009 rows and more); recorded from
+    # the engine that chose between sums over rows and over trials inline
+    ledger, summary = run_episode(asym_binary_env(), RoundRobin(), CostModel(), math.inf,
+                                  SampledMode(0, 2000), max_rounds=40)
+    reprs = [repr(r) for r in ledger.records]
+    assert [reprs[k] for k in (0, 9, 10, 11, 39)] == [
+        "RoundRecord(round_index=0, intervention=0, info_gain=0.0863046217355341, "
+        "outcome_entropy=0.6730116670092563, stored_entropy=0.6730116670092563, "
+        "work_meas=0.0863046217355341, work_erase=0.6730116670092563, "
+        "belief_entropy_after=0.6078068861321991)",
+        "RoundRecord(round_index=9, intervention=0, info_gain=0.02470432539829526, "
+        "outcome_entropy=0.6082253353495534, stored_entropy=0.6082253353495534, "
+        "work_meas=0.02470432539829526, work_erase=0.6082253353495534, "
+        "belief_entropy_after=0.2071593336175952)",
+        "RoundRecord(round_index=10, intervention=0, info_gain=0.02168678748453528, "
+        "outcome_entropy=0.6056572091055625, stored_entropy=0.6056572091055625, "
+        "work_meas=0.02168678748453528, work_erase=0.6056572091055625, "
+        "belief_entropy_after=0.1838155611907888)",
+        "RoundRecord(round_index=11, intervention=0, info_gain=0.019126772542494955, "
+        "outcome_entropy=0.6027811162794563, stored_entropy=0.6027811162794563, "
+        "work_meas=0.019126772542494955, work_erase=0.6027811162794563, "
+        "belief_entropy_after=0.16455876680201748)",
+        "RoundRecord(round_index=39, intervention=0, info_gain=0.0008403328065285711, "
+        "outcome_entropy=0.5857998969061118, stored_entropy=0.5857998969061118, "
+        "work_meas=0.0008403328065285711, work_erase=0.5857998969061118, "
+        "belief_entropy_after=0.008259995827166994)",
+    ]
+    # every one of the 40 record reprs, one per line
+    assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == (
+        "3e83d3688467eda5e1fb61b7fab41c740312519b9459b55b470910a0861d1bae")
+    assert ledger.budget_spent == 24.72549596242961
+    assert repr(summary) == (
+        "EpisodeSummary(status='ok', mode='sampled', stop_reason='max_rounds', "
+        "prior_entropy=0.6931471805599453, posterior_entropy=0.008259995827166994, "
+        "cumulative_info=0.6756072812125417, rounds=40, trials=2000, "
+        "cumulative_info_se=0.009496519090295105)")
+
+
 #: finite floats from subnormal to 1e307, both zeros and both signs
 SUM_VALUES = st.floats(min_value=-1e307, max_value=1e307) | st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e307, -1e307])
@@ -605,6 +647,26 @@ def test_counted_terms_split_counts_from_2_to_the_26(pairs):
     counts = np.array([c for _, c in pairs])
     exact = sum(Fraction(v) * c for v, c in pairs)
     assert math.fsum(_counted_terms(values, counts).tolist()) == float(exact)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(SUM_VALUES, st.integers(min_value=0, max_value=300)),
+                min_size=1, max_size=8))
+@example([(0.1, 3), (-0.0, 2)])  # few trials: the repeated values
+@example([(0.1, 200), (1e300, 3), (-0.0, 0)])  # many trials: the split terms
+def test_exact_terms_sum_like_the_repeated_values(pairs):
+    values = np.array([v for v, _ in pairs])
+    counts = np.array([c for _, c in pairs])
+    assume(_fits(values, counts))
+    terms = _exact_terms(np.stack((values, -values)), counts)
+    if 2 * values.size + _GROUPING_GAIN < counts.sum():
+        assert terms.shape[-1] <= 2 * values.size  # split: a head and a tail per value
+    else:
+        assert terms.shape[-1] == counts.sum()
+    for row, got in zip((values, -values), terms.tolist()):
+        expected = math.fsum(np.repeat(row, counts).tolist())
+        total = math.fsum(got)
+        assert (total, math.copysign(1.0, total)) == (expected, math.copysign(1.0, expected))
 
 
 def test_counted_terms_keep_the_sign_of_zero_and_the_float_range():

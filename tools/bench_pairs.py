@@ -1,0 +1,128 @@
+"""Alternating parent/change benchmark pairs, written as one ``BENCH_<pr>.json``.
+
+Run from the directory that should receive the file, with two checkouts of
+the repository (for example two ``git archive`` copies, or a copy of a
+working tree):
+
+    python3 tools/bench_pairs.py --parent ../parent --change ../change --pr N \\
+        --note "what the change does"
+
+Both checkouts must hold the same ``BENCHMARK.json``; its workloads and
+``run_seconds`` set what runs. For each workload and each pair it runs
+``perfbench/run.py`` once in each checkout, one after the other: pair 1 runs
+the parent first, pair 2 the change first, and so on. Each run's value of a
+metric is the last stdout line's JSON. The file gives, per workload and
+end-to-end metric, each side's runs, median and quartiles (inclusive method),
+the pairs in which the change read lower, and the change's median over the
+parent's; per workload, the jobs attempted and failed on each side; and the
+machine, from the first run's provenance line. The file is rewritten after
+every pair, so an interrupted set keeps the pairs it finished.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+SIDES = ("parent", "change")
+#: the provenance fields that describe the run, not the machine
+RUN_FIELDS = ("git_sha", "git_dirty", "workload_seed")
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
+    """One ``perfbench/run.py`` run in ``checkout``: its result and provenance lines."""
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=600)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or len(lines) < 2:
+        raise RuntimeError(f"{workload} in {checkout} exited {done.returncode}: "
+                           f"{done.stderr.strip()[-500:]}")
+    return json.loads(lines[-1]), json.loads(lines[-2])["provenance"]
+
+
+def spread(runs: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
+            "iqr": round(q3 - q1, 4), "runs": sorted(round(v, 4) for v in runs)}
+
+
+def summarise(results: dict) -> dict:
+    """Per-metric spread of each side, pair wins and the ratio of medians."""
+    metrics = {}
+    for name in results["parent"][0]["metrics"]:
+        runs = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
+        entry = {side: spread(runs[side]) for side in SIDES}
+        entry["change_lower_in_pairs"] = sum(c < p for p, c in zip(runs["parent"],
+                                                                     runs["change"]))
+        entry["change_over_parent_median"] = round(
+            entry["change"]["median"] / entry["parent"]["median"], 4)
+        metrics[name] = entry
+    return {
+        "pairs": len(results["parent"]),
+        "correct_all_runs": all(r["correct"] for side in SIDES for r in results[side]),
+        "attempted_jobs": {side: sum(r["attempted"] for r in results[side]) for side in SIDES},
+        "failed_jobs": {side: sum(r["failed"] for r in results[side]) for side in SIDES},
+        "metrics": metrics,
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True, help="checkout of the parent commit")
+    p.add_argument("--change", required=True, help="checkout of the change")
+    p.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--note", default="", help="what the change does, for the file's readers")
+    args = p.parse_args(argv)
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2, to give quartiles")
+    out = f"BENCH_{args.pr}.json"
+    checkouts = {"parent": args.parent, "change": args.change}
+    specs = []
+    for checkout in checkouts.values():
+        with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
+            specs.append(json.load(fh))
+    if specs[0] != specs[1]:
+        p.error("the two checkouts hold different BENCHMARK.json files")
+    seconds = specs[0]["run_seconds"]
+    bench = {
+        "bench": f"BENCH_{args.pr}",
+        "change": args.note,
+        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
+                   f"--seconds {seconds} --trace 0",
+        "method": "alternating pairs: pair i runs the parent first when i is odd and the "
+                  "change first when i is even; each value is the last-line JSON metric of "
+                  "one run; medians and quartiles (inclusive method) over the runs of each "
+                  "side; change_lower_in_pairs counts pairs where the change read lower",
+        "machine": None,
+        "workloads": {},
+    }
+    for workload in (w["name"] for w in specs[0]["workloads"]):
+        results = {side: [] for side in SIDES}
+        for pair in range(1, args.pairs + 1):
+            for side in (SIDES if pair % 2 else SIDES[::-1]):
+                result, provenance = run_once(checkouts[side], workload, args.seed, seconds)
+                results[side].append(result)
+                bench[f"{side}_sha"] = provenance["git_sha"]
+                if bench["machine"] is None:
+                    bench["machine"] = {k: v for k, v in provenance.items()
+                                        if k not in RUN_FIELDS}
+            if pair >= 2:
+                bench["workloads"][f"{workload}/seed{args.seed}"] = summarise(results)
+                with open(out, "w") as fh:
+                    json.dump(bench, fh, indent=1)
+                    fh.write("\n")
+            print(f"{workload} pair {pair}/{args.pairs}: " + "  ".join(
+                f"{side} pass_cal={results[side][-1]['metrics']['pass_cal']['value']:.4g}"
+                for side in SIDES), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
