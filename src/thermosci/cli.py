@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 failed checks, 2 configuration/schema errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -252,6 +253,7 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every main call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thermosci",

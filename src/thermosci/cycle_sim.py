@@ -119,10 +119,14 @@ class EnvironmentModel:
         try:
             prior = DiscreteDistribution(data["prior"], what="prior")
             lik = LikelihoodModel(data["likelihood"], what="likelihood")
-            count = int(data["interventions"])
+            count = data["interventions"]
+            integral = 0 <= count < math.inf and count == int(count)  # NaN fails first
         except (KeyError, TypeError, ValueError) as exc:
             raise DimensionMismatch(f"environment JSON does not match schema: {exc}") from exc
-        return cls(prior, lik, count)
+        if not integral:
+            raise DimensionMismatch(f"interventions must be an integral count >= 0, "
+                                    f"got {count!r}")
+        return cls(prior, lik, int(count))
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,10 @@ def c_fed(n: float, c_min: float = 0.05, gamma: float = 1.0) -> float:
         raise InvalidParameter("c_min must be in (0, 1]")
     if not gamma > 0.0:
         raise InvalidParameter(f"gamma must be > 0, got {gamma!r}")
-    return c_min + (1.0 - c_min) / n**gamma
+    try:
+        return c_min + (1.0 - c_min) / n**gamma
+    except OverflowError:  # n**gamma past the float range: the law's limit
+        return c_min
 
 
 def crossover_omega(c: float, alpha: float) -> float:

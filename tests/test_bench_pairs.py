@@ -1,0 +1,83 @@
+"""The pure parts of ``tools/bench_pairs.py``: spreads, summaries and checkout shas."""
+
+import importlib.util
+import pathlib
+import subprocess
+
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def _result(pass_cal, correct=True, failed=0):
+    return {"correct": correct, "attempted": 10, "failed": failed,
+            "metrics": {"pass_cal": {"value": pass_cal, "unit": "cal"}}}
+
+
+def test_spread_gives_inclusive_quartiles():
+    assert bench_pairs.spread([5.0, 1.0, 3.0, 2.0, 4.0]) == {
+        "median": 3.0, "q1": 2.0, "q3": 4.0, "iqr": 2.0, "runs": [1.0, 2.0, 3.0, 4.0, 5.0]}
+
+
+def test_summarise_counts_pair_wins_and_failures():
+    results = {"parent": [_result(4.0), _result(3.0), _result(5.0)],
+               "change": [_result(3.0), _result(3.0), _result(2.0, failed=1)]}
+    summary = bench_pairs.summarise(results)
+    assert summary["pairs"] == 3
+    assert summary["correct_all_runs"] is True
+    assert summary["attempted_jobs"] == {"parent": 30, "change": 30}
+    assert summary["failed_jobs"] == {"parent": 0, "change": 1}
+    metric = summary["metrics"]["pass_cal"]
+    assert metric["change_lower_in_pairs"] == 2  # the tie in pair 2 counts for neither
+    assert metric["parent"]["median"] == 4.0 and metric["change"]["median"] == 3.0
+    assert metric["change_over_parent_median"] == 0.75
+
+
+def test_summarise_reports_an_incorrect_run():
+    results = {"parent": [_result(1.0), _result(1.0)],
+               "change": [_result(1.0), _result(1.0, correct=False)]}
+    assert bench_pairs.summarise(results)["correct_all_runs"] is False
+
+
+def _git(cwd, *args):
+    return subprocess.run(["git", "-C", str(cwd), "-c", "user.name=bench",
+                           "-c", "user.email=bench@example.com", *args],
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+@pytest.fixture()
+def repo(tmp_path):
+    root = tmp_path / "repo"
+    root.mkdir()
+    _git(root, "init", "-q")
+    (root / "BENCHMARK.json").write_text("{}\n")
+    _git(root, "add", "BENCHMARK.json")
+    _git(root, "commit", "-q", "-m", "first")
+    return root
+
+
+def test_checkout_sha_reads_the_head_of_a_git_checkout(repo):
+    assert bench_pairs.checkout_sha(str(repo)) == _git(repo, "rev-parse", "HEAD")
+
+
+def test_checkout_sha_is_none_for_a_plain_directory(tmp_path):
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    assert bench_pairs.checkout_sha(str(plain)) is None
+
+
+def test_checkout_sha_reads_a_worktree_whose_git_is_a_file(repo):
+    tree = repo.parent / "tree"
+    _git(repo, "worktree", "add", "-q", "--detach", str(tree), "HEAD")
+    assert (tree / ".git").is_file()
+    assert bench_pairs.checkout_sha(str(tree)) == _git(repo, "rev-parse", "HEAD")
+
+
+def test_checkout_sha_ignores_the_repository_around_a_plain_copy(repo):
+    copy = repo / "copy"  # as a git archive export unpacked inside another checkout
+    copy.mkdir()
+    (copy / "BENCHMARK.json").write_text("{}\n")
+    assert bench_pairs.checkout_sha(str(copy)) is None

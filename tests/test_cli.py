@@ -1,13 +1,20 @@
+import argparse
+import contextlib
+import io
 import json
 import math
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thermosci.cli import main
+from thermosci.cli import _build_parser, main
 from thermosci.cycle_sim import DEFAULT_ROUND_CAP
-from thermosci.toy_model import read_grid_csv
+from thermosci.toy_model import c_fed, read_grid_csv
 
 from helpers import asym_binary_env, noiseless_binary_env
 
@@ -429,3 +436,107 @@ def test_sweep_range_error_names_the_field(tmp_path, capsys, panel, flags, messa
     assert main(["sweep", "--panel", panel, "--out", str(tmp_path / "grid.csv"), *flags]) == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload == {"error": "InvalidParameter", "message": message}
+
+
+# ---------------------------------------------------------------------------
+# the toy law past the float range
+
+def test_sweep_with_a_huge_gamma_reaches_the_c_min_limit(tmp_path, capsys):
+    # 20**400 overflows a float; the law's limit there is c_fed = c_min
+    out = tmp_path / "d.csv"
+    assert main(["sweep", "--panel", "D", "--gamma", "400", "--out", str(out)]) == 0
+    grid = read_grid_csv(out)
+    n = grid.axis2[grid.axis2 > 1.0]
+    assert n.size == grid.axis2.size - 1
+    assert all(c_fed(float(v), 0.05, 400.0) == 0.05 for v in n)
+    ceiling = np.minimum(0.05 / grid.omega, 1.0 / 1.4)  # panel D: alpha_fed = 0.4
+    assert np.allclose(grid.eta_first[grid.axis2 > 1.0], ceiling, rtol=1e-8, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the environment's intervention count
+
+@pytest.mark.parametrize("count", [1.5, math.nan, 1e300])
+def test_simulate_rejects_a_non_integral_intervention_count(tmp_path, capsys, count):
+    env = noiseless_binary_env().to_json_dict()
+    env["interventions"] = count
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(env))
+    assert main(["simulate", "--env", str(path), "--budget", "1"]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "DimensionMismatch"
+    assert "interventions" in payload["message"]
+
+
+# ---------------------------------------------------------------------------
+# main may be called many times in one process, on one parser
+
+def test_the_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_main_keeps_no_flag_from_an_earlier_call(env_file, capsys):
+    argv = ["simulate", "--env", str(env_file), "--budget", "2", "--policy", "roundrobin"]
+    assert main([*argv, "--units", "bits", "--max-rounds", "1"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    fresh = subprocess.run([sys.executable, "-m", "thermosci.cli", *argv],
+                           capture_output=True, text=True)
+    assert fresh.returncode == 0, fresh.stderr
+    assert capsys.readouterr().out == fresh.stdout
+
+
+def test_main_runs_after_a_rejected_call(env_file, capsys):
+    argv = ["simulate", "--env", str(env_file), "--budget", "2", "--policy", "roundrobin"]
+    assert main(argv) == 0
+    before = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--no-such-flag"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: thermosci")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == before
+
+
+# ---------------------------------------------------------------------------
+# fuzz gate: every numeric flag of simulate and sweep, one bad value at a time
+
+def _numeric_flags():
+    commands = next(a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    return [(command, action.option_strings[0], action.dest)
+            for command in ("simulate", "sweep")
+            for action in commands[command]._actions if action.type in (int, float)]
+
+
+#: the field a flag's error names, where that is not the flag's dest
+_FIELD = {"delta_f": "delta_f_mem", "cmin": "c_min",
+          "n_min": "n axis", "n_max": "n axis", "n_steps": "n axis steps",
+          "cspec_min": "c_spec axis", "cspec_max": "c_spec axis",
+          "cspec_steps": "c_spec axis steps"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_numeric_flags()), st.sampled_from(["nan", "inf", "-inf", "-1", "huge"]))
+def test_numeric_flags_fail_by_name(tmp_path_factory, flag, value):
+    command, option, dest = flag
+    if value == "huge":
+        value = "1000000000" if dest.endswith("steps") else "1e308"
+    out = tmp_path_factory.getbasetemp() / "fuzz"
+    out.mkdir(exist_ok=True)
+    if command == "simulate":
+        env = out / "env.json"
+        env.write_text(json.dumps(asym_binary_env().to_json_dict()))
+        argv = ["simulate", "--env", str(env), "--budget", "1", "--max-rounds", "20"]
+    else:  # the c_spec flags shape only the c_spec axis of panel A
+        argv = ["sweep", "--panel", "A" if "cspec" in dest else "D", "--out", str(out / "g.csv")]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            code = main([*argv, f"{option}={value}"])  # "=": argparse takes -inf as a value
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2)
+    if code == 2:
+        err = stderr.getvalue()
+        assert _FIELD.get(dest, dest) in err or option in err, err

@@ -1,8 +1,7 @@
 """Alternating parent/change benchmark pairs, written as one ``BENCH_<pr>.json``.
 
 Run from the directory that should receive the file, with two checkouts of
-the repository (for example two ``git archive`` copies, or a copy of a
-working tree):
+the repository, for example made with ``git worktree add --detach DIR SHA``:
 
     python3 tools/bench_pairs.py --parent ../parent --change ../change --pr N \\
         --note "what the change does"
@@ -15,7 +14,10 @@ metric is the last stdout line's JSON. The file gives, per workload and
 end-to-end metric, each side's runs, median and quartiles (inclusive method),
 the pairs in which the change read lower, and the change's median over the
 parent's; per workload, the jobs attempted and failed on each side; and the
-machine, from the first run's provenance line. The file is rewritten after
+machine, from the first run's provenance line. Each side's sha is its
+checkout's ``HEAD``, read only when the directory is the top of a git working
+tree: a plain copy, such as a ``git archive`` export, gets null rather than
+the commit of a repository it happens to sit in. The file is rewritten after
 every pair, so an interrupted set keeps the pairs it finished.
 """
 
@@ -43,6 +45,19 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int) -> tuple[dic
         raise RuntimeError(f"{workload} in {checkout} exited {done.returncode}: "
                            f"{done.stderr.strip()[-500:]}")
     return json.loads(lines[-1]), json.loads(lines[-2])["provenance"]
+
+
+def _git(checkout: str, *args: str) -> str | None:
+    done = subprocess.run(["git", "-C", checkout, *args], capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def checkout_sha(checkout: str) -> str | None:
+    """``HEAD`` of ``checkout`` if it is the top of a git working tree, else None."""
+    top = _git(checkout, "rev-parse", "--show-toplevel")
+    if top is None or os.path.realpath(top) != os.path.realpath(checkout):
+        return None
+    return _git(checkout, "rev-parse", "HEAD")
 
 
 def spread(runs: list[float]) -> dict:
@@ -100,6 +115,8 @@ def main(argv=None) -> int:
                   "change first when i is even; each value is the last-line JSON metric of "
                   "one run; medians and quartiles (inclusive method) over the runs of each "
                   "side; change_lower_in_pairs counts pairs where the change read lower",
+        "parent_sha": checkout_sha(args.parent),
+        "change_sha": checkout_sha(args.change),
         "machine": None,
         "workloads": {},
     }
@@ -109,7 +126,6 @@ def main(argv=None) -> int:
             for side in (SIDES if pair % 2 else SIDES[::-1]):
                 result, provenance = run_once(checkouts[side], workload, args.seed, seconds)
                 results[side].append(result)
-                bench[f"{side}_sha"] = provenance["git_sha"]
                 if bench["machine"] is None:
                     bench["machine"] = {k: v for k, v in provenance.items()
                                         if k not in RUN_FIELDS}
