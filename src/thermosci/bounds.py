@@ -34,6 +34,13 @@ def _check_at_least(low: float, what: str = "",
             raise error(f"{what}{name} must be >= {low:g}, got {value!r}")
 
 
+def _json_count(value, path: str, error: type[ThermosciError] = InvalidParameter) -> int:
+    """A JSON count as an int, else ``error`` naming ``path``: past 2**53 floats skip counts."""
+    if type(value) in (int, float) and 0 <= value <= 2**53 and value == int(value):
+        return int(value)  # NaN and inf fail the range before int() sees them
+    raise error(f"{path} must be an integral count in [0, 2**53], got {value!r}")
+
+
 @dataclass(frozen=True)
 class SubdomainBudget:
     """One subdomain's share: mass, conditional prior entropy, budget, outcome entropy sum."""

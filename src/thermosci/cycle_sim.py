@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _streams
-from .bounds import _check_at_least
+from .bounds import _check_at_least, _json_count
 from .errors import (
     DimensionMismatch,
     IncompleteMapping,
@@ -119,14 +119,10 @@ class EnvironmentModel:
         try:
             prior = DiscreteDistribution(data["prior"], what="prior")
             lik = LikelihoodModel(data["likelihood"], what="likelihood")
-            count = data["interventions"]
-            integral = 0 <= count < math.inf and count == int(count)  # NaN fails first
+            count = _json_count(data["interventions"], "interventions", DimensionMismatch)
         except (KeyError, TypeError, ValueError) as exc:
             raise DimensionMismatch(f"environment JSON does not match schema: {exc}") from exc
-        if not integral:
-            raise DimensionMismatch(f"interventions must be an integral count >= 0, "
-                                    f"got {count!r}")
-        return cls(prior, lik, int(count))
+        return cls(prior, lik, count)
 
 
 @dataclass(frozen=True)
@@ -346,7 +342,8 @@ class RoundRecord:
                                     f"got {value!r}")
             object.__setattr__(self, name, value)
         _check_at_least(-BUDGET_SLACK, f"round {self.round_index}: ", InvalidLedger,
-                        info_gain=self.info_gain, belief_entropy_after=self.belief_entropy_after)
+                        belief_entropy_after=self.belief_entropy_after,
+                        **{name: getattr(self, name) for name in _RECORD_FLOATS[:3]})
         if self.work_meas < self.info_gain - BUDGET_SLACK:
             raise InvalidLedger(
                 f"round {self.round_index}: measurement work {self.work_meas!r} below "
@@ -418,14 +415,15 @@ class WorkLedger:
             units = Units(data.get("units", "nats"))
             scale = 1.0 if units == Units.NATS else LN2
             records = tuple(
-                RoundRecord(int(r["round"]),
-                            None if r["intervention"] is None else int(r["intervention"]),
+                RoundRecord(_json_count(r["round"], f"records[{i}].round", InvalidLedger),
+                            None if r["intervention"] is None else _json_count(
+                                r["intervention"], f"records[{i}].intervention", InvalidLedger),
                             *(float(r[name]) * scale for name in _RECORD_FLOATS))
-                for r in data["records"]
+                for i, r in enumerate(data["records"])
             )
             return cls(records, float(data["budget_total"]) * scale,
                        float(data["budget_spent"]) * scale)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidLedger(f"ledger JSON does not match schema: {exc}") from exc
 
 

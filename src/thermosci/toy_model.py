@@ -160,19 +160,19 @@ class SecondAxis:
         if self.kind not in ("c_spec", "n"):
             raise InvalidParameter(f"unknown axis kind {self.kind!r}")
         what = f"{self.kind} axis "
-        for name in ("minimum", "maximum"):
+        for name in ("maximum", "minimum"):  # each bound's own range before their order
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise InvalidParameter(f"{what}{name} must be finite, got {value!r}")
+            if self.kind == "n":
+                _check_at_least(1.0, what, **{name: value})
+            elif not value > 0.0:
+                raise InvalidParameter(f"{what}{name} must be > 0, got {value!r}")
         if not self.minimum < self.maximum:
             raise InvalidParameter(f"{what}minimum must be below maximum, got {self.minimum!r}")
         _check_at_least(2, what, steps=self.steps)
-        if self.kind == "c_spec" and not self.minimum > 0.0:
-            raise InvalidParameter(f"c_spec axis minimum must be > 0, got {self.minimum!r}")
         if self.kind == "c_spec" and self.maximum > 1.0:
             raise InvalidParameter(f"c_spec axis maximum must be <= 1, got {self.maximum!r}")
-        if self.kind == "n":
-            _check_at_least(1.0, what, minimum=self.minimum)
 
     def values(self) -> np.ndarray:
         vals = np.linspace(self.minimum, self.maximum, self.steps)
@@ -291,17 +291,27 @@ def write_grid_csv(grid: SweepGrid, path) -> None:
     Streams one axis2 row at a time, so memory stays at one row of text.
     Each row is one ``%`` on a template of the omega and ``eta_second`` texts
     (``\\0`` marks axis2), rebuilt only where ``eta_second``'s bytes change.
+    While a template holds, the leading cells whose ``eta_first`` and ``delta``
+    bytes repeat the row above keep that row's text; only the rest is formatted.
     """
     omega_text = [f"{x:.9g}," for x in grid.omega.tolist()]
-    values = [0.0] * (2 * grid.omega.size)  # eta_first and delta, interleaved
     with open(path, "w", newline="") as fh:
         fh.write(",".join(GRID_CSV_HEADER) + "\n")
         for j, a2 in enumerate(grid.axis2.tolist()):
+            cells = np.array((grid.eta_first[j], grid.delta[j]), dtype=np.float64)
+            bits, k = cells.view(np.int64), 0  # int64 views tell -0.0 from 0.0
             if j == 0 or grid.eta_second[j].tobytes() != grid.eta_second[j - 1].tobytes():
-                template = "".join(f"{o}\0,%.9g,{e:.9g},%.9g\n" for o, e in
-                                   zip(omega_text, grid.eta_second[j].tolist()))
-            values[0::2], values[1::2] = grid.eta_first[j].tolist(), grid.delta[j].tolist()
-            fh.write(template.replace("\0", f"{a2:.9g}") % tuple(values))
+                pieces = [f"{o}\0,%.9g,{e:.9g},%.9g\n" for o, e in
+                          zip(omega_text, grid.eta_second[j].tolist())]
+                template, starts = "".join(pieces), np.cumsum([0, *map(len, pieces)])
+            else:
+                changed = (bits != last_bits).any(axis=0)
+                k = int(changed.argmax()) if changed.any() else changed.size
+            # the row above's text up to the end of its k-th line, then cells k.. formatted
+            text = (text[:len(text) - len(text.split("\n", k)[k])] if k else "") + (
+                template[starts[k]:] % tuple(cells[:, k:].T.ravel().tolist()))
+            fh.write(text.replace("\0", f"{a2:.9g}"))
+            last_bits = bits
 
 
 def _infer_scale(axis: np.ndarray) -> str:
@@ -323,15 +333,15 @@ def read_grid_csv(path) -> SweepGrid:
     try:
         with open(path) as fh:
             line = fh.readline()
-            header = line.rstrip("\r\n").split(",") if line else None
-            if header is None or tuple(h.strip() for h in header) != GRID_CSV_HEADER:
-                raise MalformedGrid(
-                    f"expected header {','.join(GRID_CSV_HEADER)!r}, got {header!r}"
-                )
-            with warnings.catch_warnings():
-                # an empty body is reported below, not as numpy's UserWarning
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        header = line.rstrip("\r\n").split(",") if line else None
+        if header is None or tuple(h.strip() for h in header) != GRID_CSV_HEADER:
+            raise MalformedGrid(f"expected header {','.join(GRID_CSV_HEADER)!r}, got {header!r}")
+        with warnings.catch_warnings():
+            # an empty body is reported below, not as numpy's UserWarning
+            warnings.simplefilter("ignore", UserWarning)
+            # given a path, numpy reads in C chunks, not a line at a time; the header
+            # check must come first, or numpy would quietly unpack a file named *.gz
+            data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=1)
     except OSError as exc:
         raise MalformedGrid(f"cannot read grid file: {exc}") from exc
     except ValueError as exc:

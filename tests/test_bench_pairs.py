@@ -1,6 +1,7 @@
-"""The pure parts of ``tools/bench_pairs.py``: spreads, summaries and checkout shas."""
+"""``tools/bench_pairs.py`` without perfbench: spreads, summaries, shas and workload choice."""
 
 import importlib.util
+import json
 import pathlib
 import subprocess
 
@@ -81,3 +82,50 @@ def test_checkout_sha_ignores_the_repository_around_a_plain_copy(repo):
     copy.mkdir()
     (copy / "BENCHMARK.json").write_text("{}\n")
     assert bench_pairs.checkout_sha(str(copy)) is None
+
+
+def _checkouts(tmp_path):
+    spec = {"run_seconds": 1, "workloads": [{"name": "a"}, {"name": "b"}, {"name": "c"}]}
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+    return ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--pr", "0", "--pairs", "2"]
+
+
+def _fake_runs(monkeypatch, tmp_path) -> list:
+    ran = []
+
+    def fake_run_once(checkout, workload, seed, seconds):  # no perfbench process
+        ran.append((pathlib.Path(checkout).name, workload))
+        return _result(1.0), {"host": "test"}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    monkeypatch.chdir(tmp_path)
+    return ran
+
+
+def test_main_runs_only_the_named_workloads_in_file_order(tmp_path, monkeypatch):
+    ran = _fake_runs(monkeypatch, tmp_path)
+    argv = _checkouts(tmp_path) + ["--workload", "c", "--workload", "a", "--workload", "c"]
+    assert bench_pairs.main(argv) == 0
+    assert [w for _, w in ran] == ["a"] * 4 + ["c"] * 4
+    assert [side for side, _ in ran[:4]] == ["parent", "change", "change", "parent"]
+    bench = json.loads((tmp_path / "BENCH_0.json").read_text())
+    assert sorted(bench["workloads"]) == ["a/seed1", "c/seed1"]
+
+
+def test_main_runs_every_workload_by_default(tmp_path, monkeypatch):
+    ran = _fake_runs(monkeypatch, tmp_path)
+    assert bench_pairs.main(_checkouts(tmp_path)) == 0
+    assert [w for _, w in ran] == ["a"] * 4 + ["b"] * 4 + ["c"] * 4
+
+
+def test_main_rejects_an_unknown_workload_before_any_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("a run started"))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(_checkouts(tmp_path) + ["--workload", "a", "--workload", "zz"])
+    assert exc.value.code == 2
+    assert "unknown workload zz; BENCHMARK.json has a, b, c" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_0.json").exists()

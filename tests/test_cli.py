@@ -329,6 +329,43 @@ def test_verify_rejects_non_finite_ledger_values(tmp_path, env_file, capsys, fie
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["round", "intervention"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 1.5, -1, 1e308, "0"])
+def test_verify_rejects_a_ledger_count_by_its_path(tmp_path, env_file, capsys, field, value):
+    path = _saved_ledger(tmp_path, env_file, "--budget", str(2 * LN2))
+    data = json.loads(path.read_text())
+    data["records"][0][field] = value
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert _verify_ledger(path) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "InvalidLedger", "message":
+                       f"records[0].{field} must be an integral count in [0, 2**53], "
+                       f"got {value!r}"}
+
+
+def test_verify_accepts_an_integral_float_ledger_count(tmp_path, env_file, capsys):
+    path = _saved_ledger(tmp_path, env_file, "--budget", str(2 * LN2))
+    data = json.loads(path.read_text())
+    data["records"][0]["round"] = 0.0
+    data["records"][0]["intervention"] = 2.0**53
+    path.write_text(json.dumps(data))
+    assert _verify_ledger(path) == 0
+
+
+@pytest.mark.parametrize("field", ["outcome_entropy", "stored_entropy"])
+def test_verify_rejects_a_negative_ledger_entropy(tmp_path, env_file, capsys, field):
+    path = _saved_ledger(tmp_path, env_file, "--budget", str(2 * LN2))
+    data = json.loads(path.read_text())
+    data["records"][0][field] = -1.0
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert _verify_ledger(path) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "InvalidLedger",
+                       "message": f"round 0: {field} must be >= -1e-12, got -1.0"}
+
+
 def test_infinite_budget_ledger_round_trips(tmp_path, env_file, capsys):
     path = _saved_ledger(tmp_path, env_file, "--budget", "inf", "--max-rounds", "3")
     assert '"budget_total": Infinity' in path.read_text()
@@ -431,6 +468,10 @@ def test_contour_names_the_non_finite_grid_column(tmp_path, capsys, column, valu
     ("D", ["--n-min", "5", "--n-max", "2"], "n axis minimum must be below maximum, got 5.0"),
     ("A", ["--cspec-max", "2"], "c_spec axis maximum must be <= 1, got 2.0"),
     ("D", ["--n-min", "0.5"], "n axis minimum must be >= 1, got 0.5"),
+    # the maximum's own range is checked before the order, so the message names it
+    ("D", ["--n-max=-1"], "n axis maximum must be >= 1, got -1.0"),
+    ("A", ["--cspec-max=-1"], "c_spec axis maximum must be > 0, got -1.0"),
+    ("A", ["--cspec-min", "0"], "c_spec axis minimum must be > 0, got 0.0"),
 ])
 def test_sweep_range_error_names_the_field(tmp_path, capsys, panel, flags, message):
     assert main(["sweep", "--panel", panel, "--out", str(tmp_path / "grid.csv"), *flags]) == 2
@@ -466,6 +507,21 @@ def test_simulate_rejects_a_non_integral_intervention_count(tmp_path, capsys, co
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "DimensionMismatch"
     assert "interventions" in payload["message"]
+
+
+@pytest.mark.parametrize("count, message", [
+    (1e300, "interventions must be an integral count in [0, 2**53], got 1e+300"),
+    (3, "declared 3 interventions but likelihood has 1"),
+    (3.0, "declared 3 interventions but likelihood has 1"),
+])
+def test_simulate_prints_the_declared_intervention_count(tmp_path, capsys, count, message):
+    env = asym_binary_env().to_json_dict()
+    env["interventions"] = count
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(env))
+    assert main(["simulate", "--env", str(path), "--budget", "1"]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "DimensionMismatch", "message": message}
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ before the file layer became array code), and the CSV reader must parse to
 exactly the floats that ``csv.reader`` plus ``float`` give.
 """
 
+import gzip
 import json
 import warnings
 
@@ -226,6 +227,176 @@ def test_writer_matches_oracle_on_repeated_rows_and_extreme_values(tmp_path):
     # rows A and B differ only in the sign of one zero, and the file keeps it
     lines = new_csv.read_text().splitlines()
     assert [lines[1 + 5 * j].split(",")[3] for j in range(5)] == ["0", "0", "-0", "0", "-0"]
+
+
+# ---------------------------------------------------------------------------
+# writer: cells that repeat the row above are copied from that row's text
+
+
+def _leading_repeats(grid: SweepGrid) -> list:
+    """Per row, the count of leading cells whose eta_first and delta bytes repeat the row
+    above, or None where eta_second's bytes change (the writer rebuilds its template)."""
+    counts = [None]
+    for j in range(1, grid.axis2.size):
+        if grid.eta_second[j].tobytes() != grid.eta_second[j - 1].tobytes():
+            counts.append(None)
+            continue
+        same = [grid.eta_first[j, i].tobytes() == grid.eta_first[j - 1, i].tobytes()
+                and grid.delta[j, i].tobytes() == grid.delta[j - 1, i].tobytes()
+                for i in range(grid.omega.size)]
+        counts.append(same.index(False) if False in same else len(same))
+    return counts
+
+
+def _write_both(grid: SweepGrid, tmp_path) -> str:
+    new_csv, old_csv = tmp_path / "new.csv", tmp_path / "old.csv"
+    write_grid_csv(grid, new_csv)
+    oracle.write_grid_csv(grid, old_csv)
+    assert new_csv.read_bytes() == old_csv.read_bytes()
+    return new_csv.read_text()
+
+
+def _grid_of(first, second, delta) -> SweepGrid:
+    first, second, delta = (np.array(a, dtype=float) for a in (first, second, delta))
+    ny, nx = first.shape
+    return SweepGrid(None, None, np.linspace(0.5, 2.0, nx), np.linspace(1.0, 2.0, ny), "n",
+                     "linear", first, second, delta, contours=[])
+
+
+def test_writer_copies_none_some_or_all_of_the_row_above(tmp_path):
+    base = [0.5, 0.25, 0.125, 1.0 / 3.0, 0.1]
+    first = [base,
+             [0.75] + base[1:],  # cell 0 differs: nothing is copied
+             [0.75, 0.25, 0.7, 1.0 / 3.0, 0.1],  # two cells copied
+             [0.75, 0.25, 0.7, 1.0 / 3.0, 0.1],  # the whole row copied
+             [0.75, 0.25, 0.7, 1.0 / 3.0, 0.2],  # all but the last cell copied
+             [0.75, 0.25, 0.7, 1.0 / 3.0, 0.2]]
+    delta = [row[:] for row in first]
+    delta[5][3] = -0.5  # eta_first repeats in full, delta only up to cell 3
+    grid = _grid_of(first, [[0.1] * 5] * 6, delta)
+    assert _leading_repeats(grid) == [None, 0, 2, 5, 4, 3]
+    lines = _write_both(grid, tmp_path).splitlines()
+    assert lines[1 + 5 * 3:1 + 5 * 4] == [line.replace(",1.4,", ",1.6,", 1)
+                                          for line in lines[1 + 5 * 2:1 + 5 * 3]]
+
+
+def test_writer_tells_a_repeated_zero_from_its_negative(tmp_path):
+    first = [[0.5, 0.25, 0.0, 0.0], [0.5, 0.25, -0.0, 0.0], [0.5, 0.25, -0.0, -0.0]]
+    delta = [[0.0, -0.0, 0.0, 0.0], [0.0, -0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
+    grid = _grid_of(first, [[0.5] * 4] * 3, delta)
+    assert _leading_repeats(grid) == [None, 2, 1]  # equal as values, not as bytes
+    rows = [line.split(",") for line in _write_both(grid, tmp_path).splitlines()[1:]]
+    assert [r[2] for r in rows] == ["0.5", "0.25", "0", "0", "0.5", "0.25", "-0", "0",
+                                    "0.5", "0.25", "-0", "-0"]
+    assert [r[4] for r in rows[4:]] == ["0", "-0", "0", "0", "0", "0", "0", "0"]
+
+
+def test_writer_rebuilds_mid_grid_when_eta_second_changes(tmp_path):
+    row = [0.5, 0.25, 0.125]
+    second = [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3], [0.1, 0.2, 0.4], [0.1, 0.2, 0.4]]
+    grid = _grid_of([row] * 4, second, [row] * 4)  # eta_first and delta repeat throughout
+    assert _leading_repeats(grid) == [None, 3, None, 3]
+    rows = [line.split(",") for line in _write_both(grid, tmp_path).splitlines()[1:]]
+    assert [r[3] for r in rows] == ["0.1", "0.2", "0.3"] * 2 + ["0.1", "0.2", "0.4"] * 2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_writer_matches_oracle_on_grids_full_of_repeats(seed, tmp_path):
+    # few distinct values, so leading repeats of every length and template reuse are common
+    rng = np.random.default_rng(seed)
+    shape = (40, 9)
+    pool = np.array([0.0, -0.0, 0.5, 1.0 / 3.0, 5e-324, 1.0])
+    first, delta = pool[rng.integers(0, pool.size, (2, *shape))]
+    for j in range(1, shape[0]):  # each row repeats a random prefix of the row above
+        k = rng.integers(0, shape[1] + 1)
+        first[j, :k], delta[j, :k] = first[j - 1, :k], delta[j - 1, :k]
+    # eta_second switches now and then between 0.0, -0.0 and 0.5, forcing a rebuild
+    levels = np.cumsum(rng.random(shape[0]) < 0.2) % 3
+    grid = _grid_of(first, np.repeat(pool[levels, None], shape[1], axis=1), delta)
+    repeats = _leading_repeats(grid)
+    counts = [k for k in repeats if k is not None]
+    assert None in repeats[1:] and 0 in counts and shape[1] in counts
+    assert any(0 < k < shape[1] for k in counts)
+    _write_both(grid, tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# reader: numpy is handed the path, after the header check
+
+def test_reader_takes_a_str_or_a_pathlib_path(tmp_path):
+    path = tmp_path / "grid.csv"
+    write_grid_csv(_panel_grid("A"), path)
+    assert np.array_equal(_rows(read_grid_csv(path)), _rows(read_grid_csv(str(path))))
+    assert np.array_equal(_rows(read_grid_csv(path)), oracle.read_grid_rows(path))
+
+
+def test_reader_skips_blank_lines_anywhere_with_crlf(tmp_path):
+    plain = tmp_path / "plain.csv"
+    write_grid_csv(_panel_grid("D"), plain)
+    lines = plain.read_text().splitlines()
+    variant = tmp_path / "variant.csv"
+    body = [lines[0], "", *lines[1:200], "", "", *lines[200:], ""]
+    variant.write_bytes("\r\n".join(body).encode())
+    assert np.array_equal(_rows(read_grid_csv(variant)), oracle.read_grid_rows(plain))
+    assert np.array_equal(_rows(read_grid_csv(variant)), oracle.read_grid_rows(variant))
+
+
+_EMPTY_BODY = "grid file has no data rows"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", f"expected header {HEADER.strip()!r}, got None"),
+    ("omega,axis2\n1,2\n", f"expected header {HEADER.strip()!r}, got ['omega', 'axis2']"),
+    (HEADER, _EMPTY_BODY),
+    (HEADER.strip(), _EMPTY_BODY),
+    (HEADER.replace("\n", "\r\n") + "\r\n\r\n", _EMPTY_BODY),
+    (HEADER + _GOOD_ROWS + "0.1,3,0.5,x,0.25\n",
+     "malformed grid entry: could not convert string 'x' to float64 at row 6, column 4."),
+    (HEADER + "".join(r.rsplit(",", 1)[0] + "\n" for r in _GOOD_ROWS.splitlines()),
+     "grid rows must have 5 columns"),
+    (HEADER + _GOOD_ROWS.replace("0.25,0.25", "nan,0.25", 1),
+     "eta_second contains non-finite values"),
+    (HEADER + _GOOD_ROWS.replace("0.2,1,", "0.25,1,", 1),
+     "grid rows are not row-major with omega varying fastest"),
+], ids=["empty", "wrong-header", "header-only", "header-without-newline",
+        "crlf-header-and-blank-lines", "bad-entry", "column-count", "non-finite",
+        "row-order"])
+def test_reader_checks_keep_their_messages(text, message, tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(MalformedGrid) as exc:
+        read_grid_csv(path)
+    assert str(exc.value) == message
+
+
+def test_reader_names_a_bad_entry_past_the_first_chunk(tmp_path):
+    # numpy parses in chunks of 50,000 lines; the bad entry is in the last row, past it
+    n_axis2 = 20_001
+    rows = "".join(f"{o},{a},0.5,0.25,0.25\n" for a in range(1, n_axis2 + 1)
+                   for o in (0.1, 0.2, 0.3))
+    path = tmp_path / "big.csv"
+    path.write_text(HEADER + rows + "0.1,9,0.5,x,0.25\n")
+    with pytest.raises(MalformedGrid) as exc:
+        read_grid_csv(path)
+    assert str(exc.value) == ("malformed grid entry: could not convert string 'x' to "
+                              f"float64 at row {3 * n_axis2}, column 4.")
+    path.write_text(HEADER + rows)  # the same rows without it parse
+    assert read_grid_csv(path).axis2.size == n_axis2
+
+
+@pytest.mark.parametrize("compressed", [True, False], ids=["gzip", "plain-text"])
+def test_reader_rejects_a_file_named_gz(compressed, tmp_path, capsys):
+    # numpy unpacks a path named *.gz; the header check reads the raw bytes first
+    plain = tmp_path / "grid.csv"
+    write_grid_csv(_panel_grid("D"), plain)
+    path = tmp_path / "grid.csv.gz"
+    data = plain.read_bytes()
+    path.write_bytes(gzip.compress(data) if compressed else data)
+    with pytest.raises(MalformedGrid):
+        read_grid_csv(path)
+    assert main(["contour", "--grid", str(path), "--out", str(tmp_path / "c.json")]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "MalformedGrid"
 
 
 @pytest.mark.parametrize("name", ["omega", "axis2", "eta_first", "eta_second", "delta"])

@@ -7,7 +7,8 @@ the repository, for example made with ``git worktree add --detach DIR SHA``:
         --note "what the change does"
 
 Both checkouts must hold the same ``BENCHMARK.json``; its workloads and
-``run_seconds`` set what runs. For each workload and each pair it runs
+``run_seconds`` set what runs. ``--workload NAME``, repeatable, keeps only the
+named workloads, in the file's order. For each workload and each pair it runs
 ``perfbench/run.py`` once in each checkout, one after the other: pair 1 runs
 the parent first, pair 2 the change first, and so on. Each run's value of a
 metric is the last stdout line's JSON. The file gives, per workload and
@@ -94,6 +95,8 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--note", default="", help="what the change does, for the file's readers")
+    p.add_argument("--workload", action="append", metavar="NAME",
+                   help="run only this workload; repeat for more (default: all)")
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2, to give quartiles")
@@ -106,6 +109,10 @@ def main(argv=None) -> int:
     if specs[0] != specs[1]:
         p.error("the two checkouts hold different BENCHMARK.json files")
     seconds = specs[0]["run_seconds"]
+    names = [w["name"] for w in specs[0]["workloads"]]
+    unknown = sorted(set(args.workload or ()) - set(names))
+    if unknown:
+        p.error(f"unknown workload {', '.join(unknown)}; BENCHMARK.json has {', '.join(names)}")
     bench = {
         "bench": f"BENCH_{args.pr}",
         "change": args.note,
@@ -120,7 +127,7 @@ def main(argv=None) -> int:
         "machine": None,
         "workloads": {},
     }
-    for workload in (w["name"] for w in specs[0]["workloads"]):
+    for workload in (n for n in names if args.workload is None or n in args.workload):
         results = {side: [] for side in SIDES}
         for pair in range(1, args.pairs + 1):
             for side in (SIDES if pair % 2 else SIDES[::-1]):
