@@ -16,8 +16,8 @@ them can be run as ``uint64`` arithmetic with the same bits:
   first, through Lemire's rejection method (Lemire 2019, "Fast Random
   Integer Generation in an Interval").
 
-A batch of streams is a ``(4, rows)`` ``uint64`` array: the high and low
-halves of each row's state, then of its increment.
+A batch of pools is a word-major ``(4, rows)`` ``uint32`` array, and a batch of
+streams a ``(4, rows)`` ``uint64`` one: each row's state, then increment, in halves.
 """
 
 from __future__ import annotations
@@ -55,26 +55,27 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _pool(entropy: np.ndarray) -> np.ndarray:
-    """The ``(rows, 4)`` pools ``SeedSequence`` mixes from ``(rows, L)`` entropy words."""
+    """The word-major ``(4, rows)`` pools ``SeedSequence`` mixes from ``(rows, L)`` words."""
     rows, n = entropy.shape
     extra = max(n - _POOL, 0)
-    hc = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * extra)
-    mixer = np.zeros((rows, _POOL), dtype=np.uint32)  # a short entropy is hashed as zeros
-    mixer[:, :n] = entropy[:, :_POOL]
+    hc = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * extra)[:, None]
+    mixer = np.zeros((_POOL, rows), dtype=np.uint32)  # a short entropy is hashed as zeros
+    mixer[:n] = entropy[:, :_POOL].T
     mixer = _hashmix(mixer, hc[:4], hc[1:5])
-    k = 4
-    for src in range(_POOL):  # every pool word into every other, in order
-        for dst in range(_POOL):
-            if src != dst:
-                mixer[:, dst] = _mix(mixer[:, dst], _hashmix(mixer[:, src], hc[k], hc[k + 1]))
-                k += 1
-    if extra:  # each further word into each pool word; the hashes do not depend on the pool
-        late = entropy.T[_POOL:, :, None]  # (extra, rows, 1)
-        late = _hashmix(late, hc[16:-1].reshape(extra, 1, 4), hc[17:].reshape(extra, 1, 4))
-        late *= _MIX_R
-        for i in range(extra):
+    for src in range(_POOL):  # every pool word into every other, in order; the three
+        dst = [d for d in range(_POOL) if d != src]  # mixes from one source are independent
+        k = 4 + 3 * src
+        mixer[dst] = _mix(mixer[dst], _hashmix(mixer[src], hc[k:k + 3], hc[k + 1:k + 4]))
+    # each further word into each pool word; the hashes do not depend on the pool
+    late = np.ascontiguousarray(entropy[:, _POOL:].T)[:, None]  # (extra, 1, rows)
+    xor, mult = hc[16:-1].reshape(extra, 4, 1), hc[17:].reshape(extra, 4, 1)
+    block = max((1 << 14) // (rows or 1), 1)  # bigger temporaries are fresh pages, slow to touch
+    for b in range(0, extra, block):
+        hashed = _hashmix(late[b:b + block], xor[b:b + block], mult[b:b + block])
+        hashed *= _MIX_R
+        for word in hashed:
             mixer *= _MIX_L
-            mixer -= late[i]
+            mixer -= word
             mixer ^= mixer >> 16
     return mixer
 
@@ -98,10 +99,10 @@ def streams(entropy: np.ndarray) -> np.ndarray:
     A row holds the words ``SeedSequence`` assembles: the entropy's words,
     padded with zeros to 4 when there is a spawn key, then the key's words.
     """
-    hb = _hash_consts(_INIT_B, _MULT_B, 8)
-    w = _hashmix(_pool(entropy)[:, [0, 1, 2, 3, 0, 1, 2, 3]], hb[:8], hb[1:]).astype(np.uint64)
-    seed = (w[:, 0::2] | (w[:, 1::2] << 32)).T  # seed hi, seed lo, sequence hi, sequence lo
-    s = np.empty((4, len(w)), dtype=np.uint64)
+    hb = _hash_consts(_INIT_B, _MULT_B, 8)[:, None]
+    w = _hashmix(_pool(entropy)[[0, 1, 2, 3, 0, 1, 2, 3]], hb[:8], hb[1:]).astype(np.uint64)
+    seed = w[0::2] | (w[1::2] << 32)  # seed hi, seed lo, sequence hi, sequence lo
+    s = np.empty((4, w.shape[1]), dtype=np.uint64)
     s[2] = (seed[2] << 1) | (seed[3] >> 63)  # the increment is (sequence << 1) | 1
     s[3] = (seed[3] << 1) | 1
     s[0], s[1] = s[2] + seed[0], s[3] + seed[1]  # one step from 0 reaches inc; add the seed

@@ -97,17 +97,19 @@ class BudgetScenario:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BudgetScenario":
+        def finite(d: dict, path: str, *keys: str) -> list[float]:
+            values = [float(d[key]) for key in keys]
+            for key, value in zip(keys, values):
+                if not math.isfinite(value):
+                    raise InvalidParameter(f"{path}{key} must be finite, got {value!r}")
+            return values
+
         try:
             subs = data.get("subdomains")
-            subdomains = None
-            if subs is not None:
-                subdomains = tuple(
-                    SubdomainBudget(float(s["p"]), float(s["h"]),
-                                    float(s["beta_w"]), float(s["sum_hy"]))
-                    for s in subs
-                )
-            return cls(float(data["h0"]), float(data["beta_w"]), float(data["sum_hy"]),
-                       subdomains)
+            subdomains = None if subs is None else tuple(
+                SubdomainBudget(*finite(s, f"subdomains[{i}].", "p", "h", "beta_w", "sum_hy"))
+                for i, s in enumerate(subs))
+            return cls(*finite(data, "", "h0", "beta_w", "sum_hy"), subdomains)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidParameter(f"scenario JSON does not match schema: {exc}") from exc
 

@@ -334,16 +334,16 @@ class RoundRecord:
     work_erase: float
     belief_entropy_after: float
 
-    def __post_init__(self):
+    def __post_init__(self):  # the checks build their text only when they fail
         for name in _RECORD_FLOATS:
-            value = float(getattr(self, name))
+            value = self.__dict__[name] = float(self.__dict__[name])
             if not math.isfinite(value):
                 raise InvalidLedger(f"round {self.round_index}: {name} must be finite, "
                                     f"got {value!r}")
-            object.__setattr__(self, name, value)
-        _check_at_least(-BUDGET_SLACK, f"round {self.round_index}: ", InvalidLedger,
-                        belief_entropy_after=self.belief_entropy_after,
-                        **{name: getattr(self, name) for name in _RECORD_FLOATS[:3]})
+        for name in ("belief_entropy_after", *_RECORD_FLOATS[:3]):  # may not be negative
+            if not getattr(self, name) >= -BUDGET_SLACK:
+                _check_at_least(-BUDGET_SLACK, f"round {self.round_index}: ", InvalidLedger,
+                                **{name: getattr(self, name)})
         if self.work_meas < self.info_gain - BUDGET_SLACK:
             raise InvalidLedger(
                 f"round {self.round_index}: measurement work {self.work_meas!r} below "
@@ -474,15 +474,15 @@ def round_work_lower_bound(record: RoundRecord) -> float:
 class _Frontier:
     """The distinct belief rows of a round, and how they split into children.
 
-    Rows are keyed by ``int32`` ``(u, y)`` counts, one column per edge
-    ``u * Y + y``, when merging, and by ordered history otherwise; children
-    with equal keys share the row of the first of them. Each row's ordered
-    ``(u, y)`` pairs are kept, as an ``int32`` ``(rows, t, 2)`` array, only for
-    a policy that is not history-free or has no ``choose_rows``.
+    Merging, a row's key is its ``int32`` ``(u, y)`` counts, one column per edge
+    ``u * Y + y``, lexsorted as packed float64 words; else ``parent * Y + y``,
+    numbered by a presence array. Rows follow key order; equal keys share the row
+    of the first child. ``paths``, each row's ordered ``(u, y)`` pairs as ``int32``
+    ``(rows, t, 2)``, is kept only if the policy is not history-free or lacks ``choose_rows``.
     """
 
     def __init__(self, env: EnvironmentModel, policy: Policy, merge: bool, cap: float):
-        self.env, self.policy, self.cap, self.rounds = env, policy, cap, 0
+        self.env, self.policy, self.cap, self.rounds, self.packing = env, policy, cap, 0, (0,)
         self.beliefs = env.prior.probs[None]
         self.counts = (np.zeros((1, env.intervention_count * env.n_outcomes), dtype=np.int32)
                        if merge else None)
@@ -514,26 +514,38 @@ class _Frontier:
                 y: np.ndarray) -> np.ndarray:
         """Move to the children ``(parent[i], y[i])``; return each one's row."""
         n_outcomes = self.env.n_outcomes
-        if self.counts is None:
-            keys = (parent * n_outcomes + y)[:, None]
-            repeats = (keys[1:] <= keys[:-1]).any()  # keys listed in increasing order are distinct
-        else:
-            keys = self.counts[parent]
-            keys[np.arange(parent.size), us[parent] * n_outcomes + y] += 1
-            repeats = len(self.beliefs) > 1  # the children of one row all differ
         rows = np.arange(parent.size)
-        if repeats:
-            order = np.lexsort(keys.T)
-            keys = keys[order]
-            first = np.ones(parent.size, dtype=bool)  # starts a run of equal sorted keys
-            np.any(keys[1:] != keys[:-1], axis=1, out=first[1:])
-            rows[order] = first.cumsum() - 1
-            order = order[first]
-            parent, y, keys = parent[order], y[order], keys[first]
+        if self.counts is None:
+            keys = parent * n_outcomes + y
+            if (keys[1:] <= keys[:-1]).any():  # else distinct, and numbered in order already
+                flag = np.zeros(len(self.beliefs) * n_outcomes, dtype=bool)
+                flag[keys] = True  # number the keys in increasing order, by presence
+                rows = (flag.cumsum() - 1)[keys]
+                parent, y = np.divmod(np.flatnonzero(flag), n_outcomes)
+        else:
+            edge = us[parent] * n_outcomes + y  # the count each child adds to its parent's
+            if len(self.beliefs) > 1:  # the children of one row all differ
+                # each count is below 2**bits; pack ``per`` of them, the last column most
+                # significant, into each float64 word (exact: every sum is below 2**52)
+                bits = (self.rounds + 1).bit_length()
+                if self.packing[0] != bits:  # the weights change only when bits does
+                    per, col = 52 // bits, np.arange(self.counts.shape[1])
+                    weights = np.zeros((col.size, -(-col.size // per)))
+                    weights[col, col // per] = 2.0 ** (bits * (col % per))
+                    self.packing = bits, weights
+                weights = self.packing[1]
+                words = (self.counts @ weights)[parent] + weights[edge]
+                order = np.lexsort(words.T)  # the order of np.lexsort over the count columns
+                words = words[order]  # ``first`` marks where each run of equal words starts
+                first = np.concatenate(([True], (words[1:] != words[:-1]).any(axis=1)))
+                rows[order] = first.cumsum() - 1
+                order = order[first]
+                parent, y, edge = parent[order], y[order], edge[order]
+            self.counts = self.counts[parent]
+            self.counts[np.arange(parent.size), edge] += 1
         if parent.size > self.cap:
             raise TreeTooLarge(f"outcome tree needs {parent.size} nodes at round "
                                f"{self.rounds}, cap is {self.cap}")
-        self.counts = None if self.counts is None else keys
         used = us[parent]
         if self.paths is not None:
             step = np.stack((used, y), axis=1).astype(np.int32)[:, None]

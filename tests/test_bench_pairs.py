@@ -129,3 +129,23 @@ def test_main_rejects_an_unknown_workload_before_any_run(tmp_path, monkeypatch, 
     assert exc.value.code == 2
     assert "unknown workload zz; BENCHMARK.json has a, b, c" in capsys.readouterr().err
     assert not (tmp_path / "BENCH_0.json").exists()
+
+
+@pytest.mark.parametrize("git_side", bench_pairs.SIDES)
+def test_main_refuses_a_git_checkout_against_a_plain_copy(repo, tmp_path, monkeypatch, capsys,
+                                                          git_side):
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("a run started"))
+    monkeypatch.chdir(tmp_path)
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    (plain / "BENCHMARK.json").write_text("{}\n")
+    sides = {side: str(repo if side == git_side else plain) for side in bench_pairs.SIDES}
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", sides["parent"], "--change", sides["change"],
+                          "--pr", "0", "--pairs", "2"])
+    assert exc.value.code == 2
+    kinds = {side: "git working tree" if side == git_side else "plain copy"
+             for side in bench_pairs.SIDES}
+    assert (f"--parent is a {kinds['parent']} but --change is a {kinds['change']}; "
+            "compare checkouts of one kind") in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_0.json").exists()

@@ -303,6 +303,27 @@ def test_verify_rejects_nan_scenario_field(tmp_path, env_file, capsys, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path", ["h0", "beta_w", "sum_hy", "subdomains[0].h",
+                                  "subdomains[0].sum_hy"])
+def test_verify_rejects_infinite_scenario_field(tmp_path, env_file, capsys, path):
+    ledger_path = tmp_path / "ledger.json"
+    assert main(["simulate", "--env", str(env_file), "--budget", str(2 * LN2),
+                 "--out", str(ledger_path)]) == 0
+    scenario = {"h0": LN2, "beta_w": 2 * LN2, "sum_hy": LN2,
+                "subdomains": [{"p": 1.0, "h": LN2, "beta_w": 2 * LN2, "sum_hy": LN2}]}
+    scenario_path = tmp_path / "scenario.json"
+    argv = ["verify", "--scope", "bounds", "--seed", "1",
+            "--ledger", str(ledger_path), "--scenario", str(scenario_path)]
+    scenario_path.write_text(json.dumps(scenario))
+    assert main(argv) == 0  # the scenario is valid before the field is set
+    target = scenario["subdomains"][0] if path.startswith("subdomains") else scenario
+    target[path.rsplit(".", 1)[-1]] = math.inf
+    scenario_path.write_text(json.dumps(scenario))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"{path} must be finite, got inf" in capsys.readouterr().err
+
+
 def _saved_ledger(tmp_path, env_file, *extra):
     path = tmp_path / "ledger.json"
     assert main(["simulate", "--env", str(env_file), "--out", str(path), *extra]) == 0

@@ -184,6 +184,26 @@ def test_round_record_rejects_non_finite(field, value):
         RoundRecord(0, 0, **values)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"work_meas": math.inf}, "work_meas must be finite, got inf"),
+    ({"stored_entropy": math.nan}, "stored_entropy must be finite, got nan"),
+    ({"info_gain": -0.5}, "info_gain must be >= -1e-12, got -0.5"),
+    # with several negative fields the first in the check order is named
+    ({"belief_entropy_after": -0.25, "info_gain": -0.5},
+     "belief_entropy_after must be >= -1e-12, got -0.25"),
+    ({"outcome_entropy": -0.25, "stored_entropy": -0.5, "work_erase": 0.0},
+     "outcome_entropy must be >= -1e-12, got -0.25"),
+    ({"work_meas": 0.4}, "measurement work 0.4 below information gain 0.5"),
+    ({"work_erase": 0.5}, "erasure work 0.5 below stored entropy 0.6"),
+    ({"outcome_entropy": 0.3}, "stored entropy exceeds outcome entropy"),
+])
+def test_round_record_error_text_is_pinned(bad, message):
+    values = dict(zip(RECORD_FIELDS, (0.5, 0.6, 0.6, 0.5, 0.6, 0.1)), **bad)
+    with pytest.raises(InvalidLedger) as exc:
+        RoundRecord(7, 1, **values)
+    assert str(exc.value) == f"round 7: {message}"
+
+
 def test_ledger_rejects_non_finite_budget_fields():
     rec = RoundRecord(0, 0, 0.5, 0.6, 0.6, 0.5, 0.6, 0.1)
     with pytest.raises(InvalidLedger, match="budget_total"):

@@ -18,8 +18,11 @@ parent's; per workload, the jobs attempted and failed on each side; and the
 machine, from the first run's provenance line. Each side's sha is its
 checkout's ``HEAD``, read only when the directory is the top of a git working
 tree: a plain copy, such as a ``git archive`` export, gets null rather than
-the commit of a repository it happens to sit in. The file is rewritten after
-every pair, so an interrupted set keeps the pairs it finished.
+the commit of a repository it happens to sit in. Both checkouts must be of
+one kind, both git working trees or both plain copies: the kind alone can
+shift an episode workload by several percent, so a mixed pair is refused. The
+file is rewritten after every pair, so an interrupted set keeps the pairs it
+finished.
 """
 
 from __future__ import annotations
@@ -108,6 +111,12 @@ def main(argv=None) -> int:
             specs.append(json.load(fh))
     if specs[0] != specs[1]:
         p.error("the two checkouts hold different BENCHMARK.json files")
+    shas = {side: checkout_sha(checkout) for side, checkout in checkouts.items()}
+    if (shas["parent"] is None) != (shas["change"] is None):
+        kinds = {side: "plain copy" if sha is None else "git working tree"
+                 for side, sha in shas.items()}
+        p.error(f"--parent is a {kinds['parent']} but --change is a {kinds['change']}; "
+                "compare checkouts of one kind")
     seconds = specs[0]["run_seconds"]
     names = [w["name"] for w in specs[0]["workloads"]]
     unknown = sorted(set(args.workload or ()) - set(names))
@@ -122,8 +131,8 @@ def main(argv=None) -> int:
                   "change first when i is even; each value is the last-line JSON metric of "
                   "one run; medians and quartiles (inclusive method) over the runs of each "
                   "side; change_lower_in_pairs counts pairs where the change read lower",
-        "parent_sha": checkout_sha(args.parent),
-        "change_sha": checkout_sha(args.change),
+        "parent_sha": shas["parent"],
+        "change_sha": shas["change"],
         "machine": None,
         "workloads": {},
     }
