@@ -22,6 +22,8 @@ streams a ``(4, rows)`` ``uint64`` one: each row's state, then increment, in hal
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _M32 = 0xFFFFFFFF
@@ -39,9 +41,12 @@ def words(n: int) -> list[int]:
     return out
 
 
-def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
-    """``init * mult**k`` mod 2**32, k <= calls: hash call k xors entry k, multiplies by k + 1."""
-    return np.cumprod(np.r_[init, np.full(calls, mult)].astype(np.uint32), dtype=np.uint32)
+@functools.cache  # read-only: a table of 2**k entries serves every shorter call as its prefix
+def _hash_consts(init: int, mult: int, size: int) -> np.ndarray:
+    """``init * mult**k`` mod 2**32, k < size: hash call k xors entry k, multiplies by k + 1."""
+    table = np.cumprod(np.r_[init, np.full(size - 1, mult)].astype(np.uint32), dtype=np.uint32)
+    table.flags.writeable = False
+    return table
 
 
 def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -58,7 +63,7 @@ def _pool(entropy: np.ndarray) -> np.ndarray:
     """The word-major ``(4, rows)`` pools ``SeedSequence`` mixes from ``(rows, L)`` words."""
     rows, n = entropy.shape
     extra = max(n - _POOL, 0)
-    hc = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * extra)[:, None]
+    hc = _hash_consts(_INIT_A, _MULT_A, 1 << (16 + 4 * extra).bit_length())[:17 + 4 * extra, None]
     mixer = np.zeros((_POOL, rows), dtype=np.uint32)  # a short entropy is hashed as zeros
     mixer[:n] = entropy[:, :_POOL].T
     mixer = _hashmix(mixer, hc[:4], hc[1:5])
@@ -99,7 +104,7 @@ def streams(entropy: np.ndarray) -> np.ndarray:
     A row holds the words ``SeedSequence`` assembles: the entropy's words,
     padded with zeros to 4 when there is a spawn key, then the key's words.
     """
-    hb = _hash_consts(_INIT_B, _MULT_B, 8)[:, None]
+    hb = _hash_consts(_INIT_B, _MULT_B, 9)[:, None]
     w = _hashmix(_pool(entropy)[[0, 1, 2, 3, 0, 1, 2, 3]], hb[:8], hb[1:]).astype(np.uint64)
     seed = w[0::2] | (w[1::2] << 32)  # seed hi, seed lo, sequence hi, sequence lo
     s = np.empty((4, w.shape[1]), dtype=np.uint64)

@@ -41,6 +41,13 @@ def _json_count(value, path: str, error: type[ThermosciError] = InvalidParameter
     raise error(f"{path} must be an integral count in [0, 2**53], got {value!r}")
 
 
+def _json_finite(value, path: str) -> float:
+    """A JSON number as a finite float, else ``InvalidParameter`` naming ``path``."""
+    if type(value) in (int, float) and math.isfinite(value):  # an int past floats overflows
+        return float(value)
+    raise InvalidParameter(f"{path} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SubdomainBudget:
     """One subdomain's share: mass, conditional prior entropy, budget, outcome entropy sum."""
@@ -98,11 +105,7 @@ class BudgetScenario:
     @classmethod
     def from_json_dict(cls, data: dict) -> "BudgetScenario":
         def finite(d: dict, path: str, *keys: str) -> list[float]:
-            values = [float(d[key]) for key in keys]
-            for key, value in zip(keys, values):
-                if not math.isfinite(value):
-                    raise InvalidParameter(f"{path}{key} must be finite, got {value!r}")
-            return values
+            return [_json_finite(d[key], f"{path}{key}") for key in keys]
 
         try:
             subs = data.get("subdomains")
@@ -110,7 +113,7 @@ class BudgetScenario:
                 SubdomainBudget(*finite(s, f"subdomains[{i}].", "p", "h", "beta_w", "sum_hy"))
                 for i, s in enumerate(subs))
             return cls(*finite(data, "", "h0", "beta_w", "sum_hy"), subdomains)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidParameter(f"scenario JSON does not match schema: {exc}") from exc
 
 

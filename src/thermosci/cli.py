@@ -9,6 +9,7 @@ import argparse
 import functools
 import json
 import sys
+from pathlib import Path
 
 from .bounds import (
     BoundCheck,
@@ -113,9 +114,7 @@ def _cmd_simulate(args) -> int:
                                   max_rounds=args.max_rounds)
 
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(ledger.to_json_dict(units), fh, indent=2)
-            fh.write("\n")
+        Path(args.out).write_text(json.dumps(ledger.to_json_dict(units), indent=2) + "\n")
 
     checks = bound_report(ledger, summary.prior_entropy)
     scale_out = 1.0 if units == Units.NATS else 1.0 / LN2
@@ -143,9 +142,7 @@ def _cmd_simulate(args) -> int:
                 for c in checks
             ],
         }
-        with open(args.report, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        Path(args.report).write_text(json.dumps(payload, indent=2) + "\n")
     return 0 if all(c.passed for c in checks) else 1
 
 
@@ -199,9 +196,7 @@ def _cmd_contour(args) -> int:
     grid = read_grid_csv(args.grid)
     grid.contours = zero_contours(grid)
     payload = contours_to_json_dict(grid, pair=args.pair)
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"contour_components={len(grid.contours)} out={args.out}")
     return 0
 
@@ -242,9 +237,7 @@ def _cmd_verify(args) -> int:
             line += f": {check['detail']}"
         print(line)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     if not report["all_passed"]:
         first = next(c for c in report["checks"] if not c["passed"])
         print(f"first failure: [{first['suite']}] {first['name']} {first['detail']}",
@@ -325,10 +318,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ThermosciError as exc:
-        _fail(exc)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ThermosciError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
         return 2
 

@@ -474,18 +474,18 @@ def round_work_lower_bound(record: RoundRecord) -> float:
 class _Frontier:
     """The distinct belief rows of a round, and how they split into children.
 
-    Merging, a row's key is its ``int32`` ``(u, y)`` counts, one column per edge
-    ``u * Y + y``, lexsorted as packed float64 words; else ``parent * Y + y``,
-    numbered by a presence array. Rows follow key order; equal keys share the row
-    of the first child. ``paths``, each row's ordered ``(u, y)`` pairs as ``int32``
+    Merging, a row's key is its ``(u, y)`` counts, one column per edge ``u * Y + y``, kept
+    and lexsorted as float64 ``words`` (3 bits a count for 7 rounds, then wider); else
+    ``parent * Y + y``, numbered by a presence array. Rows follow key order; equal keys share
+    the row of the first child. ``paths``, each row's ordered ``(u, y)`` pairs, ``int32``
     ``(rows, t, 2)``, is kept only if the policy is not history-free or lacks ``choose_rows``.
     """
 
     def __init__(self, env: EnvironmentModel, policy: Policy, merge: bool, cap: float):
-        self.env, self.policy, self.cap, self.rounds, self.packing = env, policy, cap, 0, (0,)
+        self.env, self.policy, self.cap, self.rounds = env, policy, cap, 0
         self.beliefs = env.prior.probs[None]
-        self.counts = (np.zeros((1, env.intervention_count * env.n_outcomes), dtype=np.int32)
-                       if merge else None)
+        self.words = (self._pack(3, np.zeros((1, env.intervention_count * env.n_outcomes)))
+                      if merge else None)
         self.batch = hasattr(policy, "choose_rows")
         self.paths = (None if self.batch and getattr(policy, "history_free", False)
                       else np.zeros((1, 0, 2), dtype=np.int32))
@@ -510,12 +510,21 @@ class _Frontier:
             raise IndexOutOfRange(f"policy chose intervention {wrong[0]} outside [0, {count})")
         return us
 
+    def _pack(self, bits: int, counts: np.ndarray) -> np.ndarray:
+        """``counts``, each below ``2**bits``, as words: ``52 // bits`` to a float64 word, the
+        last column most significant (exact: every sum stays below 2**52). Sets ``packing``."""
+        per, col = 52 // bits, np.arange(counts.shape[1])
+        weights = np.zeros((col.size, -(-col.size // per)))
+        weights[col, col // per] = 2.0 ** (bits * (col % per))
+        self.packing = bits, weights
+        return counts @ weights
+
     def advance(self, us: np.ndarray, pred: np.ndarray, parent: np.ndarray,
                 y: np.ndarray) -> np.ndarray:
         """Move to the children ``(parent[i], y[i])``; return each one's row."""
         n_outcomes = self.env.n_outcomes
         rows = np.arange(parent.size)
-        if self.counts is None:
+        if self.words is None:
             keys = parent * n_outcomes + y
             if (keys[1:] <= keys[:-1]).any():  # else distinct, and numbered in order already
                 flag = np.zeros(len(self.beliefs) * n_outcomes, dtype=bool)
@@ -523,33 +532,32 @@ class _Frontier:
                 rows = (flag.cumsum() - 1)[keys]
                 parent, y = np.divmod(np.flatnonzero(flag), n_outcomes)
         else:
-            edge = us[parent] * n_outcomes + y  # the count each child adds to its parent's
+            bits = (self.rounds + 1).bit_length()  # every count after this round is below 2**bits
+            if bits > self.packing[0]:  # unpack the counts, and pack them wider
+                old, weights = self.packing
+                col, per = np.arange(len(weights)), 52 // old
+                counts = (self.words.astype(np.int64)[:, col // per] >> old * (col % per)) & (
+                    (1 << old) - 1)
+                self.words = self._pack(bits, counts)
+            # each child adds one to its parent's count of edge ``u * Y + y``
+            words = self.words[parent] + self.packing[1][us[parent] * n_outcomes + y]
             if len(self.beliefs) > 1:  # the children of one row all differ
-                # each count is below 2**bits; pack ``per`` of them, the last column most
-                # significant, into each float64 word (exact: every sum is below 2**52)
-                bits = (self.rounds + 1).bit_length()
-                if self.packing[0] != bits:  # the weights change only when bits does
-                    per, col = 52 // bits, np.arange(self.counts.shape[1])
-                    weights = np.zeros((col.size, -(-col.size // per)))
-                    weights[col, col // per] = 2.0 ** (bits * (col % per))
-                    self.packing = bits, weights
-                weights = self.packing[1]
-                words = (self.counts @ weights)[parent] + weights[edge]
                 order = np.lexsort(words.T)  # the order of np.lexsort over the count columns
                 words = words[order]  # ``first`` marks where each run of equal words starts
                 first = np.concatenate(([True], (words[1:] != words[:-1]).any(axis=1)))
                 rows[order] = first.cumsum() - 1
                 order = order[first]
-                parent, y, edge = parent[order], y[order], edge[order]
-            self.counts = self.counts[parent]
-            self.counts[np.arange(parent.size), edge] += 1
+                parent, y, words = parent[order], y[order], words[first]
+            self.words = words
         if parent.size > self.cap:
             raise TreeTooLarge(f"outcome tree needs {parent.size} nodes at round "
                                f"{self.rounds}, cap is {self.cap}")
         used = us[parent]
-        if self.paths is not None:
-            step = np.stack((used, y), axis=1).astype(np.int32)[:, None]
-            self.paths = np.concatenate((self.paths[parent], step), axis=1)
+        if self.paths is not None:  # one pass: the gather fills all but the new last step
+            paths = np.empty((parent.size, self.paths.shape[1] + 1, 2), dtype=np.int32)
+            np.take(self.paths, parent, axis=0, out=paths[:, :-1], mode="clip")  # rows in range
+            paths[:, -1, 0], paths[:, -1, 1] = used, y
+            self.paths = paths
         table = self.env.likelihood.table
         self.beliefs = self.beliefs[parent] * table[used, :, y] / pred[parent, y][:, None]
         self.rounds += 1
@@ -612,9 +620,9 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
     table, row_h = env.likelihood.table, env._row_entropies
     h_prior = _entropy(env.prior.probs)
     sampled = isinstance(mode, SampledMode)
-    # Walkers: in sampled mode one per trial, each on one frontier row; in
-    # expected mode one, the whole tree with its rows weighted by mass. Only
-    # expected mode merges rows: sampled rows stay keyed by ordered history,
+    # Walkers: in sampled mode one per trial on one frontier row, held in arrays; in
+    # expected mode one, the whole tree with its rows weighted by mass, held in floats.
+    # Only expected mode merges rows: sampled rows stay keyed by ordered history,
     # so a seed keeps giving the same ledger to the last bit.
     n = mode.trials if sampled else 1
     frontier = _Frontier(env, policy, not sampled and getattr(policy, "history_free", False),
@@ -629,11 +637,10 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
     masses = np.ones(1)
 
     def per_walker(v):  # each running walker's value of a per-row quantity
-        return v[node] if sampled else masses @ v[:, None]  # same bits as masses @ v
+        return v[node] if sampled else (masses @ v[:, None]).item()  # same bits as masses @ v
 
     live = np.arange(n)  # running walkers
-    spent = np.zeros(n)  # work spent by each running walker
-    cum = np.zeros(n)  # information gained by each walker, running or not
+    spent, cum = (np.zeros(n), np.zeros(n)) if sampled else (0.0, 0.0)  # work, gain per walker
     # Sampled sums are exact (fsum) over each row's value repeated its trial count times;
     # _exact_terms chooses between the split terms and the repeated values, with the
     # same bits either way. ``stopped`` holds the terms of the stopped trials' posterior
@@ -648,17 +655,19 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
         hs = hy
         if compression is not None:  # (1, Y) products per row; one 2-D product rounds apart
             hs = _entropies(compression.pushforward(pred[:, None]))[:, 0]
-        if not sampled:
-            info, hy, hs = (per_walker(v) for v in (info, hy, hs))
+        if not sampled:  # uncompressed, hs is hy: one product serves both
+            info, hs = per_walker(info), per_walker(hs)
+            hy = hs if compression is None else per_walker(hy)
         work_meas = cost.kappa_meas * (info + cost.delta_f_mem)
         work_erase = cost.kappa_erase * hs
-        cols = (info, hy, hs, work_meas, work_erase)  # per row in sampled mode, else per walker
+        sums = (info, hy, hs, work_meas, work_erase)  # per row in sampled mode, else per walker
         gain, round_cost = info, work_meas + work_erase
         if sampled:
             gain, round_cost = gain[node], round_cost[node]
         run = (round_cost > ZERO_ROUND_TOL) & (round_cost <= budget - spent + BUDGET_SLACK)
-        if us.min() < 0 or not run.all():  # some walkers stop: only then find out why
+        if us.min() < 0 or not (run.all() if sampled else run):  # only then find out why
             exhausted = per_walker(us < 0) > 0  # a tree stops whole when a branch runs out
+            exhausted, run, round_cost = np.atleast_1d(exhausted, run, round_cost)
             degenerate = ~exhausted & (round_cost <= ZERO_ROUND_TOL)
             run &= ~exhausted
             for why, hit in (("policy_exhausted", exhausted), ("degenerate", degenerate),
@@ -674,27 +683,27 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
             node, streams = node[run], streams[:, run]
             gain, round_cost, spent = gain[run], round_cost[run], spent[run]
         spent += round_cost
-        cum[live] += gain
         if sampled:
+            cum[live] += gain
             counts = np.bincount(node, minlength=len(frontier.beliefs))
-            sums = [math.fsum(r) for r in _exact_terms(np.array(cols), counts).tolist()]
+            sums = [math.fsum(r) / n for r in _exact_terms(np.array(sums), counts).tolist()]
             draw = _streams.random(streams)[:, None]
             parent, y = node, (table_cdf[us[node], theta[live]] <= draw).sum(1)
             if not (pred[node, y] > 0.0).all():
                 raise ZeroEvidence("a drawn outcome has zero predictive probability")
         else:
-            sums = [math.fsum(c.tolist()) for c in cols]
+            cum += gain
             parent, y = np.nonzero(pred > LOG_FLOOR)
         used = us[parent]
         u_rec = int(used[0]) if (used == used[0]).all() else None
         node = frontier.advance(us, pred, parent, y)  # the row of each trial, or of each branch
         if sampled:
             h_rows = _entropies(frontier.beliefs)
-            h_terms = stopped + _exact_terms(h_rows, np.bincount(node)).tolist()
+            h_after = math.fsum(stopped + _exact_terms(h_rows, np.bincount(node)).tolist()) / n
         else:  # no per-row array outlives the round of an expected tree
             masses = np.bincount(node, weights=masses[parent] * pred[parent, y])
-            h_terms = per_walker(_entropies(frontier.beliefs)).tolist()
-        records.append(RoundRecord(t, u_rec, *(s / n for s in sums), math.fsum(h_terms) / n))
+            h_after = per_walker(_entropies(frontier.beliefs))
+        records.append(RoundRecord(t, u_rec, *sums, h_after))
         t += 1
     if live.size:
         if max_rounds is None:
@@ -709,7 +718,7 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
         values, counts = np.unique(cum, return_counts=True)
         cum_mean = math.fsum(_exact_terms(values, counts).tolist()) / n
     else:
-        cum_mean = math.fsum(cum.tolist()) / n
+        cum_mean = cum
     status = "budget_exhausted_immediately" if not records and reasons == {"budget"} else "ok"
     reason = reasons.pop() if len(reasons) == 1 else "mixed"
     se = None

@@ -91,9 +91,10 @@ def _normalised(values, rank: int, what: str, error: type[ThermosciError]) -> np
 def _entropies(probs: np.ndarray, axis: int = -1) -> np.ndarray:
     """Shannon entropies in nats along ``axis`` of a raw probability array."""
     safe = np.where(probs > LOG_FLOOR, probs, 1.0)
-    h = -(safe * np.log(safe)).sum(axis=axis)
+    h = np.asarray(-(safe * np.log(safe)).sum(axis=axis))  # 0-d, not a scalar, for a vector
     # a vector summing to just above 1 gives a tiny negative sum; a point mass keeps its -0.0
-    return np.where(h < 0.0, 0.0, h)
+    h[h < 0.0] = 0.0
+    return h
 
 
 def _entropy(probs: np.ndarray) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BudgetScenario, SubdomainBudget, _check_at_least
+from .bounds import BudgetScenario, SubdomainBudget, _check_at_least, _json_finite
 from .errors import (
     IndexOutOfRange,
     InvalidJoint,
@@ -120,11 +120,13 @@ class PartitionSpec:
                 conditional = tuple(DiscreteDistribution(p, what=f"conditional_priors[{i}]")
                                     for i, p in enumerate(priors))
             entropies = data.get("entropies")
-            budgets = tuple(float(b) for b in data["budgets"])
-        except (KeyError, TypeError, ValueError) as exc:
+            if entropies is not None:
+                entropies = tuple(_json_finite(h, f"entropies[{i}]")
+                                  for i, h in enumerate(entropies))
+            budgets = tuple(_json_finite(b, f"budgets[{i}]") for i, b in enumerate(data["budgets"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidParameter(f"partition JSON does not match schema: {exc}") from exc
-        return cls(masses, budgets, conditional,
-                   None if entropies is None else tuple(entropies))
+        return cls(masses, budgets, conditional, entropies)
 
 
 def h_fed(part: PartitionSpec) -> float:

@@ -63,6 +63,16 @@ def test_scenario_json_round_trip():
     assert BudgetScenario.from_json_dict(flat.to_json_dict()) == flat
 
 
+@pytest.mark.parametrize("value, message", [
+    ("0.5", "h0 must be finite, got '0.5'"),
+    (10**400, "scenario JSON does not match schema: int too large to convert to float"),
+])
+def test_scenario_json_rejects_a_number_that_is_not_a_json_float(value, message):
+    with pytest.raises(InvalidParameter) as info:
+        BudgetScenario.from_json_dict({"h0": value, "beta_w": 1.0, "sum_hy": 0.0})
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # unpartitioned caps
 

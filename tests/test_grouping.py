@@ -30,7 +30,9 @@ def _frontier(parents: int, n_outcomes: int, interventions: int, counts, rounds:
                           prior=SimpleNamespace(probs=np.ones(2)))
     frontier = _Frontier(env, RoundRobin(), counts is not None, math.inf)
     frontier.beliefs = np.stack([np.arange(parents, dtype=float), np.ones(parents)], axis=1)
-    frontier.counts, frontier.rounds = counts, rounds
+    frontier.rounds = rounds
+    if counts is not None:  # packed as the frontier packs them before that round
+        frontier.words = frontier._pack(rounds.bit_length(), counts)
     return frontier
 
 
@@ -68,7 +70,7 @@ def test_packed_count_keys_group_as_lexsort(seed, columns, max_count):
 
     rows = frontier.advance(us, np.ones((len(counts), n_outcomes)), parent, y)
     assert np.array_equal(rows, want_rows)
-    assert np.array_equal(frontier.counts, want_keys)
+    assert np.array_equal(frontier.words, want_keys @ frontier.packing[1])  # exact, so 1:1
     assert np.array_equal(frontier.beliefs[:, 0], parent[want_first])
     assert np.array_equal(frontier.beliefs[:, 1], y[want_first])
 

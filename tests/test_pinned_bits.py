@@ -1,0 +1,138 @@
+"""Pinned bits: expected-mode ledgers and summaries, and the CLI's JSON files.
+
+Each digest is the sha256 of a ``repr`` or of a file's bytes, recorded from
+the engine before the expected-mode walker was carried as Python floats and
+before the JSON files were written in one call. Any change to the float
+operations behind a ledger, a summary or a file moves a digest. The random
+A/A run of ``tools/parity.py`` is here too.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from thermosci.cli import main
+from thermosci.cycle_sim import (
+    CompressionMap,
+    CostModel,
+    FixedSequence,
+    GreedyInfoMax,
+    RandomPolicy,
+    RoundRobin,
+    run_episode,
+)
+
+from helpers import asym_binary_env, noiseless_binary_env, three_state_env
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README_ENV = {"prior": [0.5, 0.5], "interventions": 1,
+              "likelihood": [[[0.2, 0.8], [0.6, 0.4]]]}
+POLICIES = {"fixed": FixedSequence((1, 0, 0, 1, 1, 0)), "roundrobin": RoundRobin(),
+            "random": RandomPolicy(7), "greedy": GreedyInfoMax()}
+
+
+def _sha(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+@pytest.mark.parametrize("policy, compressed, ledger_sha, summary_sha", [
+    ("fixed", False,
+     "182ebcf76e3163a8b9616055157079efb783d6beb3afa7c4e88c49456c5d018a",
+     "3029ecd233912f90dd4740d97730901c1de63c6febcf42c468285b1df8b37e3b"),
+    ("fixed", True,
+     "fe6117a7dbd6612588bf0f9f632ce776c82033983fcb1aac542d3c4d23602d19",
+     "3029ecd233912f90dd4740d97730901c1de63c6febcf42c468285b1df8b37e3b"),
+    ("roundrobin", False,
+     "a58553aaa48bc9b1ebe57adc628c1ee36ff6dfc66194cf2b6082bcc530623ea5",
+     "6d3233a83f41bc3e5477cc7efb8e7e424939e4d9596277339e1cbbf062a122de"),
+    ("roundrobin", True,
+     "878fa7d7f9d28316dbf0119e57b686bc12a33df1afde9e790727ce1c255c0f0b",
+     "6d3233a83f41bc3e5477cc7efb8e7e424939e4d9596277339e1cbbf062a122de"),
+    ("random", False,
+     "3be5f4fe3d94055b7210618828c55897d09f367f7b3a2f645f434def0d707221",
+     "cf9e03027eb2901369ccf6da0611a1ae0715ef72fba918108a7f787b50291c21"),
+    ("random", True,
+     "40b322ce8d8744dedb4acdc8ce60d4c222d11e31528c05da71a45d6c2522c68f",
+     "cf9e03027eb2901369ccf6da0611a1ae0715ef72fba918108a7f787b50291c21"),
+    ("greedy", False,
+     "af1d19746cb19e41e272c3ebb6c687c3a2ee693060517d3384955688f195278f",
+     "767e48a12f5320a0892cc8fa58c61840469a90ed9e94b8bdffb0269777c3dfcb"),
+    ("greedy", True,
+     "08048d4809949a8bdf2c8e1b7f9a75d29ca293f13e16fdedc57bf7677a9fdda1",
+     "767e48a12f5320a0892cc8fa58c61840469a90ed9e94b8bdffb0269777c3dfcb"),
+])
+def test_expected_policy_bits_are_pinned(policy, compressed, ledger_sha, summary_sha):
+    compression = CompressionMap((0, 0, 1)) if compressed else None
+    ledger, summary = run_episode(three_state_env(), POLICIES[policy], CostModel(1.5, 1.25, 0.01),
+                                  50.0, compression=compression, max_rounds=6)
+    assert summary.stop_reason == "max_rounds"
+    assert (_sha(repr(ledger)), _sha(repr(summary))) == (ledger_sha, summary_sha)
+
+
+STOP_CASES = [
+    ("policy_exhausted", three_state_env, FixedSequence((0, 1, 0)), 50.0, 6,
+     "3e67381f3c4150794d0ea22de3ca32760405b0426da8c9435dc9d8e3808718ec",
+     "8b5b5afa0032a839eb15542a8396360b8203853939ac2560aa888c0174ae82c7"),
+    ("degenerate", noiseless_binary_env, RoundRobin(), 50.0, 5,
+     "a36ea5f4e2d5df3f363f08b6101c0e4346db61a3243dc9e6f88ca9c2ab7e5990",
+     "41326a49125a3b1ac5da3c93f4b2ae17fb6676d572af2044874d5173fddf6afd"),
+    ("budget", asym_binary_env, RoundRobin(), 2.0, 50,
+     "5f3c677ba4633d5e388bcf111192b3bf1012f7e617a1aa6ea3e880e1f6ac2a8b",
+     "5a9165a161808b03f2288fc6180e7d4788a527f0c8051a73ef31baa6ccf7ab49"),
+    ("max_rounds", asym_binary_env, GreedyInfoMax(), 50.0, 9,
+     "8411135c56a1dc8679606df491a3f54e5ce8f308afa2df181028936e384676b5",
+     "21279567dc5f791472825932f4b8bf7c31d9baa5e2240573fb452b86d1725848"),
+    ("budget_exhausted_immediately", three_state_env, GreedyInfoMax(), 0.0, 4,
+     "cd5ee64c87c4ac352c156c8f9ec4a0161a25c87dd9cd444e8bfb57a999a347e3",
+     "379479f4fa2847c216e784176eb2670c2f12d7fb07bc53b27715c8671cb010f4"),
+]
+
+
+@pytest.mark.parametrize("stop, env, policy, budget, max_rounds, ledger_sha, summary_sha",
+                         STOP_CASES, ids=[case[0] for case in STOP_CASES])
+def test_expected_stop_bits_are_pinned(stop, env, policy, budget, max_rounds, ledger_sha,
+                                       summary_sha):
+    ledger, summary = run_episode(env(), policy, CostModel(), budget, max_rounds=max_rounds)
+    assert stop in (summary.stop_reason, summary.status)
+    assert (_sha(repr(ledger)), _sha(repr(summary))) == (ledger_sha, summary_sha)
+
+
+def test_readme_simulate_ledger_file_is_pinned(tmp_path, capsys):
+    env, out, report = tmp_path / "env.json", tmp_path / "ledger.json", tmp_path / "report.json"
+    env.write_text(json.dumps(README_ENV))
+    assert main(["simulate", "--env", str(env), "--policy", "greedy", "--budget", "1.386",
+                 "--kappa-meas", "1", "--kappa-erase", "1", "--mode", "expected",
+                 "--out", str(out), "--report", str(report)]) == 0
+    assert _sha(out.read_bytes()) == (
+        "412068ce1baa56fd3e139cb7b57e68b2155879dee678c321e9fa51ee00aa3038")
+    assert _sha(report.read_bytes()) == (
+        "75a7807ba2c654cff44a20468a98448fdf55d8076b6f050eb37cdadaeff295e3")
+
+
+def test_verify_report_file_is_pinned(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--scope", "all", "--seed", "42", "--out", str(out)]) == 0
+    assert _sha(out.read_bytes()) == (
+        "9afc956be227ceda0871055981472b4ddba2fff918503e17f6c3656abb1b8819")
+
+
+def test_parity_tool_passes_a_against_a():
+    done = subprocess.run([sys.executable, os.path.join(REPO, "tools", "parity.py"),
+                           "--parent", REPO, "--change", REPO, "--cases", "12"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "12 cases: every ledger and summary repr matches\n"
+
+
+def test_parity_tool_names_the_first_differing_case(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(os.path.join(REPO, "tools"))
+    import parity
+
+    sides = {"p": [["a", "b"], ["c", "d"], ["e", "f"]], "c": [["a", "b"], ["c", "x"], ["e", "y"]]}
+    monkeypatch.setattr(parity, "digests", lambda checkout, cases: sides[checkout])
+    assert parity.main(["--parent", "p", "--change", "c", "--cases", "3"]) == 1
+    assert capsys.readouterr().out == f"case 1 differs: {json.dumps(parity.make_case(1))}\n"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -122,6 +123,19 @@ def test_scenario_from_partition_names_nan_sum_hy_entry():
 def test_partition_json_names_the_bad_probability_field(data, message):
     with pytest.raises(InvalidDistribution) as info:
         PartitionSpec.from_json_dict({**data, "budgets": [1.0, 1.0]})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ('"entropies": [0.1, 0.2], "budgets": [1.0, Infinity]', "budgets[1] must be finite, got inf"),
+    ('"entropies": [0.1, Infinity], "budgets": [1.0, 1.0]',
+     "entropies[1] must be finite, got inf"),
+    ('"entropies": ["x", 0.2], "budgets": [1.0, 1.0]', "entropies[0] must be finite, got 'x'"),
+], ids=["infinite-budget", "infinite-entropy", "string-entropy"])
+def test_partition_json_names_a_non_finite_entry(text, message):
+    data = json.loads('{"masses": [0.5, 0.5], ' + text + "}")
+    with pytest.raises(InvalidParameter) as info:
+        PartitionSpec.from_json_dict(data)
     assert str(info.value) == message
 
 
