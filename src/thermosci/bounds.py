@@ -10,6 +10,7 @@ budget) is vacuous, so it is clamped rather than reported.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,11 +42,12 @@ def _json_count(value, path: str, error: type[ThermosciError] = InvalidParameter
     raise error(f"{path} must be an integral count in [0, 2**53], got {value!r}")
 
 
-def _json_finite(value, path: str) -> float:
-    """A JSON number as a finite float, else ``InvalidParameter`` naming ``path``."""
-    if type(value) in (int, float) and math.isfinite(value):  # an int past floats overflows
+def _json_finite(value, path: str, error: type[ThermosciError] = InvalidParameter) -> float:
+    """A JSON number as a finite float, else ``error`` naming ``path`` in a short message."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:  # NaN fails too
         return float(value)
-    raise InvalidParameter(f"{path} must be finite, got {value!r}")
+    shown = "an integer past the float range" if type(value) is int else repr(value)
+    raise error(f"{path} must be finite, got {shown}")
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _streams
-from .bounds import _check_at_least, _json_count
+from .bounds import _check_at_least, _json_count, _json_finite
 from .errors import (
     DimensionMismatch,
     IncompleteMapping,
@@ -418,11 +418,12 @@ class WorkLedger:
                 RoundRecord(_json_count(r["round"], f"records[{i}].round", InvalidLedger),
                             None if r["intervention"] is None else _json_count(
                                 r["intervention"], f"records[{i}].intervention", InvalidLedger),
-                            *(float(r[name]) * scale for name in _RECORD_FLOATS))
+                            *(_json_finite(r[name], f"records[{i}].{name}", InvalidLedger) * scale
+                              for name in _RECORD_FLOATS))
                 for i, r in enumerate(data["records"])
             )
             return cls(records, float(data["budget_total"]) * scale,
-                       float(data["budget_spent"]) * scale)
+                       _json_finite(data["budget_spent"], "budget_spent", InvalidLedger) * scale)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidLedger(f"ledger JSON does not match schema: {exc}") from exc
 
@@ -564,52 +565,6 @@ class _Frontier:
         return rows
 
 
-#: the low 27 of a float64's 52 stored significand bits; clearing them leaves 26 bits
-_TAIL_BITS = np.int64((1 << 27) - 1)
-#: counts at or above this are split as well, so that every partial product is exact
-_COUNT_SPLIT = 1 << 26
-#: the split terms replace the repeated values only when they are this many fewer:
-#: the split's dozen numpy calls cost about as much as fsum over this many more terms
-_GROUPING_GAIN = 128
-
-
-def _counted_terms(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Floats that sum exactly to ``counts @ values``, along the last axis of ``values``.
-
-    ``math.fsum`` rounds exactly (Shewchuk 1997), so ``math.fsum`` of a row of the
-    result is ``math.fsum(np.repeat(row, counts).tolist())`` bit for bit, unless a partial
-    sum overflows. Each value splits into a head of 26 significand bits and a tail of at
-    most 27, and each count into a multiple of 2**26 and a rest below 2**26, so every
-    product of a part of each is exact (Dekker 1971). Zero counts are dropped and the
-    tail keeps the value's sign, so a zero sum keeps its sign too.
-    """
-    if not counts.all():
-        keep = np.flatnonzero(counts)
-        values, counts = values[..., keep], counts[keep]
-    head = (values.view(np.int64) & ~_TAIL_BITS).view(np.float64)
-    rest = counts % _COUNT_SPLIT
-    with np.errstate(over="ignore", invalid="ignore"):  # the fallback below takes those
-        tail = np.copysign(values - head, values)
-        parts = [head * rest, tail * rest]
-        if counts.size and counts.max() >= _COUNT_SPLIT:
-            parts += [head * (counts - rest), tail * (counts - rest)]
-    terms = np.concatenate(parts, axis=-1)
-    if not np.isfinite(terms).all():  # a non-finite value, or a product past the float range
-        return np.repeat(values, counts, axis=-1)
-    return terms
-
-
-def _exact_terms(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Floats whose ``math.fsum`` is that of ``values`` repeated ``counts`` times.
-
-    Along the last axis: the ``_counted_terms`` split when it has ``_GROUPING_GAIN``
-    fewer terms than the repeated values, else the repeated values; the bits are the same.
-    """
-    if 2 * values.shape[-1] + _GROUPING_GAIN < counts.sum():
-        return _counted_terms(values, counts)
-    return np.repeat(values, counts, axis=-1)
-
-
 def _cdf(probs: np.ndarray) -> np.ndarray:
     """Row CDFs built as ``Generator.choice`` builds them: uniform u picks ``#(cdf <= u)``."""
     cdf = probs.cumsum(axis=-1)
@@ -622,8 +577,8 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
     sampled = isinstance(mode, SampledMode)
     # Walkers: in sampled mode one per trial on one frontier row, held in arrays; in
     # expected mode one, the whole tree with its rows weighted by mass, held in floats.
-    # Only expected mode merges rows: sampled rows stay keyed by ordered history,
-    # so a seed keeps giving the same ledger to the last bit.
+    # Only expected mode merges rows: sampled rows stay keyed by ordered history, as a
+    # merged row's belief would come from another order of updates.
     n = mode.trials if sampled else 1
     frontier = _Frontier(env, policy, not sampled and getattr(policy, "history_free", False),
                          math.inf if sampled else node_cap)
@@ -641,11 +596,9 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
 
     live = np.arange(n)  # running walkers
     spent, cum = (np.zeros(n), np.zeros(n)) if sampled else (0.0, 0.0)  # work, gain per walker
-    # Sampled sums are exact (fsum) over each row's value repeated its trial count times;
-    # _exact_terms chooses between the split terms and the repeated values, with the
-    # same bits either way. ``stopped`` holds the terms of the stopped trials' posterior
-    # entropies, and ``h_rows`` each current row's entropy.
-    stopped, h_rows = [], np.full(1, h_prior)
+    # Sampled sums run over rows, each row's value times its trial count, in numpy's pairwise
+    # ``sum``: a BLAS product's rounding may vary by build and thread count.
+    stopped, h_rows = 0.0, np.full(1, h_prior)  # stopped trials' summed entropy; each row's
     reasons: set[str] = set()
     records: list[RoundRecord] = []
     t, rounds = 0, DEFAULT_ROUND_CAP if max_rounds is None else max_rounds
@@ -678,15 +631,14 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
             if not live.size:
                 break
             # only sampled mode gets here: expected mode has one walker
-            gone = np.bincount(node[~run], minlength=h_rows.size)
-            stopped += _exact_terms(h_rows, gone).tolist()
+            stopped += (h_rows * np.bincount(node[~run], minlength=h_rows.size)).sum()
             node, streams = node[run], streams[:, run]
             gain, round_cost, spent = gain[run], round_cost[run], spent[run]
         spent += round_cost
         if sampled:
             cum[live] += gain
             counts = np.bincount(node, minlength=len(frontier.beliefs))
-            sums = [math.fsum(r) / n for r in _exact_terms(np.array(sums), counts).tolist()]
+            sums = ((np.array(sums) * counts).sum(axis=1) / n).tolist()
             draw = _streams.random(streams)[:, None]
             parent, y = node, (table_cdf[us[node], theta[live]] <= draw).sum(1)
             if not (pred[node, y] > 0.0).all():
@@ -699,7 +651,7 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
         node = frontier.advance(us, pred, parent, y)  # the row of each trial, or of each branch
         if sampled:
             h_rows = _entropies(frontier.beliefs)
-            h_after = math.fsum(stopped + _exact_terms(h_rows, np.bincount(node)).tolist()) / n
+            h_after = (stopped + (h_rows * np.bincount(node)).sum()) / n
         else:  # no per-row array outlives the round of an expected tree
             masses = np.bincount(node, weights=masses[parent] * pred[parent, y])
             h_after = per_walker(_entropies(frontier.beliefs))
@@ -713,19 +665,11 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
         reasons.add("max_rounds")
 
     ledger = WorkLedger(tuple(records), budget, sum(r.work_meas + r.work_erase for r in records))
-    h_end = records[-1].belief_entropy_after if records else math.fsum([h_prior] * n) / n
-    if sampled:  # the trials' totals, grouped by value
-        values, counts = np.unique(cum, return_counts=True)
-        cum_mean = math.fsum(_exact_terms(values, counts).tolist()) / n
-    else:
-        cum_mean = cum
+    h_end = records[-1].belief_entropy_after if records else h_prior + 0.0  # -0.0 as 0.0
+    cum_mean = float(cum.mean()) if sampled else cum
+    se = float(cum.std(ddof=1)) / math.sqrt(n) if n > 1 else None
     status = "budget_exhausted_immediately" if not records and reasons == {"budget"} else "ok"
     reason = reasons.pop() if len(reasons) == 1 else "mixed"
-    se = None
-    if sampled and n > 1:
-        # squared one by one in Python: numpy's square may round apart
-        squares = np.array([(c - cum_mean) ** 2 for c in values.tolist()])
-        se = math.sqrt(max(math.fsum(_exact_terms(squares, counts).tolist()) / (n - 1), 0.0) / n)
     # telescoping: outcome-side gains against the posterior-side entropy drop
     if not sampled and abs(cum_mean - (h_prior - h_end)) > 1e-10:
         raise InvalidLedger(f"cumulative information {cum_mean!r} does not telescope to "
@@ -760,8 +704,9 @@ def run_episode(
     ``node_cap`` caps expected mode's frontier, counted in merged nodes: one
     per outcome-count vector under a history-free policy (``FixedSequence``,
     ``RoundRobin``, ``GreedyInfoMax``), one per ordered history otherwise.
-    Sampled mode never merges, so its ledgers stay bit-for-bit reproducible
-    per seed.
+    Sampled mode never merges: a merged row's belief would come from another
+    order of updates, which can flip a greedy near-tie. Its ledger sums run
+    over frontier rows, within about 1e-15 of the sums over trials.
     """
     cost = cost if cost is not None else CostModel()
     mode = mode if mode is not None else ExpectedMode()

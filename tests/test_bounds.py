@@ -65,7 +65,8 @@ def test_scenario_json_round_trip():
 
 @pytest.mark.parametrize("value, message", [
     ("0.5", "h0 must be finite, got '0.5'"),
-    (10**400, "scenario JSON does not match schema: int too large to convert to float"),
+    (10**400, "h0 must be finite, got an integer past the float range"),
+    (-10**400, "h0 must be finite, got an integer past the float range"),
 ])
 def test_scenario_json_rejects_a_number_that_is_not_a_json_float(value, message):
     with pytest.raises(InvalidParameter) as info:

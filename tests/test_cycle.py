@@ -4,19 +4,17 @@ import math
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
-from hypothesis import strategies as st
 
 from thermosci import (
     CompressionMap,
     CostModel,
     DiscreteDistribution,
     EnvironmentModel,
+    EpisodeSummary,
     ExpectedMode,
     FixedSequence,
     GreedyInfoMax,
@@ -33,7 +31,6 @@ from thermosci import (
     run_episode,
     stored_entropy,
 )
-from thermosci.cycle_sim import _GROUPING_GAIN, _counted_terms, _exact_terms
 from thermosci.errors import (
     DimensionMismatch,
     IncompleteMapping,
@@ -53,6 +50,8 @@ from helpers import (
     noiseless_binary_env,
     three_state_env,
 )
+from oracle_engine import run_reference
+from test_engine_oracle import _assert_same
 
 LN2 = math.log(2.0)
 
@@ -490,13 +489,46 @@ def test_adaptive_policy_gets_null_intervention_record():
 # sampled mode
 
 
+def _seeded_sampled_runs():
+    """One sampled run per policy kind, with compression off and on, from fixed seeds."""
+    env = random_environment(np.random.default_rng(7), 6, 3, 3)
+    for policy in (FixedSequence((0, 2, 1, 1, 0)), RoundRobin(), RandomPolicy(11),
+                   GreedyInfoMax()):
+        for compression in (None, CompressionMap((0, 1, 1))):
+            yield run_episode(env, policy, CostModel(1.5, 1.2, 0.05), 5.0,
+                              SampledMode(seed=11, trials=500), compression)
+
+
+def _seeded_sampled_digests():
+    return [[hashlib.sha256(repr(part).encode()).hexdigest() for part in run]
+            for run in _seeded_sampled_runs()]
+
+
+_DIGESTS_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import test_cycle
+print(json.dumps(test_cycle._seeded_sampled_digests()))
+"""
+
+
 def test_sampled_mode_is_deterministic():
-    env = asym_binary_env()
-    mode = SampledMode(seed=11, trials=500)
-    a = run_episode(env, RoundRobin(), CostModel(), 1.6, mode)
-    b = run_episode(env, RoundRobin(), CostModel(), 1.6, mode)
-    assert json.dumps(a[0].to_json_dict()) == json.dumps(b[0].to_json_dict())
-    assert a[1] == b[1]
+    # the ledger sums are numpy reductions, not BLAS products, so a seed gives the same
+    # bits again in one process, and under any OpenBLAS thread count
+    first = [repr(run) for run in _seeded_sampled_runs()]
+    assert first == [repr(run) for run in _seeded_sampled_runs()]
+    assert len(first) == 8
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(tests).parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    digests = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", _DIGESTS_SCRIPT, tests],
+                              env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(json.loads(proc.stdout))
+    assert digests[0] == digests[1] == _seeded_sampled_digests()
 
 
 def test_sampled_mode_tracks_expected_mode():
@@ -534,21 +566,50 @@ def test_constant_compression_stores_no_negative_entropy():
     assert min(r.work_erase for r in ledger.records) >= 0.0
 
 
+def _assert_near(got, literal, label=""):
+    """A float within 1e-12 relative of the recorded ``literal`` (absolute below 1)."""
+    assert type(got) is float and abs(got - literal) <= 1e-12 * max(1.0, abs(literal)), (
+        label, got, literal)
+
+
+def _assert_matches(got, literal: str):
+    """A record or summary against its recorded repr: floats near, all else exactly."""
+    want = eval(literal, {"RoundRecord": RoundRecord, "EpisodeSummary": EpisodeSummary})
+    assert type(got) is type(want)
+    for name, value in vars(want).items():
+        if isinstance(value, float):
+            _assert_near(getattr(got, name), value, name)
+        else:
+            assert getattr(got, name) == value, (name, literal)
+
+
+def _pinned_sampled_run(*args):
+    """``run_episode`` on ``args``, checked against the reference engine's per-trial sums."""
+    got = run_episode(*args)
+    _assert_same(got, run_reference(*args), args)
+    return got
+
+
 def test_sampled_stream_is_pinned():
     # the README example, simulate --budget 2 --units bits --mode sampled:10000 --seed 7;
     # the literals were recorded from the engine that ran one trial at a time
-    ledger, summary = run_episode(asym_binary_env(), GreedyInfoMax(), CostModel(), 2 * LN2,
-                                  SampledMode(seed=7, trials=10000))
-    assert summary.cumulative_info == 0.0863046217355341
-    assert summary.cumulative_info_se == 0.0
-    assert ledger.records[0].info_gain == 0.0863046217355341
+    ledger, summary = _pinned_sampled_run(asym_binary_env(), GreedyInfoMax(), CostModel(),
+                                          2 * LN2, SampledMode(seed=7, trials=10000))
+    assert (summary.status, summary.rounds, summary.stop_reason, summary.trials) == (
+        "ok", 1, "budget", 10000)
+    assert ledger.records[0].intervention == 0
+    _assert_near(summary.cumulative_info, 0.0863046217355341)
+    _assert_near(summary.cumulative_info_se, 0.0)
+    _assert_near(ledger.records[0].info_gain, 0.0863046217355341)
     # round 0 is the same in every trial; its mean posterior entropy counts the drawn outcomes
-    assert ledger.records[0].belief_entropy_after == 0.6073692298925107
+    _assert_near(ledger.records[0].belief_entropy_after, 0.6073692298925107)
     # with two rounds the gains themselves depend on the draws
-    _, summary = run_episode(asym_binary_env(), RoundRobin(), CostModel(), 1.6,
-                             SampledMode(seed=7, trials=10000))
-    assert summary.cumulative_info == 0.15887349095419723
-    assert summary.cumulative_info_se == 7.466713417190446e-05
+    _, summary = _pinned_sampled_run(asym_binary_env(), RoundRobin(), CostModel(), 1.6,
+                                     SampledMode(seed=7, trials=10000))
+    assert (summary.status, summary.rounds, summary.stop_reason, summary.trials) == (
+        "ok", 2, "budget", 10000)
+    _assert_near(summary.cumulative_info, 0.15887349095419723)
+    _assert_near(summary.cumulative_info_se, 7.466713417190446e-05)
 
 
 def test_multi_row_sampled_ledger_is_pinned():
@@ -557,9 +618,10 @@ def test_multi_row_sampled_ledger_is_pinned():
     # that summed every ledger column trial by trial
     env = random_environment(np.random.default_rng(7), 6, 3, 3)
     assert (env.n_states, env.n_outcomes, env.intervention_count) == (6, 3, 3)
-    ledger, summary = run_episode(env, RandomPolicy(11), CostModel(1.5, 1.2, 0.05), 5.0,
-                                  SampledMode(seed=3, trials=1000), CompressionMap((0, 1, 1)))
-    assert [repr(r) for r in ledger.records] == [
+    ledger, summary = _pinned_sampled_run(env, RandomPolicy(11), CostModel(1.5, 1.2, 0.05),
+                                          5.0, SampledMode(seed=3, trials=1000),
+                                          CompressionMap((0, 1, 1)))
+    literals = [
         "RoundRecord(round_index=0, intervention=0, info_gain=0.1194986961236273, "
         "outcome_entropy=1.0948227337908547, stored_entropy=0.6066805241399778, "
         "work_meas=0.2542480441854409, work_erase=0.7280166289679733, "
@@ -585,23 +647,26 @@ def test_multi_row_sampled_ledger_is_pinned():
         "work_meas=0.00045921764122897144, work_erase=0.002181385668511088, "
         "belief_entropy_after=0.7488274654239854)",
     ]
-    assert ledger.budget_spent == 4.555447703396818
-    assert repr(summary) == (
+    assert len(ledger.records) == len(literals)
+    for record, literal in zip(ledger.records, literals):
+        _assert_matches(record, literal)
+    _assert_near(ledger.budget_spent, 4.555447703396818)
+    _assert_matches(summary, (
         "EpisodeSummary(status='ok', mode='sampled', stop_reason='budget', "
         "prior_entropy=1.2714470935576125, posterior_entropy=0.7488274654239854, "
         "cumulative_info=0.5248147670283029, rounds=6, trials=1000, "
-        "cumulative_info_se=0.0021318404515452893)")
+        "cumulative_info_se=0.0021318404515452893)"))
 
 
 def test_sampled_ledger_across_the_grouping_threshold_is_pinned():
-    # README environment, 2,000 trials, 40 rounds: the frontier doubles each round, so
-    # the ledger columns are summed from split row terms in rounds 0-10 (1 to 750 rows)
-    # and from repeated row values from round 11 on (1,009 rows and more); recorded from
-    # the engine that chose between sums over rows and over trials inline
-    ledger, summary = run_episode(asym_binary_env(), RoundRobin(), CostModel(), math.inf,
-                                  SampledMode(0, 2000), max_rounds=40)
-    reprs = [repr(r) for r in ledger.records]
-    assert [reprs[k] for k in (0, 9, 10, 11, 39)] == [
+    # README environment, 2,000 trials, 40 rounds: the frontier doubles each round, from 1
+    # row to 750 rows in round 10 and 1,009 in round 11, where an earlier engine switched
+    # from summing over rows to summing over trials; recorded from the engine that chose
+    # between the two inline. All 40 records are checked against the per-trial sums.
+    ledger, summary = _pinned_sampled_run(asym_binary_env(), RoundRobin(), CostModel(),
+                                          math.inf, SampledMode(0, 2000), None, 40)
+    assert len(ledger.records) == 40
+    for k, literal in zip((0, 9, 10, 11, 39), [
         "RoundRecord(round_index=0, intervention=0, info_gain=0.0863046217355341, "
         "outcome_entropy=0.6730116670092563, stored_entropy=0.6730116670092563, "
         "work_meas=0.0863046217355341, work_erase=0.6730116670092563, "
@@ -622,82 +687,14 @@ def test_sampled_ledger_across_the_grouping_threshold_is_pinned():
         "outcome_entropy=0.5857998969061118, stored_entropy=0.5857998969061118, "
         "work_meas=0.0008403328065285711, work_erase=0.5857998969061118, "
         "belief_entropy_after=0.008259995827166994)",
-    ]
-    # every one of the 40 record reprs, one per line
-    assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == (
-        "3e83d3688467eda5e1fb61b7fab41c740312519b9459b55b470910a0861d1bae")
-    assert ledger.budget_spent == 24.72549596242961
-    assert repr(summary) == (
+    ]):
+        _assert_matches(ledger.records[k], literal)
+    _assert_near(ledger.budget_spent, 24.72549596242961)
+    _assert_matches(summary, (
         "EpisodeSummary(status='ok', mode='sampled', stop_reason='max_rounds', "
         "prior_entropy=0.6931471805599453, posterior_entropy=0.008259995827166994, "
         "cumulative_info=0.6756072812125417, rounds=40, trials=2000, "
-        "cumulative_info_se=0.009496519090295105)")
-
-
-#: finite floats from subnormal to 1e307, both zeros and both signs
-SUM_VALUES = st.floats(min_value=-1e307, max_value=1e307) | st.sampled_from(
-    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e307, -1e307])
-
-
-def _fits(values, counts):  # no partial sum of either list can overflow
-    return sum(abs(Fraction(v)) * c for v, c in zip(values, counts)) < 10**308
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(SUM_VALUES, st.integers(min_value=0, max_value=40)),
-                min_size=1, max_size=8))
-def test_counted_terms_sum_like_the_repeated_values(pairs):
-    values = np.array([v for v, _ in pairs])
-    counts = np.array([c for _, c in pairs])
-    assume(_fits(values, counts))
-    for row, got in zip((values, -values),
-                        _counted_terms(np.stack((values, -values)), counts).tolist()):
-        expected = math.fsum(np.repeat(row, counts).tolist())
-        total = math.fsum(got)
-        assert (total, math.copysign(1.0, total)) == (expected, math.copysign(1.0, expected))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(SUM_VALUES, st.integers(min_value=2**26 - 2, max_value=2**40)
-                          | st.integers(min_value=0, max_value=3)), min_size=1, max_size=6))
-def test_counted_terms_split_counts_from_2_to_the_26(pairs):
-    # too many trials to repeat: the exact rational sum, rounded half to even as fsum rounds
-    assume(_fits(*zip(*pairs)))
-    values = np.array([v for v, _ in pairs])
-    counts = np.array([c for _, c in pairs])
-    exact = sum(Fraction(v) * c for v, c in pairs)
-    assert math.fsum(_counted_terms(values, counts).tolist()) == float(exact)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(SUM_VALUES, st.integers(min_value=0, max_value=300)),
-                min_size=1, max_size=8))
-@example([(0.1, 3), (-0.0, 2)])  # few trials: the repeated values
-@example([(0.1, 200), (1e300, 3), (-0.0, 0)])  # many trials: the split terms
-def test_exact_terms_sum_like_the_repeated_values(pairs):
-    values = np.array([v for v, _ in pairs])
-    counts = np.array([c for _, c in pairs])
-    assume(_fits(values, counts))
-    terms = _exact_terms(np.stack((values, -values)), counts)
-    if 2 * values.size + _GROUPING_GAIN < counts.sum():
-        assert terms.shape[-1] <= 2 * values.size  # split: a head and a tail per value
-    else:
-        assert terms.shape[-1] == counts.sum()
-    for row, got in zip((values, -values), terms.tolist()):
-        expected = math.fsum(np.repeat(row, counts).tolist())
-        total = math.fsum(got)
-        assert (total, math.copysign(1.0, total)) == (expected, math.copysign(1.0, expected))
-
-
-def test_counted_terms_keep_the_sign_of_zero_and_the_float_range():
-    for values, counts in (([-0.0], [2**26 + 3]), ([-0.0, 0.0], [2, 0]), ([0.0, -0.0], [0, 5])):
-        got = math.fsum(_counted_terms(np.array(values), np.array(counts)).tolist())
-        expected = math.fsum(np.repeat(values, np.minimum(counts, 5)).tolist())
-        assert math.copysign(1.0, got) == math.copysign(1.0, expected)
-    # a product past the float range, or a non-finite value, falls back to the repeated list
-    for values, counts in (([1e308], [3]), ([math.inf, 1.0], [2, 1])):
-        terms = _counted_terms(np.array(values), np.array(counts))
-        assert terms.tolist() == np.repeat(values, counts).tolist()
+        "cumulative_info_se=0.009496519090295105)"))
 
 
 # ---------------------------------------------------------------------------
@@ -744,3 +741,18 @@ def test_ledger_json_bits_conversion():
     assert bits["budget_spent"] == pytest.approx(2.0, abs=1e-12)
     back = WorkLedger.from_json_dict(bits)
     assert back.budget_spent == pytest.approx(ledger.budget_spent, abs=1e-12)
+
+
+@pytest.mark.parametrize("value, shown", [("0.2", "'0.2'"),
+                                          (10**400, "an integer past the float range")],
+                         ids=["string", "10**400"])
+@pytest.mark.parametrize("field", [*RECORD_FIELDS, "budget_spent"])
+def test_ledger_json_names_a_number_that_is_not_a_json_float(field, value, shown):
+    # a JSON string, or an integer past the float range, fails by its path in a short message
+    ledger, _ = run_episode(asym_binary_env(), RoundRobin(), CostModel(), 1.6, ExpectedMode())
+    data = ledger.to_json_dict()
+    path = field if field == "budget_spent" else f"records[1].{field}"
+    (data if field == "budget_spent" else data["records"][1])[field] = value
+    with pytest.raises(InvalidLedger) as info:
+        WorkLedger.from_json_dict(data)
+    assert str(info.value) == f"{path} must be finite, got {shown}"

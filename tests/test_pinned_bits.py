@@ -4,11 +4,13 @@ Each digest is the sha256 of a ``repr`` or of a file's bytes, recorded from
 the engine before the expected-mode walker was carried as Python floats and
 before the JSON files were written in one call. Any change to the float
 operations behind a ledger, a summary or a file moves a digest. The random
-A/A run of ``tools/parity.py`` is here too.
+A/A run of ``tools/parity.py``, and its rule for each mode, are here too.
 """
 
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,10 +21,12 @@ from thermosci.cli import main
 from thermosci.cycle_sim import (
     CompressionMap,
     CostModel,
+    ExpectedMode,
     FixedSequence,
     GreedyInfoMax,
     RandomPolicy,
     RoundRobin,
+    SampledMode,
     run_episode,
 )
 
@@ -125,14 +129,52 @@ def test_parity_tool_passes_a_against_a():
                            "--parent", REPO, "--change", REPO, "--cases", "12"],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "12 cases: every ledger and summary repr matches\n"
+    assert done.stdout == ("12 cases: every expected-mode repr matches, every sampled case is "
+                           "within 1e-12\n")
 
 
-def test_parity_tool_names_the_first_differing_case(monkeypatch, capsys):
+@pytest.fixture
+def parity(monkeypatch):
     monkeypatch.syspath_prepend(os.path.join(REPO, "tools"))
     import parity
 
+    return parity
+
+
+def test_parity_tool_names_the_first_differing_case(parity, monkeypatch, capsys):
     sides = {"p": [["a", "b"], ["c", "d"], ["e", "f"]], "c": [["a", "b"], ["c", "x"], ["e", "y"]]}
-    monkeypatch.setattr(parity, "digests", lambda checkout, cases: sides[checkout])
+    monkeypatch.setattr(parity, "results", lambda checkout, cases: sides[checkout])
     assert parity.main(["--parent", "p", "--change", "c", "--cases", "3"]) == 1
     assert capsys.readouterr().out == f"case 1 differs: {json.dumps(parity.make_case(1))}\n"
+
+
+def _result_and_nudged(parity, mode, nudge):
+    """The tool's result of a run, and of the same run with its last posterior entropy nudged."""
+    ledger, summary = run_episode(asym_binary_env(), RoundRobin(), CostModel(), 1.6, mode)
+    last = ledger.records[-1]
+    moved = dataclasses.replace(last, belief_entropy_after=nudge(last.belief_entropy_after))
+    nudged = dataclasses.replace(ledger, records=(*ledger.records[:-1], moved))
+    return parity.result_of(ledger, summary), parity.result_of(nudged, summary)
+
+
+def _one_ulp_up(x):
+    return math.nextafter(x, math.inf)
+
+
+def test_parity_tool_passes_a_sampled_case_one_ulp_off(parity):
+    want, got = _result_and_nudged(parity, SampledMode(seed=7, trials=300), _one_ulp_up)
+    assert want != got
+    assert parity.first_difference([want], [got]) is None
+
+
+def test_parity_tool_names_a_sampled_case_1e_9_off(parity, monkeypatch, capsys):
+    want, got = _result_and_nudged(parity, SampledMode(seed=7, trials=300), lambda x: x + 1e-9)
+    sides = {"p": [want, want], "c": [want, got]}
+    monkeypatch.setattr(parity, "results", lambda checkout, cases: sides[checkout])
+    assert parity.main(["--parent", "p", "--change", "c", "--cases", "2"]) == 1
+    assert capsys.readouterr().out == f"case 1 differs: {json.dumps(parity.make_case(1))}\n"
+
+
+def test_parity_tool_fails_an_expected_case_one_ulp_off(parity):
+    want, got = _result_and_nudged(parity, ExpectedMode(), _one_ulp_up)
+    assert parity.first_difference([want], [got]) == 0

@@ -1,17 +1,26 @@
-"""Compare two checkouts' episode results bit for bit, over seeded random cases.
+"""Compare two checkouts' episode results over seeded random cases.
 
     python3 tools/parity.py --parent ../parent --change ../change --cases 1000
 
 Each case is a random ``run_episode`` call: an environment of 1-4 states,
 1-3 interventions and 2-3 outcomes (some priors and likelihood rows with
 zeros or point masses), one of the four policies, compression on or off,
-expected or sampled mode, 1-14 rounds and a budget that may stop it early or
-before round 1. Case ``i`` is drawn from ``random.Random(i)``, so both
-checkouts run the same cases. For each case the sha256 of ``repr(ledger)``
-and of ``repr(summary)``, or of the exception raised, is computed in a
-subprocess that imports ``thermosci`` from the checkout's ``src``. The tool
-prints the number of cases that matched and exits 0, or names the first case
-that differs, with its inputs, and exits 1.
+and a budget that may stop it early or before round 1. An expected-mode
+case runs 1-14 rounds; a sampled case runs 1-60 rounds of 1-5,000 trials.
+Case ``i`` is drawn from ``random.Random(i)``, so both checkouts run the
+same cases, each in a subprocess that imports ``thermosci`` from the
+checkout's ``src``. The mode of a case picks the rule:
+
+* expected mode: the sha256 of ``repr(ledger)`` and of ``repr(summary)``
+  must match, bit for bit;
+* sampled mode: rounds, interventions, status, stop reason, trials and every
+  other field that is not a float must match exactly, and each float of the
+  records, the budget and the summary must lie within ``1e-12 * max(1, |x|)``
+  of the parent's ``x``.
+
+A case that raises must raise the same error, with the same text, on both
+sides. The tool prints the number of cases that agreed and exits 0, or names
+the first case that differs, with its inputs, and exits 1.
 """
 
 from __future__ import annotations
@@ -24,8 +33,10 @@ import random
 import subprocess
 import sys
 
-#: an unmerged tree of the random policy holds outcomes**rounds nodes; keep it small
+#: an unmerged expected-mode tree of the random policy holds outcomes**rounds nodes
 MAX_TREE = 4096
+#: how far a sampled-mode float may lie from the parent's, relative above 1, else absolute
+SAMPLED_TOL = 1e-12
 
 
 def _probs(rng: random.Random, n: int) -> list[float]:
@@ -43,11 +54,11 @@ def make_case(i: int) -> dict:
     rng = random.Random(i)
     states, count, outcomes = rng.randint(1, 4), rng.randint(1, 3), rng.randint(2, 3)
     policy = rng.choice(("fixed", "roundrobin", "random", "greedy"))
-    rounds = rng.randint(1, 14)
-    if policy == "random":
+    sampled = rng.random() < 0.5
+    rounds = rng.randint(1, 60 if sampled else 14)
+    if policy == "random" and not sampled:
         while outcomes ** rounds > MAX_TREE:
             rounds -= 1
-    sampled = rng.random() < 0.5
     return {
         "prior": _probs(rng, states),
         "likelihood": [[_probs(rng, outcomes) for _ in range(states)] for _ in range(count)],
@@ -59,7 +70,8 @@ def make_case(i: int) -> dict:
         "cost": [rng.choice((1.0, 1.0 + rng.random())), rng.choice((1.0, 1.0 + rng.random())),
                  rng.choice((0.0, 0.0, 0.05 * rng.random()))],
         "budget": rng.choice((0.0, rng.random(), 5.0 * rng.random(), 50.0, 50.0)),
-        "mode": [rng.randrange(2**31), rng.randint(1, 300)] if sampled else None,
+        "mode": ([rng.randrange(2**31), rng.choice((rng.randint(1, 300), rng.randint(1, 5000)))]
+                 if sampled else None),
         "max_rounds": rounds,
     }
 
@@ -68,8 +80,19 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run_case(case: dict) -> tuple[str, str]:
-    """sha256 of ``repr(ledger)`` and ``repr(summary)``, or twice of the error's type and text."""
+def result_of(ledger, summary) -> list | dict:
+    """A run's result as JSON values: in expected mode the sha256 of ``repr(ledger)`` and
+    ``repr(summary)``; in sampled mode the fields that must match exactly, and the floats."""
+    if summary.mode == "expected":
+        return [_digest(repr(ledger)), _digest(repr(summary))]
+    values = [v for obj in (*ledger.records, summary) for v in vars(obj).values()]
+    values += [ledger.budget_total, ledger.budget_spent]
+    return {"exact": [v for v in values if type(v) is not float],
+            "floats": [v for v in values if type(v) is float]}
+
+
+def run_case(case: dict) -> list | dict:
+    """``result_of`` the run of ``case``, or twice the sha256 of the error's type and text."""
     from thermosci.cycle_sim import (
         CompressionMap, CostModel, EnvironmentModel, ExpectedMode, FixedSequence,
         GreedyInfoMax, RandomPolicy, RoundRobin, SampledMode, run_episode)
@@ -88,18 +111,18 @@ def run_case(case: dict) -> tuple[str, str]:
                                       mode, compression, case["max_rounds"])
     except Exception as exc:  # an error is a result too: both sides must raise it
         text = f"{type(exc).__name__}: {exc}"
-        return _digest(text), _digest(text)
-    return _digest(repr(ledger)), _digest(repr(summary))
+        return [_digest(text), _digest(text)]
+    return result_of(ledger, summary)
 
 
 def emit(cases: int) -> None:
-    """Print one JSON line of ``[ledger, summary]`` digests per case."""
+    """Print one JSON line of ``run_case`` per case."""
     for i in range(cases):
         print(json.dumps(run_case(make_case(i))))
 
 
-def digests(checkout: str, cases: int) -> list[list[str]]:
-    """The digests of the first ``cases`` cases, run against ``checkout``'s ``src``."""
+def results(checkout: str, cases: int) -> list:
+    """The results of the first ``cases`` cases, run against ``checkout``'s ``src``."""
     src = os.path.join(os.path.abspath(checkout), "src")
     code = ("import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; import thermosci, parity\n"
             "if not thermosci.__file__.startswith(sys.argv[1]):\n"
@@ -113,10 +136,19 @@ def digests(checkout: str, cases: int) -> list[list[str]]:
     return [json.loads(line) for line in done.stdout.splitlines()]
 
 
+def agree(parent, change) -> bool:
+    """Whether two results of one case agree, under the rule of the case's mode."""
+    if not (isinstance(parent, dict) and isinstance(change, dict)):  # digests, or an error
+        return parent == change
+    return parent["exact"] == change["exact"] and len(parent["floats"]) == len(
+        change["floats"]) and all(x == y or abs(x - y) <= SAMPLED_TOL * max(1.0, abs(x))
+                                  for x, y in zip(parent["floats"], change["floats"]))
+
+
 def first_difference(parent: list, change: list) -> int | None:
-    """Index of the first case whose digests differ, or None if all agree."""
+    """Index of the first case whose results disagree, or None if all agree."""
     for i, (a, b) in enumerate(zip(parent, change)):
-        if a != b:
+        if not agree(a, b):
             return i
     return None if len(parent) == len(change) else min(len(parent), len(change))
 
@@ -127,12 +159,13 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, help="checkout under test")
     parser.add_argument("--cases", type=int, required=True, help="number of random cases")
     args = parser.parse_args(argv)
-    parent, change = digests(args.parent, args.cases), digests(args.change, args.cases)
+    parent, change = results(args.parent, args.cases), results(args.change, args.cases)
     i = first_difference(parent, change)
     if i is not None:
         print(f"case {i} differs: {json.dumps(make_case(i))}")
         return 1
-    print(f"{args.cases} cases: every ledger and summary repr matches")
+    print(f"{args.cases} cases: every expected-mode repr matches, every sampled case is "
+          f"within {SAMPLED_TOL:g}")
     return 0
 
 
