@@ -1,23 +1,21 @@
-"""numpy's seeded random streams, seeded and stepped for many rows at once.
+"""Seeded random numbers for many rows at once, as ``uint64`` numpy arithmetic.
 
-``np.random.default_rng(np.random.SeedSequence(...))`` builds one PCG64
-generator per seed. Both algorithms are fixed and public, so a whole array of
-them can be run as ``uint64`` arithmetic with the same bits:
+Sampled trials draw counter-based uniforms (Salmon et al. 2011, "Parallel
+random numbers: as easy as 1, 2, 3"): uniform ``t`` of trial ``k`` is the top
+53 bits of SplitMix64 output ``k`` (Steele, Lea & Flood 2014) keyed by
+``(seed, t)``, so no state is kept per trial.
 
-* ``SeedSequence`` hashes 32-bit entropy words into a 4-word pool with
-  O'Neill's ``seed_seq_fe`` mixing (numpy NEP 19) and draws PCG64's seed from
-  the pool.
-* PCG64 is a 128-bit LCG with the XSL-RR output function (O'Neill 2014,
-  "PCG: A Family of Simple Fast Space-Efficient Statistically Good
-  Algorithms for Random Number Generation"). Its 128-bit multiply is done on
-  64-bit halves with 32-bit limbs.
-* ``Generator.random()`` keeps the top 53 bits of an output.
-  ``Generator.integers(n)`` takes the 32-bit halves of the outputs, low half
-  first, through Lemire's rejection method (Lemire 2019, "Fast Random
-  Integer Generation in an Interval").
-
-A batch of pools is a word-major ``(4, rows)`` ``uint32`` array, and a batch of
-streams a ``(4, rows)`` ``uint64`` one: each row's state, then increment, in halves.
+``RandomPolicy`` keeps the bits of ``np.random.default_rng(np.random.SeedSequence(...))``,
+one PCG64 generator per row. ``SeedSequence`` hashes 32-bit entropy words into a
+4-word pool with O'Neill's ``seed_seq_fe`` mixing (numpy NEP 19) and draws
+PCG64's seed from it. PCG64 is a 128-bit LCG with the XSL-RR output function
+(O'Neill 2014, "PCG: A Family of Simple Fast Space-Efficient Statistically
+Good Algorithms for Random Number Generation"), multiplied here on 64-bit
+halves with 32-bit limbs. ``Generator.integers(n)`` takes the 32-bit halves of
+the outputs, low half first, through Lemire's rejection method (Lemire 2019,
+"Fast Random Integer Generation in an Interval"). A batch of pools is a
+word-major ``(4, rows)`` ``uint32`` array, and a batch of streams a
+``(4, rows)`` ``uint64`` one: each row's state, then increment, in halves.
 """
 
 from __future__ import annotations
@@ -31,6 +29,8 @@ _POOL = 4  # SeedSequence's default pool size, in 32-bit words
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_HI, _PCG_LO = 2549297995355413924, 4865540595714422341  # the 128-bit LCG multiplier
+_M64 = 2**64 - 1
+_GAMMA, _SM1, _SM2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB  # SplitMix64
 
 
 def words(n: int) -> list[int]:
@@ -116,25 +116,11 @@ def streams(entropy: np.ndarray) -> np.ndarray:
     return s
 
 
-def spawned(seed: int, n: int) -> np.ndarray:
-    """Streams of the first ``n`` (< 2**32) children of ``SeedSequence(seed)``, as ``spawn(n)``."""
-    run = words(seed)
-    entropy = np.empty((n, max(len(run), _POOL) + 1), dtype=np.uint32)
-    entropy[:, :-1] = run + [0] * (_POOL - len(run))
-    entropy[:, -1] = np.arange(n)
-    return streams(entropy)
-
-
 def _next64(s: np.ndarray) -> np.ndarray:
     """Step every stream in place and return its next 64-bit output."""
     _step(s)
     x, rot = s[0] ^ s[1], s[0] >> 58
     return (x >> rot) | (x << ((64 - rot) & 63))
-
-
-def random(s: np.ndarray) -> np.ndarray:
-    """Each stream's next ``Generator.random()`` double."""
-    return (_next64(s) >> 11) * 2.0**-53
 
 
 def integers(s: np.ndarray, n: int) -> np.ndarray:
@@ -152,3 +138,21 @@ def integers(s: np.ndarray, n: int) -> np.ndarray:
         out[todo] = np.where(ok_low, low, high) >> 32
         todo = todo[~ok]
     return out
+
+
+def _splitmix(z):
+    """SplitMix64's output function, on an int below 2**64 or a ``uint64`` array."""
+    z = (z ^ (z >> 30)) * _SM1 & _M64
+    z = (z ^ (z >> 27)) * _SM2 & _M64
+    return z ^ (z >> 31)
+
+
+def uniforms(seed: int, t: int, index: np.ndarray) -> np.ndarray:
+    """Uniform ``t`` in [0, 1) of each trial ``k`` in ``index``: the top 53 bits of
+    SplitMix64 output ``k``, ``mix(key + (k + 1) * gamma)``. The key (an int: no numpy scalar
+    overflows) adds and mixes ``t``, the seed's word count, then its words: they name
+    ``(seed, t)`` unambiguously, and each step is a bijection, so rounds never share a key."""
+    key = 0
+    for word in (t, len(run := words(seed)), *run):
+        key = _splitmix((key + word) & _M64)
+    return (_splitmix((index.astype(np.uint64) + 1) * _GAMMA + key) >> 11) * 2.0**-53

@@ -39,7 +39,8 @@ def _json_count(value, path: str, error: type[ThermosciError] = InvalidParameter
     """A JSON count as an int, else ``error`` naming ``path``: past 2**53 floats skip counts."""
     if type(value) in (int, float) and 0 <= value <= 2**53 and value == int(value):
         return int(value)  # NaN and inf fail the range before int() sees them
-    raise error(f"{path} must be an integral count in [0, 2**53], got {value!r}")
+    shown = "an integer out of range" if type(value) is int and abs(value) > 2**53 else repr(value)
+    raise error(f"{path} must be an integral count in [0, 2**53], got {shown}")
 
 
 def _json_finite(value, path: str, error: type[ThermosciError] = InvalidParameter) -> float:

@@ -296,7 +296,7 @@ class ExpectedMode:
 
 @dataclass(frozen=True)
 class SampledMode:
-    """Monte Carlo trials with per-trial deterministic substreams."""
+    """Monte Carlo trials with seeded counter-based draws, one uniform per trial and round."""
 
     seed: int = 0
     trials: int = 1000
@@ -422,7 +422,10 @@ class WorkLedger:
                               for name in _RECORD_FLOATS))
                 for i, r in enumerate(data["records"])
             )
-            return cls(records, float(data["budget_total"]) * scale,
+            total = data["budget_total"]
+            if not (type(total) is float and total == math.inf):  # Infinity: an unbounded budget
+                total = _json_finite(total, "budget_total", InvalidLedger)
+            return cls(records, total * scale,
                        _json_finite(data["budget_spent"], "budget_spent", InvalidLedger) * scale)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidLedger(f"ledger JSON does not match schema: {exc}") from exc
@@ -582,19 +585,20 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
     n = mode.trials if sampled else 1
     frontier = _Frontier(env, policy, not sampled and getattr(policy, "history_free", False),
                          math.inf if sampled else node_cap)
+    live = np.arange(n)  # running walkers
     if sampled:
-        # trial k draws from child k of SeedSequence(seed): its first uniform picks its
-        # state, then one uniform per round it runs picks that round's outcome
-        streams = _streams.spawned(mode.seed, n)
-        theta = (_cdf(env.prior.probs) <= _streams.random(streams)[:, None]).sum(axis=1)
-        table_cdf = _cdf(table)
+        # counter-based draws: uniform 0 of trial k picks its state, uniform t + 1 its round-t
+        # outcome, each the first index whose CDF exceeds it. An outcome counts the Y - 1
+        # leading CDF columns of row ``u * S + state`` at or below it (the last column is 1.0)
+        theta = np.searchsorted(_cdf(env.prior.probs), _streams.uniforms(mode.seed, 0, live),
+                                side="right")
+        n_states, cdf_cols = env.n_states, _cdf(table).reshape(-1, env.n_outcomes).T[:-1].copy()
         node = np.zeros(n, dtype=np.intp)  # frontier row of each running trial
     masses = np.ones(1)
 
     def per_walker(v):  # each running walker's value of a per-row quantity
         return v[node] if sampled else (masses @ v[:, None]).item()  # same bits as masses @ v
 
-    live = np.arange(n)  # running walkers
     spent, cum = (np.zeros(n), np.zeros(n)) if sampled else (0.0, 0.0)  # work, gain per walker
     # Sampled sums run over rows, each row's value times its trial count, in numpy's pairwise
     # ``sum``: a BLAS product's rounding may vary by build and thread count.
@@ -632,15 +636,15 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
                 break
             # only sampled mode gets here: expected mode has one walker
             stopped += (h_rows * np.bincount(node[~run], minlength=h_rows.size)).sum()
-            node, streams = node[run], streams[:, run]
+            node, theta = node[run], theta[run]
             gain, round_cost, spent = gain[run], round_cost[run], spent[run]
         spent += round_cost
         if sampled:
             cum[live] += gain
             counts = np.bincount(node, minlength=len(frontier.beliefs))
             sums = ((np.array(sums) * counts).sum(axis=1) / n).tolist()
-            draw = _streams.random(streams)[:, None]
-            parent, y = node, (table_cdf[us[node], theta[live]] <= draw).sum(1)
+            draw, row = _streams.uniforms(mode.seed, t + 1, live), us[node] * n_states + theta
+            parent, y = node, sum(col[row] <= draw for col in cdf_cols)  # one 1-D gather each
             if not (pred[node, y] > 0.0).all():
                 raise ZeroEvidence("a drawn outcome has zero predictive probability")
         else:
@@ -706,7 +710,8 @@ def run_episode(
     ``RoundRobin``, ``GreedyInfoMax``), one per ordered history otherwise.
     Sampled mode never merges: a merged row's belief would come from another
     order of updates, which can flip a greedy near-tie. Its ledger sums run
-    over frontier rows, within about 1e-15 of the sums over trials.
+    over frontier rows, within about 1e-15 of the sums over trials. The seed
+    fixes each trial's counter-based draws, whatever the trial count.
     """
     cost = cost if cost is not None else CostModel()
     mode = mode if mode is not None else ExpectedMode()

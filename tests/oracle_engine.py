@@ -5,7 +5,9 @@ round is evaluated node by node with an explicit posterior for every
 outcome, and the information gain is the posterior-side drop
 ``H(b) - E[H(post)]``. Entropies, greedy choices and compression
 pushforwards use their own copies too, so this module shares no entropy,
-gain or posterior code with :mod:`thermosci.cycle_sim`.
+gain or posterior code with :mod:`thermosci.cycle_sim`. Sampled trials run
+one at a time, each drawing its uniforms from a SplitMix64 written here in
+Python ints, so it shares no random-number code with :mod:`thermosci._streams`.
 """
 
 from __future__ import annotations
@@ -36,6 +38,40 @@ def _entropy(probs: np.ndarray) -> float:
         return 0.0
     q = probs[mask]
     return float(-(q * np.log(q)).sum())
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix_out(state: int) -> int:
+    """SplitMix64's output function (Steele, Lea & Flood 2014) on a 64-bit state."""
+    z = state & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def reference_uniform(seed: int, t: int, k: int) -> float:
+    """Uniform ``t`` of trial ``k``: the top 53 bits of SplitMix64 output ``k`` from the key
+    folded out of ``t``, the count of the seed's 32-bit words, and those words."""
+    seed_words = []
+    while True:
+        seed_words.append(seed % 2**32)
+        seed //= 2**32
+        if seed == 0:
+            break
+    key = 0
+    for word in [t, len(seed_words)] + seed_words:
+        key = _splitmix_out(key + word)
+    state = key + (k + 1) * 0x9E3779B97F4A7C15  # k + 1 steps of the generator seeded with key
+    return (_splitmix_out(state) >> 11) / 2**53
+
+
+def _pick(probs: np.ndarray, u: float) -> int:
+    """The index ``Generator.choice`` would pick for uniform ``u``: ``#(cdf <= u)``."""
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return int((cdf <= u).sum())
 
 
 def _parent_pushforward(compression: CompressionMap, probs: np.ndarray) -> np.ndarray:
@@ -162,8 +198,6 @@ def _run_expected(env, policy, cost, budget, compression, max_rounds, node_cap):
 def _run_sampled(env, policy, cost, budget, compression, max_rounds, mode, node_cap):
     table = env.likelihood.table
     h_prior = _entropy(env.prior.probs)
-    n_states, n_outcomes = env.n_states, env.n_outcomes
-    seeds = np.random.SeedSequence(mode.seed).spawn(mode.trials)
 
     trial_rows: list[list[tuple]] = []  # per trial: (u, info, hy, hs, wm, we, h_after)
     trial_cum: list[float] = []
@@ -171,8 +205,7 @@ def _run_sampled(env, policy, cost, budget, compression, max_rounds, mode, node_
     reasons: set[str] = set()
 
     for k in range(mode.trials):
-        rng = np.random.default_rng(seeds[k])
-        theta = int(rng.choice(n_states, p=env.prior.probs))
+        theta = _pick(env.prior.probs, reference_uniform(mode.seed, 0, k))
         belief = env.prior.probs
         history: History = ()
         rows: list[tuple] = []
@@ -195,7 +228,7 @@ def _run_sampled(env, policy, cost, budget, compression, max_rounds, mode, node_
             if round_cost > budget - spent_k + BUDGET_SLACK:
                 reason = "budget"
                 break
-            y = int(rng.choice(n_outcomes, p=table[u, theta]))
+            y = _pick(table[u, theta], reference_uniform(mode.seed, t + 1, k))
             post = posts[y]
             if post is None:
                 py = float(pred[y])

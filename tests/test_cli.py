@@ -575,6 +575,27 @@ def test_main_runs_after_a_rejected_call(env_file, capsys):
     assert capsys.readouterr().out == before
 
 
+_MAIN_THEN_MODULES = """
+import sys
+from thermosci.cli import main
+code = main(sys.argv[1:])
+print(code, "numpy.random" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("policy", ["greedy", "roundrobin", "random"])
+def test_sampled_simulate_does_not_import_numpy_random(tmp_path, policy):
+    # the draws are counter-based uint64 arithmetic; importing numpy.random would add about
+    # 5.5 MB of resident memory to every sampled run
+    argv = ["simulate", "--env", str(_readme_env_file(tmp_path)), "--budget", "2",
+            "--policy", policy, "--mode", "sampled:100", "--seed", "7",
+            "--out", str(tmp_path / "ledger.json")]
+    fresh = subprocess.run([sys.executable, "-c", _MAIN_THEN_MODULES, *argv],
+                           capture_output=True, text=True, timeout=120)
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout.splitlines()[-1] == "0 False"
+
+
 # ---------------------------------------------------------------------------
 # fuzz gate: every numeric flag of simulate and sweep, one bad value at a time
 

@@ -592,7 +592,7 @@ def _pinned_sampled_run(*args):
 
 def test_sampled_stream_is_pinned():
     # the README example, simulate --budget 2 --units bits --mode sampled:10000 --seed 7;
-    # the literals were recorded from the engine that ran one trial at a time
+    # the literals were recorded from the counter-based (SplitMix64) draws
     ledger, summary = _pinned_sampled_run(asym_binary_env(), GreedyInfoMax(), CostModel(),
                                           2 * LN2, SampledMode(seed=7, trials=10000))
     assert (summary.status, summary.rounds, summary.stop_reason, summary.trials) == (
@@ -602,20 +602,20 @@ def test_sampled_stream_is_pinned():
     _assert_near(summary.cumulative_info_se, 0.0)
     _assert_near(ledger.records[0].info_gain, 0.0863046217355341)
     # round 0 is the same in every trial; its mean posterior entropy counts the drawn outcomes
-    _assert_near(ledger.records[0].belief_entropy_after, 0.6073692298925107)
+    _assert_near(ledger.records[0].belief_entropy_after, 0.6065755143391774)
     # with two rounds the gains themselves depend on the draws
     _, summary = _pinned_sampled_run(asym_binary_env(), RoundRobin(), CostModel(), 1.6,
                                      SampledMode(seed=7, trials=10000))
     assert (summary.status, summary.rounds, summary.stop_reason, summary.trials) == (
         "ok", 2, "budget", 10000)
-    _assert_near(summary.cumulative_info, 0.15887349095419723)
-    _assert_near(summary.cumulative_info_se, 7.466713417190446e-05)
+    _assert_near(summary.cumulative_info, 0.15870991464162562)
+    _assert_near(summary.cumulative_info_se, 7.50071645069167e-05)
 
 
 def test_multi_row_sampled_ledger_is_pinned():
     # a 6x3x3 environment under RandomPolicy with compression: trials spread over many
-    # frontier rows and run out of budget in rounds 4, 5 and 6; recorded from the engine
-    # that summed every ledger column trial by trial
+    # frontier rows and run out of budget in rounds 4, 5 and 6; recorded from the
+    # counter-based (SplitMix64) draws
     env = random_environment(np.random.default_rng(7), 6, 3, 3)
     assert (env.n_states, env.n_outcomes, env.intervention_count) == (6, 3, 3)
     ledger, summary = _pinned_sampled_run(env, RandomPolicy(11), CostModel(1.5, 1.2, 0.05),
@@ -625,44 +625,44 @@ def test_multi_row_sampled_ledger_is_pinned():
         "RoundRecord(round_index=0, intervention=0, info_gain=0.1194986961236273, "
         "outcome_entropy=1.0948227337908547, stored_entropy=0.6066805241399778, "
         "work_meas=0.2542480441854409, work_erase=0.7280166289679733, "
-        "belief_entropy_after=1.1510908518986438)",
-        "RoundRecord(round_index=1, intervention=None, info_gain=0.13814361768854871, "
-        "outcome_entropy=1.0701314190792643, stored_entropy=0.6435999499686336, "
-        "work_meas=0.28221542653282305, work_erase=0.7723199399623603, "
-        "belief_entropy_after=1.0165747581299)",
-        "RoundRecord(round_index=2, intervention=None, info_gain=0.12177820007363561, "
-        "outcome_entropy=1.0049085103854254, stored_entropy=0.6124668134407926, "
-        "work_meas=0.2576673001104534, work_erase=0.7349601761289509, "
-        "belief_entropy_after=0.9009942822662369)",
-        "RoundRecord(round_index=3, intervention=None, info_gain=0.10645710371322295, "
-        "outcome_entropy=0.9935865846142898, stored_entropy=0.6210959772931043, "
-        "work_meas=0.23468565556983442, work_erase=0.7453151727517251, "
-        "belief_entropy_after=0.7862914393824966)",
-        "RoundRecord(round_index=4, intervention=None, info_gain=0.03883100433511564, "
-        "outcome_entropy=0.5827496585281114, stored_entropy=0.3667143744790359, "
-        "work_meas=0.10332150650267345, work_erase=0.44005724937484303, "
-        "belief_entropy_after=0.7488235702757298)",
-        "RoundRecord(round_index=5, intervention=2, info_gain=0.00010614509415264761, "
-        "outcome_entropy=0.003994557762086187, stored_entropy=0.0018178213904259067, "
-        "work_meas=0.00045921764122897144, work_erase=0.002181385668511088, "
-        "belief_entropy_after=0.7488274654239854)",
+        "belief_entropy_after=1.148839315638021)",
+        "RoundRecord(round_index=1, intervention=None, info_gain=0.13983843975720578, "
+        "outcome_entropy=1.0690359397391413, stored_entropy=0.6443254015593048, "
+        "work_meas=0.2847576596358086, work_erase=0.7731904818711657, "
+        "belief_entropy_after=1.0096715133835945)",
+        "RoundRecord(round_index=2, intervention=None, info_gain=0.12103705992875227, "
+        "outcome_entropy=1.0021426243582072, stored_entropy=0.6129875692137357, "
+        "work_meas=0.2565555898931283, work_erase=0.7355850830564828, "
+        "belief_entropy_after=0.887507568206321)",
+        "RoundRecord(round_index=3, intervention=None, info_gain=0.10569992750379069, "
+        "outcome_entropy=0.9965131947263451, stored_entropy=0.6250688693996834, "
+        "work_meas=0.23354989125568604, work_erase=0.7500826432796202, "
+        "belief_entropy_after=0.7910336059369247)",
+        "RoundRecord(round_index=4, intervention=None, info_gain=0.03624051916883372, "
+        "outcome_entropy=0.5659987892412962, stored_entropy=0.3575494837054315, "
+        "work_meas=0.09823577875325058, work_erase=0.42905938044651776, "
+        "belief_entropy_after=0.7497044700194251)",
+        "RoundRecord(round_index=5, intervention=2, info_gain=0.00015924473830243425, "
+        "outcome_entropy=0.009034800776237993, stored_entropy=0.004051884425579777, "
+        "work_meas=0.0009138671074536515, work_erase=0.004862261310695733, "
+        "belief_entropy_after=0.7493979707568696)",
     ]
     assert len(ledger.records) == len(literals)
     for record, literal in zip(ledger.records, literals):
         _assert_matches(record, literal)
-    _assert_near(ledger.budget_spent, 4.555447703396818)
+    _assert_near(ledger.budget_spent, 4.549057309763223)
     _assert_matches(summary, (
         "EpisodeSummary(status='ok', mode='sampled', stop_reason='budget', "
-        "prior_entropy=1.2714470935576125, posterior_entropy=0.7488274654239854, "
-        "cumulative_info=0.5248147670283029, rounds=6, trials=1000, "
-        "cumulative_info_se=0.0021318404515452893)"))
+        "prior_entropy=1.2714470935576125, posterior_entropy=0.7493979707568696, "
+        "cumulative_info=0.5224738872205121, rounds=6, trials=1000, "
+        "cumulative_info_se=0.0021754672497043457)"))
 
 
 def test_sampled_ledger_across_the_grouping_threshold_is_pinned():
     # README environment, 2,000 trials, 40 rounds: the frontier doubles each round, from 1
-    # row to 750 rows in round 10 and 1,009 in round 11, where an earlier engine switched
-    # from summing over rows to summing over trials; recorded from the engine that chose
-    # between the two inline. All 40 records are checked against the per-trial sums.
+    # row to 756 rows in round 10 and 1,027 in round 11, where an earlier engine switched
+    # from summing over rows to summing over trials; recorded from the counter-based
+    # (SplitMix64) draws. All 40 records are checked against the per-trial sums.
     ledger, summary = _pinned_sampled_run(asym_binary_env(), RoundRobin(), CostModel(),
                                           math.inf, SampledMode(0, 2000), None, 40)
     assert len(ledger.records) == 40
@@ -670,31 +670,31 @@ def test_sampled_ledger_across_the_grouping_threshold_is_pinned():
         "RoundRecord(round_index=0, intervention=0, info_gain=0.0863046217355341, "
         "outcome_entropy=0.6730116670092563, stored_entropy=0.6730116670092563, "
         "work_meas=0.0863046217355341, work_erase=0.6730116670092563, "
-        "belief_entropy_after=0.6078068861321991)",
-        "RoundRecord(round_index=9, intervention=0, info_gain=0.02470432539829526, "
-        "outcome_entropy=0.6082253353495534, stored_entropy=0.6082253353495534, "
-        "work_meas=0.02470432539829526, work_erase=0.6082253353495534, "
-        "belief_entropy_after=0.2071593336175952)",
-        "RoundRecord(round_index=10, intervention=0, info_gain=0.02168678748453528, "
-        "outcome_entropy=0.6056572091055625, stored_entropy=0.6056572091055625, "
-        "work_meas=0.02168678748453528, work_erase=0.6056572091055625, "
-        "belief_entropy_after=0.1838155611907888)",
-        "RoundRecord(round_index=11, intervention=0, info_gain=0.019126772542494955, "
-        "outcome_entropy=0.6027811162794563, stored_entropy=0.6027811162794563, "
-        "work_meas=0.019126772542494955, work_erase=0.6027811162794563, "
-        "belief_entropy_after=0.16455876680201748)",
-        "RoundRecord(round_index=39, intervention=0, info_gain=0.0008403328065285711, "
-        "outcome_entropy=0.5857998969061118, stored_entropy=0.5857998969061118, "
-        "work_meas=0.0008403328065285711, work_erase=0.5857998969061118, "
-        "belief_entropy_after=0.008259995827166994)",
+        "belief_entropy_after=0.6076956175966851)",
+        "RoundRecord(round_index=9, intervention=0, info_gain=0.026827389652427522, "
+        "outcome_entropy=0.6132093275669911, stored_entropy=0.6132093275669911, "
+        "work_meas=0.026827389652427522, work_erase=0.6132093275669911, "
+        "belief_entropy_after=0.2217358815760592)",
+        "RoundRecord(round_index=10, intervention=0, info_gain=0.02336969775298666, "
+        "outcome_entropy=0.6093019867406648, stored_entropy=0.6093019867406648, "
+        "work_meas=0.02336969775298666, work_erase=0.6093019867406648, "
+        "belief_entropy_after=0.20275552284059592)",
+        "RoundRecord(round_index=11, intervention=0, info_gain=0.021354678980462168, "
+        "outcome_entropy=0.6073276994214584, stored_entropy=0.6073276994214584, "
+        "work_meas=0.021354678980462168, work_erase=0.6073276994214584, "
+        "belief_entropy_after=0.17894505704078542)",
+        "RoundRecord(round_index=39, intervention=0, info_gain=0.0011017589600829658, "
+        "outcome_entropy=0.5877322257055302, stored_entropy=0.5877322257055302, "
+        "work_meas=0.0011017589600829658, work_erase=0.5877322257055302, "
+        "belief_entropy_after=0.010189698915736841)",
     ]):
         _assert_matches(ledger.records[k], literal)
-    _assert_near(ledger.budget_spent, 24.72549596242961)
+    _assert_near(ledger.budget_spent, 24.87638211385321)
     _assert_matches(summary, (
         "EpisodeSummary(status='ok', mode='sampled', stop_reason='max_rounds', "
-        "prior_entropy=0.6931471805599453, posterior_entropy=0.008259995827166994, "
-        "cumulative_info=0.6756072812125417, rounds=40, trials=2000, "
-        "cumulative_info_se=0.009496519090295105)"))
+        "prior_entropy=0.6931471805599453, posterior_entropy=0.010189698915736841, "
+        "cumulative_info=0.7070479855818188, rounds=40, trials=2000, "
+        "cumulative_info_se=0.00983723108796293)"))
 
 
 # ---------------------------------------------------------------------------
@@ -756,3 +756,36 @@ def test_ledger_json_names_a_number_that_is_not_a_json_float(field, value, shown
     with pytest.raises(InvalidLedger) as info:
         WorkLedger.from_json_dict(data)
     assert str(info.value) == f"{path} must be finite, got {shown}"
+
+
+@pytest.mark.parametrize("value, shown", [("5", "'5'"), (True, "True"), (False, "False")],
+                         ids=["string", "true", "false"])
+def test_ledger_json_rejects_a_budget_total_that_is_not_a_number(value, shown):
+    # float() would read "5" as 5.0 and True as 1.0
+    ledger, _ = run_episode(asym_binary_env(), RoundRobin(), CostModel(), 1.6, ExpectedMode())
+    data = ledger.to_json_dict()
+    data["budget_total"] = value
+    with pytest.raises(InvalidLedger) as info:
+        WorkLedger.from_json_dict(data)
+    assert str(info.value) == f"budget_total must be finite, got {shown}"
+
+
+@pytest.mark.parametrize("units", ["nats", "bits"])
+def test_ledger_json_accepts_an_infinite_budget_total(units):
+    ledger, _ = run_episode(asym_binary_env(), RoundRobin(), CostModel(), math.inf,
+                            ExpectedMode(), max_rounds=3)
+    text = json.dumps(ledger.to_json_dict(units))
+    assert '"budget_total": Infinity' in text
+    back = WorkLedger.from_json_dict(json.loads(text))
+    assert back.budget_total == math.inf
+    assert back.budget_spent == pytest.approx(ledger.budget_spent, abs=1e-12)
+
+
+def test_ledger_json_names_an_out_of_range_count_without_its_digits():
+    ledger, _ = run_episode(asym_binary_env(), RoundRobin(), CostModel(), 1.6, ExpectedMode())
+    data = ledger.to_json_dict()
+    data["records"][0]["round"] = 10**400
+    with pytest.raises(InvalidLedger) as info:
+        WorkLedger.from_json_dict(data)
+    assert "records[0].round" in str(info.value)
+    assert len(str(info.value)) < 120

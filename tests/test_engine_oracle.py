@@ -3,9 +3,10 @@
 Every policy kind, with and without a compression map, in both modes, on
 random environments from :func:`thermosci.verify.random_environment`.
 Sampled runs use the same seed on both sides, so agreement to 1e-12 also
-pins the per-trial random stream. Further sampled cases cover budget-only
+pins the counter-based uniforms. Further sampled cases cover budget-only
 runs whose trials stop at different rounds, runs of more than 8 rounds,
-a single trial, a long ``RandomPolicy`` run, and how often the policy is asked.
+a single trial, ``n`` and ``2n`` trials, a long ``RandomPolicy`` run, and
+how often the policy is asked.
 Expected-mode cases at 10-12 rounds on 2-outcome environments cover the
 merging of branches with equal outcome counts. The policy-protocol cases
 cover a policy asked row by row and one that chooses for all rows at once.
@@ -145,6 +146,27 @@ def test_many_trial_random_policy_run_matches_reference():
     rng = np.random.default_rng(78)
     env = random_environment(rng)
     _sampled_pair(env, RandomPolicy(11), 6.0, SampledMode(seed=5, trials=500))
+
+
+@pytest.mark.parametrize("policy", [RoundRobin(), GreedyInfoMax(), RandomPolicy(4)],
+                         ids=["roundrobin", "greedy", "random"])
+def test_n_and_2n_trials_match_reference(policy):
+    # trial k's draws do not depend on the trial count: the first n of 2n trials take the
+    # paths of an n-trial run, so every history those ask about is asked about again
+    env = random_environment(np.random.default_rng(79))
+    mode = SampledMode(seed=2**64 + 5, trials=150)
+    _, calls = _sampled_pair(env, policy, 4.0, mode, 12)
+    _, doubled = _sampled_pair(env, policy, 4.0, SampledMode(mode.seed, 2 * mode.trials), 12)
+    assert set(calls) <= set(doubled)
+
+
+def test_one_outcome_sampled_run_matches_reference():
+    # no CDF column is compared: every draw picks outcome 0, and each round costs delta_f_mem
+    env = EnvironmentModel(DiscreteDistribution([0.25, 0.75]), LikelihoodModel([[[1.0], [1.0]]]))
+    args = (env, RoundRobin(), CostModel(delta_f_mem=0.1), 5.0, SampledMode(seed=1, trials=10))
+    got = run_episode(*args, max_rounds=3)
+    assert got[1].rounds == 3
+    _assert_same(got, run_reference(*args, max_rounds=3), "one outcome")
 
 
 def test_long_random_policy_run_matches_reference():

@@ -118,10 +118,11 @@ def test_readme_simulate_ledger_file_is_pinned(tmp_path, capsys):
 
 
 def test_verify_report_file_is_pinned(tmp_path, capsys):
+    # the report's sampled check prints a gap and an SE, so this digest moves with the draws
     out = tmp_path / "report.json"
     assert main(["verify", "--scope", "all", "--seed", "42", "--out", str(out)]) == 0
     assert _sha(out.read_bytes()) == (
-        "9afc956be227ceda0871055981472b4ddba2fff918503e17f6c3656abb1b8819")
+        "d9ac068de7f79d4c13e61e5c42fecccb6931a4c7688ac328945f9119da4f863c")
 
 
 def test_parity_tool_passes_a_against_a():
@@ -178,3 +179,62 @@ def test_parity_tool_names_a_sampled_case_1e_9_off(parity, monkeypatch, capsys):
 def test_parity_tool_fails_an_expected_case_one_ulp_off(parity):
     want, got = _result_and_nudged(parity, ExpectedMode(), _one_ulp_up)
     assert parity.first_difference([want], [got]) == 0
+
+
+def _sides(parity, on_parent, on_change, cases=10):
+    """Parent and change results of sampled cases that differ by 1e-9: on each side, the first
+    ``on_*`` cases lie 0.1 from their expected-mode value, with an SE of 0.01."""
+    want, got = _result_and_nudged(parity, SampledMode(seed=7, trials=300), lambda x: x + 1e-9)
+    return {tag: [dict(result, judge=[0.5, 0.01, 0.6 if i < beyond else 0.5])
+                  for i in range(cases)]
+            for tag, result, beyond in (("p", want, on_parent), ("c", got, on_change))}
+
+
+@pytest.mark.parametrize("on_change, code, verdict", [(8, 0, "within"), (9, 1, "more than")])
+def test_parity_tool_counts_sampled_cases_beyond_3_se(parity, monkeypatch, capsys, on_change,
+                                                      code, verdict):
+    # 4 cases beyond on the parent allow 4 + 2 * sqrt(4) = 8 on the change
+    sides = _sides(parity, 4, on_change)
+    monkeypatch.setattr(parity, "results", lambda checkout, cases: sides[checkout])
+    assert parity.main(["--parent", "p", "--change", "c", "--cases", "10"]) == code
+    assert capsys.readouterr().out == (
+        "10 cases: every expected-mode repr matches; 10 sampled cases differ by more than "
+        "1e-12 (0 with no expected-mode run); of the 10 judged, "
+        f"{on_change} lie beyond 3 SE of expected mode on the change and 4 on the parent, "
+        f"{verdict} the 8.0 allowed\n")
+
+
+def test_parity_tool_does_not_judge_a_case_with_no_expected_mode_run(parity, monkeypatch,
+                                                                     capsys):
+    sides = _sides(parity, 0, 2, cases=3)
+    sides["c"][0]["judge"][2] = None  # its expected-mode tree was too large
+    monkeypatch.setattr(parity, "results", lambda checkout, cases: sides[checkout])
+    assert parity.main(["--parent", "p", "--change", "c", "--cases", "3"]) == 1
+    assert capsys.readouterr().out == (
+        "3 cases: every expected-mode repr matches; 3 sampled cases differ by more than "
+        "1e-12 (1 with no expected-mode run); of the 2 judged, "
+        "1 lie beyond 3 SE of expected mode on the change and 0 on the parent, "
+        "more than the 0.0 allowed\n")
+
+
+def test_parity_tool_names_a_sampled_case_that_raises_on_one_side(parity, monkeypatch, capsys):
+    sides = _sides(parity, 0, 0, cases=2)
+    sides["c"][1] = ["error digest", "error digest"]
+    monkeypatch.setattr(parity, "results", lambda checkout, cases: sides[checkout])
+    assert parity.main(["--parent", "p", "--change", "c", "--cases", "2"]) == 1
+    assert capsys.readouterr().out == f"case 1 differs: {json.dumps(parity.make_case(1))}\n"
+
+
+def test_parity_tool_judges_a_sampled_case_by_its_own_expected_mode_run(parity):
+    case = dict(parity.make_case(1), prior=README_ENV["prior"],
+                likelihood=README_ENV["likelihood"], policy="roundrobin", compression=None,
+                cost=[1.0, 1.0, 0.0], budget=1.6, mode=[7, 2000], max_rounds=60)
+    args = (asym_binary_env(), RoundRobin(), CostModel(), 1.6)
+    _, sampled = run_episode(*args, SampledMode(7, 2000), None, 60)
+    _, exact = run_episode(*args, ExpectedMode(), None, 60)
+    assert parity.run_case(case)["judge"] == [sampled.cumulative_info,
+                                              sampled.cumulative_info_se,
+                                              exact.cumulative_info]
+    # the random policy's unmerged tree outgrows the cap: there is no value to judge against
+    case.update(policy="random", likelihood=[[[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]]], budget=50.0)
+    assert parity.run_case(case)["judge"][2] is None

@@ -1,18 +1,23 @@
-"""The vectorised streams of ``thermosci._streams`` against numpy's own generators.
+"""The vectorised random numbers of ``thermosci._streams``.
 
-Sampled ledgers and ``RandomPolicy`` choices promise the bits of
+``RandomPolicy`` choices promise the bits of
 ``np.random.default_rng(np.random.SeedSequence(...))``. These tests compare
-the module with numpy itself on random seeds, spawn keys and entropy words,
-so a numpy release that changed its streams would fail here instead of
-quietly moving the ledgers.
+the PCG64 streams with numpy itself on random seeds, spawn keys and entropy
+words, so a numpy release that changed its streams would fail here instead
+of quietly moving the ledgers. Sampled-mode uniforms are counter-based
+SplitMix64 outputs; they are compared with the pure-Python reference of
+``oracle_engine``, and shown not to depend on which other trials draw.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermosci import RandomPolicy, _streams
 from thermosci.verify import random_environment
+
+from oracle_engine import reference_uniform
 
 SEEDS = st.integers(min_value=0, max_value=2**130)
 #: spawn keys at and above 2**32 take two words
@@ -25,7 +30,18 @@ WORD = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def _randoms(s, m):
-    return np.stack([_streams.random(s) for _ in range(m)], axis=1)
+    """The next ``m`` ``Generator.random()`` doubles of each stream: an output's top 53 bits."""
+    return np.stack([(_streams._next64(s) >> 11) * 2.0**-53 for _ in range(m)], axis=1)
+
+
+def _spawned(seed, n):
+    """The streams of the first ``n`` children of ``SeedSequence(seed)``: the seed's words,
+    padded with zeros to 4, then the spawn key ``k``."""
+    run = _streams.words(seed)
+    entropy = np.empty((n, max(len(run), 4) + 1), dtype=np.uint32)
+    entropy[:, :-1] = run + [0] * (4 - len(run))
+    entropy[:, -1] = np.arange(n)
+    return _streams.streams(entropy)
 
 
 def test_words_are_the_ones_numpy_makes_of_an_int():
@@ -38,7 +54,7 @@ def test_words_are_the_ones_numpy_makes_of_an_int():
 @given(SEEDS, st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=12))
 @settings(max_examples=25, deadline=None)
 def test_spawned_children_match_numpy(seed, n, m):
-    got = _randoms(_streams.spawned(seed, n), m)
+    got = _randoms(_spawned(seed, n), m)
     for k, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
         assert np.array_equal(got[k], np.random.default_rng(child).random(m)), k
 
@@ -80,3 +96,30 @@ def test_random_policy_batch_choice_equals_per_row_choice(seed, t, env_seed, dat
     batch = policy.choose_rows(beliefs, env, t, paths)
     assert batch.tolist() == [policy.choose(b, env, t, tuple(map(tuple, p.tolist())))
                               for b, p in zip(beliefs, paths)]
+
+
+@pytest.mark.parametrize("seed", [0, 2**31, 2**64 + 5, 10**30])
+def test_uniforms_equal_the_python_reference(seed):
+    index = np.array([0, 1, 2, 7, 3, 1000, 2**31 + 9, 2**40, 2**63 - 1])  # not contiguous
+    for t in (0, 1, 2, 39, 2**32 + 1):
+        got = _streams.uniforms(seed, t, index)
+        assert got.dtype == np.float64
+        assert got.tolist() == [reference_uniform(seed, t, int(k)) for k in index], t
+        assert ((got >= 0.0) & (got < 1.0)).all()
+
+
+@given(SEEDS, st.integers(min_value=0, max_value=2**32),
+       st.lists(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=30))
+@settings(max_examples=30, deadline=None)
+def test_a_trials_uniform_does_not_depend_on_the_other_trials(seed, t, trials):
+    alone = {k: _streams.uniforms(seed, t, np.array([k]))[0] for k in trials}
+    together = _streams.uniforms(seed, t, np.array(trials))
+    assert together.tolist() == [alone[k] for k in trials]
+    assert together.tolist() == [reference_uniform(seed, t, k) for k in trials]
+
+
+def test_uniforms_tell_seeds_and_rounds_apart():
+    # seeds of 1, 2, 3 and 4 words, each at three rounds: no two share their draws
+    pairs = [(seed, t) for seed in (0, 1, 2**32, 2**64 + 5, 5, 10**30) for t in (0, 1, 2)]
+    draws = {tuple(_streams.uniforms(seed, t, np.arange(4)).tolist()) for seed, t in pairs}
+    assert len(draws) == len(pairs)

@@ -13,14 +13,22 @@ checkout's ``src``. The mode of a case picks the rule:
 
 * expected mode: the sha256 of ``repr(ledger)`` and of ``repr(summary)``
   must match, bit for bit;
-* sampled mode: rounds, interventions, status, stop reason, trials and every
-  other field that is not a float must match exactly, and each float of the
-  records, the budget and the summary must lie within ``1e-12 * max(1, |x|)``
-  of the parent's ``x``.
+* sampled mode: a case passes when rounds, interventions, status, stop
+  reason, trials and every other field that is not a float match exactly,
+  and each float of the records, the budget and the summary lies within
+  ``1e-12 * max(1, |x|)`` of the parent's ``x``. A case that does not is
+  judged statistically instead, as a change of random draws moves every
+  float: each side's mean cumulative information is compared with that
+  side's own expected-mode run of the case (its tree capped at
+  ``EXPECTED_CAP`` rows; a case whose tree is larger is not judged), and
+  the case counts as beyond on that side if the gap exceeds
+  ``3 * SE + 1e-12``. The change fails if its count of such cases exceeds
+  the parent's count ``p`` by more than ``2 * sqrt(p)``.
 
 A case that raises must raise the same error, with the same text, on both
-sides. The tool prints the number of cases that agreed and exits 0, or names
-the first case that differs, with its inputs, and exits 1.
+sides. The tool prints the number of cases that agreed, and the counts of
+the judged sampled cases, and exits 0; or it names the first case that
+differs, with its inputs, or the two counts, and exits 1.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -37,6 +46,8 @@ import sys
 MAX_TREE = 4096
 #: how far a sampled-mode float may lie from the parent's, relative above 1, else absolute
 SAMPLED_TOL = 1e-12
+#: most rows of the expected-mode tree a sampled case is judged against
+EXPECTED_CAP = 2**16
 
 
 def _probs(rng: random.Random, n: int) -> list[float]:
@@ -96,6 +107,7 @@ def run_case(case: dict) -> list | dict:
     from thermosci.cycle_sim import (
         CompressionMap, CostModel, EnvironmentModel, ExpectedMode, FixedSequence,
         GreedyInfoMax, RandomPolicy, RoundRobin, SampledMode, run_episode)
+    from thermosci.errors import TreeTooLarge
 
     try:
         policy = {"fixed": lambda: FixedSequence(tuple(case["sequence"])),
@@ -107,12 +119,20 @@ def run_case(case: dict) -> list | dict:
         env = EnvironmentModel.from_json_dict({
             "prior": case["prior"], "likelihood": case["likelihood"],
             "interventions": len(case["likelihood"])})
-        ledger, summary = run_episode(env, policy, CostModel(*case["cost"]), case["budget"],
-                                      mode, compression, case["max_rounds"])
+        args = (env, policy, CostModel(*case["cost"]), case["budget"])
+        ledger, summary = run_episode(*args, mode, compression, case["max_rounds"])
     except Exception as exc:  # an error is a result too: both sides must raise it
         text = f"{type(exc).__name__}: {exc}"
         return [_digest(text), _digest(text)]
-    return result_of(ledger, summary)
+    result = result_of(ledger, summary)
+    if summary.mode == "sampled":  # the mean, its SE, and the exact value, if the tree fits
+        try:
+            exact = run_episode(*args, ExpectedMode(), compression, case["max_rounds"],
+                                EXPECTED_CAP)[1].cumulative_info
+        except TreeTooLarge:
+            exact = None
+        result["judge"] = [summary.cumulative_info, summary.cumulative_info_se or 0.0, exact]
+    return result
 
 
 def emit(cases: int) -> None:
@@ -145,12 +165,39 @@ def agree(parent, change) -> bool:
                                   for x, y in zip(parent["floats"], change["floats"]))
 
 
+def _judged(result) -> bool:
+    """Whether a sampled result that disagrees may be judged statistically."""
+    return isinstance(result, dict) and "judge" in result
+
+
 def first_difference(parent: list, change: list) -> int | None:
-    """Index of the first case whose results disagree, or None if all agree."""
+    """Index of the first case whose results disagree, or None if all agree. A sampled case
+    that disagrees only in its draws is left to ``beyond_counts``."""
     for i, (a, b) in enumerate(zip(parent, change)):
-        if not agree(a, b):
+        if not (agree(a, b) or _judged(a) and _judged(b)):
             return i
     return None if len(parent) == len(change) else min(len(parent), len(change))
+
+
+def _beyond(judge: list) -> bool:
+    mean, se, exact = judge
+    return abs(mean - exact) > 3.0 * se + SAMPLED_TOL
+
+
+def beyond_counts(parent: list, change: list) -> tuple[int, int, int, int]:
+    """Over the sampled cases that disagree: how many were judged, how many had no
+    expected-mode run, and how many lie beyond 3 SE on the parent and on the change."""
+    judged = unjudged = on_parent = on_change = 0
+    for a, b in zip(parent, change):
+        if agree(a, b) or not _judged(a):
+            continue
+        if a["judge"][2] is None or b["judge"][2] is None:
+            unjudged += 1
+            continue
+        judged += 1
+        on_parent += _beyond(a["judge"])
+        on_change += _beyond(b["judge"])
+    return judged, unjudged, on_parent, on_change
 
 
 def main(argv=None) -> int:
@@ -164,9 +211,18 @@ def main(argv=None) -> int:
     if i is not None:
         print(f"case {i} differs: {json.dumps(make_case(i))}")
         return 1
-    print(f"{args.cases} cases: every expected-mode repr matches, every sampled case is "
-          f"within {SAMPLED_TOL:g}")
-    return 0
+    judged, unjudged, on_parent, on_change = beyond_counts(parent, change)
+    if judged + unjudged == 0:
+        print(f"{args.cases} cases: every expected-mode repr matches, every sampled case is "
+              f"within {SAMPLED_TOL:g}")
+        return 0
+    allowed = on_parent + 2.0 * math.sqrt(on_parent)
+    print(f"{args.cases} cases: every expected-mode repr matches; {judged + unjudged} sampled "
+          f"cases differ by more than {SAMPLED_TOL:g} ({unjudged} with no expected-mode run); "
+          f"of the {judged} judged, {on_change} lie beyond 3 SE of expected mode on the change "
+          f"and {on_parent} on the parent, {'within' if on_change <= allowed else 'more than'} "
+          f"the {allowed:.1f} allowed")
+    return 0 if on_change <= allowed else 1
 
 
 if __name__ == "__main__":
