@@ -9,6 +9,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bounds import (
@@ -107,7 +108,10 @@ def _cmd_simulate(args) -> int:
         env = EnvironmentModel.from_json_dict(json.load(fh))
     units = Units(args.units)
     scale_in = 1.0 if units == Units.NATS else LN2
-    cost = CostModel(args.kappa_meas, args.kappa_erase, args.delta_f * scale_in)
+    # checked as typed, before the conversion to nats, so an error shows the value given
+    _check_at_least(0, budget=args.budget)
+    cost = CostModel(args.kappa_meas, args.kappa_erase, args.delta_f)
+    cost = replace(cost, delta_f_mem=cost.delta_f_mem * scale_in)
     policy = _parse_policy(args.policy, args.seed)
     mode = _parse_mode(args.mode, args.seed)
     ledger, summary = run_episode(env, policy, cost, args.budget * scale_in, mode,

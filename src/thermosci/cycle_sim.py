@@ -66,6 +66,8 @@ DEFAULT_NODE_CAP = 1_000_000
 #: most rounds an episode runs when no ``max_rounds`` is given: the merged expected
 #: frontier grows a row a round, so rounds cost O(R^2); 2,000 take about 2 s
 DEFAULT_ROUND_CAP = 2_000
+#: most trials a sampled run takes: at about 300 bytes per trial, 10**7 is about 3 GB
+MAX_TRIALS = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +306,8 @@ class SampledMode:
     def __post_init__(self):
         _check_at_least(0, seed=self.seed)
         _check_at_least(1, trials=self.trials)
+        if self.trials > MAX_TRIALS:
+            raise InvalidParameter(f"trials must be <= {MAX_TRIALS}, got {self.trials!r}")
 
 
 Mode = ExpectedMode | SampledMode

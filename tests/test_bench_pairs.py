@@ -20,7 +20,7 @@ def _result(pass_cal, correct=True, failed=0):
 
 def test_spread_gives_inclusive_quartiles():
     assert bench_pairs.spread([5.0, 1.0, 3.0, 2.0, 4.0]) == {
-        "median": 3.0, "q1": 2.0, "q3": 4.0, "iqr": 2.0, "runs": [1.0, 2.0, 3.0, 4.0, 5.0]}
+        "median": 3.0, "q1": 2.0, "q3": 4.0, "iqr": 2.0, "runs": [5.0, 1.0, 3.0, 2.0, 4.0]}
 
 
 def test_summarise_counts_pair_wins_and_failures():
@@ -35,6 +35,14 @@ def test_summarise_counts_pair_wins_and_failures():
     assert metric["change_lower_in_pairs"] == 2  # the tie in pair 2 counts for neither
     assert metric["parent"]["median"] == 4.0 and metric["change"]["median"] == 3.0
     assert metric["change_over_parent_median"] == 0.75
+
+
+def test_summarise_gives_the_median_of_per_pair_ratios():
+    results = {"parent": [_result(4.0), _result(2.0), _result(10.0)],
+               "change": [_result(2.0), _result(3.0), _result(9.0)]}
+    metric = bench_pairs.summarise(results)["metrics"]["pass_cal"]
+    assert metric["change_over_parent_pair_median"] == 0.9  # of 0.5, 1.5 and 0.9
+    assert metric["change_over_parent_median"] == 0.75  # 3.0 over 4.0
 
 
 def test_summarise_reports_an_incorrect_run():
@@ -149,3 +157,22 @@ def test_main_refuses_a_git_checkout_against_a_plain_copy(repo, tmp_path, monkey
     assert (f"--parent is a {kinds['parent']} but --change is a {kinds['change']}; "
             "compare checkouts of one kind") in capsys.readouterr().err
     assert not (tmp_path / "BENCH_0.json").exists()
+
+
+def test_main_keeps_the_runs_in_pair_order_and_names_who_ran_first(tmp_path, monkeypatch):
+    values = iter([3.0, 2.0, 1.0, 5.0, 4.0, 6.0])  # pairs 1 and 3 run the parent first
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        return _result(next(values)), {"host": "test"}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    monkeypatch.chdir(tmp_path)
+    argv = _checkouts(tmp_path)[:-1] + ["3", "--workload", "a"]
+    assert bench_pairs.main(argv) == 0
+    entry = json.loads((tmp_path / "BENCH_0.json").read_text())["workloads"]["a/seed1"]
+    assert entry["first_in_pair"] == ["parent", "change", "parent"]
+    metric = entry["metrics"]["pass_cal"]
+    assert metric["parent"]["runs"] == [3.0, 5.0, 4.0]
+    assert metric["change"]["runs"] == [2.0, 1.0, 6.0]
+    assert metric["change_lower_in_pairs"] == 2
+    assert metric["change_over_parent_pair_median"] == 0.6667  # of 2/3, 1/5 and 6/4

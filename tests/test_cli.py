@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermosci import cli
 from thermosci.cli import _build_parser, main
 from thermosci.cycle_sim import DEFAULT_ROUND_CAP
 from thermosci.toy_model import c_fed, read_grid_csv
@@ -638,3 +639,23 @@ def test_numeric_flags_fail_by_name(tmp_path_factory, flag, value):
     if code == 2:
         err = stderr.getvalue()
         assert _FIELD.get(dest, dest) in err or option in err, err
+
+
+@pytest.mark.parametrize("flag, typed, message", [
+    ("--budget", "-1", "budget must be >= 0, got -1.0"),
+    ("--delta-f", "-0.5", "delta_f_mem must be finite and >= 0, got -0.5"),
+])
+def test_simulate_bits_error_shows_the_typed_value(env_file, capsys, flag, typed, message):
+    argv = ["simulate", "--env", str(env_file), "--budget", "1", "--units", "bits"]
+    assert main(argv + [flag, typed]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "InvalidParameter", "message": message}
+
+
+def test_simulate_rejects_too_many_trials_before_running(env_file, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_episode", lambda *a, **k: pytest.fail("the episode ran"))
+    assert main(["simulate", "--env", str(env_file), "--budget", "1",
+                 "--mode", "sampled:10000001"]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "InvalidParameter",
+                       "message": "trials must be <= 10000000, got 10000001"}

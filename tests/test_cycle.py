@@ -31,6 +31,7 @@ from thermosci import (
     run_episode,
     stored_entropy,
 )
+from thermosci.cycle_sim import MAX_TRIALS
 from thermosci.errors import (
     DimensionMismatch,
     IncompleteMapping,
@@ -87,6 +88,12 @@ def test_nan_budget_rejected(mode):
     with pytest.raises(InvalidParameter, match="budget"):
         run_episode(asym_binary_env(), RoundRobin(), CostModel(), math.nan, mode,
                     max_rounds=3)
+
+
+def test_sampled_mode_caps_its_trials():
+    assert SampledMode(trials=MAX_TRIALS).trials == MAX_TRIALS
+    with pytest.raises(InvalidParameter, match=r"^trials must be <= 10000000, got 10000001$"):
+        SampledMode(trials=MAX_TRIALS + 1)
 
 
 @pytest.mark.parametrize("mode", [ExpectedMode(), SampledMode(seed=0, trials=1)])

@@ -1,6 +1,9 @@
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermosci import bounds, toy_model, verify
 from thermosci.errors import InvalidParameter
@@ -15,8 +18,8 @@ def test_each_suite_passes(scope):
 
 def test_suites_pass_on_other_seeds():
     for seed in (0, 7, 2026):
-        assert verify.run_suite("bounds", seed)["all_passed"]
-        assert verify.run_suite("info", seed)["all_passed"]
+        for scope in ("bounds", "info", "cycle", "toy"):
+            assert verify.run_suite(scope, seed)["all_passed"], (scope, seed)
 
 
 def test_unknown_scope_rejected():
@@ -38,8 +41,6 @@ def test_mutated_efficiency_law_is_caught(monkeypatch):
 
 
 def test_random_environment_respects_caps():
-    import numpy as np
-
     rng = np.random.default_rng(3)
     for _ in range(50):
         env = verify.random_environment(rng)
@@ -119,3 +120,67 @@ def test_injected_fault_names_its_check(monkeypatch, scope, fault, name, detail)
     assert [c["name"] for c in failing] == [name]
     assert failing[0]["detail"].startswith(detail)
     assert report["all_passed"] is False
+
+
+#: the library entry points the randomized checks call, by the module they are looked up in
+_COUNTED = {
+    verify: ("entropy", "expected_information_gain", "predictive_outcome_dist",
+             "posterior_update", "mutual_information_of_joint", "generalist_partition",
+             "run_episode"),
+    bounds: ("unpartitioned_info_cap", "federated_info_cap", "partition_entropy_gap"),
+    toy_model: ("eta_toy", "delta_eta"),
+}
+
+
+def _counts_instances(name, args):
+    """Whether a call starts an instance: one per drawn instance, whatever its sizes."""
+    if name == "posterior_update":  # one call per outcome; every drawn outcome has mass
+        return args[3] == 0
+    if name == "run_episode":  # greedy_argmax_round_one fans out one run per intervention
+        policy = args[1]
+        return not (isinstance(policy, verify.FixedSequence) and len(policy.interventions) == 1)
+    return True
+
+
+def _counting(monkeypatch, calls, sizes):
+    for module, names in _COUNTED.items():
+        for name in names:
+            def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
+                if _name == "entropy":
+                    sizes.append(len(args[0]))
+                if _counts_instances(_name, args):
+                    calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+
+def test_each_check_keeps_its_instance_count(monkeypatch):
+    counts, sizes = {}, []
+    for scope in ("info", "cycle", "bounds", "toy"):
+        calls = counts[scope] = {}
+        _counting(monkeypatch, calls, sizes if scope == "info" else [])
+        assert verify.run_suite(scope, seed=42)["all_passed"]
+        monkeypatch.undo()
+    assert counts == {
+        "info": {"entropy": 400, "expected_information_gain": 200,
+                 "predictive_outcome_dist": 200, "posterior_update": 200,
+                 "mutual_information_of_joint": 401},
+        "cycle": {"run_episode": 107, "unpartitioned_info_cap": 25},
+        "bounds": {"unpartitioned_info_cap": 1500, "generalist_partition": 500,
+                   "federated_info_cap": 500, "partition_entropy_gap": 100,
+                   "mutual_information_of_joint": 100},
+        "toy": {"delta_eta": 355, "eta_toy": 2310},
+    }
+    # the first 200 entropy calls are entropy_maximized_by_uniform's draws
+    assert sorted(set(sizes[:200])) == [2, 3, 4, 5, 6]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=30), st.integers(0, 2**32 - 1))
+def test_dirichlet_rows_have_their_sizes_and_sum_to_one(sizes, seed):
+    rows = list(verify._dirichlet_rows(np.random.default_rng(seed), np.array(sizes)))
+    assert [row.size for row in rows] == sizes
+    for row in rows:
+        assert row.min() >= 0.0
+        assert abs(float(row.sum()) - 1.0) <= 1e-12

@@ -12,10 +12,12 @@ named workloads, in the file's order. For each workload and each pair it runs
 ``perfbench/run.py`` once in each checkout, one after the other: pair 1 runs
 the parent first, pair 2 the change first, and so on. Each run's value of a
 metric is the last stdout line's JSON. The file gives, per workload and
-end-to-end metric, each side's runs, median and quartiles (inclusive method),
-the pairs in which the change read lower, and the change's median over the
-parent's; per workload, the jobs attempted and failed on each side; and the
-machine, from the first run's provenance line. Each side's sha is its
+end-to-end metric, each side's runs in pair order, median and quartiles
+(inclusive method), the pairs in which the change read lower, the change's
+median over the parent's, and the median of the per-pair change/parent
+ratios; per workload, the side that ran first in each pair and the jobs
+attempted and failed on each side; and the machine, from the first run's
+provenance line. Keeping the pair order lets a file be re-paired later. Each side's sha is its
 checkout's ``HEAD``, read only when the directory is the top of a git working
 tree: a plain copy, such as a ``git archive`` export, gets null rather than
 the commit of a repository it happens to sit in. Both checkouts must be of
@@ -67,11 +69,11 @@ def checkout_sha(checkout: str) -> str | None:
 def spread(runs: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
-            "iqr": round(q3 - q1, 4), "runs": sorted(round(v, 4) for v in runs)}
+            "iqr": round(q3 - q1, 4), "runs": [round(v, 4) for v in runs]}
 
 
 def summarise(results: dict) -> dict:
-    """Per-metric spread of each side, pair wins and the ratio of medians."""
+    """Per-metric spread of each side, pair wins, the ratio of medians and the median ratio."""
     metrics = {}
     for name in results["parent"][0]["metrics"]:
         runs = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
@@ -80,6 +82,8 @@ def summarise(results: dict) -> dict:
                                                                      runs["change"]))
         entry["change_over_parent_median"] = round(
             entry["change"]["median"] / entry["parent"]["median"], 4)
+        entry["change_over_parent_pair_median"] = round(statistics.median(
+            c / p for p, c in zip(runs["parent"], runs["change"])), 4)
         metrics[name] = entry
     return {
         "pairs": len(results["parent"]),
@@ -129,24 +133,30 @@ def main(argv=None) -> int:
                    f"--seconds {seconds} --trace 0",
         "method": "alternating pairs: pair i runs the parent first when i is odd and the "
                   "change first when i is even; each value is the last-line JSON metric of "
-                  "one run; medians and quartiles (inclusive method) over the runs of each "
-                  "side; change_lower_in_pairs counts pairs where the change read lower",
+                  "one run; runs are listed in pair order; medians and quartiles (inclusive "
+                  "method) over the runs of each side; change_lower_in_pairs counts pairs "
+                  "where the change read lower; change_over_parent_pair_median is the median "
+                  "of the per-pair change/parent ratios; first_in_pair names the side that "
+                  "ran first in each pair",
         "parent_sha": shas["parent"],
         "change_sha": shas["change"],
         "machine": None,
         "workloads": {},
     }
     for workload in (n for n in names if args.workload is None or n in args.workload):
-        results = {side: [] for side in SIDES}
+        results, first = {side: [] for side in SIDES}, []
         for pair in range(1, args.pairs + 1):
-            for side in (SIDES if pair % 2 else SIDES[::-1]):
+            order = SIDES if pair % 2 else SIDES[::-1]
+            first.append(order[0])
+            for side in order:
                 result, provenance = run_once(checkouts[side], workload, args.seed, seconds)
                 results[side].append(result)
                 if bench["machine"] is None:
                     bench["machine"] = {k: v for k, v in provenance.items()
                                         if k not in RUN_FIELDS}
             if pair >= 2:
-                bench["workloads"][f"{workload}/seed{args.seed}"] = summarise(results)
+                bench["workloads"][f"{workload}/seed{args.seed}"] = {
+                    **summarise(results), "first_in_pair": first}
                 with open(out, "w") as fh:
                     json.dump(bench, fh, indent=1)
                     fh.write("\n")
