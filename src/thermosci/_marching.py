@@ -3,7 +3,9 @@
 Corners are classified as positive (``v > 0``) or not; a crossing on an edge
 is placed by linear interpolation of the two corner values. Ambiguous saddle
 cells are resolved by the sign of the cell-center value (mean of corners).
-Segments are chained into polylines; output is deterministic in scan order.
+Classification and crossing placement are array code over one boolean sign
+grid and the crossing cells; chaining segments into polylines and mapping
+index to data coordinates are scalar. Output is deterministic in scan order.
 """
 
 from __future__ import annotations
@@ -13,49 +15,19 @@ from collections import deque
 
 import numpy as np
 
-# Cell corners, in index coordinates (x = column i, y = row j):
-#   c0=(i, j)  c1=(i+1, j)  c2=(i+1, j+1)  c3=(i, j+1)
-# Edges: e0=c0-c1, e1=c1-c2, e2=c3-c2, e3=c0-c3
-_EDGE_CORNERS = ((0, 1), (1, 2), (3, 2), (0, 3))
+# Cell corners c0=(i, j) c1=(i+1, j) c2=(i+1, j+1) c3=(i, j+1) as (x, y) offsets from the
+# cell's (column i, row j); edges e0=c0-c1, e1=c1-c2, e2=c3-c2, e3=c0-c3
+_CORNER_X, _CORNER_Y = np.array((0, 1, 1, 0)), np.array((0, 0, 1, 1))
+_EDGE_FROM, _EDGE_TO = np.array((0, 1, 3, 0)), np.array((1, 2, 2, 3))
 
-# case index -> list of (edge, edge) segments; saddles (5, 10) handled separately,
-# uniform cells (0, 15) never reach the segment code
-_SEGMENTS = {
-    1: ((3, 0),), 14: ((3, 0),),
-    2: ((0, 1),), 13: ((0, 1),),
-    3: ((3, 1),), 12: ((3, 1),),
-    4: ((1, 2),), 11: ((1, 2),),
-    6: ((0, 2),), 9: ((0, 2),),
-    7: ((2, 3),), 8: ((2, 3),),
-}
-
-
-def _corner_coords(i: int, j: int):
-    return ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
-
-
-def _edge_point(corners, values, edge: int):
-    a, b = _EDGE_CORNERS[edge]
-    va, vb = values[a], values[b]
-    t = va / (va - vb)
-    (xa, ya), (xb, yb) = corners[a], corners[b]
-    return (xa + t * (xb - xa), ya + t * (yb - ya))
-
-
-def _cell_segments(i: int, j: int, v, case: int):
-    """Segments of one crossing cell with corner values ``v`` = (c0, c1, c2, c3)."""
-    corners = _corner_coords(i, j)
-    if case in (5, 10):
-        center_positive = (v[0] + v[1] + v[2] + v[3]) / 4.0 > 0.0
-        # connect around the corners that are isolated from the center's sign
-        if (case == 5) == center_positive:
-            pairs = ((0, 1), (3, 2))  # isolate c1 and c3
-        else:
-            pairs = ((3, 0), (1, 2))  # isolate c0 and c2
-        return tuple((_edge_point(corners, v, a), _edge_point(corners, v, b))
-                     for a, b in pairs)
-    return tuple((_edge_point(corners, v, a), _edge_point(corners, v, b))
-                 for a, b in _SEGMENTS[case])
+# case -> (edge, edge) of its one segment, shared with its complement 15 - case; saddles
+# (5, 10) take two from _SADDLE_EDGES, and uniform cells (0, 15) never reach this code.
+# Built flat: a nested sequence would set up numpy's conversion state (~140 KB) at import.
+_ONE_SEGMENT = dict(zip((1, 2, 3, 4, 6, 7), ((3, 0), (0, 1), (3, 1), (1, 2), (0, 2), (2, 3))))
+_CASE_EDGES = np.array([e for c in range(16)
+                        for e in _ONE_SEGMENT.get(min(c, 15 - c), (0, 0))]).reshape(16, 2)
+# saddle segments' edges, indexed by whether they isolate c1 and c3 (else c0 and c2)
+_SADDLE_EDGES = np.array((3, 0, 1, 2, 0, 1, 3, 2)).reshape(2, 2, 2)
 
 
 def _chain_segments(segments):
@@ -118,18 +90,35 @@ def zero_isolines(values: np.ndarray, x_axis: np.ndarray, y_axis: np.ndarray,
     ny, nx = values.shape
     if nx != x_axis.size or ny != y_axis.size:
         raise ValueError("axis lengths do not match the value grid")
-    # corner views in cell order c0..c3, each of shape (ny - 1, nx - 1)
-    v0, v1, v2, v3 = values[:-1, :-1], values[:-1, 1:], values[1:, 1:], values[1:, :-1]
-    cases = (v0 > 0.0) + 2 * (v1 > 0.0) + 4 * (v2 > 0.0) + 8 * (v3 > 0.0)
-    rows, cols = np.nonzero((cases != 0) & (cases != 15))  # row-major scan order
-    segments = []
-    for j, i in zip(rows.tolist(), cols.tolist()):
-        v = (values[j, i], values[j, i + 1], values[j + 1, i + 1], values[j + 1, i])
-        segments.extend(_cell_segments(i, j, v, int(cases[j, i])))
+    # a cell crosses when a corner's sign differs from c0's; one byte a grid point
+    positive = values > 0.0
+    c0 = positive[:-1, :-1]
+    crossing = c0 != positive[:-1, 1:]
+    crossing |= c0 != positive[1:, 1:]
+    crossing |= c0 != positive[1:, :-1]
+    rows, cols = np.nonzero(crossing)  # row-major scan order
+    del positive, c0, crossing  # before the per-segment lists are built
+    v = values[rows[:, None] + _CORNER_Y, cols[:, None] + _CORNER_X]  # (cells, corner c0..c3)
+    cases = ((v > 0.0) << np.arange(4)).sum(axis=1)  # bit k set when corner k is positive
+    saddle = (cases == 5) | (cases == 10)
+    vs = v[saddle].T
+    # connect a saddle around the corners isolated from the center's sign
+    isolate_c1_c3 = (cases[saddle] == 5) == ((vs[0] + vs[1] + vs[2] + vs[3]) / 4.0 > 0.0)
+    edges = np.stack((_CASE_EDGES[cases],) * 2, axis=1)  # (cells, segment, edge)
+    edges[saddle] = _SADDLE_EDGES[isolate_c1_c3.astype(np.intp)]
+    cell, segment = np.nonzero(np.arange(2) <= saddle[:, None])  # in cell order
+    edges = edges[cell, segment]  # (segments, end)
+    a, b, cell = _EDGE_FROM[edges], _EDGE_TO[edges], cell[:, None]
+    t = v[cell, a] / (v[cell, a] - v[cell, b])
+    # gathered, not cast: numpy's first int-to-float cast in a process sets up ~128 KB
+    xs, ys = np.arange(float(nx)), np.arange(float(ny))
+    xa, xb = xs[cols[cell] + _CORNER_X[a]], xs[cols[cell] + _CORNER_X[b]]
+    ya, yb = ys[rows[cell] + _CORNER_Y[a]], ys[rows[cell] + _CORNER_Y[b]]
+    points = np.stack((xa + t * (xb - xa), ya + t * (yb - ya)), axis=-1)  # (segments, end, xy)
     # endpoint keys: (x, y) rounded to 9 decimals, exactly as np.float64.__round__ does
-    keys = np.round(np.array(segments, dtype=float).reshape(-1, 4), 9).tolist()
+    keys = np.round(points.reshape(-1, 4), 9).tolist()
     ends = [((p, (kx, ky)), (q, (lx, ly)))
-            for (p, q), (kx, ky, lx, ly) in zip(segments, keys)
+            for (p, q), (kx, ky, lx, ly) in zip(points.tolist(), keys)
             # crossings pinned to an exactly-zero corner collapse to points
             if (kx, ky) != (lx, ly)]
     return [np.array([(_index_to_coord(x, x_axis, x_log), _index_to_coord(y, y_axis, y_log))

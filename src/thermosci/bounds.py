@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 
 from .errors import (
@@ -59,10 +59,10 @@ class SubdomainBudget:
     h: float
     beta_w: float
     sum_hy: float
+    what: InitVar[str] = "subdomain "  # how messages name the fields, such as "subdomains[0]."
 
-    def __post_init__(self):
-        _check_at_least(0.0, "subdomain ", p=self.p, h=self.h, beta_w=self.beta_w,
-                        sum_hy=self.sum_hy)
+    def __post_init__(self, what: str):
+        _check_at_least(0.0, what, p=self.p, h=self.h, beta_w=self.beta_w, sum_hy=self.sum_hy)
 
 
 @dataclass(frozen=True)
@@ -88,13 +88,11 @@ class BudgetScenario:
             object.__setattr__(self, "subdomains", subs)
             mass = sum(s.p for s in subs)
             if abs(mass - 1.0) > 1e-9:
-                raise InvalidParameter(f"subdomain masses sum to {mass!r}, expected 1")
+                raise InvalidParameter(f"subdomain masses subdomains[*].p sum to {mass!r}, not 1")
             weighted = sum(s.p * s.beta_w for s in subs)
             if abs(weighted - self.beta_w) > _CONSISTENCY_TOL:
-                raise InvalidParameter(
-                    f"mass-weighted subdomain budgets {weighted!r} do not reproduce "
-                    f"beta_w {self.beta_w!r}"
-                )
+                raise InvalidParameter(f"mass-weighted subdomain budgets subdomains[*].beta_w "
+                                       f"give {weighted!r}, not beta_w {self.beta_w!r}")
 
     def to_json_dict(self) -> dict:
         d = {"h0": self.h0, "beta_w": self.beta_w, "sum_hy": self.sum_hy, "subdomains": None}
@@ -113,7 +111,8 @@ class BudgetScenario:
         try:
             subs = data.get("subdomains")
             subdomains = None if subs is None else tuple(
-                SubdomainBudget(*finite(s, f"subdomains[{i}].", "p", "h", "beta_w", "sum_hy"))
+                SubdomainBudget(*finite(s, f"subdomains[{i}].", "p", "h", "beta_w", "sum_hy"),
+                                what=f"subdomains[{i}].")
                 for i, s in enumerate(subs))
             return cls(*finite(data, "", "h0", "beta_w", "sum_hy"), subdomains)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

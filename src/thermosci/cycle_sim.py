@@ -28,7 +28,7 @@ Two evaluation modes are supported:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -337,31 +337,28 @@ class RoundRecord:
     work_meas: float
     work_erase: float
     belief_entropy_after: float
+    path: InitVar[str] = ""  # a JSON path, such as "records[3].", to name fields by
 
-    def __post_init__(self):  # the checks build their text only when they fail
+    def __post_init__(self, path: str):  # the field checks build their text only on failure
+        where = f"round {self.round_index}: "
         for name in _RECORD_FLOATS:
             value = self.__dict__[name] = float(self.__dict__[name])
             if not math.isfinite(value):
-                raise InvalidLedger(f"round {self.round_index}: {name} must be finite, "
-                                    f"got {value!r}")
+                raise InvalidLedger(f"{where}{path}{name} must be finite, got {value!r}")
         for name in ("belief_entropy_after", *_RECORD_FLOATS[:3]):  # may not be negative
             if not getattr(self, name) >= -BUDGET_SLACK:
-                _check_at_least(-BUDGET_SLACK, f"round {self.round_index}: ", InvalidLedger,
+                _check_at_least(-BUDGET_SLACK, where + path, InvalidLedger,
                                 **{name: getattr(self, name)})
+        at = (lambda name: f" {path}{name}") if path else (lambda name: "")
         if self.work_meas < self.info_gain - BUDGET_SLACK:
-            raise InvalidLedger(
-                f"round {self.round_index}: measurement work {self.work_meas!r} below "
-                f"information gain {self.info_gain!r}"
-            )
+            raise InvalidLedger(f"{where}measurement work{at('work_meas')} {self.work_meas!r} "
+                                f"below information gain{at('info_gain')} {self.info_gain!r}")
         if self.work_erase < self.stored_entropy - BUDGET_SLACK:
-            raise InvalidLedger(
-                f"round {self.round_index}: erasure work {self.work_erase!r} below "
-                f"stored entropy {self.stored_entropy!r}"
-            )
+            raise InvalidLedger(f"{where}erasure work{at('work_erase')} {self.work_erase!r} below "
+                                f"stored entropy{at('stored_entropy')} {self.stored_entropy!r}")
         if self.stored_entropy > self.outcome_entropy + BUDGET_SLACK:
-            raise InvalidLedger(
-                f"round {self.round_index}: stored entropy exceeds outcome entropy"
-            )
+            raise InvalidLedger(f"{where}stored entropy{at('stored_entropy')} exceeds "
+                                f"outcome entropy{at('outcome_entropy')}")
 
 
 @dataclass(frozen=True)
@@ -382,13 +379,11 @@ class WorkLedger:
             raise InvalidLedger(f"budget_spent must be finite, got {self.budget_spent!r}")
         spent = sum(r.work_meas + r.work_erase for r in self.records)
         if abs(spent - self.budget_spent) > 1e-10:
-            raise InvalidLedger(
-                f"budget_spent {self.budget_spent!r} does not match record sum {spent!r}"
-            )
+            raise InvalidLedger(f"budget_spent {self.budget_spent!r} does not match the sum "
+                                f"of records[*].work_meas and records[*].work_erase, {spent!r}")
         if self.budget_spent > self.budget_total + BUDGET_SLACK:
-            raise InvalidLedger(
-                f"budget_spent {self.budget_spent!r} exceeds budget_total {self.budget_total!r}"
-            )
+            raise InvalidLedger(f"budget_spent {self.budget_spent!r} exceeds budget_total "
+                                f"{self.budget_total!r}")
 
     @property
     def rounds_completed(self) -> int:
@@ -416,19 +411,24 @@ class WorkLedger:
     @classmethod
     def from_json_dict(cls, data: dict) -> "WorkLedger":
         try:
-            units = Units(data.get("units", "nats"))
-            scale = 1.0 if units == Units.NATS else LN2
+            units = data.get("units", "nats")
+            if units not in ("nats", "bits"):
+                raise InvalidLedger(f"units must be 'nats' or 'bits', got {units!r}")
+            scale = 1.0 if units == "nats" else LN2
             records = tuple(
                 RoundRecord(_json_count(r["round"], f"records[{i}].round", InvalidLedger),
                             None if r["intervention"] is None else _json_count(
                                 r["intervention"], f"records[{i}].intervention", InvalidLedger),
                             *(_json_finite(r[name], f"records[{i}].{name}", InvalidLedger) * scale
-                              for name in _RECORD_FLOATS))
+                              for name in _RECORD_FLOATS), path=f"records[{i}].")
                 for i, r in enumerate(data["records"])
             )
             total = data["budget_total"]
             if not (type(total) is float and total == math.inf):  # Infinity: an unbounded budget
                 total = _json_finite(total, "budget_total", InvalidLedger)
+            _json_count(data["rounds"], "rounds", InvalidLedger)  # derived, so range-checked only
+            for name in ("cumulative_info", "work_meas", "work_erase"):  # so are the totals
+                _json_finite(data["totals"][name], f"totals.{name}", InvalidLedger)
             return cls(records, total * scale,
                        _json_finite(data["budget_spent"], "budget_spent", InvalidLedger) * scale)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -62,7 +62,10 @@ def _normalised(values, rank: int, what: str, error: type[ThermosciError]) -> np
     checked in this order: shape, non-finite, negative beyond
     ``NEGATIVE_CLAMP``, sum.
     """
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except OverflowError:  # a JSON integer past the float range
+        raise error(f"{what} contains non-finite entries") from None
     if arr.ndim != rank or arr.size < 1:
         raise error(f"{what} must be {_SHAPES[rank]}, got shape {arr.shape}")
     lo, hi = float(arr.min()), float(arr.max())

@@ -117,6 +117,8 @@ class PartitionSpec:
             priors = data.get("conditional_priors")
             conditional = None
             if priors is not None:
+                if not isinstance(priors, list):
+                    raise InvalidParameter(f"conditional_priors must be a list, got {priors!r}")
                 conditional = tuple(DiscreteDistribution(p, what=f"conditional_priors[{i}]")
                                     for i, p in enumerate(priors))
             entropies = data.get("entropies")

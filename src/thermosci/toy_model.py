@@ -171,6 +171,9 @@ class SecondAxis:
         if not self.minimum < self.maximum:
             raise InvalidParameter(f"{what}minimum must be below maximum, got {self.minimum!r}")
         _check_at_least(2, what, steps=self.steps)
+        # linspace keeps both bounds, so only bounds that round alike give one distinct n
+        if self.kind == "n" and not self.continuous and round(self.minimum) == round(self.maximum):
+            raise InvalidParameter(f"discrete {what}rounds to 1 distinct count; it needs 2")
         if self.kind == "c_spec" and self.maximum > 1.0:
             raise InvalidParameter(f"c_spec axis maximum must be <= 1, got {self.maximum!r}")
 
@@ -247,7 +250,7 @@ class SweepGrid:
         for name in ("omega", "axis2", "eta_first", "eta_second", "delta"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise InvalidParameter(f"{name} contains non-finite values")
-        if np.any(np.abs(self.delta) > 1.0 + 1e-12):
+        if max(self.delta.max(), -self.delta.min()) > 1.0 + 1e-12:  # no |delta| grid
             raise InvalidParameter("efficiency differences must lie in [-1, 1]")
 
 
@@ -263,9 +266,9 @@ def sweep(pair: Pair | str, params: ToyParams, axes: SweepAxes) -> SweepGrid:
     axis2 = axes.second.values()
     # (row, strategy, lever): c varies along axis2, each strategy's alpha does not
     levers = np.array([_pair_levers(pair, params, float(v)) for v in axis2])
-    eta_first, eta_second = (
-        np.minimum(levers[:, k, :1] / omega, 1.0 / (1.0 + levers[0, k, 1])) for k in (0, 1)
-    )
+    eta_first, eta_second = (levers[:, k, :1] / omega for k in (0, 1))
+    for k, eta in enumerate((eta_first, eta_second)):  # capped in place: one grid each
+        np.minimum(eta, 1.0 / (1.0 + levers[0, k, 1]), out=eta)
     delta = eta_first - eta_second
     grid = SweepGrid(pair.value, params, omega, axis2, axes.second.kind,
                      axes.omega_scale, eta_first, eta_second, delta, contours=[])
@@ -315,7 +318,7 @@ def write_grid_csv(grid: SweepGrid, path) -> None:
 
 
 def _infer_scale(axis: np.ndarray) -> str:
-    if axis.size < 3 or np.any(axis <= 0.0):
+    if axis.size < 3:
         return "linear"
     diffs = np.diff(axis)
     ratios = axis[1:] / axis[:-1]
@@ -370,6 +373,10 @@ def read_grid_csv(path) -> SweepGrid:
     axis2 = blocks[1, :, 0]
     if not (np.all(blocks[0] == omega) and np.all(blocks[1] == axis2[:, None])):
         raise MalformedGrid("grid rows are not row-major with omega varying fastest")
+    if not (omega[0] > 0.0 and np.all(omega[1:] > omega[:-1])):
+        raise MalformedGrid("omega must be > 0 and strictly increasing along each row")
+    if not np.all(axis2[1:] > axis2[:-1]):
+        raise MalformedGrid("axis2 must be strictly increasing between rows")
     return SweepGrid(None, None, omega, axis2, "axis2", _infer_scale(omega),
                      blocks[2], blocks[3], blocks[4], contours=[])
 

@@ -45,6 +45,24 @@ def test_summarise_gives_the_median_of_per_pair_ratios():
     assert metric["change_over_parent_median"] == 0.75  # 3.0 over 4.0
 
 
+def test_pair_interval_lies_below_one_when_the_change_reads_lower_in_every_pair():
+    parent = [10.0, 11.0, 9.5, 10.2, 12.0, 9.8, 10.4, 10.1, 11.5, 9.9]
+    change = [p * r for p, r in zip(parent, (0.8, 0.95, 0.7, 0.9, 0.85, 0.99, 0.75, 0.9,
+                                              0.8, 0.97))]
+    results = {"parent": [_result(v) for v in parent], "change": [_result(v) for v in change]}
+    lo, hi = bench_pairs.summarise(results)["metrics"]["pass_cal"]["change_over_parent_pair_ci95"]
+    assert 0.7 <= lo <= hi < 1.0
+
+
+def test_pair_interval_is_the_same_on_every_call():
+    results = {"parent": [_result(v) for v in (4.0, 2.0, 10.0, 3.0, 7.0)],
+               "change": [_result(v) for v in (2.0, 3.0, 9.0, 3.3, 6.0)]}
+    first, again = (bench_pairs.summarise(results)["metrics"]["pass_cal"]
+                    ["change_over_parent_pair_ci95"] for _ in range(2))
+    assert first == again
+    assert first[0] < 0.9 < first[1]  # brackets the median ratio
+
+
 def test_summarise_reports_an_incorrect_run():
     results = {"parent": [_result(1.0), _result(1.0)],
                "change": [_result(1.0), _result(1.0, correct=False)]}
@@ -127,6 +145,15 @@ def test_main_runs_every_workload_by_default(tmp_path, monkeypatch):
     ran = _fake_runs(monkeypatch, tmp_path)
     assert bench_pairs.main(_checkouts(tmp_path)) == 0
     assert [w for _, w in ran] == ["a"] * 4 + ["b"] * 4 + ["c"] * 4
+
+
+def test_main_gives_identical_sides_the_pair_interval_one(tmp_path, monkeypatch):
+    _fake_runs(monkeypatch, tmp_path)  # every run of either side reads 1.0
+    assert bench_pairs.main(_checkouts(tmp_path)) == 0
+    bench = json.loads((tmp_path / "BENCH_0.json").read_text())
+    for entry in bench["workloads"].values():
+        assert entry["metrics"]["pass_cal"]["change_over_parent_pair_ci95"] == [1.0, 1.0]
+    assert "bootstrap" in bench["method"]
 
 
 def test_main_rejects_an_unknown_workload_before_any_run(tmp_path, monkeypatch, capsys):

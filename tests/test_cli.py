@@ -385,7 +385,7 @@ def test_verify_rejects_a_negative_ledger_entropy(tmp_path, env_file, capsys, fi
     assert _verify_ledger(path) == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload == {"error": "InvalidLedger",
-                       "message": f"round 0: {field} must be >= -1e-12, got -1.0"}
+                       "message": f"round 0: records[0].{field} must be >= -1e-12, got -1.0"}
 
 
 def test_infinite_budget_ledger_round_trips(tmp_path, env_file, capsys):
@@ -479,6 +479,22 @@ def test_contour_names_the_non_finite_grid_column(tmp_path, capsys, column, valu
     name = ("omega", "axis2", "eta_first", "eta_second", "delta_eta")[column]
     assert payload == {"error": "MalformedGrid",
                        "message": f"{name} contains non-finite values"}
+
+
+@pytest.mark.parametrize("omega, axis2, message", [
+    ((-1.0, 2.0), (1.0, 2.0), "omega must be > 0 and strictly increasing along each row"),
+    ((2.0, 1.0), (1.0, 2.0), "omega must be > 0 and strictly increasing along each row"),
+    ((1.0, 2.0), (2.0, 1.0), "axis2 must be strictly increasing between rows"),
+], ids=["negative-omega", "decreasing-omega", "decreasing-axis2"])
+def test_contour_rejects_a_grid_sweep_could_not_write(tmp_path, capsys, omega, axis2, message):
+    rows = [f"{o!r},{a!r},0.5,0.5,0.0" for a in axis2 for o in omega]
+    (tmp_path / "bad.csv").write_text("omega,axis2,eta_first,eta_second,delta_eta\n"
+                                      + "\n".join(rows) + "\n")
+    assert main(["contour", "--grid", str(tmp_path / "bad.csv"),
+                 "--out", str(tmp_path / "c.json")]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "MalformedGrid", "message": message}
+    assert not (tmp_path / "c.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,17 @@ def test_integer_n_axis():
     assert np.array_equal(axis.values(), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
 
 
+def test_integer_n_axis_keeps_each_whole_count():
+    assert np.array_equal(SecondAxis("n", 1.0, 3.0, 3, continuous=False).values(), [1, 2, 3])
+
+
+def test_integer_n_axis_that_rounds_to_one_count_is_rejected():
+    # values() would round it to [1.0], a one-row grid that read_grid_csv refuses
+    with pytest.raises(InvalidParameter, match="discrete n axis rounds to 1 distinct count"):
+        SecondAxis("n", 1.0, 1.4, 5, continuous=False)
+    assert SecondAxis("n", 1.0, 1.4, 5).values().size == 5  # a continuous axis keeps them
+
+
 def test_symmetric_fed_gen_grid_nonpositive():
     grid = sweep(Pair.FED_GEN, ToyParams.symmetric(), SweepAxes.default_n())
     assert np.all(grid.delta <= 1e-15)
@@ -269,6 +281,35 @@ def test_uniform_sign_grid_has_no_contours():
     # deep in the budget-limited region the specialist always wins
     assert np.all(grid.delta > 0)
     assert grid.contours == []
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes it allocated beyond what was live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+_BIG_AXES = SweepAxes(SecondAxis("n", 1.0, 20.0, 500), omega_steps=1000)
+
+
+def test_sweep_holds_one_grid_per_array():
+    # eta_first, eta_second and delta are 24 bytes a cell; the rest is the contour pass
+    sweep(Pair.FED_GEN, ToyParams.asymmetric(), SweepAxes.default_n(steps=5))  # warm caches
+    grid, peak = _traced_peak(sweep, Pair.FED_GEN, ToyParams.asymmetric(), _BIG_AXES)
+    assert grid.delta.shape == (500, 1000)
+    assert peak / grid.delta.size <= 28.0
+
+
+def test_zero_contours_memory_grows_with_the_crossing_cells():
+    grid = sweep(Pair.FED_GEN, ToyParams.asymmetric(), _BIG_AXES)
+    lines, peak = _traced_peak(zero_contours, grid)
+    assert lines and all(np.array_equal(a, b) for a, b in zip(lines, grid.contours))
+    assert peak / grid.delta.size <= 4.0
 
 
 def test_marching_squares_recovers_a_circle():

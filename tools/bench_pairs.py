@@ -15,9 +15,9 @@ metric is the last stdout line's JSON. The file gives, per workload and
 end-to-end metric, each side's runs in pair order, median and quartiles
 (inclusive method), the pairs in which the change read lower, the change's
 median over the parent's, and the median of the per-pair change/parent
-ratios; per workload, the side that ran first in each pair and the jobs
-attempted and failed on each side; and the machine, from the first run's
-provenance line. Keeping the pair order lets a file be re-paired later. Each side's sha is its
+ratios with a bootstrap 95% interval over the pairs; per workload, the side
+that ran first in each pair and the jobs attempted and failed on each side;
+and the machine, from the first run's provenance line. Keeping the pair order lets a file be re-paired later. Each side's sha is its
 checkout's ``HEAD``, read only when the directory is the top of a git working
 tree: a plain copy, such as a ``git archive`` export, gets null rather than
 the commit of a repository it happens to sit in. Both checkouts must be of
@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -39,6 +40,8 @@ import sys
 SIDES = ("parent", "change")
 #: the provenance fields that describe the run, not the machine
 RUN_FIELDS = ("git_sha", "git_dirty", "workload_seed")
+#: resamples of the pairs behind each change_over_parent_pair_ci95
+BOOTSTRAP_RESAMPLES = 2000
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
@@ -72,8 +75,23 @@ def spread(runs: list[float]) -> dict:
             "iqr": round(q3 - q1, 4), "runs": [round(v, 4) for v in runs]}
 
 
+def pair_ratio_ci95(ratios: list[float]) -> list[float]:
+    """2.5th and 97.5th percentiles of the median of ``ratios`` over resampled pairs.
+
+    Each resample draws ``len(ratios)`` pairs with replacement from a
+    ``random.Random(0)``, so summarising the same pairs again gives the same
+    interval.
+    """
+    rng = random.Random(0)
+    medians = [statistics.median(rng.choices(ratios, k=len(ratios)))
+               for _ in range(BOOTSTRAP_RESAMPLES)]
+    cuts = statistics.quantiles(medians, n=40, method="inclusive")  # every 2.5%
+    return [round(cuts[0], 4), round(cuts[-1], 4)]
+
+
 def summarise(results: dict) -> dict:
-    """Per-metric spread of each side, pair wins, the ratio of medians and the median ratio."""
+    """Per-metric spread of each side, pair wins, the ratio of medians, the median ratio
+    and its bootstrap interval."""
     metrics = {}
     for name in results["parent"][0]["metrics"]:
         runs = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
@@ -82,8 +100,9 @@ def summarise(results: dict) -> dict:
                                                                      runs["change"]))
         entry["change_over_parent_median"] = round(
             entry["change"]["median"] / entry["parent"]["median"], 4)
-        entry["change_over_parent_pair_median"] = round(statistics.median(
-            c / p for p, c in zip(runs["parent"], runs["change"])), 4)
+        ratios = [c / p for p, c in zip(runs["parent"], runs["change"])]
+        entry["change_over_parent_pair_median"] = round(statistics.median(ratios), 4)
+        entry["change_over_parent_pair_ci95"] = pair_ratio_ci95(ratios)
         metrics[name] = entry
     return {
         "pairs": len(results["parent"]),
@@ -136,7 +155,10 @@ def main(argv=None) -> int:
                   "one run; runs are listed in pair order; medians and quartiles (inclusive "
                   "method) over the runs of each side; change_lower_in_pairs counts pairs "
                   "where the change read lower; change_over_parent_pair_median is the median "
-                  "of the per-pair change/parent ratios; first_in_pair names the side that "
+                  "of the per-pair change/parent ratios; change_over_parent_pair_ci95 is the "
+                  f"2.5th and 97.5th percentiles of that median over {BOOTSTRAP_RESAMPLES} "
+                  "bootstrap resamples of the pairs (drawn with random.Random(0), so the "
+                  "same pairs give the same interval); first_in_pair names the side that "
                   "ran first in each pair",
         "parent_sha": shas["parent"],
         "change_sha": shas["change"],
