@@ -15,6 +15,7 @@ from dataclasses import InitVar, dataclass
 from enum import Enum
 
 from .errors import (
+    InvalidDistribution,
     InvalidParameter,
     MissingPartition,
     NegativeGap,
@@ -49,6 +50,20 @@ def _json_finite(value, path: str, error: type[ThermosciError] = InvalidParamete
         return float(value)
     shown = "an integer past the float range" if type(value) is int else repr(value)
     raise error(f"{path} must be finite, got {shown}")
+
+
+def _json_numbers(values, path: str, rank: int = 1):
+    """``values`` as given, unless an entry in its first ``rank`` levels of lists is
+    neither a list nor a JSON number: then InvalidDistribution naming that entry by its
+    path, such as ``prior[0]``. A bool fails; the shape is left to the normaliser."""
+    if isinstance(values, list):
+        for i, value in enumerate(values):
+            if isinstance(value, list):
+                if rank > 1:
+                    _json_numbers(value, f"{path}[{i}]", rank - 1)
+            elif type(value) not in (int, float):
+                raise InvalidDistribution(f"{path}[{i}] must be a number, got {value!r}")
+    return values
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from . import _streams
-from .bounds import _check_at_least, _json_count, _json_finite
+from .bounds import _check_at_least, _json_count, _json_finite, _json_numbers
 from .errors import (
     DimensionMismatch,
     IncompleteMapping,
@@ -119,8 +119,9 @@ class EnvironmentModel:
     @classmethod
     def from_json_dict(cls, data: dict) -> "EnvironmentModel":
         try:
-            prior = DiscreteDistribution(data["prior"], what="prior")
-            lik = LikelihoodModel(data["likelihood"], what="likelihood")
+            prior = DiscreteDistribution(_json_numbers(data["prior"], "prior"), what="prior")
+            lik = LikelihoodModel(_json_numbers(data["likelihood"], "likelihood", 3),
+                                  what="likelihood")
             count = _json_count(data["interventions"], "interventions", DimensionMismatch)
         except (KeyError, TypeError, ValueError) as exc:
             raise DimensionMismatch(f"environment JSON does not match schema: {exc}") from exc

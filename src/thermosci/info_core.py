@@ -60,7 +60,8 @@ def _normalised(values, rank: int, what: str, error: type[ThermosciError]) -> np
     vector or a joint table sums to one as a whole. The sum is renormalized
     away when within ``NORMALIZATION_TOL`` of one. Failures raise ``error``,
     checked in this order: shape, non-finite, negative beyond
-    ``NEGATIVE_CLAMP``, sum.
+    ``NEGATIVE_CLAMP``, sum. ``max`` is read only when an entry is negative or
+    the sum is not finite, to tell a +inf entry from finite entries that overflow.
     """
     try:
         arr = np.asarray(values, dtype=float)
@@ -68,24 +69,28 @@ def _normalised(values, rank: int, what: str, error: type[ThermosciError]) -> np
         raise error(f"{what} contains non-finite entries") from None
     if arr.ndim != rank or arr.size < 1:
         raise error(f"{what} must be {_SHAPES[rank]}, got shape {arr.shape}")
-    lo, hi = float(arr.min()), float(arr.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):  # a NaN passes through both
+    lo = float(arr.min())
+    if not math.isfinite(lo):  # a NaN or -inf entry; +inf only if every entry is +inf
         raise error(f"{what} contains non-finite entries")
     if lo < -NEGATIVE_CLAMP:
-        raise error(f"{what} has negative entries")
+        raise error(f"{what} contains non-finite entries" if arr.max() == math.inf
+                    else f"{what} has negative entries")
     if lo <= 0.0:  # clipping also turns -0.0 into 0.0
         arr = np.clip(arr, 0.0, None)
     if rank == 3:
         sums = arr.sum(axis=2, keepdims=True)
         worst = float(np.abs(sums - 1.0).max())
-        if worst > NORMALIZATION_TOL:
-            raise error(f"likelihood rows must sum to 1 within {NORMALIZATION_TOL} "
-                        f"(worst deviation {worst:.3e})")
     else:
         sums = float(arr.sum())
-        if abs(sums - 1.0) > NORMALIZATION_TOL:
-            within = f" within {NORMALIZATION_TOL}" if rank == 1 else ""
-            raise error(f"{what} sums to {sums!r}; expected 1{within}")
+        worst = abs(sums - 1.0)
+    if worst > NORMALIZATION_TOL:
+        if worst == math.inf and arr.max() == math.inf:  # not finite entries overflowing
+            raise error(f"{what} contains non-finite entries")
+        if rank == 3:
+            raise error(f"likelihood rows must sum to 1 within {NORMALIZATION_TOL} "
+                        f"(worst deviation {worst:.3e})")
+        within = f" within {NORMALIZATION_TOL}" if rank == 1 else ""
+        raise error(f"{what} sums to {sums!r}; expected 1{within}")
     arr = arr / sums
     arr.flags.writeable = False
     return arr

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BudgetScenario, SubdomainBudget, _check_at_least, _json_finite
+from .bounds import BudgetScenario, SubdomainBudget, _check_at_least, _json_finite, _json_numbers
 from .errors import (
     IndexOutOfRange,
     InvalidJoint,
@@ -113,14 +113,16 @@ class PartitionSpec:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PartitionSpec":
         try:
-            masses = DiscreteDistribution(data["masses"], what="masses")
+            masses = DiscreteDistribution(_json_numbers(data["masses"], "masses"), what="masses")
             priors = data.get("conditional_priors")
             conditional = None
             if priors is not None:
                 if not isinstance(priors, list):
                     raise InvalidParameter(f"conditional_priors must be a list, got {priors!r}")
-                conditional = tuple(DiscreteDistribution(p, what=f"conditional_priors[{i}]")
-                                    for i, p in enumerate(priors))
+                conditional = tuple(
+                    DiscreteDistribution(_json_numbers(p, f"conditional_priors[{i}]"),
+                                         what=f"conditional_priors[{i}]")
+                    for i, p in enumerate(priors))
             entropies = data.get("entropies")
             if entropies is not None:
                 entropies = tuple(_json_finite(h, f"entropies[{i}]")

@@ -31,6 +31,7 @@ from .errors import (
     MalformedGrid,
     NBelowOne,
     NonPositiveOmega,
+    ThermosciError,
 )
 
 
@@ -222,6 +223,15 @@ class SweepAxes:
         return cls(SecondAxis("n", 1.0, n_max, steps))
 
 
+def _check_axes(omega: np.ndarray, axis2: np.ndarray, error: type[ThermosciError]) -> None:
+    """The grid file's axis rule, kept by every SweepGrid so that each writes a file
+    read_grid_csv reads back."""
+    if not (omega[0] > 0.0 and np.all(omega[1:] > omega[:-1])):
+        raise error("omega must be > 0 and strictly increasing along each row")
+    if not np.all(axis2[1:] > axis2[:-1]):
+        raise error("axis2 must be strictly increasing between rows")
+
+
 @dataclass
 class SweepGrid:
     """Evaluated efficiency-difference surface plus its zero contours.
@@ -250,6 +260,7 @@ class SweepGrid:
         for name in ("omega", "axis2", "eta_first", "eta_second", "delta"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise InvalidParameter(f"{name} contains non-finite values")
+        _check_axes(self.omega, self.axis2, InvalidParameter)
         if max(self.delta.max(), -self.delta.min()) > 1.0 + 1e-12:  # no |delta| grid
             raise InvalidParameter("efficiency differences must lie in [-1, 1]")
 
@@ -373,10 +384,7 @@ def read_grid_csv(path) -> SweepGrid:
     axis2 = blocks[1, :, 0]
     if not (np.all(blocks[0] == omega) and np.all(blocks[1] == axis2[:, None])):
         raise MalformedGrid("grid rows are not row-major with omega varying fastest")
-    if not (omega[0] > 0.0 and np.all(omega[1:] > omega[:-1])):
-        raise MalformedGrid("omega must be > 0 and strictly increasing along each row")
-    if not np.all(axis2[1:] > axis2[:-1]):
-        raise MalformedGrid("axis2 must be strictly increasing between rows")
+    _check_axes(omega, axis2, MalformedGrid)
     return SweepGrid(None, None, omega, axis2, "axis2", _infer_scale(omega),
                      blocks[2], blocks[3], blocks[4], contours=[])
 

@@ -7,11 +7,11 @@ or ``None`` when it passes. The suites intentionally re-derive expectations
 through independent routes (brute-force enumeration, direct formula
 evaluation) rather than trusting the code paths they exercise.
 
-Each randomized check draws its instances' sizes, uniforms and Dirichlet
-vectors in one batch before its loop, with the counts, ranges and
-distributions of one-at-a-time draws; environments are still drawn one per
-instance. A passing report's bytes depend on the seed only through the
-sampled check's gap and SE and the ``mi=`` detail.
+Each randomized check draws its instances' sizes, uniforms, Dirichlet
+vectors and environments in one batch before its loop, with the counts,
+ranges and distributions of one-at-a-time draws; only a random policy is
+drawn per instance. A passing report's bytes depend on the seed only through
+the sampled check's gap and SE and the ``mi=`` detail.
 """
 
 from __future__ import annotations
@@ -63,14 +63,21 @@ def _run(*checks) -> list[dict]:
 # shared random builders
 
 
-def random_environment(rng: np.random.Generator, max_states: int = 5,
-                       max_outcomes: int = 4, max_interventions: int = 3) -> EnvironmentModel:
-    n_states = int(rng.integers(2, max_states + 1))
-    n_outcomes = int(rng.integers(2, max_outcomes + 1))
-    n_interventions = int(rng.integers(1, max_interventions + 1))
-    prior = rng.dirichlet(np.ones(n_states))
-    table = rng.dirichlet(np.ones(n_outcomes), size=(n_interventions, n_states))
-    return EnvironmentModel(DiscreteDistribution(prior), LikelihoodModel(table))
+def _random_environments(rng: np.random.Generator, count: int, max_states: int = 5,
+                         max_outcomes: int = 4, max_interventions: int = 3):
+    """``count`` random environments, built lazily from draws all made up front: sizes
+    uniform from (2, 2, 1) to the maxima, and a Dirichlet(1) prior and likelihood rows,
+    each unit exponentials zeroed past its instance's sizes over their sum."""
+    sizes = rng.integers((2, 2, 1), (max_states + 1, max_outcomes + 1, max_interventions + 1),
+                         size=(count, 3))
+    priors = rng.standard_exponential((count, max_states))
+    tables = rng.standard_exponential((count, max_interventions, max_states, max_outcomes))
+    priors *= np.arange(max_states) < sizes[:, :1]
+    tables *= np.arange(max_outcomes) < sizes[:, 1, None, None, None]
+    priors /= priors.sum(axis=1, keepdims=True)
+    tables /= tables.sum(axis=3, keepdims=True)
+    return (EnvironmentModel(DiscreteDistribution(prior[:s]), LikelihoodModel(table[:u, :s, :y]))
+            for (s, y, u), prior, table in zip(sizes.tolist(), priors, tables))
 
 
 def random_policy(rng: np.random.Generator, env: EnvironmentModel):
@@ -117,10 +124,10 @@ def verify_info(seed: int) -> list[dict]:
                 return f"entropy above uniform bound for {d.probs}"
 
     def information_gain_bounded_and_consistent():
-        # a belief is a Dirichlet(1) prefix: exponentials for random_environment's
+        # a belief is a Dirichlet(1) prefix: exponentials for the environments'
         # five states at most, cut to the environment's count
-        for pick, w in zip(rng.random(trials), rng.standard_exponential((trials, 5))):
-            env = random_environment(rng)
+        for pick, w, env in zip(rng.random(trials), rng.standard_exponential((trials, 5)),
+                                _random_environments(rng, trials)):
             w = w[:env.n_states]
             belief = DiscreteDistribution(w / w.sum())
             u = int(pick * env.intervention_count)
@@ -137,8 +144,7 @@ def verify_info(seed: int) -> list[dict]:
                 return f"formulas disagree: {gain} vs {alt}"
 
     def belief_martingale():
-        for pick in rng.random(trials):
-            env = random_environment(rng)
+        for pick, env in zip(rng.random(trials), _random_environments(rng, trials)):
             u = int(pick * env.intervention_count)
             pred = predictive_outcome_dist(env.prior, env.likelihood, u)
             mixture = np.zeros(env.n_states)
@@ -178,8 +184,8 @@ def verify_cycle(seed: int) -> list[dict]:
     n_envs = 25
 
     def telescoping_identity():
-        for budget in rng.uniform(0.5, 5.0, size=n_envs).tolist():
-            env = random_environment(rng)
+        for budget, env in zip(rng.uniform(0.5, 5.0, size=n_envs).tolist(),
+                               _random_environments(rng, n_envs)):
             policy = random_policy(rng, env)
             _, summary = run_episode(env, policy, CostModel(), budget,
                                      ExpectedMode(), max_rounds=4)
@@ -190,8 +196,8 @@ def verify_cycle(seed: int) -> list[dict]:
 
     def work_bounds_hold():
         draws = rng.uniform((1.0, 1.0, 0.0, 0.5), (3.0, 3.0, 0.5, 6.0), size=(n_envs, 4))
-        for kappa_meas, kappa_erase, delta_f, budget in draws.tolist():
-            env = random_environment(rng)
+        for (kappa_meas, kappa_erase, delta_f, budget), env in zip(
+                draws.tolist(), _random_environments(rng, n_envs)):
             policy = random_policy(rng, env)
             cost = CostModel(kappa_meas, kappa_erase, delta_f)
             ledger, _ = run_episode(env, policy, cost, budget, ExpectedMode(), max_rounds=4)
@@ -209,8 +215,8 @@ def verify_cycle(seed: int) -> list[dict]:
                     return f"efficiency {eta} above cap {cap}"
 
     def info_cap_respected():
-        for budget in rng.uniform(0.5, 5.0, size=n_envs).tolist():
-            env = random_environment(rng)
+        for budget, env in zip(rng.uniform(0.5, 5.0, size=n_envs).tolist(),
+                               _random_environments(rng, n_envs)):
             policy = random_policy(rng, env)
             ledger, summary = run_episode(env, policy, CostModel(), budget,
                                           ExpectedMode(), max_rounds=4)
@@ -221,8 +227,8 @@ def verify_cycle(seed: int) -> list[dict]:
                 return f"cumulative info {cum} above cap {cap}"
 
     def compression_never_hurts():
-        for picks in rng.random((10, 4)):  # one uniform per outcome, up to max_outcomes
-            env = random_environment(rng)
+        # one uniform per outcome, up to max_outcomes
+        for picks, env in zip(rng.random((10, 4)), _random_environments(rng, 10)):
             merge = tuple(int(v) for v in picks[:env.n_outcomes] * max(1, env.n_outcomes - 1))
             compression = CompressionMap(merge)
             policy = RoundRobin()
@@ -237,8 +243,7 @@ def verify_cycle(seed: int) -> list[dict]:
                 return "compression lowered fixed-horizon efficiency"
 
     def greedy_argmax_round_one():
-        for _ in range(10):
-            env = random_environment(rng)
+        for env in _random_environments(rng, 10):
             greedy_ledger, _ = run_episode(env, GreedyInfoMax(), CostModel(), 50.0,
                                            ExpectedMode(), max_rounds=1)
             best = max(

@@ -18,6 +18,18 @@ def entropy_of(probs) -> float:
     return float(-(p * np.log(p)).sum()) if p.size else 0.0
 
 
+def random_environment(rng: np.random.Generator, max_states: int = 5,
+                       max_outcomes: int = 4, max_interventions: int = 3) -> EnvironmentModel:
+    """One random environment from five draws of ``rng``: three sizes, then Dirichlet(1)
+    prior and likelihood rows. Tests pin episodes on these bits."""
+    n_states = int(rng.integers(2, max_states + 1))
+    n_outcomes = int(rng.integers(2, max_outcomes + 1))
+    n_interventions = int(rng.integers(1, max_interventions + 1))
+    prior = rng.dirichlet(np.ones(n_states))
+    table = rng.dirichlet(np.ones(n_outcomes), size=(n_interventions, n_states))
+    return EnvironmentModel(DiscreteDistribution(prior), LikelihoodModel(table))
+
+
 def noiseless_binary_env() -> EnvironmentModel:
     return EnvironmentModel(
         DiscreteDistribution([0.5, 0.5]),

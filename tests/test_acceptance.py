@@ -35,9 +35,14 @@ from thermosci import (
     unpartitioned_eta_cap,
 )
 from thermosci.strategies import build_partition_from_joint
-from thermosci.verify import random_environment
 
-from helpers import asym_binary_env, enumerate_episode, entropy_of, three_state_env
+from helpers import (
+    asym_binary_env,
+    enumerate_episode,
+    entropy_of,
+    random_environment,
+    three_state_env,
+)
 
 LN2 = math.log(2.0)
 

@@ -203,3 +203,75 @@ def test_main_keeps_the_runs_in_pair_order_and_names_who_ran_first(tmp_path, mon
     assert metric["change"]["runs"] == [2.0, 1.0, 6.0]
     assert metric["change_lower_in_pairs"] == 2
     assert metric["change_over_parent_pair_median"] == 0.6667  # of 2/3, 1/5 and 6/4
+
+
+def _with_control(tmp_path) -> list[str]:
+    argv = _checkouts(tmp_path)
+    control = tmp_path / "twin01"  # as long a path as tmp_path / "parent"
+    control.mkdir()
+    (control / "BENCHMARK.json").write_text((tmp_path / "parent" / "BENCHMARK.json").read_text())
+    return argv + ["--control", str(control)]
+
+
+def test_main_runs_the_control_beside_the_parent_and_gives_identical_sides_one(tmp_path,
+                                                                                 monkeypatch):
+    ran = _fake_runs(monkeypatch, tmp_path)  # every run of every side reads 1.0
+    assert bench_pairs.main(_with_control(tmp_path) + ["--workload", "a"]) == 0
+    assert [side for side, _ in ran] == ["twin01", "parent", "change",
+                                         "change", "parent", "twin01"]
+    bench = json.loads((tmp_path / "BENCH_0.json").read_text())
+    entry = bench["workloads"]["a/seed1"]
+    assert entry["first_in_pair"] == ["control", "change"]
+    assert entry["failed_jobs"] == {"parent": 0, "change": 0, "control": 0}
+    metric = entry["metrics"]["pass_cal"]
+    assert metric["control"]["runs"] == [1.0, 1.0]
+    assert metric["control_over_parent_pair_median"] == 1.0
+    assert metric["control_over_parent_pair_ci95"] == [1.0, 1.0]
+    assert metric["change_over_parent_pair_ci95"] == [1.0, 1.0]
+    assert "A/A control" in bench["method"]
+
+
+def test_summarise_gives_the_control_the_change_s_bootstrap():
+    parent = [4.0, 2.0, 10.0, 3.0, 7.0]
+    other = [2.0, 3.0, 9.0, 3.3, 6.0]
+    results = {side: [_result(v) for v in runs]
+               for side, runs in (("parent", parent), ("change", other), ("control", other))}
+    metric = bench_pairs.summarise(results)["metrics"]["pass_cal"]
+    assert metric["control_over_parent_pair_median"] == metric["change_over_parent_pair_median"]
+    assert metric["control_over_parent_pair_ci95"] == metric["change_over_parent_pair_ci95"]
+
+
+def test_main_leaves_the_control_out_without_the_flag(tmp_path, monkeypatch):
+    _fake_runs(monkeypatch, tmp_path)
+    assert bench_pairs.main(_checkouts(tmp_path) + ["--workload", "a"]) == 0
+    bench = json.loads((tmp_path / "BENCH_0.json").read_text())
+    entry = bench["workloads"]["a/seed1"]
+    assert set(entry["failed_jobs"]) == {"parent", "change"}
+    assert not any(key.startswith("control") for key in entry["metrics"]["pass_cal"])
+    assert "control" not in bench["method"]
+
+
+def test_main_refuses_a_control_at_a_path_of_another_length(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("a run started"))
+    monkeypatch.chdir(tmp_path)
+    argv = _with_control(tmp_path)
+    (tmp_path / "twin001").mkdir()
+    (tmp_path / "twin001" / "BENCHMARK.json").write_text((tmp_path / "twin01" /
+                                                          "BENCHMARK.json").read_text())
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv[:-1] + [str(tmp_path / "twin001")])
+    assert exc.value.code == 2
+    assert "--control and --parent must be paths of the same length" in capsys.readouterr().err
+
+
+def test_main_refuses_a_control_at_another_commit(repo, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("a run started"))
+    monkeypatch.chdir(tmp_path)
+    twin = tmp_path / "twin"  # as long a path as tmp_path / "repo"
+    _git(repo, "worktree", "add", "-q", "--detach", str(twin), "HEAD")
+    _git(twin, "commit", "-q", "--allow-empty", "-m", "second")  # the same spec, a new sha
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(repo), "--change", str(repo), "--control", str(twin),
+                          "--pr", "0", "--pairs", "2"])
+    assert exc.value.code == 2
+    assert "--control is at " in capsys.readouterr().err

@@ -459,6 +459,21 @@ def test_negative_max_rounds_names_the_value(env_file, capsys):
                        "message": "max_rounds must be >= 0, got -1"}
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("prior", ["0.5", 0.5], "prior[0] must be a number, got '0.5'"),
+    ("prior", [True, 0], "prior[0] must be a number, got True"),
+    ("likelihood", [[["0.8", 0.2], [0.6, 0.4]]], "likelihood[0][0][0] must be a number, got '0.8'"),
+], ids=["string-prior", "boolean-prior", "string-likelihood"])
+def test_simulate_names_a_probability_that_is_not_a_json_number(tmp_path, capsys, field, value,
+                                                                 message):
+    # numpy would read "0.5" as 0.5 and true as 1.0, and the episode would run
+    env = {**asym_binary_env().to_json_dict(), field: value}
+    (tmp_path / "env.json").write_text(json.dumps(env))
+    assert main(["simulate", "--env", str(tmp_path / "env.json"), "--budget", "2"]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "InvalidDistribution", "message": message}
+
+
 # ---------------------------------------------------------------------------
 # non-finite grid entries
 

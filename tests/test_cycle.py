@@ -40,7 +40,7 @@ from thermosci.errors import (
     NoWorkSpent,
     TreeTooLarge,
 )
-from thermosci.verify import random_environment, random_policy
+from thermosci.verify import random_policy
 
 from helpers import (
     Recording,
@@ -49,6 +49,7 @@ from helpers import (
     enumerate_episode,
     entropy_of,
     noiseless_binary_env,
+    random_environment,
     three_state_env,
 )
 from oracle_engine import run_reference
@@ -111,7 +112,7 @@ _INFLATED_GAIN_SCRIPT = """
 import sys
 import thermosci.cycle_sim as cs
 from thermosci.errors import InvalidLedger
-from thermosci.verify import random_environment
+from helpers import random_environment
 import numpy as np
 
 kernel = cs.predictive_gain
@@ -133,7 +134,8 @@ except InvalidLedger as exc:
 
 def test_telescoping_check_fires_under_python_O():
     src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    tests = str(Path(__file__).resolve().parent)  # for helpers.random_environment
+    path = os.pathsep.join(p for p in (src, tests, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-O", "-c", _INFLATED_GAIN_SCRIPT],
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60)

@@ -1,7 +1,7 @@
 """The shared-kernel engines against the reference engines in ``oracle_engine``.
 
 Every policy kind, with and without a compression map, in both modes, on
-random environments from :func:`thermosci.verify.random_environment`.
+random environments from :func:`helpers.random_environment`.
 Sampled runs use the same seed on both sides, so agreement to 1e-12 also
 pins the counter-based uniforms. Further sampled cases cover budget-only
 runs whose trials stop at different rounds, runs of more than 8 rounds,
@@ -32,9 +32,8 @@ from thermosci import (
     run_episode,
 )
 from thermosci.errors import IndexOutOfRange
-from thermosci.verify import random_environment
 
-from helpers import Recording, asym_binary_env, three_state_env
+from helpers import Recording, asym_binary_env, random_environment, three_state_env
 from oracle_engine import run_reference
 
 TOL = 1e-12

@@ -218,7 +218,8 @@ def test_writer_matches_oracle_on_repeated_rows_and_extreme_values(tmp_path):
                       [-0.0, 0.0, -0.0, 0.0, -0.0],
                       [0.1234567895, 5e-324, -1e-300, 0.0, -0.5],
                       [2.5e-324, -0.0, 1.0, -1.0, 0.0]])
-    grid = SweepGrid(None, None, omega, np.array([-0.0, 0.0, 5e-324, 1.0, 1e300]), "n",
+    # strictly increasing, as every grid's axis2 must be, with a negative zero and subnormals
+    grid = SweepGrid(None, None, omega, np.array([-5e-324, -0.0, 5e-324, 1.0, 1e300]), "n",
                      "linear", first, second, delta, contours=[])
     new_csv, old_csv = tmp_path / "new.csv", tmp_path / "old.csv"
     write_grid_csv(grid, new_csv)
@@ -408,3 +409,22 @@ def test_grid_names_the_non_finite_field(name, value):
     arrays[name][-1] = value
     with pytest.raises(InvalidParameter, match=f"^{name} contains non-finite values$"):
         SweepGrid(None, None, axis2_kind="n", omega_scale="log", contours=[], **arrays)
+
+
+@pytest.mark.parametrize("omega, axis2, message", [
+    ([1.0, 2.0], [2.0, 1.0], "axis2 must be strictly increasing between rows"),
+    ([-1.0, 2.0], [1.0, 2.0], "omega must be > 0 and strictly increasing along each row"),
+    ([2.0, 1.0], [1.0, 2.0], "omega must be > 0 and strictly increasing along each row"),
+    ([1.0, 2.0], [-0.0, 0.0], "axis2 must be strictly increasing between rows"),
+], ids=["axis2-decreasing", "omega-negative", "omega-decreasing", "axis2-signed-zeros"])
+def test_grid_rejects_the_axes_the_reader_rejects(tmp_path, omega, axis2, message):
+    # each grid used to construct and write a CSV that contour refuses
+    arrays = {k: np.zeros((2, 2)) for k in ("eta_first", "eta_second", "delta")}
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        SweepGrid(None, None, np.array(omega), np.array(axis2), "n", "linear", contours=[],
+                  **arrays)
+    path = tmp_path / "grid.csv"  # the reader keeps its own error for a file
+    path.write_text("omega,axis2,eta_first,eta_second,delta_eta\n" + "".join(
+        f"{w!r},{a!r},0,0,0\n" for a in axis2 for w in omega))
+    with pytest.raises(MalformedGrid, match=f"^{message}$"):
+        read_grid_csv(path)

@@ -3,7 +3,9 @@
 For the env (``simulate --env``), ledger (``verify --ledger``) and scenario
 (``verify --scenario``) files, and for ``PartitionSpec.from_json_dict``
 in-process, no traceback may escape; an exit of 2 must name the changed
-leaf's path; NaN, +-Infinity, strings and ``10**400`` must exit 2. A check
+leaf's path; NaN, +-Infinity, strings and ``10**400`` must exit 2. One string
+is the leaf's own value written as a JSON string, such as ``"0.5"``: unlike
+``"5"``, it keeps a probability vector's sum at one. A check
 across entries, such as a sum over records, names the path with ``[*]`` for
 the index.
 """
@@ -25,8 +27,10 @@ from thermosci.strategies import PartitionSpec
 
 from helpers import asym_binary_env
 
+#: stands for the changed leaf's own value written as a JSON string
+OWN_AS_STRING = "<own value as a JSON string>"
 #: each value a leaf may become; 1.5 stands in for a count that is not integral
-VALUES = (math.nan, math.inf, -math.inf, -1, 1e308, 10**400, "5", True, 1.5)
+VALUES = (math.nan, math.inf, -math.inf, -1, 1e308, 10**400, "5", True, 1.5, OWN_AS_STRING)
 
 ENV = asym_binary_env().to_json_dict()
 SCENARIO = {"h0": 0.69, "beta_w": 3.0, "sum_hy": 1.0,
@@ -51,14 +55,15 @@ def _leaves(doc, path=""):
 
 
 def _changed(doc, path: str, value):
-    """A deep copy of ``doc`` with the leaf at ``path`` set to ``value``."""
+    """A deep copy of ``doc`` with the leaf at ``path`` set to ``value``, or for
+    ``OWN_AS_STRING`` to its own value as a JSON string."""
     out = copy.deepcopy(doc)
     *parents, last = (int(token[1:-1]) if token.startswith("[") else token
                       for token in re.findall(r"[^.\[\]]+|\[\d+\]", path))
     target = out
     for key in parents:
         target = target[key]
-    target[last] = value
+    target[last] = json.dumps(target[last]) if value == OWN_AS_STRING else value
     return out
 
 
@@ -198,7 +203,9 @@ def test_scenario_names_the_subdomain_field(files, tmp_path, path, value, messag
 @pytest.mark.parametrize("path, value, message", [
     ("conditional_priors", 1.5, "conditional_priors must be a list, got 1.5"),
     ("masses[1]", 10**400, "masses contains non-finite entries"),
-], ids=["priors-not-a-list", "mass-past-the-float-range"])
+    ("masses[0]", "0.5", "masses[0] must be a number, got '0.5'"),
+    ("conditional_priors[1][0]", True, "conditional_priors[1][0] must be a number, got True"),
+], ids=["priors-not-a-list", "mass-past-the-float-range", "string-mass", "boolean-prior"])
 def test_partition_names_the_field(path, value, message):
     with pytest.raises(ThermosciError) as info:
         PartitionSpec.from_json_dict(_changed(PARTITIONS[0], path, value))

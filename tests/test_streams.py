@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermosci import RandomPolicy, _streams
-from thermosci.verify import random_environment
 
+from helpers import random_environment
 from oracle_engine import reference_uniform
 
 SEEDS = st.integers(min_value=0, max_value=2**130)

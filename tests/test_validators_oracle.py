@@ -9,10 +9,11 @@ message. The scalar entropy is checked bit for bit against
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermosci.errors import InvalidJoint
+from thermosci.errors import InvalidDistribution, InvalidJoint
 from thermosci.info_core import (
     DiscreteDistribution,
     LikelihoodModel,
@@ -88,6 +89,46 @@ def test_likelihood_matches_the_old_table_validator(arr):
 def test_joint_matches_the_old_joint_validator(arr):
     _assert_same(_outcome(lambda a: _normalised(a, 2, "joint", InvalidJoint), arr),
                  _outcome(oracle._validated_joint, arr))
+
+
+#: the normaliser and the old validator of each rank
+VALIDATORS = {
+    1: (lambda a: DiscreteDistribution(a).probs,
+        lambda a: oracle._as_prob_vector(a, "distribution")),
+    2: (lambda a: _normalised(a, 2, "joint", InvalidJoint), oracle._validated_joint),
+    3: (lambda a: LikelihoodModel(a).table, oracle.likelihood_table),
+}
+
+
+@pytest.mark.parametrize("rank, values", [
+    (1, [1e308, 1e308]),
+    (1, [1e308, 1e308, -1e-13]),
+    (1, [-1.0, 1e308, 1e308]),
+    (1, [math.inf, -math.inf]),
+    (1, [-math.inf, 0.5, math.inf]),
+    (1, [math.inf, 0.5]),
+    (1, [-1.0, math.inf]),
+    (1, [math.inf, math.inf]),
+    (2, [[1e308, 1e308], [0.0, 0.0]]),
+    (2, [[0.5, math.inf], [-math.inf, 0.5]]),
+    (2, [[-1.0, 0.0], [0.0, math.inf]]),
+    (3, [[[0.5, 0.5], [1e308, 1e308]]]),
+    (3, [[[0.2, 0.3, 0.5], [1e308, 1e308, -1e-13]], [[1e308, 1e308, 0.0], [0.5, 0.5, 0.0]]]),
+    (3, [[[0.5, 0.5], [math.inf, -math.inf]]]),
+    (3, [[[-math.inf, math.inf], [0.5, 0.5]]]),
+    (3, [[[math.inf, 0.0], [0.5, 0.5]]]),
+    (3, [[[-1.0, math.inf], [0.5, 0.5]]]),
+])
+def test_overflowing_sums_and_mixed_infinities_match_the_old_validators(rank, values):
+    # finite entries whose sum overflows, which the normaliser tells from a +inf entry by
+    # reading max, and rows holding both infinities; both sides sum the overflowing
+    # entries, so numpy's overflow flag is silenced for the two alike
+    new, old = VALIDATORS[rank]
+    arr = np.array(values)
+    with np.errstate(over="ignore"):
+        expected = _outcome(old, arr)
+        assert expected[0] in (InvalidDistribution, InvalidJoint)
+        _assert_same(_outcome(new, arr), expected)
 
 
 def _bits(x: float) -> int:

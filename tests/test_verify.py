@@ -1,3 +1,5 @@
+import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from thermosci import bounds, toy_model, verify
 from thermosci.errors import InvalidParameter
+
+from helpers import random_environment
 
 
 @pytest.mark.parametrize("scope", ["info", "cycle", "bounds", "toy"])
@@ -43,11 +47,38 @@ def test_mutated_efficiency_law_is_caught(monkeypatch):
 def test_random_environment_respects_caps():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        env = verify.random_environment(rng)
+        env = random_environment(rng)
         assert 2 <= env.n_states <= 5
         assert 2 <= env.n_outcomes <= 4
         assert 1 <= env.intervention_count <= 3
         assert abs(float(env.prior.probs.sum()) - 1.0) <= 1e-12
+
+
+def test_random_environments_reach_every_size_and_sum_to_one():
+    envs = list(verify._random_environments(np.random.default_rng(11), 3000))
+    assert len(envs) == 3000
+    sizes = {(e.n_states, e.n_outcomes, e.intervention_count) for e in envs}
+    assert sizes == set(itertools.product(range(2, 6), range(2, 5), range(1, 4)))
+    for env in envs:
+        assert env.likelihood.table.shape == (env.intervention_count, env.n_states,
+                                              env.n_outcomes)
+        assert abs(float(env.prior.probs.sum()) - 1.0) <= 1e-12
+        assert np.max(np.abs(env.likelihood.table.sum(axis=2) - 1.0)) <= 1e-12
+    # Dirichlet(1, 1): prior[0] is uniform on [0, 1], of mean 1/2 and variance 1/12
+    first = np.array([e.prior.probs[0] for e in envs if e.n_states == 2])
+    assert abs(first.mean() - 0.5) <= 4.0 * math.sqrt(1.0 / 12.0 / first.size)
+
+
+def test_random_environments_draw_before_building_the_first():
+    rng = np.random.default_rng(5)
+    envs = verify._random_environments(rng, 4)
+    after = rng.random()  # the stream has moved past every environment's draws
+    again = np.random.default_rng(5)
+    again.integers((2, 2, 1), (6, 5, 4), size=(4, 3))
+    again.standard_exponential((4, 5))
+    again.standard_exponential((4, 3, 5, 4))
+    assert after == again.random()
+    assert len(list(envs)) == 4
 
 
 def test_check_names_and_order_are_pinned():

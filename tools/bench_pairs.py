@@ -25,6 +25,14 @@ one kind, both git working trees or both plain copies: the kind alone can
 shift an episode workload by several percent, so a mixed pair is refused. The
 file is rewritten after every pair, so an interrupted set keeps the pairs it
 finished.
+
+``--control DIR`` adds an A/A control: a second checkout of the parent, of the
+same kind and at a path of the same length. It runs beside the parent in every
+pair, before it in odd pairs and after it in even ones (odd pairs run control,
+parent, change; even pairs change, parent, control). Per metric, the file then
+also gives the control's spread and the median of the per-pair control/parent
+ratios with its bootstrap interval: how far two runs of the same code read
+apart on this machine.
 """
 
 from __future__ import annotations
@@ -38,6 +46,8 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+#: the order of a pair's runs with a control: odd pairs, then even pairs
+CONTROL_ORDERS = (("control", "parent", "change"), ("change", "parent", "control"))
 #: the provenance fields that describe the run, not the machine
 RUN_FIELDS = ("git_sha", "git_dirty", "workload_seed")
 #: resamples of the pairs behind each change_over_parent_pair_ci95
@@ -91,11 +101,12 @@ def pair_ratio_ci95(ratios: list[float]) -> list[float]:
 
 def summarise(results: dict) -> dict:
     """Per-metric spread of each side, pair wins, the ratio of medians, the median ratio
-    and its bootstrap interval."""
+    and its bootstrap interval; with a ``control`` side, its ratio to the parent too."""
+    sides = list(results)
     metrics = {}
     for name in results["parent"][0]["metrics"]:
-        runs = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
-        entry = {side: spread(runs[side]) for side in SIDES}
+        runs = {side: [r["metrics"][name]["value"] for r in results[side]] for side in sides}
+        entry = {side: spread(runs[side]) for side in sides}
         entry["change_lower_in_pairs"] = sum(c < p for p, c in zip(runs["parent"],
                                                                      runs["change"]))
         entry["change_over_parent_median"] = round(
@@ -103,12 +114,16 @@ def summarise(results: dict) -> dict:
         ratios = [c / p for p, c in zip(runs["parent"], runs["change"])]
         entry["change_over_parent_pair_median"] = round(statistics.median(ratios), 4)
         entry["change_over_parent_pair_ci95"] = pair_ratio_ci95(ratios)
+        if "control" in runs:
+            ratios = [c / p for p, c in zip(runs["parent"], runs["control"])]
+            entry["control_over_parent_pair_median"] = round(statistics.median(ratios), 4)
+            entry["control_over_parent_pair_ci95"] = pair_ratio_ci95(ratios)
         metrics[name] = entry
     return {
         "pairs": len(results["parent"]),
-        "correct_all_runs": all(r["correct"] for side in SIDES for r in results[side]),
-        "attempted_jobs": {side: sum(r["attempted"] for r in results[side]) for side in SIDES},
-        "failed_jobs": {side: sum(r["failed"] for r in results[side]) for side in SIDES},
+        "correct_all_runs": all(r["correct"] for side in sides for r in results[side]),
+        "attempted_jobs": {side: sum(r["attempted"] for r in results[side]) for side in sides},
+        "failed_jobs": {side: sum(r["failed"] for r in results[side]) for side in sides},
         "metrics": metrics,
     }
 
@@ -117,6 +132,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="checkout of the parent commit")
     p.add_argument("--change", required=True, help="checkout of the change")
+    p.add_argument("--control", help="a second checkout of the parent, run beside it as an "
+                                     "A/A control; same kind and path length as --parent")
     p.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
@@ -128,18 +145,26 @@ def main(argv=None) -> int:
         p.error("--pairs must be at least 2, to give quartiles")
     out = f"BENCH_{args.pr}.json"
     checkouts = {"parent": args.parent, "change": args.change}
+    if args.control is not None:
+        checkouts["control"] = args.control
     specs = []
     for checkout in checkouts.values():
         with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
             specs.append(json.load(fh))
-    if specs[0] != specs[1]:
-        p.error("the two checkouts hold different BENCHMARK.json files")
+    if any(spec != specs[0] for spec in specs):
+        p.error("the checkouts hold different BENCHMARK.json files")
     shas = {side: checkout_sha(checkout) for side, checkout in checkouts.items()}
-    if (shas["parent"] is None) != (shas["change"] is None):
-        kinds = {side: "plain copy" if sha is None else "git working tree"
-                 for side, sha in shas.items()}
-        p.error(f"--parent is a {kinds['parent']} but --change is a {kinds['change']}; "
-                "compare checkouts of one kind")
+    kinds = {side: "plain copy" if sha is None else "git working tree"
+             for side, sha in shas.items()}
+    for side in checkouts:
+        if kinds[side] != kinds["parent"]:
+            p.error(f"--parent is a {kinds['parent']} but --{side} is a {kinds[side]}; "
+                    "compare checkouts of one kind")
+    if args.control is not None:
+        if shas["control"] != shas["parent"]:
+            p.error(f"--control is at {shas['control']}, not at the parent's {shas['parent']}")
+        if len(os.path.abspath(args.control)) != len(os.path.abspath(args.parent)):
+            p.error("--control and --parent must be paths of the same length")
     seconds = specs[0]["run_seconds"]
     names = [w["name"] for w in specs[0]["workloads"]]
     unknown = sorted(set(args.workload or ()) - set(names))
@@ -159,16 +184,25 @@ def main(argv=None) -> int:
                   f"2.5th and 97.5th percentiles of that median over {BOOTSTRAP_RESAMPLES} "
                   "bootstrap resamples of the pairs (drawn with random.Random(0), so the "
                   "same pairs give the same interval); first_in_pair names the side that "
-                  "ran first in each pair",
+                  "ran first in each pair" + ("" if args.control is None else
+                  "; the control is an A/A control, a second checkout of the parent at a "
+                  "path of the same length, run beside the parent in every pair (control, "
+                  "parent, change in odd pairs; change, parent, control in even ones); "
+                  "control_over_parent_pair_median and control_over_parent_pair_ci95 are "
+                  "the median of the per-pair control/parent ratios and its bootstrap "
+                  "interval, as for the change"),
         "parent_sha": shas["parent"],
         "change_sha": shas["change"],
         "machine": None,
         "workloads": {},
     }
     for workload in (n for n in names if args.workload is None or n in args.workload):
-        results, first = {side: [] for side in SIDES}, []
+        results, first = {side: [] for side in checkouts}, []
         for pair in range(1, args.pairs + 1):
-            order = SIDES if pair % 2 else SIDES[::-1]
+            if args.control is None:
+                order = SIDES if pair % 2 else SIDES[::-1]
+            else:
+                order = CONTROL_ORDERS[0 if pair % 2 else 1]
             first.append(order[0])
             for side in order:
                 result, provenance = run_once(checkouts[side], workload, args.seed, seconds)
@@ -184,7 +218,7 @@ def main(argv=None) -> int:
                     fh.write("\n")
             print(f"{workload} pair {pair}/{args.pairs}: " + "  ".join(
                 f"{side} pass_cal={results[side][-1]['metrics']['pass_cal']['value']:.4g}"
-                for side in SIDES), flush=True)
+                for side in checkouts), flush=True)
     return 0
 
 
