@@ -60,8 +60,7 @@ def _normalised(values, rank: int, what: str, error: type[ThermosciError]) -> np
     vector or a joint table sums to one as a whole. The sum is renormalized
     away when within ``NORMALIZATION_TOL`` of one. Failures raise ``error``,
     checked in this order: shape, non-finite, negative beyond
-    ``NEGATIVE_CLAMP``, sum. ``max`` is read only when an entry is negative or
-    the sum is not finite, to tell a +inf entry from finite entries that overflow.
+    ``NEGATIVE_CLAMP``, sum; ``max`` is read only when the negative or the sum check fails.
     """
     try:
         arr = np.asarray(values, dtype=float)
@@ -69,28 +68,23 @@ def _normalised(values, rank: int, what: str, error: type[ThermosciError]) -> np
         raise error(f"{what} contains non-finite entries") from None
     if arr.ndim != rank or arr.size < 1:
         raise error(f"{what} must be {_SHAPES[rank]}, got shape {arr.shape}")
-    lo = float(arr.min())
-    if not math.isfinite(lo):  # a NaN or -inf entry; +inf only if every entry is +inf
-        raise error(f"{what} contains non-finite entries")
-    if lo < -NEGATIVE_CLAMP:
-        raise error(f"{what} contains non-finite entries" if arr.max() == math.inf
-                    else f"{what} has negative entries")
+    lo = float(arr.min())  # NaN or -inf if any entry is
+    if not lo >= -NEGATIVE_CLAMP:  # a +inf entry outranks a negative one
+        raise error(f"{what} has negative entries" if lo > -math.inf and arr.max() < math.inf
+                    else f"{what} contains non-finite entries")
     if lo <= 0.0:  # clipping also turns -0.0 into 0.0
         arr = np.clip(arr, 0.0, None)
     if rank == 3:
         sums = arr.sum(axis=2, keepdims=True)
         worst = float(np.abs(sums - 1.0).max())
+        failure = "likelihood rows must sum to 1 within {tol} (worst deviation {worst:.3e})"
     else:
         sums = float(arr.sum())
         worst = abs(sums - 1.0)
-    if worst > NORMALIZATION_TOL:
-        if worst == math.inf and arr.max() == math.inf:  # not finite entries overflowing
-            raise error(f"{what} contains non-finite entries")
-        if rank == 3:
-            raise error(f"likelihood rows must sum to 1 within {NORMALIZATION_TOL} "
-                        f"(worst deviation {worst:.3e})")
-        within = f" within {NORMALIZATION_TOL}" if rank == 1 else ""
-        raise error(f"{what} sums to {sums!r}; expected 1{within}")
+        failure = "{what} sums to {sums!r}; expected 1" + (" within {tol}" if rank == 1 else "")
+    if worst > NORMALIZATION_TOL:  # inf for a +inf entry, and for finite entries overflowing
+        raise error(f"{what} contains non-finite entries" if arr.max() == math.inf else
+                    failure.format(what=what, sums=sums, worst=worst, tol=NORMALIZATION_TOL))
     arr = arr / sums
     arr.flags.writeable = False
     return arr

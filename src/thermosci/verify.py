@@ -61,21 +61,15 @@ def _run(*checks) -> list[dict]:
 
 # ---------------------------------------------------------------------------
 # shared random builders
+_MAX_SIZES = (5, 4, 3)  # the largest environment drawn: states, outcomes, interventions
 
 
-def _random_environments(rng: np.random.Generator, count: int, max_states: int = 5,
-                         max_outcomes: int = 4, max_interventions: int = 3):
-    """``count`` random environments, built lazily from draws all made up front: sizes
-    uniform from (2, 2, 1) to the maxima, and a Dirichlet(1) prior and likelihood rows,
-    each unit exponentials zeroed past its instance's sizes over their sum."""
-    sizes = rng.integers((2, 2, 1), (max_states + 1, max_outcomes + 1, max_interventions + 1),
-                         size=(count, 3))
-    priors = rng.standard_exponential((count, max_states))
-    tables = rng.standard_exponential((count, max_interventions, max_states, max_outcomes))
-    priors *= np.arange(max_states) < sizes[:, :1]
-    tables *= np.arange(max_outcomes) < sizes[:, 1, None, None, None]
-    priors /= priors.sum(axis=1, keepdims=True)
-    tables /= tables.sum(axis=3, keepdims=True)
+def _random_environments(rng: np.random.Generator, count: int):
+    """``count`` environments of sizes from (2, 2, 1) to ``_MAX_SIZES``, all drawn up front."""
+    n_s, n_y, n_u = _MAX_SIZES
+    sizes = rng.integers((2, 2, 1), np.add(_MAX_SIZES, 1), size=(count, 3))
+    priors = _dirichlet_block(rng, (count, n_s), sizes[:, :1])
+    tables = _dirichlet_block(rng, (count, n_u, n_s, n_y), sizes[:, 1, None, None, None])
     return (EnvironmentModel(DiscreteDistribution(prior[:s]), LikelihoodModel(table[:u, :s, :y]))
             for (s, y, u), prior, table in zip(sizes.tolist(), priors, tables))
 
@@ -92,15 +86,18 @@ def random_policy(rng: np.random.Generator, env: EnvironmentModel):
     return GreedyInfoMax()
 
 
-def _dirichlet_rows(rng: np.random.Generator, sizes: np.ndarray):
-    """Lazy views of Dirichlet(1, ..., 1) vectors of lengths ``sizes``, from one draw.
+def _dirichlet_block(rng: np.random.Generator, shape: tuple, sizes) -> np.ndarray:
+    """Dirichlet(1, ..., 1) vectors on the last axis of a ``shape`` block, cut to ``sizes``
+    (broadcast): unit exponentials zeroed past the size, over their sum (numpy's alpha = 1)."""
+    block = rng.standard_exponential(shape)
+    block *= np.arange(shape[-1]) < sizes
+    block /= block.sum(axis=-1, keepdims=True)
+    return block
 
-    As numpy's ``dirichlet`` does for alpha = 1, each is unit exponentials over
-    their sum: row ``i`` of one exponential block, cut to ``sizes[i]``.
-    """
-    block = rng.standard_exponential((len(sizes), int(np.max(sizes))))
-    block[np.arange(block.shape[1]) >= np.asarray(sizes)[:, None]] = 0.0
-    block /= block.sum(axis=1, keepdims=True)
+
+def _dirichlet_rows(rng: np.random.Generator, sizes: np.ndarray):
+    """Lazy views of Dirichlet(1, ..., 1) vectors of lengths ``sizes``, from one draw."""
+    block = _dirichlet_block(rng, (len(sizes), int(np.max(sizes))), np.asarray(sizes)[:, None])
     return (row[:n] for row, n in zip(block, sizes))
 
 
@@ -124,9 +121,9 @@ def verify_info(seed: int) -> list[dict]:
                 return f"entropy above uniform bound for {d.probs}"
 
     def information_gain_bounded_and_consistent():
-        # a belief is a Dirichlet(1) prefix: exponentials for the environments'
-        # five states at most, cut to the environment's count
-        for pick, w, env in zip(rng.random(trials), rng.standard_exponential((trials, 5)),
+        # a belief is a Dirichlet(1) prefix, cut to the environment's state count
+        for pick, w, env in zip(rng.random(trials),
+                                rng.standard_exponential((trials, _MAX_SIZES[0])),
                                 _random_environments(rng, trials)):
             w = w[:env.n_states]
             belief = DiscreteDistribution(w / w.sum())
@@ -227,8 +224,7 @@ def verify_cycle(seed: int) -> list[dict]:
                 return f"cumulative info {cum} above cap {cap}"
 
     def compression_never_hurts():
-        # one uniform per outcome, up to max_outcomes
-        for picks, env in zip(rng.random((10, 4)), _random_environments(rng, 10)):
+        for picks, env in zip(rng.random((10, _MAX_SIZES[1])), _random_environments(rng, 10)):
             merge = tuple(int(v) for v in picks[:env.n_outcomes] * max(1, env.n_outcomes - 1))
             compression = CompressionMap(merge)
             policy = RoundRobin()

@@ -9,8 +9,8 @@ the repository, for example made with ``git worktree add --detach DIR SHA``:
 Both checkouts must hold the same ``BENCHMARK.json``; its workloads and
 ``run_seconds`` set what runs. ``--workload NAME``, repeatable, keeps only the
 named workloads, in the file's order. For each workload and each pair it runs
-``perfbench/run.py`` once in each checkout, one after the other: pair 1 runs
-the parent first, pair 2 the change first, and so on. Each run's value of a
+``perfbench/run.py`` once in each checkout, one after the other: the parent
+before the change in odd pairs, after it in even ones. Each run's value of a
 metric is the last stdout line's JSON. The file gives, per workload and
 end-to-end metric, each side's runs in pair order, median and quartiles
 (inclusive method), the pairs in which the change read lower, the change's
@@ -28,8 +28,8 @@ finished.
 
 ``--control DIR`` adds an A/A control: a second checkout of the parent, of the
 same kind and at a path of the same length. It runs beside the parent in every
-pair, before it in odd pairs and after it in even ones (odd pairs run control,
-parent, change; even pairs change, parent, control). Per metric, the file then
+pair, first in odd pairs and last in even ones (odd pairs run control, parent,
+change; even pairs change, parent, control). Per metric, the file then
 also gives the control's spread and the median of the per-pair control/parent
 ratios with its bootstrap interval: how far two runs of the same code read
 apart on this machine.
@@ -46,8 +46,8 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
-#: the order of a pair's runs with a control: odd pairs, then even pairs
-CONTROL_ORDERS = (("control", "parent", "change"), ("change", "parent", "control"))
+#: the order of a pair's runs, odd pairs then even ones; a side not given is skipped
+PAIR_ORDERS = (("control", "parent", "change"), ("change", "parent", "control"))
 #: the provenance fields that describe the run, not the machine
 RUN_FIELDS = ("git_sha", "git_dirty", "workload_seed")
 #: resamples of the pairs behind each change_over_parent_pair_ci95
@@ -175,9 +175,9 @@ def main(argv=None) -> int:
         "change": args.note,
         "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
                    f"--seconds {seconds} --trace 0",
-        "method": "alternating pairs: pair i runs the parent first when i is odd and the "
-                  "change first when i is even; each value is the last-line JSON metric of "
-                  "one run; runs are listed in pair order; medians and quartiles (inclusive "
+        "method": "alternating pairs: the parent runs before the change in odd pairs and "
+                  "after it in even ones; each value is the last-line JSON metric of one "
+                  "run; runs are listed in pair order; medians and quartiles (inclusive "
                   "method) over the runs of each side; change_lower_in_pairs counts pairs "
                   "where the change read lower; change_over_parent_pair_median is the median "
                   "of the per-pair change/parent ratios; change_over_parent_pair_ci95 is the "
@@ -186,9 +186,10 @@ def main(argv=None) -> int:
                   "same pairs give the same interval); first_in_pair names the side that "
                   "ran first in each pair" + ("" if args.control is None else
                   "; the control is an A/A control, a second checkout of the parent at a "
-                  "path of the same length, run beside the parent in every pair (control, "
-                  "parent, change in odd pairs; change, parent, control in even ones); "
-                  "control_over_parent_pair_median and control_over_parent_pair_ci95 are "
+                  "path of the same length, run beside the parent in every pair, first in "
+                  "odd pairs and last in even ones (control, parent, change; change, "
+                  "parent, control); control_over_parent_pair_median and "
+                  "control_over_parent_pair_ci95 are "
                   "the median of the per-pair control/parent ratios and its bootstrap "
                   "interval, as for the change"),
         "parent_sha": shas["parent"],
@@ -199,10 +200,7 @@ def main(argv=None) -> int:
     for workload in (n for n in names if args.workload is None or n in args.workload):
         results, first = {side: [] for side in checkouts}, []
         for pair in range(1, args.pairs + 1):
-            if args.control is None:
-                order = SIDES if pair % 2 else SIDES[::-1]
-            else:
-                order = CONTROL_ORDERS[0 if pair % 2 else 1]
+            order = [side for side in PAIR_ORDERS[1 - pair % 2] if side in checkouts]
             first.append(order[0])
             for side in order:
                 result, provenance = run_once(checkouts[side], workload, args.seed, seconds)
