@@ -80,10 +80,11 @@ def _index_to_coord(frac: float, axis: np.ndarray, log_scale: bool) -> float:
 
 
 def zero_isolines(values: np.ndarray, x_axis: np.ndarray, y_axis: np.ndarray,
-                  x_log: bool = False, y_log: bool = False) -> list[np.ndarray]:
+                  x_log: bool = False) -> list[np.ndarray]:
     """Extract zero-level polylines of ``values[j, i]`` in data coordinates.
 
-    ``values`` has shape ``(len(y_axis), len(x_axis))``. Returns a list of
+    ``values`` has shape ``(len(y_axis), len(x_axis))``; ``x_axis`` is read on a
+    log scale when ``x_log``, ``y_axis`` always linearly. Returns a list of
     arrays of shape ``(k, 2)`` with columns ``(x, y)``; empty when the grid
     has uniform sign.
     """
@@ -121,6 +122,6 @@ def zero_isolines(values: np.ndarray, x_axis: np.ndarray, y_axis: np.ndarray,
             for (p, q), (kx, ky, lx, ly) in zip(points.tolist(), keys)
             # crossings pinned to an exactly-zero corner collapse to points
             if (kx, ky) != (lx, ly)]
-    return [np.array([(_index_to_coord(x, x_axis, x_log), _index_to_coord(y, y_axis, y_log))
+    return [np.array([(_index_to_coord(x, x_axis, x_log), _index_to_coord(y, y_axis, False))
                       for x, y in chain])
             for chain in _chain_segments(ends)]

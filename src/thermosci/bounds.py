@@ -194,24 +194,21 @@ class RegimeResult:
     ratio: float
 
 
-def regime_classify(beta_w: float, h: float,
-                    threshold_hi: float = 10.0, threshold_lo: float = 0.1) -> RegimeResult:
+def regime_classify(beta_w: float, h: float) -> RegimeResult:
     """Classify a budget as prior-limited, budget-limited, or crossover.
 
-    The asymptotic regimes are made deterministic by explicit ratio
-    thresholds (defaults 10 and 0.1).
+    The asymptotic regimes are made deterministic by explicit thresholds on
+    the ratio ``beta_w / h``: above 10 prior-limited, below 0.1 budget-limited.
     """
     if math.isnan(h):
         raise InvalidParameter("h must be > 0, got nan")
     if h <= 0.0:
         raise ZeroPriorEntropy("regime classification requires prior entropy > 0")
     _check_at_least(0.0, beta_w=beta_w)
-    if not threshold_lo < threshold_hi:  # NaN fails too
-        raise InvalidParameter("threshold_lo must be below threshold_hi")
     ratio = beta_w / h
-    if ratio > threshold_hi:
+    if ratio > 10.0:
         return RegimeResult(Regime.PRIOR_LIMITED, ratio)
-    if ratio < threshold_lo:
+    if ratio < 0.1:
         return RegimeResult(Regime.BUDGET_LIMITED, ratio)
     return RegimeResult(Regime.CROSSOVER, ratio)
 
@@ -246,11 +243,12 @@ class BoundCheck:
         object.__setattr__(self, "limit", float(self.limit))
 
 
-def bound_report(ledger, h0: float | None = None, tol: float = 1e-10) -> list[BoundCheck]:
+def bound_report(ledger, h0: float | None = None) -> list[BoundCheck]:
     """Check a ledger against every applicable work/information bound.
 
     Covers the per-round work floor, the cumulative work floor, the
-    efficiency cap, and (when ``h0`` is given) the budget-information cap.
+    efficiency cap, and (when ``h0`` is given) the budget-information cap,
+    each within ``_CONSISTENCY_TOL``.
     """
     checks: list[BoundCheck] = []
     records = ledger.records
@@ -262,7 +260,7 @@ def bound_report(ledger, h0: float | None = None, tol: float = 1e-10) -> list[Bo
         worst = min(range(len(records)), key=lambda i: slacks[i])
         checks.append(BoundCheck(
             "round_work_floor",
-            all(sl >= -tol for sl in slacks),
+            all(sl >= -_CONSISTENCY_TOL for sl in slacks),
             works[worst], floors[worst],
             f"worst round {records[worst].round_index}",
         ))
@@ -272,19 +270,20 @@ def bound_report(ledger, h0: float | None = None, tol: float = 1e-10) -> list[Bo
     total_floor = float(sum(floors))
     total_work = float(sum(works))
     checks.append(BoundCheck(
-        "total_work_floor", total_work >= total_floor - tol, total_work, total_floor))
+        "total_work_floor", total_work >= total_floor - _CONSISTENCY_TOL, total_work, total_floor))
 
     total_info = float(sum(r.info_gain for r in records))
     if ledger.budget_spent > 0.0 and total_floor > 0.0:
         eta = total_info / ledger.budget_spent
         cap = total_info / total_floor
-        ok = eta <= cap + tol and cap <= 1.0 + tol
+        ok = eta <= cap + _CONSISTENCY_TOL and cap <= 1.0 + _CONSISTENCY_TOL
         checks.append(BoundCheck("efficiency_cap", ok, eta, min(cap, 1.0)))
     else:
         checks.append(BoundCheck("efficiency_cap", True, 0.0, 1.0, "no work spent"))
 
     if h0 is not None:
         cap = unpartitioned_info_cap(scenario_from_ledger(ledger, h0))
-        checks.append(BoundCheck("info_cap", total_info <= cap + tol, total_info, cap))
+        checks.append(BoundCheck("info_cap", total_info <= cap + _CONSISTENCY_TOL,
+                                 total_info, cap))
 
     return checks

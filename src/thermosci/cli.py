@@ -67,7 +67,7 @@ def _fail(exc: Exception) -> None:
           file=sys.stderr)
 
 
-def _parse_policy(text: str, seed: int):
+def _parse_policy(text: str, seed: int, interventions: int):
     if text == "roundrobin":
         return RoundRobin()
     if text == "greedy":
@@ -76,12 +76,16 @@ def _parse_policy(text: str, seed: int):
         return RandomPolicy(seed)
     if text.startswith("fixed:"):
         body = text[len("fixed:"):]
-        try:
-            seq = tuple(int(tok) for tok in body.split(",") if tok != "")
-        except ValueError as exc:
-            raise InvalidParameter(f"bad fixed policy {text!r}") from exc
-        if not seq:
+        if not body:
             raise InvalidParameter("fixed policy needs at least one intervention")
+        try:
+            seq = tuple(int(tok) for tok in body.split(","))
+        except ValueError as exc:  # an empty token too, as in fixed:0,,1
+            raise InvalidParameter(f"bad fixed policy {text!r}") from exc
+        for u in seq:
+            if not 0 <= u < interventions:
+                raise InvalidParameter(f"fixed policy {text!r} names intervention {u} "
+                                       f"outside [0, {interventions})")
         return FixedSequence(seq)
     raise InvalidParameter(
         f"unknown policy {text!r}; expected fixed:u0,u1,... | roundrobin | random | greedy"
@@ -112,7 +116,7 @@ def _cmd_simulate(args) -> int:
     _check_at_least(0, budget=args.budget)
     cost = CostModel(args.kappa_meas, args.kappa_erase, args.delta_f)
     cost = replace(cost, delta_f_mem=cost.delta_f_mem * scale_in)
-    policy = _parse_policy(args.policy, args.seed)
+    policy = _parse_policy(args.policy, args.seed, env.intervention_count)
     mode = _parse_mode(args.mode, args.seed)
     ledger, summary = run_episode(env, policy, cost, args.budget * scale_in, mode,
                                   max_rounds=args.max_rounds)
@@ -180,7 +184,7 @@ def _cmd_sweep(args) -> int:
                       ("alpha_spec", args.alpha_spec)):
         if flag is not None:
             alphas[key] = flag
-    params = ToyParams(c_min=args.cmin, gamma=args.gamma, c_spec=args.cmin, **alphas)
+    params = ToyParams(c_min=args.cmin, gamma=args.gamma, **alphas)
     axes = _build_axes(args, kind, args.cmin)
     grid = sweep(pair, params, axes)
     write_grid_csv(grid, args.out)

@@ -112,41 +112,23 @@ class DiscreteDistribution:
 
     Args:
         probs: non-negative weights summing to one (within ingestion tolerance).
-        labels: optional identifiers, one per support point.
         what: the name validation errors give the vector, such as an input field.
     """
 
     probs: np.ndarray
-    labels: tuple[str, ...] | None = None
     what: InitVar[str] = "distribution"
 
     def __post_init__(self, what: str):
-        arr = _normalised(self.probs, 1, what, InvalidDistribution)
-        object.__setattr__(self, "probs", arr)
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != arr.size:
-                raise InvalidDistribution(
-                    f"got {len(labels)} labels for support of size {arr.size}"
-                )
-            object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "probs", _normalised(self.probs, 1, what, InvalidDistribution))
 
     def __len__(self) -> int:
         return int(self.probs.size)
 
     @classmethod
-    def uniform(cls, n: int, labels: tuple[str, ...] | None = None) -> "DiscreteDistribution":
+    def uniform(cls, n: int) -> "DiscreteDistribution":
         if n < 1:
             raise InvalidDistribution("support size must be at least 1")
-        return cls(np.full(n, 1.0 / n), labels)
-
-    @classmethod
-    def point_mass(cls, n: int, index: int) -> "DiscreteDistribution":
-        if not 0 <= index < n:
-            raise InvalidDistribution(f"point-mass index {index} outside support of size {n}")
-        probs = np.zeros(n)
-        probs[index] = 1.0
-        return cls(probs)
+        return cls(np.full(n, 1.0 / n))
 
 
 @dataclass(frozen=True)
@@ -175,12 +157,6 @@ class LikelihoodModel:
     @property
     def n_outcomes(self) -> int:
         return int(self.table.shape[2])
-
-    def slice(self, u: int) -> np.ndarray:
-        """The ``(state, outcome)`` table for one intervention."""
-        if not 0 <= u < self.n_interventions:
-            raise DimensionMismatch(f"intervention index {u} outside [0, {self.n_interventions})")
-        return self.table[u]
 
 
 @dataclass(frozen=True)
@@ -246,7 +222,7 @@ def posterior_update(
     evidence = float(unnorm.sum())
     if evidence <= 0.0:
         raise ZeroEvidence(f"outcome {y} has zero marginal probability under intervention {u}")
-    return DiscreteDistribution(unnorm / evidence, labels=prior.labels)
+    return DiscreteDistribution(unnorm / evidence)
 
 
 def predictive_outcome_dist(

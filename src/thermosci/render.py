@@ -21,6 +21,8 @@ _POS = (253, 231, 37)   # strong positive
 # canvas size and plot margins, in pixels
 _WIDTH, _HEIGHT = 720, 480
 _LEFT, _RIGHT, _TOP, _BOTTOM = 60.0, 20.0, 36.0, 48.0
+#: budget of the dashed regime-marker rule: omega = 1, where the budget meets the prior entropy
+_REGIME_MARKER_OMEGA = 1.0
 
 
 def _cell_colors(delta: np.ndarray, vmax: float) -> tuple[list[str], np.ndarray]:
@@ -79,8 +81,8 @@ def render_heatmap_svg(grid: SweepGrid, path) -> None:
     )
 
     tail = []
-    if grid.omega[0] <= grid.regime_marker_omega <= grid.omega[-1]:
-        xm = x_px(grid.regime_marker_omega)
+    if grid.omega[0] <= _REGIME_MARKER_OMEGA <= grid.omega[-1]:
+        xm = x_px(_REGIME_MARKER_OMEGA)
         tail.append(
             f'<line x1="{xm:.2f}" y1="{_TOP:.2f}" x2="{xm:.2f}" y2="{_TOP + plot_h:.2f}" '
             f'stroke="white" stroke-width="1.5" stroke-dasharray="6,4"/>'

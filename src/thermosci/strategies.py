@@ -111,6 +111,7 @@ class PartitionSpec:
         }
 
     @classmethod
+    @np.errstate(over="ignore")  # the normaliser names an overflowing sum; numpy need not warn
     def from_json_dict(cls, data: dict) -> "PartitionSpec":
         try:
             masses = DiscreteDistribution(_json_numbers(data["masses"], "masses"), what="masses")

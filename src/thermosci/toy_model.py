@@ -48,14 +48,13 @@ class Pair(str, Enum):
 
 @dataclass(frozen=True)
 class ToyParams:
-    """Parameters of the toy law: compression floor, decay, overheads, specialist focus."""
+    """Parameters of the toy law: compression floor, decay, overheads."""
 
     c_min: float = 0.05
     gamma: float = 1.0
     alpha_gen: float = 0.3
     alpha_fed: float = 0.3
     alpha_spec: float = 0.3
-    c_spec: float = 0.05
 
     def __post_init__(self):
         for name, value in asdict(self).items():
@@ -67,20 +66,18 @@ class ToyParams:
             raise InvalidParameter("gamma must be > 0")
         _check_at_least(0.0, alpha_gen=self.alpha_gen, alpha_fed=self.alpha_fed,
                         alpha_spec=self.alpha_spec)
-        if not self.c_min <= self.c_spec <= 1.0:
-            raise InvalidParameter("c_spec must be in [c_min, 1]")
 
     @classmethod
     def symmetric(cls, alpha: float = 0.3, c_min: float = 0.05,
                   gamma: float = 1.0) -> "ToyParams":
         return cls(c_min=c_min, gamma=gamma, alpha_gen=alpha, alpha_fed=alpha,
-                   alpha_spec=alpha, c_spec=c_min)
+                   alpha_spec=alpha)
 
     @classmethod
     def asymmetric(cls, alphas: tuple[float, float, float] = (0.8, 0.4, 0.2),
                    c_min: float = 0.05, gamma: float = 1.0) -> "ToyParams":
         return cls(c_min=c_min, gamma=gamma, alpha_gen=alphas[0], alpha_fed=alphas[1],
-                   alpha_spec=alphas[2], c_spec=c_min)
+                   alpha_spec=alphas[2])
 
 
 def eta_toy(omega: float, c: float, alpha: float) -> float:
@@ -155,7 +152,6 @@ class SecondAxis:
     minimum: float
     maximum: float
     steps: int
-    continuous: bool = True
 
     def __post_init__(self):
         if self.kind not in ("c_spec", "n"):
@@ -172,32 +168,23 @@ class SecondAxis:
         if not self.minimum < self.maximum:
             raise InvalidParameter(f"{what}minimum must be below maximum, got {self.minimum!r}")
         _check_at_least(2, what, steps=self.steps)
-        # linspace keeps both bounds, so only bounds that round alike give one distinct n
-        if self.kind == "n" and not self.continuous and round(self.minimum) == round(self.maximum):
-            raise InvalidParameter(f"discrete {what}rounds to 1 distinct count; it needs 2")
         if self.kind == "c_spec" and self.maximum > 1.0:
             raise InvalidParameter(f"c_spec axis maximum must be <= 1, got {self.maximum!r}")
 
     def values(self) -> np.ndarray:
-        vals = np.linspace(self.minimum, self.maximum, self.steps)
-        if self.kind == "n" and not self.continuous:
-            vals = np.unique(np.round(vals))
-        return vals
+        return np.linspace(self.minimum, self.maximum, self.steps)
 
 
 @dataclass(frozen=True)
 class SweepAxes:
-    """Budget axis plus second axis for one phase-diagram grid."""
+    """Log-spaced budget axis plus second axis for one phase-diagram grid."""
 
     second: SecondAxis
     omega_min: float = 1e-2
     omega_max: float = 1e2
     omega_steps: int = 200
-    omega_scale: str = "log"  # "log" | "linear"
 
     def __post_init__(self):
-        if self.omega_scale not in ("log", "linear"):
-            raise InvalidParameter(f"unknown omega scale {self.omega_scale!r}")
         for name in ("omega_min", "omega_max"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -208,11 +195,18 @@ class SweepAxes:
         if self.omega_steps * self.second.steps > MAX_GRID_CELLS:  # before any array exists
             raise InvalidParameter(f"omega_steps={self.omega_steps} by {self.second.kind} axis "
                                    f"steps={self.second.steps} is over {MAX_GRID_CELLS:,} cells")
+        # both axes, after the cap: a SecondAxis alone may still have 10**9 steps
+        second = self.second
+        for what, lo, hi, values in (
+                ("omega_min and omega_max", self.omega_min, self.omega_max, self.omega_values()),
+                (f"{second.kind} axis minimum and maximum", second.minimum, second.maximum,
+                 second.values())):
+            if not np.all(values[1:] > values[:-1]):
+                raise InvalidParameter(f"{what} are too close for {values.size} distinct "
+                                       f"steps, got {lo!r} and {hi!r}")
 
     def omega_values(self) -> np.ndarray:
-        if self.omega_scale == "log":
-            return np.geomspace(self.omega_min, self.omega_max, self.omega_steps)
-        return np.linspace(self.omega_min, self.omega_max, self.omega_steps)
+        return np.geomspace(self.omega_min, self.omega_max, self.omega_steps)
 
     @classmethod
     def default_cspec(cls, params: ToyParams, steps: int = 100) -> "SweepAxes":
@@ -237,8 +231,7 @@ class SweepGrid:
     """Evaluated efficiency-difference surface plus its zero contours.
 
     Arrays have shape ``(len(axis2), len(omega))``; contour polylines are in
-    ``(omega, axis2)`` data coordinates. ``regime_marker_omega`` records the
-    budget-to-prior crossover annotation.
+    ``(omega, axis2)`` data coordinates.
     """
 
     pair: str | None
@@ -251,7 +244,6 @@ class SweepGrid:
     eta_second: np.ndarray
     delta: np.ndarray
     contours: list[np.ndarray]
-    regime_marker_omega: float = 1.0
 
     def __post_init__(self):
         for arr in (self.eta_first, self.eta_second, self.delta):
@@ -282,7 +274,7 @@ def sweep(pair: Pair | str, params: ToyParams, axes: SweepAxes) -> SweepGrid:
         np.minimum(eta, 1.0 / (1.0 + levers[0, k, 1]), out=eta)
     delta = eta_first - eta_second
     grid = SweepGrid(pair.value, params, omega, axis2, axes.second.kind,
-                     axes.omega_scale, eta_first, eta_second, delta, contours=[])
+                     "log", eta_first, eta_second, delta, contours=[])
     grid.contours = zero_contours(grid)
     return grid
 
@@ -385,8 +377,11 @@ def read_grid_csv(path) -> SweepGrid:
     if not (np.all(blocks[0] == omega) and np.all(blocks[1] == axis2[:, None])):
         raise MalformedGrid("grid rows are not row-major with omega varying fastest")
     _check_axes(omega, axis2, MalformedGrid)
-    return SweepGrid(None, None, omega, axis2, "axis2", _infer_scale(omega),
-                     blocks[2], blocks[3], blocks[4], contours=[])
+    try:  # such as a delta_eta past [-1, 1]: the file is at fault, not a caller
+        return SweepGrid(None, None, omega, axis2, "axis2", _infer_scale(omega),
+                         blocks[2], blocks[3], blocks[4], contours=[])
+    except InvalidParameter as exc:
+        raise MalformedGrid(str(exc)) from None
 
 
 def contours_to_json_dict(grid: SweepGrid, pair: str | None = None) -> dict:

@@ -133,7 +133,7 @@ def _chain_segments(segments):
     return polylines
 
 
-def zero_isolines(values, x_axis, y_axis, x_log=False, y_log=False):
+def zero_isolines(values, x_axis, y_axis, x_log=False):
     ny, nx = values.shape
     segments = []
     for j in range(ny - 1):
@@ -142,7 +142,7 @@ def zero_isolines(values, x_axis, y_axis, x_log=False, y_log=False):
                 if _key(p) != _key(q):
                     segments.append((p, q))
     return [
-        np.array([(_index_to_coord(x, x_axis, x_log), _index_to_coord(y, y_axis, y_log))
+        np.array([(_index_to_coord(x, x_axis, x_log), _index_to_coord(y, y_axis, False))
                   for x, y in chain])
         for chain in _chain_segments(segments)
     ]
@@ -217,8 +217,8 @@ def render_heatmap_svg(grid, path, width: int = 720, height: int = 480) -> None:
                 f'width="{cell_w:.2f}" height="{cell_h:.2f}" fill="{color}"/>'
             )
 
-    if grid.omega[0] <= grid.regime_marker_omega <= grid.omega[-1]:
-        xm = x_px(grid.regime_marker_omega)
+    if grid.omega[0] <= 1.0 <= grid.omega[-1]:  # the regime marker at omega = 1
+        xm = x_px(1.0)
         parts.append(
             f'<line x1="{xm:.2f}" y1="{top:.2f}" x2="{xm:.2f}" y2="{top + plot_h:.2f}" '
             f'stroke="white" stroke-width="1.5" stroke-dasharray="6,4"/>'

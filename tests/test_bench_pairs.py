@@ -13,6 +13,10 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 
+#: the end_to_end list of BENCHMARK.json, for the one metric these results carry
+E2E = [{"name": "pass_cal", "unit": "cal", "better": "lower", "bound": 0.25}]
+
+
 def _result(pass_cal, correct=True, failed=0):
     return {"correct": correct, "attempted": 10, "failed": failed,
             "metrics": {"pass_cal": {"value": pass_cal, "unit": "cal"}}}
@@ -26,7 +30,7 @@ def test_spread_gives_inclusive_quartiles():
 def test_summarise_counts_pair_wins_and_failures():
     results = {"parent": [_result(4.0), _result(3.0), _result(5.0)],
                "change": [_result(3.0), _result(3.0), _result(2.0, failed=1)]}
-    summary = bench_pairs.summarise(results)
+    summary = bench_pairs.summarise(results, E2E)
     assert summary["pairs"] == 3
     assert summary["correct_all_runs"] is True
     assert summary["attempted_jobs"] == {"parent": 30, "change": 30}
@@ -40,7 +44,7 @@ def test_summarise_counts_pair_wins_and_failures():
 def test_summarise_gives_the_median_of_per_pair_ratios():
     results = {"parent": [_result(4.0), _result(2.0), _result(10.0)],
                "change": [_result(2.0), _result(3.0), _result(9.0)]}
-    metric = bench_pairs.summarise(results)["metrics"]["pass_cal"]
+    metric = bench_pairs.summarise(results, E2E)["metrics"]["pass_cal"]
     assert metric["change_over_parent_pair_median"] == 0.9  # of 0.5, 1.5 and 0.9
     assert metric["change_over_parent_median"] == 0.75  # 3.0 over 4.0
 
@@ -50,23 +54,58 @@ def test_pair_interval_lies_below_one_when_the_change_reads_lower_in_every_pair(
     change = [p * r for p, r in zip(parent, (0.8, 0.95, 0.7, 0.9, 0.85, 0.99, 0.75, 0.9,
                                               0.8, 0.97))]
     results = {"parent": [_result(v) for v in parent], "change": [_result(v) for v in change]}
-    lo, hi = bench_pairs.summarise(results)["metrics"]["pass_cal"]["change_over_parent_pair_ci95"]
+    metric = bench_pairs.summarise(results, E2E)["metrics"]["pass_cal"]
+    lo, hi = metric["change_over_parent_pair_ci95"]
     assert 0.7 <= lo <= hi < 1.0
 
 
 def test_pair_interval_is_the_same_on_every_call():
     results = {"parent": [_result(v) for v in (4.0, 2.0, 10.0, 3.0, 7.0)],
                "change": [_result(v) for v in (2.0, 3.0, 9.0, 3.3, 6.0)]}
-    first, again = (bench_pairs.summarise(results)["metrics"]["pass_cal"]
+    first, again = (bench_pairs.summarise(results, E2E)["metrics"]["pass_cal"]
                     ["change_over_parent_pair_ci95"] for _ in range(2))
     assert first == again
     assert first[0] < 0.9 < first[1]  # brackets the median ratio
 
 
+@pytest.mark.parametrize("parent, change, better, expected", [
+    # better in 9 of 10 pairs, median lower by 2.0 against a parent IQR of 1.5
+    ([10, 11, 10, 11, 10, 11, 10, 11, 10, 12], [8, 9, 8, 9, 8, 9, 8, 9, 8, 13], "lower", "gain"),
+    # a tie counts for neither side: better in 8, one tie, worse in 1
+    ([10, 11, 10, 11, 10, 11, 10, 11, 10, 12], [8, 9, 8, 9, 8, 9, 8, 9, 10, 13], "lower",
+     "no worse"),
+    # better in every pair, but the medians differ by less than the parent's IQR
+    ([10, 12, 10, 12, 10, 12, 10, 12, 10, 12], [9.9, 11.9] * 5, "lower", "no worse"),
+    # the same runs for a metric where higher is better
+    ([8, 9, 8, 9, 8, 9, 8, 9, 8, 13], [10, 11, 10, 11, 10, 11, 10, 11, 10, 12], "higher",
+     "gain"),
+    ([10.0] * 10, [12.6] * 10, "lower", "regression"),  # 26% worse, past the bound of 25%
+    ([10.0] * 10, [12.4] * 10, "lower", "no worse"),  # 24% worse, within it
+    ([10.0] * 10, [7.4] * 10, "higher", "regression"),
+    # the parent's runs spread wider than the bound; the change's do not all beat them
+    ([6, 14, 6, 14, 6, 14, 6, 14, 6, 14], [10.0] * 10, "lower", "unresolved"),
+    # ... unless every change run beats every parent run (the medians differ by 9.5,
+    # less than the parent's IQR of 10, so it is no gain)
+    ([20, 30, 20, 30, 20, 30, 20, 30, 20, 30], [15.0, 16.0] * 5, "lower", "no worse"),
+])
+def test_verdict_follows_the_rules(parent, change, better, expected):
+    assert bench_pairs.verdict(parent, change, better, 0.25) == expected
+
+
+def test_summarise_gives_a_verdict_only_to_metrics_with_a_bound():
+    results = {side: [{"correct": True, "attempted": 1, "failed": 0,
+                       "metrics": {"pass_cal": {"value": v, "unit": "cal"},
+                                   "cli.main.self_ms": {"value": v, "unit": "ms"}}}
+                      for v in (1.0, 1.0)] for side in bench_pairs.SIDES}
+    metrics = bench_pairs.summarise(results, E2E)["metrics"]
+    assert metrics["pass_cal"]["verdict"] == "no worse"
+    assert "verdict" not in metrics["cli.main.self_ms"]
+
+
 def test_summarise_reports_an_incorrect_run():
     results = {"parent": [_result(1.0), _result(1.0)],
                "change": [_result(1.0), _result(1.0, correct=False)]}
-    assert bench_pairs.summarise(results)["correct_all_runs"] is False
+    assert bench_pairs.summarise(results, E2E)["correct_all_runs"] is False
 
 
 def _git(cwd, *args):
@@ -111,7 +150,8 @@ def test_checkout_sha_ignores_the_repository_around_a_plain_copy(repo):
 
 
 def _checkouts(tmp_path):
-    spec = {"run_seconds": 1, "workloads": [{"name": "a"}, {"name": "b"}, {"name": "c"}]}
+    spec = {"run_seconds": 1, "workloads": [{"name": "a"}, {"name": "b"}, {"name": "c"}],
+            "end_to_end": E2E}
     for side in bench_pairs.SIDES:
         (tmp_path / side).mkdir()
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
@@ -236,7 +276,7 @@ def test_summarise_gives_the_control_the_change_s_bootstrap():
     other = [2.0, 3.0, 9.0, 3.3, 6.0]
     results = {side: [_result(v) for v in runs]
                for side, runs in (("parent", parent), ("change", other), ("control", other))}
-    metric = bench_pairs.summarise(results)["metrics"]["pass_cal"]
+    metric = bench_pairs.summarise(results, E2E)["metrics"]["pass_cal"]
     assert metric["control_over_parent_pair_median"] == metric["change_over_parent_pair_median"]
     assert metric["control_over_parent_pair_ci95"] == metric["change_over_parent_pair_ci95"]
 

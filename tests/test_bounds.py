@@ -192,7 +192,11 @@ def test_regime_classification():
     mid = regime_classify(1.0, 1.0)
     assert mid.regime is Regime.CROSSOVER
     assert mid.ratio == 1.0
-    assert regime_classify(5.0, 1.0, threshold_hi=4.0).regime is Regime.PRIOR_LIMITED
+    # the thresholds are strict: a ratio of exactly 10 or 0.1 is a crossover
+    assert regime_classify(10.0, 1.0).regime is Regime.CROSSOVER
+    assert regime_classify(10.000001, 1.0).regime is Regime.PRIOR_LIMITED
+    assert regime_classify(0.1, 1.0).regime is Regime.CROSSOVER
+    assert regime_classify(0.099999, 1.0).regime is Regime.BUDGET_LIMITED
     with pytest.raises(ZeroPriorEntropy):
         regime_classify(1.0, 0.0)
 
@@ -200,7 +204,6 @@ def test_regime_classification():
 @pytest.mark.parametrize("build, field", [
     (lambda: regime_classify(math.nan, 1.0), "beta_w"),
     (lambda: regime_classify(1.0, math.nan), "h"),
-    (lambda: regime_classify(1.0, 1.0, threshold_lo=math.nan), "threshold_lo"),
     (lambda: per_subdomain_cap(math.nan, 1.0, 1.0, 0.0), "p"),
     (lambda: per_subdomain_cap(0.5, 1.0, 1.0, math.nan), "sum_hy"),
     (lambda: SubdomainBudget(1.0, 1.0, math.nan, 0.0), "beta_w"),

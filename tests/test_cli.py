@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -14,10 +15,20 @@ from hypothesis import strategies as st
 
 from thermosci import cli
 from thermosci.cli import _build_parser, main
-from thermosci.cycle_sim import DEFAULT_ROUND_CAP
+from thermosci.cycle_sim import (
+    DEFAULT_ROUND_CAP,
+    CostModel,
+    EnvironmentModel,
+    ExpectedMode,
+    FixedSequence,
+    GreedyInfoMax,
+    RandomPolicy,
+    SampledMode,
+    run_episode,
+)
 from thermosci.toy_model import c_fed, read_grid_csv
 
-from helpers import asym_binary_env, noiseless_binary_env
+from helpers import asym_binary_env, noiseless_binary_env, three_state_env
 
 LN2 = math.log(2.0)
 
@@ -108,6 +119,63 @@ def test_simulate_names_the_bad_probability_field(tmp_path, capsys, field, messa
     assert main(["simulate", "--env", str(path), "--budget", "1"]) == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload == {"error": "InvalidDistribution", "message": message}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("prior", [1e308, 1e308], "prior sums to inf; expected 1 within 1e-09"),
+    ("prior", [1e308, 1e308, math.inf], "prior contains non-finite entries"),
+    ("likelihood", [[[1e308, 1e308], [0.6, 0.4]]],
+     "likelihood rows must sum to 1 within 1e-09 (worst deviation inf)"),
+], ids=["prior", "prior-with-inf", "likelihood-row"])
+def test_simulate_names_an_overflowing_sum_without_a_numpy_warning(tmp_path, capsys, field,
+                                                                    value, message):
+    env = asym_binary_env().to_json_dict()
+    env[field] = value
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(env))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # as under python -W error::RuntimeWarning
+        assert main(["simulate", "--env", str(path), "--budget", "1"]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload == {"error": "InvalidDistribution", "message": message}
+
+
+@pytest.mark.parametrize("flags, policy, mode", [
+    (["--policy", "random", "--seed", "3"], RandomPolicy(3), ExpectedMode()),
+    (["--policy", "fixed:1,0,1"], FixedSequence((1, 0, 1)), ExpectedMode()),
+    (["--mode", "sampled", "--seed", "5"], GreedyInfoMax(), SampledMode(seed=5)),
+], ids=["random", "fixed", "bare-sampled"])
+def test_simulate_runs_the_policy_and_mode_it_parses(tmp_path, capsys, flags, policy, mode):
+    doc = three_state_env().to_json_dict()
+    path, out = tmp_path / "env.json", tmp_path / "ledger.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--env", str(path), "--budget", "5", "--out", str(out),
+                 *flags]) == 0
+    ledger, _ = run_episode(EnvironmentModel.from_json_dict(doc), policy, CostModel(), 5.0, mode)
+    assert json.loads(out.read_text()) == json.loads(json.dumps(ledger.to_json_dict()))
+    assert ledger.rounds_completed >= 3  # past the first choice of each policy
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--policy", "best"],
+     "unknown policy 'best'; expected fixed:u0,u1,... | roundrobin | random | greedy"),
+    (["--policy", "fixed:0,x"], "bad fixed policy 'fixed:0,x'"),
+    (["--policy", "fixed:0,,1"], "bad fixed policy 'fixed:0,,1'"),
+    (["--policy", "fixed:"], "fixed policy needs at least one intervention"),
+    (["--policy", "fixed:-1"], "fixed policy 'fixed:-1' names intervention -1 outside [0, 2)"),
+    (["--policy", "fixed:0,2"], "fixed policy 'fixed:0,2' names intervention 2 outside [0, 2)"),
+    (["--mode", "exact"], "unknown mode 'exact'; expected expected | sampled[:N]"),
+    (["--mode", "sampled:ten"], "bad mode 'sampled:ten'"),
+], ids=["unknown-policy", "bad-fixed-token", "empty-fixed-token", "empty-fixed-list",
+        "negative-fixed-index", "fixed-index-past-the-count", "unknown-mode", "bad-sampled-n"])
+def test_simulate_parse_error_exits_2_before_the_episode(tmp_path, capsys, monkeypatch, flags,
+                                                         message):
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(three_state_env().to_json_dict()))  # 2 interventions
+    monkeypatch.setattr(cli, "run_episode", lambda *a, **k: pytest.fail("the episode ran"))
+    assert main(["simulate", "--env", str(path), "--budget", "2", *flags]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload == {"error": "InvalidParameter", "message": message}
 
 
 def test_simulate_zero_budget_trivially_passes(tmp_path, env_file, capsys):
@@ -525,8 +593,17 @@ def test_contour_rejects_a_grid_sweep_could_not_write(tmp_path, capsys, omega, a
     ("D", ["--n-max=-1"], "n axis maximum must be >= 1, got -1.0"),
     ("A", ["--cspec-max=-1"], "c_spec axis maximum must be > 0, got -1.0"),
     ("A", ["--cspec-min", "0"], "c_spec axis minimum must be > 0, got 0.0"),
+    # bounds too close to give distinct values fail before any grid is evaluated
+    ("D", ["--n-min", "1", "--n-max", "1.000000000000001", "--n-steps", "50"],
+     "n axis minimum and maximum are too close for 50 distinct steps, "
+     "got 1.0 and 1.000000000000001"),
+    ("D", ["--omega-min", "1", "--omega-max", "1.0000000000000002", "--omega-steps", "50"],
+     "omega_min and omega_max are too close for 50 distinct steps, "
+     "got 1.0 and 1.0000000000000002"),
 ])
-def test_sweep_range_error_names_the_field(tmp_path, capsys, panel, flags, message):
+def test_sweep_range_error_names_the_field(tmp_path, capsys, monkeypatch, panel, flags,
+                                           message):
+    monkeypatch.setattr(cli, "sweep", lambda *a: pytest.fail("the grid was evaluated"))
     assert main(["sweep", "--panel", panel, "--out", str(tmp_path / "grid.csv"), *flags]) == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload == {"error": "InvalidParameter", "message": message}

@@ -147,10 +147,9 @@ def test_environment_consistency():
     with pytest.raises(DimensionMismatch):
         EnvironmentModel(DiscreteDistribution([1.0 / 3] * 3),
                          LikelihoodModel([[[0.5, 0.5], [0.5, 0.5]]]))
-    with pytest.raises(DimensionMismatch):
-        EnvironmentModel(DiscreteDistribution([0.5, 0.5]),
-                         LikelihoodModel([[[0.5, 0.5], [0.5, 0.5]]]),
-                         intervention_count=2)
+    env = EnvironmentModel(DiscreteDistribution([0.5, 0.5]),
+                           LikelihoodModel([[[0.5, 0.5], [0.5, 0.5]]] * 2))
+    assert env.intervention_count == 2  # read from the table
 
 
 def test_environment_json_round_trip():

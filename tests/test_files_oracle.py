@@ -71,7 +71,7 @@ def _check_against_oracle(grid: SweepGrid, tmp_path) -> None:
 def _panel_grid(panel: str) -> SweepGrid:
     # the CLI defaults of ``sweep --panel``
     pair, alphas, kind = _PANELS[panel]
-    params = ToyParams(c_min=0.05, gamma=1.0, c_spec=0.05, **alphas)
+    params = ToyParams(c_min=0.05, gamma=1.0, **alphas)
     second = (SecondAxis("c_spec", 0.05, 1.0, 100) if kind == "c_spec"
               else SecondAxis("n", 1.0, 20.0, 100))
     return sweep(pair, params, SweepAxes(second))
@@ -145,14 +145,13 @@ def test_random_grid_files_match_oracle(seed, omega_scale, tmp_path):
 
 
 @pytest.mark.parametrize("seed", [10, 11, 12, 13])
-@pytest.mark.parametrize("x_log, y_log", [(False, False), (True, False), (False, True),
-                                          (True, True)])
-def test_random_isolines_match_oracle(seed, x_log, y_log):
+@pytest.mark.parametrize("x_log", [False, True])
+def test_random_isolines_match_oracle(seed, x_log):
     delta = _random_delta(seed, shape=(17, 13))
     x_axis = np.geomspace(0.1, 10.0, 13) if x_log else np.linspace(-2.0, 2.0, 13)
-    y_axis = np.geomspace(1.0, 20.0, 17) if y_log else np.linspace(0.0, 1.0, 17)
-    got = zero_isolines(delta, x_axis, y_axis, x_log=x_log, y_log=y_log)
-    expected = oracle.zero_isolines(delta, x_axis, y_axis, x_log=x_log, y_log=y_log)
+    y_axis = np.linspace(0.0, 1.0, 17)
+    got = zero_isolines(delta, x_axis, y_axis, x_log=x_log)
+    expected = oracle.zero_isolines(delta, x_axis, y_axis, x_log=x_log)
     assert _polylines_json(got) == _polylines_json(expected)
 
 

@@ -53,12 +53,6 @@ class TestDiscreteDistribution:
         with pytest.raises(InvalidDistribution):
             DiscreteDistribution([])
 
-    def test_labels_length_checked(self):
-        with pytest.raises(InvalidDistribution):
-            DiscreteDistribution([0.5, 0.5], labels=("a",))
-        d = DiscreteDistribution([0.5, 0.5], labels=("a", "b"))
-        assert d.labels == ("a", "b")
-
     def test_probs_are_frozen(self):
         d = DiscreteDistribution([0.25, 0.75])
         with pytest.raises(ValueError):
@@ -73,11 +67,6 @@ class TestLikelihoodModel:
     def test_shape_enforced(self):
         with pytest.raises(InvalidDistribution):
             LikelihoodModel([[0.5, 0.5]])
-
-    def test_slice_bounds(self):
-        lik = LikelihoodModel([[[0.5, 0.5], [0.5, 0.5]]])
-        with pytest.raises(DimensionMismatch):
-            lik.slice(1)
 
 
 class TestInfoQuantity:

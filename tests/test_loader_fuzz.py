@@ -7,7 +7,9 @@ leaf's path; NaN, +-Infinity, strings and ``10**400`` must exit 2. One string
 is the leaf's own value written as a JSON string, such as ``"0.5"``: unlike
 ``"5"``, it keeps a probability vector's sum at one. A check
 across entries, such as a sum over records, names the path with ``[*]`` for
-the index.
+the index. The grid CSV (``contour --grid``) gets one cell or line edit at a
+time instead: it must read as a ``SweepGrid`` or raise ``MalformedGrid``,
+with no warning.
 """
 
 import contextlib
@@ -16,14 +18,25 @@ import io
 import json
 import math
 import re
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from thermosci.cli import main
-from thermosci.errors import ThermosciError
+from thermosci.errors import MalformedGrid, ThermosciError
 from thermosci.strategies import PartitionSpec
+from thermosci.toy_model import (
+    Pair,
+    SecondAxis,
+    SweepAxes,
+    SweepGrid,
+    ToyParams,
+    read_grid_csv,
+    sweep,
+    write_grid_csv,
+)
 
 from helpers import asym_binary_env
 
@@ -210,3 +223,77 @@ def test_partition_names_the_field(path, value, message):
     with pytest.raises(ThermosciError) as info:
         PartitionSpec.from_json_dict(_changed(PARTITIONS[0], path, value))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("path, message", [
+    ("masses", "masses sums to inf; expected 1 within 1e-09"),
+    ("conditional_priors[0]", "conditional_priors[0] sums to inf; expected 1 within 1e-09"),
+])
+def test_partition_names_an_overflowing_sum_without_a_numpy_warning(path, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # as under python -W error::RuntimeWarning
+        with pytest.raises(ThermosciError) as info:
+            PartitionSpec.from_json_dict(_changed(PARTITIONS[0], path, [1e308, 1e308]))
+    assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# the grid CSV (``contour --grid``): one edit to a valid file at a time
+
+#: what a cell may become: non-finite, not a number, past the float range, out of
+#: range for its column, quoted, or two fields
+GRID_TOKENS = ("nan", "inf", "-inf", "", "x", "1e400", "-1", "0", "-0", "2", '"0.5"', "1,2")
+GRID_EDITS = ("cell", "drop-line", "repeat-line", "swap-with-last", "blank-line", "cut")
+
+
+@pytest.fixture(scope="module")
+def grid_lines(tmp_path_factory):
+    path = tmp_path_factory.mktemp("grid") / "grid.csv"
+    axes = SweepAxes(SecondAxis("n", 1.0, 4.0, 3), omega_steps=4)
+    write_grid_csv(sweep(Pair.FED_GEN, ToyParams.asymmetric(), axes), path)
+    return path.read_text().splitlines(keepends=True)
+
+
+def test_a_changed_grid_file_reads_as_a_grid_or_as_malformed(grid_lines, tmp_path_factory):
+    path = tmp_path_factory.mktemp("grid-fuzz") / "grid.csv"
+
+    @settings(max_examples=1000, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(edit=st.sampled_from(GRID_EDITS), line=st.integers(0, len(grid_lines) - 1),
+           column=st.integers(0, 4), token=st.sampled_from(GRID_TOKENS),
+           cut=st.integers(0, sum(map(len, grid_lines))))
+    def check(edit, line, column, token, cut):
+        lines = list(grid_lines)  # line 0 is the header
+        if edit == "cell":
+            cells = lines[line].rstrip("\n").split(",")
+            cells[column] = token
+            lines[line] = ",".join(cells) + "\n"
+        elif edit == "drop-line":
+            del lines[line]
+        elif edit == "repeat-line":
+            lines.insert(line, lines[line])
+        elif edit == "swap-with-last":
+            lines[line], lines[-1] = lines[-1], lines[line]
+        elif edit == "blank-line":
+            lines.insert(line, "\r\n")
+        text = "".join(lines)
+        path.write_text(text[:cut] if edit == "cut" else text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning fails the test
+            try:
+                grid = read_grid_csv(path)
+            except MalformedGrid:  # any other exception fails the test
+                return
+        assert isinstance(grid, SweepGrid)
+
+    check()
+
+
+def test_grid_names_a_delta_past_its_range(grid_lines, tmp_path):
+    cells = grid_lines[3].rstrip("\n").split(",")
+    cells[4] = "2"  # SweepGrid raised InvalidParameter through the reader
+    path = tmp_path / "grid.csv"
+    path.write_text("".join(grid_lines[:3] + [",".join(cells) + "\n"] + grid_lines[4:]))
+    with pytest.raises(MalformedGrid, match=re.escape("efficiency differences must lie in "
+                                                      "[-1, 1]")):
+        read_grid_csv(path)

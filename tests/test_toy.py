@@ -174,12 +174,9 @@ def test_params_validation():
         ToyParams(gamma=0.0)
     with pytest.raises(InvalidParameter):
         ToyParams(alpha_gen=-0.1)
-    with pytest.raises(InvalidParameter):
-        ToyParams(c_min=0.5, c_spec=0.2)
 
 
-@pytest.mark.parametrize("field", ["c_min", "gamma", "alpha_gen", "alpha_fed",
-                                   "alpha_spec", "c_spec"])
+@pytest.mark.parametrize("field", ["c_min", "gamma", "alpha_gen", "alpha_fed", "alpha_spec"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_params_reject_non_finite(field, value):
     with pytest.raises(InvalidParameter, match=f"{field} must be finite"):
@@ -222,22 +219,6 @@ def test_pair_axis_mismatch_rejected():
         sweep(Pair.FED_GEN, params, SweepAxes.default_cspec(params))
 
 
-def test_integer_n_axis():
-    axis = SecondAxis("n", 1.0, 6.0, 50, continuous=False)
-    assert np.array_equal(axis.values(), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-
-
-def test_integer_n_axis_keeps_each_whole_count():
-    assert np.array_equal(SecondAxis("n", 1.0, 3.0, 3, continuous=False).values(), [1, 2, 3])
-
-
-def test_integer_n_axis_that_rounds_to_one_count_is_rejected():
-    # values() would round it to [1.0], a one-row grid that read_grid_csv refuses
-    with pytest.raises(InvalidParameter, match="discrete n axis rounds to 1 distinct count"):
-        SecondAxis("n", 1.0, 1.4, 5, continuous=False)
-    assert SecondAxis("n", 1.0, 1.4, 5).values().size == 5  # a continuous axis keeps them
-
-
 def test_symmetric_fed_gen_grid_nonpositive():
     grid = sweep(Pair.FED_GEN, ToyParams.symmetric(), SweepAxes.default_n())
     assert np.all(grid.delta <= 1e-15)
@@ -254,7 +235,7 @@ def test_asymmetric_spec_gen_positive_band_at_low_budget():
 
 def test_identical_strategies_give_zero_grid():
     params = ToyParams(c_min=0.05, gamma=1.0, alpha_gen=0.3, alpha_fed=0.3,
-                       alpha_spec=0.3, c_spec=1.0)
+                       alpha_spec=0.3)
     grid = sweep(Pair.SPEC_GEN, params,
                  SweepAxes(SecondAxis("c_spec", 1.0 - 1e-12, 1.0, 2)))
     assert np.max(np.abs(grid.delta[-1])) == 0.0

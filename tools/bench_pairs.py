@@ -15,7 +15,8 @@ metric is the last stdout line's JSON. The file gives, per workload and
 end-to-end metric, each side's runs in pair order, median and quartiles
 (inclusive method), the pairs in which the change read lower, the change's
 median over the parent's, and the median of the per-pair change/parent
-ratios with a bootstrap 95% interval over the pairs; per workload, the side
+ratios with a bootstrap 95% interval over the pairs, and a verdict (see
+``verdict``) from the metric's ``better`` and ``bound``; per workload, the side
 that ran first in each pair and the jobs attempted and failed on each side;
 and the machine, from the first run's provenance line. Keeping the pair order lets a file be re-paired later. Each side's sha is its
 checkout's ``HEAD``, read only when the directory is the top of a git working
@@ -99,10 +100,37 @@ def pair_ratio_ci95(ratios: list[float]) -> list[float]:
     return [round(cuts[0], 4), round(cuts[-1], 4)]
 
 
-def summarise(results: dict) -> dict:
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """``gain``, ``regression``, ``unresolved`` or ``no worse`` for one metric's runs.
+
+    In that order of precedence: ``gain`` when the change reads better in at least
+    9/10 of the pairs (a tie counts for neither side) and its median is better than
+    the parent's by more than the parent's IQR; ``regression`` when its median is
+    worse by more than ``bound`` times the parent's median; ``unresolved`` when the
+    larger of the two sides' IQRs exceeds ``bound`` times the parent's median and not
+    every change run reads better than every parent run; else ``no worse``.
+    """
+    sign = 1.0 if better == "lower" else -1.0  # sign * (parent - change) > 0: change better
+    wins = sum(sign * (p - c) > 0.0 for p, c in zip(parent, change))
+    (p_q1, p_med, p_q3), (c_q1, c_med, c_q3) = (
+        statistics.quantiles(runs, n=4, method="inclusive") for runs in (parent, change))
+    if wins >= 0.9 * len(parent) and sign * (p_med - c_med) > p_q3 - p_q1:
+        return "gain"
+    if sign * (c_med - p_med) > bound * abs(p_med):
+        return "regression"
+    every_run_better = (max(change) < min(parent) if better == "lower"
+                        else min(change) > max(parent))
+    if max(p_q3 - p_q1, c_q3 - c_q1) > bound * abs(p_med) and not every_run_better:
+        return "unresolved"
+    return "no worse"
+
+
+def summarise(results: dict, end_to_end: list[dict]) -> dict:
     """Per-metric spread of each side, pair wins, the ratio of medians, the median ratio
-    and its bootstrap interval; with a ``control`` side, its ratio to the parent too."""
+    and its bootstrap interval, and for each metric of ``end_to_end`` (BENCHMARK.json's
+    list) its verdict; with a ``control`` side, its ratio to the parent too."""
     sides = list(results)
+    specs = {m["name"]: m for m in end_to_end}
     metrics = {}
     for name in results["parent"][0]["metrics"]:
         runs = {side: [r["metrics"][name]["value"] for r in results[side]] for side in sides}
@@ -114,6 +142,9 @@ def summarise(results: dict) -> dict:
         ratios = [c / p for p, c in zip(runs["parent"], runs["change"])]
         entry["change_over_parent_pair_median"] = round(statistics.median(ratios), 4)
         entry["change_over_parent_pair_ci95"] = pair_ratio_ci95(ratios)
+        if name in specs:
+            entry["verdict"] = verdict(runs["parent"], runs["change"], specs[name]["better"],
+                                       specs[name]["bound"])
         if "control" in runs:
             ratios = [c / p for p, c in zip(runs["parent"], runs["control"])]
             entry["control_over_parent_pair_median"] = round(statistics.median(ratios), 4)
@@ -184,7 +215,13 @@ def main(argv=None) -> int:
                   f"2.5th and 97.5th percentiles of that median over {BOOTSTRAP_RESAMPLES} "
                   "bootstrap resamples of the pairs (drawn with random.Random(0), so the "
                   "same pairs give the same interval); first_in_pair names the side that "
-                  "ran first in each pair" + ("" if args.control is None else
+                  "ran first in each pair; verdict is gain (the change better in at least "
+                  "9/10 of the pairs, ties counting for neither, and its median better by "
+                  "more than the parent's IQR), else regression (its median worse by more "
+                  "than the metric's BENCHMARK.json bound, a fraction of the parent's "
+                  "median), else unresolved (either side's IQR wider than that bound and "
+                  "not every change run better than every parent run), else no worse"
+                  + ("" if args.control is None else
                   "; the control is an A/A control, a second checkout of the parent at a "
                   "path of the same length, run beside the parent in every pair, first in "
                   "odd pairs and last in even ones (control, parent, change; change, "
@@ -210,7 +247,7 @@ def main(argv=None) -> int:
                                         if k not in RUN_FIELDS}
             if pair >= 2:
                 bench["workloads"][f"{workload}/seed{args.seed}"] = {
-                    **summarise(results), "first_in_pair": first}
+                    **summarise(results, specs[0]["end_to_end"]), "first_in_pair": first}
                 with open(out, "w") as fh:
                     json.dump(bench, fh, indent=1)
                     fh.write("\n")
