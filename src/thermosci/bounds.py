@@ -76,8 +76,9 @@ class SubdomainBudget:
     sum_hy: float
     what: InitVar[str] = "subdomain "  # how messages name the fields, such as "subdomains[0]."
 
-    def __post_init__(self, what: str):
-        _check_at_least(0.0, what, p=self.p, h=self.h, beta_w=self.beta_w, sum_hy=self.sum_hy)
+    def __post_init__(self, what: str):  # each field compared on its own: NaN fails each test
+        if not (self.p >= 0.0 and self.h >= 0.0 and self.beta_w >= 0.0 and self.sum_hy >= 0.0):
+            _check_at_least(0.0, what, p=self.p, h=self.h, beta_w=self.beta_w, sum_hy=self.sum_hy)
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,8 @@ class BudgetScenario:
     subdomains: tuple[SubdomainBudget, ...] | None = None
 
     def __post_init__(self):
-        _check_at_least(0.0, h0=self.h0, beta_w=self.beta_w, sum_hy=self.sum_hy)
+        if not (self.h0 >= 0.0 and self.beta_w >= 0.0 and self.sum_hy >= 0.0):
+            _check_at_least(0.0, h0=self.h0, beta_w=self.beta_w, sum_hy=self.sum_hy)
         if self.subdomains is not None:
             subs = tuple(self.subdomains)
             if not subs:
@@ -148,7 +150,8 @@ def unpartitioned_eta_cap(s: BudgetScenario) -> float:
 
 def per_subdomain_cap(p: float, h: float, beta_w: float, sum_hy: float) -> float:
     """Information cap for one subdomain's budgeted cycle."""
-    _check_at_least(0.0, "subdomain ", p=p, h=h, beta_w=beta_w, sum_hy=sum_hy)
+    if not (p >= 0.0 and h >= 0.0 and beta_w >= 0.0 and sum_hy >= 0.0):
+        _check_at_least(0.0, "subdomain ", p=p, h=h, beta_w=beta_w, sum_hy=sum_hy)
     return max(0.0, min(h, beta_w - sum_hy))
 
 

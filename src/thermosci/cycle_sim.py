@@ -64,7 +64,8 @@ BUDGET_SLACK = 1e-12
 
 DEFAULT_NODE_CAP = 1_000_000
 #: most rounds an episode runs when no ``max_rounds`` is given: the merged expected
-#: frontier grows a row a round, so rounds cost O(R^2); 2,000 take 0.8-1.5 s (2-core VM)
+#: frontier grows a row a round, so rounds cost O(R^2); 2,000 RoundRobin rounds on the
+#: README environment take 0.66-1.26 s in-process on a 2-core VM (README gives the method)
 DEFAULT_ROUND_CAP = 2_000
 #: most trials a sampled run takes: at about 300 bytes per trial, 10**7 is about 3 GB
 MAX_TRIALS = 10**7
@@ -347,8 +348,10 @@ class RoundRecord:
             value = self.__dict__[name] = float(self.__dict__[name])
             if not math.isfinite(value):
                 raise InvalidLedger(f"{where}{path}{name} must be finite, got {value!r}")
-        for name in ("belief_entropy_after", *_RECORD_FLOATS[:3]):  # may not be negative
-            if not getattr(self, name) >= -BUDGET_SLACK:
+        # may not be negative; all finite by now, so min() meets no NaN
+        if min(self.belief_entropy_after, self.info_gain, self.outcome_entropy,
+               self.stored_entropy) < -BUDGET_SLACK:
+            for name in ("belief_entropy_after", *_RECORD_FLOATS[:3]):
                 _check_at_least(-BUDGET_SLACK, where + path, InvalidLedger,
                                 **{name: getattr(self, name)})
         at = (lambda name: f" {path}{name}") if path else (lambda name: "")

@@ -68,18 +68,18 @@ def _normalised(values, rank: int, what: str, error: type[ThermosciError]) -> np
         raise error(f"{what} contains non-finite entries") from None
     if arr.ndim != rank or arr.size < 1:
         raise error(f"{what} must be {_SHAPES[rank]}, got shape {arr.shape}")
-    lo = float(arr.min())  # NaN or -inf if any entry is
+    lo = float(np.minimum.reduce(arr, axis=None))  # NaN or -inf if any entry is
     if not lo >= -NEGATIVE_CLAMP:  # a +inf entry outranks a negative one
         raise error(f"{what} has negative entries" if lo > -math.inf and arr.max() < math.inf
                     else f"{what} contains non-finite entries")
     if lo <= 0.0:  # clipping also turns -0.0 into 0.0
-        arr = np.clip(arr, 0.0, None)
+        arr = np.maximum(arr, 0.0)  # what np.clip(arr, 0.0, None) calls
     if rank == 3:
-        sums = arr.sum(axis=2, keepdims=True)
-        worst = float(np.abs(sums - 1.0).max())
+        sums = np.add.reduce(arr, axis=2, keepdims=True)
+        worst = float(np.maximum.reduce(np.abs(sums - 1.0), axis=None))
         failure = "likelihood rows must sum to 1 within {tol} (worst deviation {worst:.3e})"
     else:
-        sums = float(arr.sum())
+        sums = float(np.add.reduce(arr, axis=None))
         worst = abs(sums - 1.0)
         failure = "{what} sums to {sums!r}; expected 1" + (" within {tol}" if rank == 1 else "")
     if worst > NORMALIZATION_TOL:  # inf for a +inf entry, and for finite entries overflowing
@@ -93,7 +93,7 @@ def _normalised(values, rank: int, what: str, error: type[ThermosciError]) -> np
 def _entropies(probs: np.ndarray, axis: int = -1) -> np.ndarray:
     """Shannon entropies in nats along ``axis`` of a raw probability array."""
     safe = np.where(probs > LOG_FLOOR, probs, 1.0)
-    h = np.asarray(-(safe * np.log(safe)).sum(axis=axis))  # 0-d, not a scalar, for a vector
+    h = np.asarray(-np.add.reduce(safe * np.log(safe), axis=axis))  # a 0-d array for a vector
     # a vector summing to just above 1 gives a tiny negative sum; a point mass keeps its -0.0
     h[h < 0.0] = 0.0
     return h
@@ -102,7 +102,7 @@ def _entropies(probs: np.ndarray, axis: int = -1) -> np.ndarray:
 def _entropy(probs: np.ndarray) -> float:
     """Shannon entropy in nats of a raw probability vector, as ``float(_entropies(probs))``."""
     safe = np.where(probs > LOG_FLOOR, probs, 1.0)
-    h = -float((safe * np.log(safe)).sum())
+    h = -float(np.add.reduce(safe * np.log(safe)))
     return 0.0 if h < 0.0 else h
 
 
@@ -219,7 +219,7 @@ def posterior_update(
     if not 0 <= y < lik.n_outcomes:
         raise DimensionMismatch(f"outcome index {y} outside [0, {lik.n_outcomes})")
     unnorm = prior.probs * lik.table[u, :, y]
-    evidence = float(unnorm.sum())
+    evidence = float(np.add.reduce(unnorm))
     if evidence <= 0.0:
         raise ZeroEvidence(f"outcome {y} has zero marginal probability under intervention {u}")
     return DiscreteDistribution(unnorm / evidence)
@@ -250,8 +250,8 @@ def predictive_gain(beliefs: np.ndarray, tables: np.ndarray, row_h: np.ndarray):
     """
     pred = (beliefs[..., None, :] @ tables)[..., 0, :]
     hy = _entropies(pred)
-    gain = hy - (beliefs * row_h).sum(axis=-1)
-    worst = gain.min(initial=0.0)
+    gain = hy - np.add.reduce(beliefs * row_h, axis=-1)
+    worst = np.minimum.reduce(gain, axis=None, initial=0.0)
     if worst < -GAIN_NOISE:
         raise InvalidDistribution(f"information gain {worst!r} is negative beyond noise")
     return pred, hy, np.maximum(gain, 0.0)
@@ -282,11 +282,11 @@ def expected_information_gain(
 def mutual_information_of_joint(joint) -> InfoQuantity:
     """Mutual information of a 2-D joint table, clamped at zero from below."""
     arr = _normalised(joint, 2, "joint", InvalidJoint)
-    px = arr.sum(axis=1)
-    pk = arr.sum(axis=0)
+    px = np.add.reduce(arr, axis=1)
+    pk = np.add.reduce(arr, axis=0)
     mask = arr > LOG_FLOOR
-    if not mask.any():
+    if not np.logical_or.reduce(mask, axis=None):
         return InfoQuantity(0.0)
     outer = np.outer(px, pk)
-    mi = float((arr[mask] * np.log(arr[mask] / outer[mask])).sum())
+    mi = float(np.add.reduce(arr[mask] * np.log(arr[mask] / outer[mask])))
     return InfoQuantity(_clamped_info(mi))

@@ -25,6 +25,8 @@ from .info_core import DiscreteDistribution, _entropy, _normalised
 
 _ENTROPY_TOL = 1e-10
 _BUDGET_TOL = 1e-10
+#: the generalist's one-subdomain masses; immutable, so every partition shares it
+_UNIT_MASS = DiscreteDistribution([1.0])
 
 
 @dataclass(frozen=True)
@@ -48,10 +50,12 @@ class PartitionSpec:
         budgets = tuple(float(b) for b in self.budgets)
         if len(budgets) != n:
             raise InvalidParameter(f"{len(budgets)} budgets for {n} subdomains")
-        _check_at_least(0.0, **{f"budgets[{i}]": b for i, b in enumerate(budgets)})
+        if not all(b >= 0.0 for b in budgets):  # not min(): a NaN after the first would pass
+            _check_at_least(0.0, **{f"budgets[{i}]": b for i, b in enumerate(budgets)})
         object.__setattr__(self, "budgets", budgets)
 
-        for i, (p, w) in enumerate(zip(self.masses.probs, budgets)):
+        masses = self.masses.probs.tolist()
+        for i, (p, w) in enumerate(zip(masses, budgets)):
             if p <= 0.0 and w > 0.0:
                 raise ZeroMassSubdomain(
                     f"subdomain {i} has zero mass but positive budget {w!r}"
@@ -84,7 +88,7 @@ class PartitionSpec:
                                     for i, h in enumerate(entropies)})
             object.__setattr__(self, "subdomain_entropies", entropies)
 
-        weighted = sum(p * w for p, w in zip(self.masses.probs, budgets))
+        weighted = sum(p * w for p, w in zip(masses, budgets))
         if self.total_budget is None:
             object.__setattr__(self, "total_budget", weighted)
         else:
@@ -143,7 +147,7 @@ def generalist_partition(prior: DiscreteDistribution, budget: float) -> Partitio
     """The trivial one-subdomain partition: full prior, full budget."""
     _check_at_least(0.0, budget=budget)
     return PartitionSpec(
-        masses=DiscreteDistribution([1.0]),
+        masses=_UNIT_MASS,
         budgets=(float(budget),),
         conditional_priors=(prior,),
         total_budget=float(budget),
@@ -212,10 +216,11 @@ def scenario_from_partition(
     sum_hy = tuple(float(v) for v in sum_hy)
     if len(sum_hy) != part.n:
         raise InvalidParameter(f"{len(sum_hy)} outcome-entropy sums for {part.n} subdomains")
-    _check_at_least(0.0, h_gen=h_gen, **{f"sum_hy[{i}]": v for i, v in enumerate(sum_hy)})
+    if not (h_gen >= 0.0 and all(v >= 0.0 for v in sum_hy)):
+        _check_at_least(0.0, h_gen=h_gen, **{f"sum_hy[{i}]": v for i, v in enumerate(sum_hy)})
     subs = tuple(
-        SubdomainBudget(float(p), float(h), w, s)
-        for p, h, w, s in zip(part.masses.probs, part.subdomain_entropies,
+        SubdomainBudget(p, h, w, s)
+        for p, h, w, s in zip(part.masses.probs.tolist(), part.subdomain_entropies,
                               part.budgets, sum_hy)
     )
     global_hy = sum(sub.p * sub.sum_hy for sub in subs)

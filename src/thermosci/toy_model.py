@@ -195,13 +195,15 @@ class SweepAxes:
         if self.omega_steps * self.second.steps > MAX_GRID_CELLS:  # before any array exists
             raise InvalidParameter(f"omega_steps={self.omega_steps} by {self.second.kind} axis "
                                    f"steps={self.second.steps} is over {MAX_GRID_CELLS:,} cells")
-        # both axes, after the cap: a SecondAxis alone may still have 10**9 steps
+        # both axes, after the cap: a SecondAxis alone may still have 10**9 steps; each as
+        # write_grid_csv writes it, at 9 significant digits, so read_grid_csv reads it back
         second = self.second
         for what, lo, hi, values in (
                 ("omega_min and omega_max", self.omega_min, self.omega_max, self.omega_values()),
                 (f"{second.kind} axis minimum and maximum", second.minimum, second.maximum,
                  second.values())):
-            if not np.all(values[1:] > values[:-1]):
+            written = np.array([float(f"{x:.9g}") for x in values.tolist()])
+            if not np.all(written[1:] > written[:-1]):
                 raise InvalidParameter(f"{what} are too close for {values.size} distinct "
                                        f"steps, got {lo!r} and {hi!r}")
 

@@ -600,6 +600,11 @@ def test_contour_rejects_a_grid_sweep_could_not_write(tmp_path, capsys, omega, a
     ("D", ["--omega-min", "1", "--omega-max", "1.0000000000000002", "--omega-steps", "50"],
      "omega_min and omega_max are too close for 50 distinct steps, "
      "got 1.0 and 1.0000000000000002"),
+    # distinct as floats, but not in the grid file's 9 significant digits
+    ("D", ["--n-min", "1", "--n-max", "1.0000001", "--n-steps", "200"],
+     "n axis minimum and maximum are too close for 200 distinct steps, got 1.0 and 1.0000001"),
+    ("D", ["--omega-min", "1", "--omega-max", "1.000000001", "--omega-steps", "50"],
+     "omega_min and omega_max are too close for 50 distinct steps, got 1.0 and 1.000000001"),
 ])
 def test_sweep_range_error_names_the_field(tmp_path, capsys, monkeypatch, panel, flags,
                                            message):
@@ -607,6 +612,15 @@ def test_sweep_range_error_names_the_field(tmp_path, capsys, monkeypatch, panel,
     assert main(["sweep", "--panel", panel, "--out", str(tmp_path / "grid.csv"), *flags]) == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload == {"error": "InvalidParameter", "message": message}
+
+
+def test_contour_reads_a_grid_whose_steps_differ_only_in_the_ninth_digit(tmp_path):
+    # steps of 5e-8 on n: the written axis2 texts 1, 1.00000005, 1.0000001, ... stay distinct
+    grid = tmp_path / "g.csv"
+    assert main(["sweep", "--panel", "D", "--n-min", "1", "--n-max", "1.00001",
+                 "--n-steps", "200", "--out", str(grid)]) == 0
+    assert main(["contour", "--grid", str(grid), "--out", str(tmp_path / "c.json")]) == 0
+    assert read_grid_csv(grid).axis2.size == 200
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from thermosci.cli import main
 from thermosci.cycle_sim import (
     CompressionMap,
     CostModel,
+    EnvironmentModel,
     ExpectedMode,
     FixedSequence,
     GreedyInfoMax,
@@ -217,6 +218,34 @@ def test_parity_tool_does_not_judge_a_case_with_no_expected_mode_run(parity, mon
         "1e-12 (1 with no expected-mode run); of the 2 judged, "
         "1 lie beyond 3 SE of expected mode on the change and 0 on the parent, "
         "more than the 0.0 allowed\n")
+
+
+def test_parity_tool_judges_a_case_with_no_expected_mode_run_against_10x_the_trials(
+        parity, monkeypatch, capsys):
+    sides = _sides(parity, 0, 0, cases=3)
+    # 0.035 from the larger run is beyond 3 * 0.01, but within 3 SE of both runs combined
+    sides["p"][0]["judge"] = [0.5, 0.01, None, 0.535, 0.01]
+    sides["c"][0]["judge"] = [0.5, 0.01, None, 0.6, 0.01]
+    monkeypatch.setattr(parity, "results", lambda checkout, cases: sides[checkout])
+    assert parity.main(["--parent", "p", "--change", "c", "--cases", "3"]) == 1
+    assert capsys.readouterr().out == (
+        "3 cases: every expected-mode repr matches; 3 sampled cases differ by more than "
+        "1e-12 (1 with no expected-mode run); of the 3 judged, "
+        "1 lie beyond 3 SE of expected mode on the change and 0 on the parent, "
+        "more than the 0.0 allowed\n")
+    # run_case draws the larger run on the next seed, so its trials are not the case's own
+    case = dict(parity.make_case(1), prior=[0.5, 0.5],
+                likelihood=[[[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]]], policy="random",
+                policy_seed=7, compression=None, cost=[1.0, 1.0, 0.0], budget=50.0,
+                mode=[7, 200], max_rounds=12)
+    env = EnvironmentModel.from_json_dict({"prior": case["prior"], "interventions": 1,
+                                           "likelihood": case["likelihood"]})
+    args = (env, RandomPolicy(7), CostModel(), 50.0)
+    _, sampled = run_episode(*args, SampledMode(7, 200), None, 12)
+    _, larger = run_episode(*args, SampledMode(8, 2000), None, 12)
+    assert parity.run_case(case)["judge"] == [sampled.cumulative_info,
+                                              sampled.cumulative_info_se, None,
+                                              larger.cumulative_info, larger.cumulative_info_se]
 
 
 def test_parity_tool_names_a_sampled_case_that_raises_on_one_side(parity, monkeypatch, capsys):

@@ -237,7 +237,7 @@ def test_identical_strategies_give_zero_grid():
     params = ToyParams(c_min=0.05, gamma=1.0, alpha_gen=0.3, alpha_fed=0.3,
                        alpha_spec=0.3)
     grid = sweep(Pair.SPEC_GEN, params,
-                 SweepAxes(SecondAxis("c_spec", 1.0 - 1e-12, 1.0, 2)))
+                 SweepAxes(SecondAxis("c_spec", 1.0 - 1e-8, 1.0, 2)))
     assert np.max(np.abs(grid.delta[-1])) == 0.0
 
 

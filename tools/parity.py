@@ -19,16 +19,21 @@ checkout's ``src``. The mode of a case picks the rule:
   ``1e-12 * max(1, |x|)`` of the parent's ``x``. A case that does not is
   judged statistically instead, as a change of random draws moves every
   float: each side's mean cumulative information is compared with that
-  side's own expected-mode run of the case (its tree capped at
-  ``EXPECTED_CAP`` rows; a case whose tree is larger is not judged), and
-  the case counts as beyond on that side if the gap exceeds
-  ``3 * SE + 1e-12``. The change fails if its count of such cases exceeds
-  the parent's count ``p`` by more than ``2 * sqrt(p)``.
+  side's own reference run of the case, and the case counts as beyond on
+  that side if the gap exceeds ``3 * SE + 1e-12``. The reference is the
+  case's expected-mode run, its tree capped at ``EXPECTED_CAP`` rows, and
+  the SE the sampled run's. A case whose tree is larger is judged against a
+  sampled run of ``REFERENCE_TRIALS`` times the trials on the next seed,
+  its draws independent of the case's, and the SE is both runs' SEs
+  combined in quadrature. The change fails if its count of such cases
+  exceeds the parent's count ``p`` by more than ``2 * sqrt(p)``.
 
 A case that raises must raise the same error, with the same text, on both
 sides. The tool prints the number of cases that agreed, and the counts of
-the judged sampled cases, and exits 0; or it names the first case that
-differs, with its inputs, or the two counts, and exits 1.
+the sampled cases that differ, of those with no expected-mode run, and of
+the judged ones, and exits 0; or it names the first case that differs,
+with its inputs, or the two counts, and exits 1. A result with no
+reference run is not judged.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ MAX_TREE = 4096
 SAMPLED_TOL = 1e-12
 #: most rows of the expected-mode tree a sampled case is judged against
 EXPECTED_CAP = 2**16
+#: a sampled case with a larger tree is judged against this many times its trials
+REFERENCE_TRIALS = 10
 
 
 def _probs(rng: random.Random, n: int) -> list[float]:
@@ -125,13 +132,17 @@ def run_case(case: dict) -> list | dict:
         text = f"{type(exc).__name__}: {exc}"
         return [_digest(text), _digest(text)]
     result = result_of(ledger, summary)
-    if summary.mode == "sampled":  # the mean, its SE, and the exact value, if the tree fits
-        try:
-            exact = run_episode(*args, ExpectedMode(), compression, case["max_rounds"],
-                                EXPECTED_CAP)[1].cumulative_info
-        except TreeTooLarge:
-            exact = None
-        result["judge"] = [summary.cumulative_info, summary.cumulative_info_se or 0.0, exact]
+    if summary.mode == "sampled":  # the mean and its SE, then the reference
+        judge = [summary.cumulative_info, summary.cumulative_info_se or 0.0]
+        try:  # the exact value, if the tree fits
+            judge.append(run_episode(*args, ExpectedMode(), compression, case["max_rounds"],
+                                     EXPECTED_CAP)[1].cumulative_info)
+        except TreeTooLarge:  # else None, and the mean and SE of a larger run on the next seed
+            seed, trials = case["mode"]
+            more = run_episode(*args, SampledMode(seed + 1, REFERENCE_TRIALS * trials),
+                               compression, case["max_rounds"])[1]
+            judge += [None, more.cumulative_info, more.cumulative_info_se or 0.0]
+        result["judge"] = judge
     return result
 
 
@@ -179,25 +190,34 @@ def first_difference(parent: list, change: list) -> int | None:
     return None if len(parent) == len(change) else min(len(parent), len(change))
 
 
+def _reference(judge: list) -> tuple[float, float] | None:
+    """The value a sampled result is judged against, and its SE: the expected-mode run's
+    cumulative information, else the mean of the larger sampled run, else None."""
+    exact, *sampled = judge[2:]
+    return (exact, 0.0) if exact is not None else tuple(sampled) or None
+
+
 def _beyond(judge: list) -> bool:
-    mean, se, exact = judge
-    return abs(mean - exact) > 3.0 * se + SAMPLED_TOL
+    (mean, se), (ref, ref_se) = judge[:2], _reference(judge)
+    return abs(mean - ref) > 3.0 * math.hypot(se, ref_se) + SAMPLED_TOL
 
 
-def beyond_counts(parent: list, change: list) -> tuple[int, int, int, int]:
-    """Over the sampled cases that disagree: how many were judged, how many had no
-    expected-mode run, and how many lie beyond 3 SE on the parent and on the change."""
-    judged = unjudged = on_parent = on_change = 0
+def beyond_counts(parent: list, change: list) -> tuple[int, int, int, int, int]:
+    """Over the sampled cases that disagree: how many there are, how many had no
+    expected-mode run, how many were judged, and how many lie beyond 3 SE on the parent
+    and on the change."""
+    differ = no_exact = judged = on_parent = on_change = 0
     for a, b in zip(parent, change):
         if agree(a, b) or not _judged(a):
             continue
-        if a["judge"][2] is None or b["judge"][2] is None:
-            unjudged += 1
+        differ += 1
+        no_exact += a["judge"][2] is None or b["judge"][2] is None
+        if _reference(a["judge"]) is None or _reference(b["judge"]) is None:
             continue
         judged += 1
         on_parent += _beyond(a["judge"])
         on_change += _beyond(b["judge"])
-    return judged, unjudged, on_parent, on_change
+    return differ, no_exact, judged, on_parent, on_change
 
 
 def main(argv=None) -> int:
@@ -211,14 +231,14 @@ def main(argv=None) -> int:
     if i is not None:
         print(f"case {i} differs: {json.dumps(make_case(i))}")
         return 1
-    judged, unjudged, on_parent, on_change = beyond_counts(parent, change)
-    if judged + unjudged == 0:
+    differ, no_exact, judged, on_parent, on_change = beyond_counts(parent, change)
+    if differ == 0:
         print(f"{args.cases} cases: every expected-mode repr matches, every sampled case is "
               f"within {SAMPLED_TOL:g}")
         return 0
     allowed = on_parent + 2.0 * math.sqrt(on_parent)
-    print(f"{args.cases} cases: every expected-mode repr matches; {judged + unjudged} sampled "
-          f"cases differ by more than {SAMPLED_TOL:g} ({unjudged} with no expected-mode run); "
+    print(f"{args.cases} cases: every expected-mode repr matches; {differ} sampled "
+          f"cases differ by more than {SAMPLED_TOL:g} ({no_exact} with no expected-mode run); "
           f"of the {judged} judged, {on_change} lie beyond 3 SE of expected mode on the change "
           f"and {on_parent} on the parent, {'within' if on_change <= allowed else 'more than'} "
           f"the {allowed:.1f} allowed")
