@@ -69,22 +69,21 @@ def _chain_segments(segments):
 
 
 def _index_to_coord(frac: float, axis: np.ndarray, log_scale: bool) -> float:
-    n = axis.size
-    i0 = min(int(math.floor(frac)), n - 2) if n > 1 else 0
-    i0 = max(i0, 0)
+    # a crossing's index lies in [0, n - 1]; the last one reads the last cell
+    i0 = min(int(math.floor(frac)), axis.size - 2)
     t = frac - i0
-    a, b = float(axis[i0]), float(axis[min(i0 + 1, n - 1)])
+    a, b = float(axis[i0]), float(axis[i0 + 1])
     if log_scale:
         return math.exp((1.0 - t) * math.log(a) + t * math.log(b))
     return (1.0 - t) * a + t * b
 
 
-def zero_isolines(values: np.ndarray, x_axis: np.ndarray, y_axis: np.ndarray,
-                  x_log: bool = False) -> list[np.ndarray]:
+def zero_isolines(values: np.ndarray, x_axis: np.ndarray,
+                  y_axis: np.ndarray) -> list[np.ndarray]:
     """Extract zero-level polylines of ``values[j, i]`` in data coordinates.
 
-    ``values`` has shape ``(len(y_axis), len(x_axis))``; ``x_axis`` is read on a
-    log scale when ``x_log``, ``y_axis`` always linearly. Returns a list of
+    ``values`` has shape ``(len(y_axis), len(x_axis))``; ``x_axis`` (the budget
+    omega) is read on a log scale, ``y_axis`` linearly. Returns a list of
     arrays of shape ``(k, 2)`` with columns ``(x, y)``; empty when the grid
     has uniform sign.
     """
@@ -122,6 +121,6 @@ def zero_isolines(values: np.ndarray, x_axis: np.ndarray, y_axis: np.ndarray,
             for (p, q), (kx, ky, lx, ly) in zip(points.tolist(), keys)
             # crossings pinned to an exactly-zero corner collapse to points
             if (kx, ky) != (lx, ly)]
-    return [np.array([(_index_to_coord(x, x_axis, x_log), _index_to_coord(y, y_axis, False))
+    return [np.array([(_index_to_coord(x, x_axis, True), _index_to_coord(y, y_axis, False))
                       for x, y in chain])
             for chain in _chain_segments(ends)]

@@ -155,6 +155,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _build_axes(args, kind: str, cmin: float) -> SweepAxes:
+    unused = "n" if kind == "c_spec" else "cspec"  # the other axis's flags
+    for end in ("min", "max", "steps"):
+        if getattr(args, f"{unused}_{end}") is not None:
+            raise InvalidParameter(f"--{unused}-{end} does not apply to the {kind} axis")
     if kind == "c_spec":
         lo = cmin if args.cspec_min is None else args.cspec_min
         hi = 1.0 if args.cspec_max is None else args.cspec_max
@@ -210,6 +214,8 @@ def _cmd_contour(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.scenario and not args.ledger:  # before any suite runs
+        raise InvalidParameter("--scenario needs --ledger")
     report = run_suite(args.scope, args.seed)
 
     if args.ledger:

@@ -52,20 +52,16 @@ def render_heatmap_svg(grid: SweepGrid, path) -> None:
     cell_h = plot_h / n_y
     vmax = float(np.max(np.abs(grid.delta)))
 
-    log_x = grid.omega_scale == "log"
-    if log_x:
-        x_lo, x_hi = math.log(grid.omega[0]), math.log(grid.omega[-1])
-    else:
-        x_lo, x_hi = float(grid.omega[0]), float(grid.omega[-1])
+    x_lo, x_hi = math.log(grid.omega[0]), math.log(grid.omega[-1])
     y_lo, y_hi = float(grid.axis2[0]), float(grid.axis2[-1])
 
     def x_px(omega: float) -> float:
-        v = math.log(omega) if log_x else omega
-        frac = (v - x_lo) / (x_hi - x_lo) if x_hi > x_lo else 0.0
+        # distinct omegas a few ulps apart near 1e300 or 1e-300 can share one log
+        frac = (math.log(omega) - x_lo) / (x_hi - x_lo) if x_hi > x_lo else 0.0
         return _LEFT + cell_w / 2.0 + frac * (plot_w - cell_w)
 
     def y_px(a2: float) -> float:
-        frac = (a2 - y_lo) / (y_hi - y_lo) if y_hi > y_lo else 0.0
+        frac = (a2 - y_lo) / (y_hi - y_lo)
         # axis2 grows upward on the plot
         return _TOP + plot_h - cell_h / 2.0 - frac * (plot_h - cell_h)
 
@@ -101,7 +97,7 @@ def render_heatmap_svg(grid: SweepGrid, path) -> None:
     axis_label = grid.axis2_kind
     tail.append(
         f'<text x="{_LEFT:.1f}" y="{_HEIGHT - 14}" font-family="monospace" font-size="12">'
-        f'omega: {grid.omega[0]:.3g} .. {grid.omega[-1]:.3g} ({grid.omega_scale})</text>'
+        f'omega: {grid.omega[0]:.3g} .. {grid.omega[-1]:.3g} (log)</text>'
     )
     tail.append(
         f'<text x="12" y="{_TOP + 12:.1f}" font-family="monospace" font-size="12">'

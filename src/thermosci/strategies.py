@@ -24,7 +24,6 @@ from .errors import (
 from .info_core import DiscreteDistribution, _entropy, _normalised
 
 _ENTROPY_TOL = 1e-10
-_BUDGET_TOL = 1e-10
 #: the generalist's one-subdomain masses; immutable, so every partition shares it
 _UNIT_MASS = DiscreteDistribution([1.0])
 
@@ -43,7 +42,6 @@ class PartitionSpec:
     budgets: tuple[float, ...]
     conditional_priors: tuple[DiscreteDistribution, ...] | None = None
     subdomain_entropies: tuple[float, ...] | None = None
-    total_budget: float | None = None
 
     def __post_init__(self):
         n = len(self.masses)
@@ -88,21 +86,14 @@ class PartitionSpec:
                                     for i, h in enumerate(entropies)})
             object.__setattr__(self, "subdomain_entropies", entropies)
 
-        weighted = sum(p * w for p, w in zip(masses, budgets))
-        if self.total_budget is None:
-            object.__setattr__(self, "total_budget", weighted)
-        else:
-            _check_at_least(0.0, total_budget=self.total_budget)
-            # equal infinite totals match without forming inf - inf
-            if weighted != self.total_budget and abs(weighted - self.total_budget) > _BUDGET_TOL:
-                raise InvalidParameter(
-                    f"mass-weighted budgets {weighted!r} do not reproduce declared total "
-                    f"{self.total_budget!r}"
-                )
-
     @property
     def n(self) -> int:
         return len(self.masses)
+
+    @property
+    def total_budget(self) -> float:
+        """Mass-weighted sum of the subdomain budgets."""
+        return sum(p * w for p, w in zip(self.masses.probs.tolist(), self.budgets))
 
     def to_json_dict(self) -> dict:
         return {
@@ -150,7 +141,6 @@ def generalist_partition(prior: DiscreteDistribution, budget: float) -> Partitio
         masses=_UNIT_MASS,
         budgets=(float(budget),),
         conditional_priors=(prior,),
-        total_budget=float(budget),
     )
 
 
@@ -173,7 +163,6 @@ def specialist_partition(
         masses=DiscreteDistribution(masses),
         budgets=tuple(budgets),
         conditional_priors=priors,
-        total_budget=float(budget),
     )
 
 

@@ -31,7 +31,6 @@ from .errors import (
     MalformedGrid,
     NBelowOne,
     NonPositiveOmega,
-    ThermosciError,
 )
 
 
@@ -219,13 +218,15 @@ class SweepAxes:
         return cls(SecondAxis("n", 1.0, n_max, steps))
 
 
-def _check_axes(omega: np.ndarray, axis2: np.ndarray, error: type[ThermosciError]) -> None:
-    """The grid file's axis rule, kept by every SweepGrid so that each writes a file
-    read_grid_csv reads back."""
+def _check_axes(omega: np.ndarray, axis2: np.ndarray) -> None:
+    """The grid file's axis rule, kept by every SweepGrid (read_grid_csv's too) so that
+    each writes a file read_grid_csv reads back."""
+    if omega.size < 2 or axis2.size < 2:  # by size alone: no array is allocated
+        raise InvalidParameter("grid needs at least 2 points on each axis")
     if not (omega[0] > 0.0 and np.all(omega[1:] > omega[:-1])):
-        raise error("omega must be > 0 and strictly increasing along each row")
+        raise InvalidParameter("omega must be > 0 and strictly increasing along each row")
     if not np.all(axis2[1:] > axis2[:-1]):
-        raise error("axis2 must be strictly increasing between rows")
+        raise InvalidParameter("axis2 must be strictly increasing between rows")
 
 
 @dataclass
@@ -241,7 +242,6 @@ class SweepGrid:
     omega: np.ndarray
     axis2: np.ndarray
     axis2_kind: str
-    omega_scale: str
     eta_first: np.ndarray
     eta_second: np.ndarray
     delta: np.ndarray
@@ -254,7 +254,7 @@ class SweepGrid:
         for name in ("omega", "axis2", "eta_first", "eta_second", "delta"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise InvalidParameter(f"{name} contains non-finite values")
-        _check_axes(self.omega, self.axis2, InvalidParameter)
+        _check_axes(self.omega, self.axis2)
         if max(self.delta.max(), -self.delta.min()) > 1.0 + 1e-12:  # no |delta| grid
             raise InvalidParameter("efficiency differences must lie in [-1, 1]")
 
@@ -276,15 +276,14 @@ def sweep(pair: Pair | str, params: ToyParams, axes: SweepAxes) -> SweepGrid:
         np.minimum(eta, 1.0 / (1.0 + levers[0, k, 1]), out=eta)
     delta = eta_first - eta_second
     grid = SweepGrid(pair.value, params, omega, axis2, axes.second.kind,
-                     "log", eta_first, eta_second, delta, contours=[])
+                     eta_first, eta_second, delta, contours=[])
     grid.contours = zero_contours(grid)
     return grid
 
 
 def zero_contours(grid: SweepGrid) -> list[np.ndarray]:
     """Zero-level polylines of the grid's efficiency difference, in data coordinates."""
-    return zero_isolines(grid.delta, grid.omega, grid.axis2,
-                         x_log=grid.omega_scale == "log")
+    return zero_isolines(grid.delta, grid.omega, grid.axis2)
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +319,6 @@ def write_grid_csv(grid: SweepGrid, path) -> None:
                 template[starts[k]:] % tuple(cells[:, k:].T.ravel().tolist()))
             fh.write(text.replace("\0", f"{a2:.9g}"))
             last_bits = bits
-
-
-def _infer_scale(axis: np.ndarray) -> str:
-    if axis.size < 3:
-        return "linear"
-    diffs = np.diff(axis)
-    ratios = axis[1:] / axis[:-1]
-    diff_dev = float(np.max(np.abs(diffs - diffs[0])) / max(abs(diffs[0]), 1e-30))
-    ratio_dev = float(np.max(np.abs(ratios - ratios[0])) / max(abs(ratios[0]), 1e-30))
-    return "log" if ratio_dev < diff_dev else "linear"
 
 
 def read_grid_csv(path) -> SweepGrid:
@@ -369,8 +358,6 @@ def read_grid_csv(path) -> SweepGrid:
     if n_rows % n_omega != 0:
         raise MalformedGrid("row count is not a multiple of the omega resolution")
     n_axis2 = n_rows // n_omega
-    if n_omega < 2 or n_axis2 < 2:
-        raise MalformedGrid("grid needs at least 2 points on each axis")
 
     # (column, axis2 index, omega index)
     blocks = data.T.reshape(5, n_axis2, n_omega)
@@ -378,10 +365,9 @@ def read_grid_csv(path) -> SweepGrid:
     axis2 = blocks[1, :, 0]
     if not (np.all(blocks[0] == omega) and np.all(blocks[1] == axis2[:, None])):
         raise MalformedGrid("grid rows are not row-major with omega varying fastest")
-    _check_axes(omega, axis2, MalformedGrid)
-    try:  # such as a delta_eta past [-1, 1]: the file is at fault, not a caller
-        return SweepGrid(None, None, omega, axis2, "axis2", _infer_scale(omega),
-                         blocks[2], blocks[3], blocks[4], contours=[])
+    try:  # such as an axis out of order: the file is at fault, not a caller
+        return SweepGrid(None, None, omega, axis2, "axis2", blocks[2], blocks[3], blocks[4],
+                         contours=[])
     except InvalidParameter as exc:
         raise MalformedGrid(str(exc)) from None
 

@@ -5,8 +5,8 @@ CSV is formatted one f-string per cell and parsed with ``csv.reader`` and
 ``float``, marching squares classifies every cell in Python, and the SVG
 heatmap blends each cell's colour with ``round``. Segment chaining rounds
 each endpoint with the builtin ``round`` every time it compares two ends.
-The index-to-data mapping was not changed and is shared with
-:mod:`thermosci._marching`.
+The index-to-data mapping keeps the guards it had for a one-point axis,
+which :mod:`thermosci._marching` dropped once every grid had two points a side.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from collections import deque
 
 import numpy as np
 
-from thermosci._marching import _index_to_coord
 from thermosci.toy_model import GRID_CSV_HEADER
 
 # ---------------------------------------------------------------------------
@@ -133,7 +132,18 @@ def _chain_segments(segments):
     return polylines
 
 
-def zero_isolines(values, x_axis, y_axis, x_log=False):
+def _index_to_coord(frac: float, axis: np.ndarray, log_scale: bool) -> float:
+    n = axis.size
+    i0 = min(int(math.floor(frac)), n - 2) if n > 1 else 0
+    i0 = max(i0, 0)
+    t = frac - i0
+    a, b = float(axis[i0]), float(axis[min(i0 + 1, n - 1)])
+    if log_scale:
+        return math.exp((1.0 - t) * math.log(a) + t * math.log(b))
+    return (1.0 - t) * a + t * b
+
+
+def zero_isolines(values, x_axis, y_axis):
     ny, nx = values.shape
     segments = []
     for j in range(ny - 1):
@@ -142,7 +152,7 @@ def zero_isolines(values, x_axis, y_axis, x_log=False):
                 if _key(p) != _key(q):
                     segments.append((p, q))
     return [
-        np.array([(_index_to_coord(x, x_axis, x_log), _index_to_coord(y, y_axis, False))
+        np.array([(_index_to_coord(x, x_axis, True), _index_to_coord(y, y_axis, False))
                   for x, y in chain])
         for chain in _chain_segments(segments)
     ]
@@ -180,20 +190,15 @@ def render_heatmap_svg(grid, path, width: int = 720, height: int = 480) -> None:
     cell_h = plot_h / n_y
     vmax = float(np.max(np.abs(grid.delta)))
 
-    log_x = grid.omega_scale == "log"
-    if log_x:
-        x_lo, x_hi = math.log(grid.omega[0]), math.log(grid.omega[-1])
-    else:
-        x_lo, x_hi = float(grid.omega[0]), float(grid.omega[-1])
+    x_lo, x_hi = math.log(grid.omega[0]), math.log(grid.omega[-1])
     y_lo, y_hi = float(grid.axis2[0]), float(grid.axis2[-1])
 
     def x_px(omega: float) -> float:
-        v = math.log(omega) if log_x else omega
-        frac = (v - x_lo) / (x_hi - x_lo) if x_hi > x_lo else 0.0
+        frac = (math.log(omega) - x_lo) / (x_hi - x_lo) if x_hi > x_lo else 0.0
         return left + cell_w / 2.0 + frac * (plot_w - cell_w)
 
     def y_px(a2: float) -> float:
-        frac = (a2 - y_lo) / (y_hi - y_lo) if y_hi > y_lo else 0.0
+        frac = (a2 - y_lo) / (y_hi - y_lo)
         return top + plot_h - cell_h / 2.0 - frac * (plot_h - cell_h)
 
     parts = [
@@ -237,7 +242,7 @@ def render_heatmap_svg(grid, path, width: int = 720, height: int = 480) -> None:
     axis_label = grid.axis2_kind
     parts.append(
         f'<text x="{left:.1f}" y="{height - 14}" font-family="monospace" font-size="12">'
-        f'omega: {grid.omega[0]:.3g} .. {grid.omega[-1]:.3g} ({grid.omega_scale})</text>'
+        f'omega: {grid.omega[0]:.3g} .. {grid.omega[-1]:.3g} (log)</text>'
     )
     parts.append(
         f'<text x="12" y="{top + 12:.1f}" font-family="monospace" font-size="12">'

@@ -26,7 +26,7 @@ from thermosci.cycle_sim import (
     SampledMode,
     run_episode,
 )
-from thermosci.toy_model import c_fed, read_grid_csv
+from thermosci.toy_model import SecondAxis, SweepAxes, ToyParams, c_fed, read_grid_csv, sweep
 
 from helpers import asym_binary_env, noiseless_binary_env, three_state_env
 
@@ -326,6 +326,16 @@ def test_verify_single_scope(capsys):
     assert "[bounds]" in out and "[toy]" not in out
 
 
+def test_verify_scenario_without_a_ledger_fails_before_any_suite(tmp_path, capsys,
+                                                                 monkeypatch):
+    # the scenario is only read against a ledger; alone it used to be dropped unopened
+    monkeypatch.setattr(cli, "run_suite", lambda *a: pytest.fail("a suite ran"))
+    code = main(["verify", "--scope", "info", "--scenario", str(tmp_path / "missing.json")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "InvalidParameter", "message": "--scenario needs --ledger"}
+
+
 def test_verify_checks_ledger_against_scenario(tmp_path, env_file, capsys):
     ledger_path = tmp_path / "ledger.json"
     assert main(["simulate", "--env", str(env_file), "--budget", str(2 * LN2),
@@ -605,6 +615,11 @@ def test_contour_rejects_a_grid_sweep_could_not_write(tmp_path, capsys, omega, a
      "n axis minimum and maximum are too close for 200 distinct steps, got 1.0 and 1.0000001"),
     ("D", ["--omega-min", "1", "--omega-max", "1.000000001", "--omega-steps", "50"],
      "omega_min and omega_max are too close for 50 distinct steps, got 1.0 and 1.000000001"),
+    # a flag of the axis the pair does not sweep is refused, not dropped
+    ("A", ["--n-max", "0.5"], "--n-max does not apply to the c_spec axis"),
+    ("B", ["--n-steps", "3"], "--n-steps does not apply to the c_spec axis"),
+    ("D", ["--cspec-min", "0.5"], "--cspec-min does not apply to the n axis"),
+    ("F", ["--cspec-max", "1"], "--cspec-max does not apply to the n axis"),
 ])
 def test_sweep_range_error_names_the_field(tmp_path, capsys, monkeypatch, panel, flags,
                                            message):
@@ -612,6 +627,36 @@ def test_sweep_range_error_names_the_field(tmp_path, capsys, monkeypatch, panel,
     assert main(["sweep", "--panel", panel, "--out", str(tmp_path / "grid.csv"), *flags]) == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload == {"error": "InvalidParameter", "message": message}
+
+
+@pytest.mark.parametrize("omega_steps", [2, 3, 200])
+@pytest.mark.parametrize("panel", sorted(cli._PANELS))
+def test_contour_of_a_sweep_file_gives_the_sweep_contours(tmp_path, capsys, panel,
+                                                           omega_steps):
+    # the file's omega axis is read on the log scale sweep evaluated it on, at any size
+    csv, out = tmp_path / "grid.csv", tmp_path / "c.json"
+    assert main(["sweep", "--panel", panel, "--omega-steps", str(omega_steps),
+                 "--out", str(csv)]) == 0
+    assert main(["contour", "--grid", str(csv), "--out", str(out)]) == 0
+    pair, alphas, kind = cli._PANELS[panel]
+    second = SecondAxis(kind, *((0.05, 1.0) if kind == "c_spec" else (1.0, 20.0)), 100)
+    grid = sweep(pair, ToyParams(**alphas), SweepAxes(second, omega_steps=omega_steps))
+    lines = [np.array(line) for line in json.loads(out.read_text())["polylines"]]
+    assert len(grid.contours) == (panel not in "AC")  # symmetric A and C: no sign change
+    assert [line.shape for line in lines] == [line.shape for line in grid.contours]
+    for got, want in zip(lines, grid.contours):
+        np.testing.assert_allclose(got, want, rtol=1e-7, atol=0.0)
+
+
+def test_contour_reads_a_linear_omega_axis_on_a_log_scale(tmp_path, capsys):
+    # delta crosses zero halfway between omega 1 and 2: at sqrt(2) in log omega, not 1.5
+    path = tmp_path / "linear.csv"
+    path.write_text("omega,axis2,eta_first,eta_second,delta_eta\n" + "".join(
+        f"{w},{a},0.5,0.5,{d}\n" for a in (1, 2) for w, d in ((1, -0.5), (2, 0.5), (3, 0.5))))
+    assert main(["contour", "--grid", str(path), "--out", str(tmp_path / "c.json")]) == 0
+    (line,) = json.loads((tmp_path / "c.json").read_text())["polylines"]
+    assert line == [[pytest.approx(math.sqrt(2.0), rel=1e-15), 1.0],
+                    [pytest.approx(math.sqrt(2.0), rel=1e-15), 2.0]]
 
 
 def test_contour_reads_a_grid_whose_steps_differ_only_in_the_ninth_digit(tmp_path):

@@ -7,6 +7,7 @@ exactly the floats that ``csv.reader`` plus ``float`` give.
 
 import gzip
 import json
+import math
 import warnings
 
 import numpy as np
@@ -48,8 +49,7 @@ def _check_against_oracle(grid: SweepGrid, tmp_path) -> None:
     oracle.write_grid_csv(grid, old_csv)
     assert new_csv.read_bytes() == old_csv.read_bytes()
 
-    x_log = grid.omega_scale == "log"
-    expected = oracle.zero_isolines(grid.delta, grid.omega, grid.axis2, x_log=x_log)
+    expected = oracle.zero_isolines(grid.delta, grid.omega, grid.axis2)
     assert _polylines_json(zero_contours(grid)) == _polylines_json(expected)
 
     new_svg, old_svg = tmp_path / "new.svg", tmp_path / "old.svg"
@@ -63,8 +63,7 @@ def _check_against_oracle(grid: SweepGrid, tmp_path) -> None:
     assert np.array_equal(_rows(parsed), rows)
     n_omega = grid.omega.size
     old_delta = rows[:, 4].reshape(-1, n_omega)
-    expected = oracle.zero_isolines(old_delta, rows[:n_omega, 0], rows[::n_omega, 1],
-                                    x_log=parsed.omega_scale == "log")
+    expected = oracle.zero_isolines(old_delta, rows[:n_omega, 0], rows[::n_omega, 1])
     assert _polylines_json(zero_contours(parsed)) == _polylines_json(expected)
 
 
@@ -123,36 +122,48 @@ def _random_delta(seed: int, shape=(23, 31)) -> np.ndarray:
     return delta
 
 
-def _random_grid(seed: int, omega_scale: str) -> SweepGrid:
+def _random_grid(seed: int) -> SweepGrid:
     delta = _random_delta(seed)
     ny, nx = delta.shape
     rng = np.random.default_rng(seed + 1000)
     eta_first = rng.uniform(0.0, 1.0, delta.shape)
-    omega = (np.geomspace(1e-2, 1e2, nx) if omega_scale == "log"
-             else np.linspace(0.5, 3.0, nx))
-    grid = SweepGrid(None, None, omega, np.linspace(1.0, 20.0, ny), "n", omega_scale,
+    grid = SweepGrid(None, None, np.geomspace(1e-2, 1e2, nx), np.linspace(1.0, 20.0, ny), "n",
                      eta_first, eta_first - delta, delta, contours=[])
     grid.contours = zero_contours(grid)
     return grid
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("omega_scale", ["log", "linear"])
-def test_random_grid_files_match_oracle(seed, omega_scale, tmp_path):
-    grid = _random_grid(seed, omega_scale)
+def test_random_grid_files_match_oracle(seed, tmp_path):
+    grid = _random_grid(seed)
     assert grid.contours
     _check_against_oracle(grid, tmp_path)
 
 
 @pytest.mark.parametrize("seed", [10, 11, 12, 13])
-@pytest.mark.parametrize("x_log", [False, True])
-def test_random_isolines_match_oracle(seed, x_log):
+def test_random_isolines_match_oracle(seed):
     delta = _random_delta(seed, shape=(17, 13))
-    x_axis = np.geomspace(0.1, 10.0, 13) if x_log else np.linspace(-2.0, 2.0, 13)
-    y_axis = np.linspace(0.0, 1.0, 17)
-    got = zero_isolines(delta, x_axis, y_axis, x_log=x_log)
-    expected = oracle.zero_isolines(delta, x_axis, y_axis, x_log=x_log)
+    x_axis, y_axis = np.geomspace(0.1, 10.0, 13), np.linspace(0.0, 1.0, 17)
+    got = zero_isolines(delta, x_axis, y_axis)
+    expected = oracle.zero_isolines(delta, x_axis, y_axis)
     assert _polylines_json(got) == _polylines_json(expected)
+
+
+@pytest.mark.parametrize("low", [1e-300, 1e300])
+def test_svg_of_an_omega_axis_whose_ends_share_one_log(low, tmp_path):
+    # two distinct omegas, one ulp apart, whose math.log is the same float
+    omega = np.array([low, np.nextafter(low, np.inf)])
+    assert math.log(omega[0]) == math.log(omega[1])
+    arrays = {k: np.array([[0.5, -0.5], [-0.5, 0.5]]) for k in ("eta_first", "delta")}
+    grid = SweepGrid(None, None, omega, np.array([1.0, 2.0]), "n", eta_second=np.zeros((2, 2)),
+                     contours=[], **arrays)
+    grid.contours = zero_contours(grid)
+    expected = oracle.zero_isolines(grid.delta, grid.omega, grid.axis2)
+    assert grid.contours and _polylines_json(grid.contours) == _polylines_json(expected)
+    new_svg, old_svg = tmp_path / "new.svg", tmp_path / "old.svg"
+    render_heatmap_svg(grid, new_svg)
+    oracle.render_heatmap_svg(grid, old_svg)
+    assert new_svg.read_bytes() == old_svg.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +206,6 @@ def test_line_endings_and_trailing_blank_line_parse(newline, tail, tmp_path):
     parsed = read_grid_csv(variant)
     assert np.array_equal(_rows(parsed), _rows(read_grid_csv(plain)))
     assert np.array_equal(_rows(parsed), oracle.read_grid_rows(variant))
-    assert parsed.omega_scale == "log"
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +229,7 @@ def test_writer_matches_oracle_on_repeated_rows_and_extreme_values(tmp_path):
                       [2.5e-324, -0.0, 1.0, -1.0, 0.0]])
     # strictly increasing, as every grid's axis2 must be, with a negative zero and subnormals
     grid = SweepGrid(None, None, omega, np.array([-5e-324, -0.0, 5e-324, 1.0, 1e300]), "n",
-                     "linear", first, second, delta, contours=[])
+                     first, second, delta, contours=[])
     new_csv, old_csv = tmp_path / "new.csv", tmp_path / "old.csv"
     write_grid_csv(grid, new_csv)
     oracle.write_grid_csv(grid, old_csv)
@@ -260,7 +270,7 @@ def _grid_of(first, second, delta) -> SweepGrid:
     first, second, delta = (np.array(a, dtype=float) for a in (first, second, delta))
     ny, nx = first.shape
     return SweepGrid(None, None, np.linspace(0.5, 2.0, nx), np.linspace(1.0, 2.0, ny), "n",
-                     "linear", first, second, delta, contours=[])
+                     first, second, delta, contours=[])
 
 
 def test_writer_copies_none_some_or_all_of_the_row_above(tmp_path):
@@ -407,7 +417,7 @@ def test_grid_names_the_non_finite_field(name, value):
     arrays["omega"], arrays["axis2"] = np.array([0.1, 0.2, 0.3]), np.array([1.0, 2.0])
     arrays[name][-1] = value
     with pytest.raises(InvalidParameter, match=f"^{name} contains non-finite values$"):
-        SweepGrid(None, None, axis2_kind="n", omega_scale="log", contours=[], **arrays)
+        SweepGrid(None, None, axis2_kind="n", contours=[], **arrays)
 
 
 @pytest.mark.parametrize("omega, axis2, message", [
@@ -415,13 +425,17 @@ def test_grid_names_the_non_finite_field(name, value):
     ([-1.0, 2.0], [1.0, 2.0], "omega must be > 0 and strictly increasing along each row"),
     ([2.0, 1.0], [1.0, 2.0], "omega must be > 0 and strictly increasing along each row"),
     ([1.0, 2.0], [-0.0, 0.0], "axis2 must be strictly increasing between rows"),
-], ids=["axis2-decreasing", "omega-negative", "omega-decreasing", "axis2-signed-zeros"])
+    ([1.0], [1.0, 2.0], "grid needs at least 2 points on each axis"),
+    ([1.0, 2.0], [1.0], "grid needs at least 2 points on each axis"),
+    ([-1.0], [2.0, 1.0], "grid needs at least 2 points on each axis"),
+], ids=["axis2-decreasing", "omega-negative", "omega-decreasing", "axis2-signed-zeros",
+        "one-omega", "one-axis2", "one-bad-omega"])
 def test_grid_rejects_the_axes_the_reader_rejects(tmp_path, omega, axis2, message):
     # each grid used to construct and write a CSV that contour refuses
-    arrays = {k: np.zeros((2, 2)) for k in ("eta_first", "eta_second", "delta")}
+    shape = (len(axis2), len(omega))
+    arrays = {k: np.zeros(shape) for k in ("eta_first", "eta_second", "delta")}
     with pytest.raises(InvalidParameter, match=f"^{message}$"):
-        SweepGrid(None, None, np.array(omega), np.array(axis2), "n", "linear", contours=[],
-                  **arrays)
+        SweepGrid(None, None, np.array(omega), np.array(axis2), "n", contours=[], **arrays)
     path = tmp_path / "grid.csv"  # the reader keeps its own error for a file
     path.write_text("omega,axis2,eta_first,eta_second,delta_eta\n" + "".join(
         f"{w!r},{a!r},0,0,0\n" for a in axis2 for w in omega))

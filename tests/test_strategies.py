@@ -59,17 +59,20 @@ def test_zero_mass_subdomain_with_budget_rejected():
                       conditional_priors=priors)
 
 
-def test_declared_total_budget_checked():
+HALVES = DiscreteDistribution([0.5, 0.5])
+
+
+def test_total_budget_is_derived_from_masses_and_budgets():
     priors = (DiscreteDistribution([0.5, 0.5]), DiscreteDistribution([1.0, 0.0]))
-    with pytest.raises(InvalidParameter):
-        PartitionSpec(DiscreteDistribution([0.5, 0.5]), (1.0, 3.0),
-                      conditional_priors=priors, total_budget=1.0)
     spec = PartitionSpec(DiscreteDistribution([0.5, 0.5]), (1.0, 3.0),
                          conditional_priors=priors)
     assert spec.total_budget == pytest.approx(2.0, abs=1e-15)
-
-
-HALVES = DiscreteDistribution([0.5, 0.5])
+    # the two builders' totals are their budgets exactly
+    assert generalist_partition(HALVES, 0.1).total_budget == 0.1
+    assert specialist_partition(priors, 1, 0.1).total_budget == 0.1
+    with pytest.raises(TypeError):  # not a field: no caller can declare a different total
+        PartitionSpec(DiscreteDistribution([0.5, 0.5]), (1.0, 3.0),
+                      conditional_priors=priors, total_budget=2.0)
 
 
 def test_nan_budget_rejected_by_name():
@@ -87,12 +90,6 @@ def test_nan_supplied_entropy_fails_the_prior_cross_check():
     with pytest.raises(InvalidParameter, match="subdomain entropies"):
         PartitionSpec(HALVES, (1.0, 1.0), conditional_priors=priors,
                       subdomain_entropies=(LN2, math.nan))
-
-
-def test_nan_total_budget_rejected_by_name():
-    with pytest.raises(InvalidParameter, match="total_budget"):
-        PartitionSpec(HALVES, (1.0, 1.0), subdomain_entropies=(0.1, 0.2),
-                      total_budget=math.nan)
 
 
 def test_nan_constructor_budget_rejected_by_name():
