@@ -48,17 +48,14 @@ from .toy_model import (
 )
 from .verify import run_suite
 
-_SYMMETRIC = {"alpha_gen": 0.3, "alpha_fed": 0.3, "alpha_spec": 0.3}
-_ASYMMETRIC = {"alpha_gen": 0.8, "alpha_fed": 0.4, "alpha_spec": 0.2}
-
-# builtin panel presets: comparison pair, overhead regime, second axis
+# builtin panel presets: comparison pair and overhead regime; the pair sets the second axis
 _PANELS = {
-    "A": (Pair.SPEC_GEN, _SYMMETRIC, "c_spec"),
-    "B": (Pair.SPEC_GEN, _ASYMMETRIC, "c_spec"),
-    "C": (Pair.FED_GEN, _SYMMETRIC, "n"),
-    "D": (Pair.FED_GEN, _ASYMMETRIC, "n"),
-    "E": (Pair.FED_SPEC, _SYMMETRIC, "n"),
-    "F": (Pair.FED_SPEC, _ASYMMETRIC, "n"),
+    "A": (Pair.SPEC_GEN, ToyParams.symmetric),
+    "B": (Pair.SPEC_GEN, ToyParams.asymmetric),
+    "C": (Pair.FED_GEN, ToyParams.symmetric),
+    "D": (Pair.FED_GEN, ToyParams.asymmetric),
+    "E": (Pair.FED_SPEC, ToyParams.symmetric),
+    "F": (Pair.FED_SPEC, ToyParams.asymmetric),
 }
 
 
@@ -177,19 +174,16 @@ def _build_axes(args, kind: str, cmin: float) -> SweepAxes:
 
 def _cmd_sweep(args) -> int:
     if args.panel:
-        pair, alphas, kind = _PANELS[args.panel]
+        pair, preset = _PANELS[args.panel]
     elif args.pair:
-        pair = Pair(args.pair)
-        alphas, kind = dict(_SYMMETRIC), "c_spec" if pair == Pair.SPEC_GEN else "n"
+        pair, preset = Pair(args.pair), ToyParams.symmetric
     else:
         raise InvalidParameter("need --panel or --pair")
-    alphas = dict(alphas)
-    for key, flag in (("alpha_gen", args.alpha_gen), ("alpha_fed", args.alpha_fed),
-                      ("alpha_spec", args.alpha_spec)):
-        if flag is not None:
-            alphas[key] = flag
-    params = ToyParams(c_min=args.cmin, gamma=args.gamma, **alphas)
-    axes = _build_axes(args, kind, args.cmin)
+    alphas = {key: getattr(args, key) for key in ("alpha_gen", "alpha_fed", "alpha_spec")
+              if getattr(args, key) is not None}
+    # the preset's defaults are valid, so every field is checked once, with its final value
+    params = replace(preset(), c_min=args.cmin, gamma=args.gamma, **alphas)
+    axes = _build_axes(args, pair.axis_kind, args.cmin)
     grid = sweep(pair, params, axes)
     write_grid_csv(grid, args.out)
     print(f"pair={pair.value} grid={grid.axis2.size}x{grid.omega.size} "

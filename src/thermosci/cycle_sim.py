@@ -197,17 +197,13 @@ def stored_entropy(
 # ---------------------------------------------------------------------------
 # policies
 
-History = tuple[tuple[int, int], ...]
-
-# A policy's ``choose(belief, env, t, history)`` returns an intervention, or
-# None once it has run out; ``history`` holds the ordered (u, y) pairs so far.
-# An optional ``choose_rows(beliefs, env, t, paths)`` chooses for a
-# ``(rows, S)`` belief matrix at once (None, one index for all rows, or an
-# index array); ``paths`` is the ``int32`` ``(rows, t, 2)`` array of each
-# row's ordered (u, y) pairs. A class setting ``history_free = True`` chooses
-# from (belief, t) alone: its ``choose_rows`` is called without ``paths``
-# (None), and no paths are kept. Bayes updates commute, so expected mode
-# merges the branches of such a policy with equal (u, y) counts.
+# A policy's ``choose(beliefs, env, t, paths)`` chooses round ``t``'s intervention for
+# every row of the ``(rows, S)`` belief matrix at once. It returns None once it has run
+# out, one index for every row, or an index array in which -1 marks a row whose policy
+# has run out. ``paths`` is the ``int32`` ``(rows, t, 2)`` array of each row's ordered
+# (u, y) pairs. A class setting ``history_free = True`` chooses from (beliefs, t) alone:
+# it is shown no paths (None), and none are kept. Bayes updates commute, so expected
+# mode merges the branches of such a policy with equal (u, y) counts.
 
 
 @dataclass(frozen=True)
@@ -217,12 +213,10 @@ class FixedSequence:
     interventions: tuple[int, ...]
     history_free = True
 
-    def choose(self, belief: np.ndarray, env: EnvironmentModel, t: int, history: History = ()):
+    def choose(self, beliefs: np.ndarray, env: EnvironmentModel, t: int, paths: np.ndarray | None):
         if t >= len(self.interventions):
             return None
         return int(self.interventions[t])
-
-    choose_rows = choose  # the same answer for every row
 
 
 @dataclass(frozen=True)
@@ -231,10 +225,8 @@ class RoundRobin:
 
     history_free = True
 
-    def choose(self, belief: np.ndarray, env: EnvironmentModel, t: int, history: History = ()):
+    def choose(self, beliefs: np.ndarray, env: EnvironmentModel, t: int, paths: np.ndarray | None):
         return t % env.intervention_count
-
-    choose_rows = choose  # the same answer for every row
 
 
 @dataclass(frozen=True)
@@ -242,7 +234,9 @@ class RandomPolicy:
     """Uniformly random intervention, derived deterministically from the history.
 
     Seeding on ``(seed, round, history)`` makes the choice a function of the
-    branch, so expected-mode enumeration and sampled-mode trials agree.
+    branch, so expected-mode enumeration and sampled-mode trials agree. Each
+    row's choice is ``np.random.default_rng(np.random.SeedSequence([seed, t,
+    u0, y0, u1, y1, ...])).integers(intervention_count)``, bit for bit.
     """
 
     seed: int = 0
@@ -251,17 +245,7 @@ class RandomPolicy:
     def __post_init__(self):  # numpy seeds must be >= 0; fail here, naming the field
         _check_at_least(0, seed=self.seed)
 
-    def choose(self, belief: np.ndarray, env: EnvironmentModel, t: int, history: History):
-        material = [self.seed, t]
-        for u, y in history:
-            material.extend((u, y))
-        rng = np.random.default_rng(np.random.SeedSequence(material))
-        return int(rng.integers(env.intervention_count))
-
-    def choose_rows(self, beliefs: np.ndarray, env: EnvironmentModel, t: int,
-                    paths: np.ndarray):
-        # ``choose`` for every row at once, bit for bit. ``choose`` keeps numpy's own
-        # generator: it is faster for one row, and it is the reference the batch is tested against
+    def choose(self, beliefs: np.ndarray, env: EnvironmentModel, t: int, paths: np.ndarray):
         head = _streams.words(self.seed) + _streams.words(t)
         entropy = np.empty((len(paths), len(head) + 2 * paths.shape[1]), dtype=np.uint32)
         entropy[:, :len(head)] = head
@@ -278,10 +262,7 @@ class GreedyInfoMax:
 
     history_free = True
 
-    def choose(self, belief: np.ndarray, env: EnvironmentModel, t: int, history: History):
-        return int(self.choose_rows(belief[None], env, t)[0])
-
-    def choose_rows(self, beliefs: np.ndarray, env: EnvironmentModel, t: int, paths=None):
+    def choose(self, beliefs: np.ndarray, env: EnvironmentModel, t: int, paths: np.ndarray | None):
         # (rows, 1, S) beliefs against the (U, S, Y) tables: one gain per row and intervention
         _, _, gains = predictive_gain(beliefs[:, None], env.likelihood.table, env._row_entropies)
         return gains.argmax(axis=1)
@@ -490,35 +471,28 @@ class _Frontier:
     Merging, a row's key is its ``(u, y)`` counts, one column per edge ``u * Y + y``, kept
     and lexsorted as float64 ``words`` (3 bits a count for 7 rounds, then wider); else
     ``parent * Y + y``, numbered by a presence array. Rows follow key order; equal keys share
-    the row of the first child. ``paths``, each row's ordered ``(u, y)`` pairs, ``int32``
-    ``(rows, t, 2)``, is kept only if the policy is not history-free or lacks ``choose_rows``.
+    the row of the first child; only a history-free policy's rows merge, and only in expected
+    mode. ``paths``, each row's ordered ``(u, y)`` pairs, ``int32`` ``(rows, t, 2)``, is kept
+    only if the policy is not history-free.
     """
 
-    def __init__(self, env: EnvironmentModel, policy: Policy, merge: bool, cap: float):
+    def __init__(self, env: EnvironmentModel, policy: Policy, sampled: bool, cap: float):
         self.env, self.policy, self.cap, self.rounds = env, policy, cap, 0
         self.beliefs = env.prior.probs[None]
+        free = getattr(policy, "history_free", False)
         self.words = (self._pack(3, np.zeros((1, env.intervention_count * env.n_outcomes)))
-                      if merge else None)
-        self.batch = hasattr(policy, "choose_rows")
-        self.paths = (None if self.batch and getattr(policy, "history_free", False)
-                      else np.zeros((1, 0, 2), dtype=np.int32))
+                      if free and not sampled else None)
+        self.paths = None if free else np.zeros((1, 0, 2), dtype=np.int32)
 
     def choose(self, t: int) -> np.ndarray:
         """Each row's intervention at round ``t``; -1 where the policy has run out."""
-        env, count = self.env, self.env.intervention_count
-        if not self.batch:
-            picks = [self.policy.choose(b, env, t, tuple(map(tuple, p.tolist())))
-                     for b, p in zip(self.beliefs, self.paths)]
-            wrong = [u for u in picks if u is not None and not 0 <= u < count]
-            us = np.array([-1 if u is None else u for u in picks])
-        else:
-            us = (self.policy.choose_rows(self.beliefs, env, t) if self.paths is None
-                  else self.policy.choose_rows(self.beliefs, env, t, self.paths))
-            if isinstance(us, np.ndarray):
-                wrong = us[(us < 0) | (us >= count)]
-            else:  # None, or one index for every row
-                wrong = [] if us is None or 0 <= us < count else [us]
-                us = np.full(len(self.beliefs), -1 if us is None else us)
+        count = self.env.intervention_count
+        us = self.policy.choose(self.beliefs, self.env, t, self.paths)
+        if isinstance(us, np.ndarray):
+            wrong = us[(us < -1) | (us >= count)]
+        else:  # None, or one index for every row
+            wrong = [] if us is None or 0 <= us < count else [us]
+            us = np.full(len(self.beliefs), -1 if us is None else us)
         if len(wrong):
             raise IndexOutOfRange(f"policy chose intervention {wrong[0]} outside [0, {count})")
         return us
@@ -592,8 +566,7 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
     # Only expected mode merges rows: sampled rows stay keyed by ordered history, as a
     # merged row's belief would come from another order of updates.
     n = mode.trials if sampled else 1
-    frontier = _Frontier(env, policy, not sampled and getattr(policy, "history_free", False),
-                         math.inf if sampled else node_cap)
+    frontier = _Frontier(env, policy, sampled, math.inf if sampled else node_cap)
     live = np.arange(n)  # running walkers
     if sampled:
         # counter-based draws: uniform 0 of trial k picks its state, uniform t + 1 its round-t
@@ -709,11 +682,9 @@ def run_episode(
     when ``max_rounds`` is reached, when the policy runs out, or when a
     round would be a zero-cost zero-gain no-op; in sampled mode each trial
     stops on its own. Without ``max_rounds`` an episode still running after
-    ``DEFAULT_ROUND_CAP`` rounds raises ``TooManyRounds``. The policy is
-    asked once per round through ``choose_rows`` when it has one, with each
-    frontier row's ordered ``(u, y)`` pairs as ``paths`` unless it is
-    history-free, else once per frontier row through ``choose`` with the
-    ordered history as a tuple.
+    ``DEFAULT_ROUND_CAP`` rounds raises ``TooManyRounds``. The policy's
+    ``choose`` is called once per round for all frontier rows, with each
+    row's ordered ``(u, y)`` pairs as ``paths`` unless it is history-free.
     ``node_cap`` caps expected mode's frontier, counted in merged nodes: one
     per outcome-count vector under a history-free policy (``FixedSequence``,
     ``RoundRobin``, ``GreedyInfoMax``), one per ordered history otherwise.

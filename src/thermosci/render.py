@@ -61,7 +61,8 @@ def render_heatmap_svg(grid: SweepGrid, path) -> None:
         return _LEFT + cell_w / 2.0 + frac * (plot_w - cell_w)
 
     def y_px(a2: float) -> float:
-        frac = (a2 - y_lo) / (y_hi - y_lo)
+        # from halves, which no finite span overflows; exact for normal floats, so the same bits
+        frac = (a2 / 2.0 - y_lo / 2.0) / (y_hi / 2.0 - y_lo / 2.0)
         # axis2 grows upward on the plot
         return _TOP + plot_h - cell_h / 2.0 - frac * (plot_h - cell_h)
 

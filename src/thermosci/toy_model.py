@@ -44,6 +44,11 @@ class Pair(str, Enum):
     FED_GEN = "fed-gen"
     FED_SPEC = "fed-spec"
 
+    @property
+    def axis_kind(self) -> str:
+        """The second axis the pair is swept over: ``c_spec`` for spec-gen, else ``n``."""
+        return "c_spec" if self is Pair.SPEC_GEN else "n"
+
 
 @dataclass(frozen=True)
 class ToyParams:
@@ -194,15 +199,13 @@ class SweepAxes:
         if self.omega_steps * self.second.steps > MAX_GRID_CELLS:  # before any array exists
             raise InvalidParameter(f"omega_steps={self.omega_steps} by {self.second.kind} axis "
                                    f"steps={self.second.steps} is over {MAX_GRID_CELLS:,} cells")
-        # both axes, after the cap: a SecondAxis alone may still have 10**9 steps; each as
-        # write_grid_csv writes it, at 9 significant digits, so read_grid_csv reads it back
+        # both axes, after the cap: a SecondAxis alone may still have 10**9 steps
         second = self.second
         for what, lo, hi, values in (
                 ("omega_min and omega_max", self.omega_min, self.omega_max, self.omega_values()),
                 (f"{second.kind} axis minimum and maximum", second.minimum, second.maximum,
                  second.values())):
-            written = np.array([float(f"{x:.9g}") for x in values.tolist()])
-            if not np.all(written[1:] > written[:-1]):
+            if not _increases_as_written(values):
                 raise InvalidParameter(f"{what} are too close for {values.size} distinct "
                                        f"steps, got {lo!r} and {hi!r}")
 
@@ -218,14 +221,21 @@ class SweepAxes:
         return cls(SecondAxis("n", 1.0, n_max, steps))
 
 
+def _increases_as_written(values: np.ndarray) -> bool:
+    """Whether ``values`` strictly increase as write_grid_csv writes them, at 9 significant
+    digits, so that read_grid_csv reads them back as distinct."""
+    written = np.array([float(f"{x:.9g}") for x in values.tolist()])
+    return bool(np.all(written[1:] > written[:-1]))
+
+
 def _check_axes(omega: np.ndarray, axis2: np.ndarray) -> None:
     """The grid file's axis rule, kept by every SweepGrid (read_grid_csv's too) so that
     each writes a file read_grid_csv reads back."""
     if omega.size < 2 or axis2.size < 2:  # by size alone: no array is allocated
         raise InvalidParameter("grid needs at least 2 points on each axis")
-    if not (omega[0] > 0.0 and np.all(omega[1:] > omega[:-1])):
+    if not (omega[0] > 0.0 and _increases_as_written(omega)):
         raise InvalidParameter("omega must be > 0 and strictly increasing along each row")
-    if not np.all(axis2[1:] > axis2[:-1]):
+    if not _increases_as_written(axis2):
         raise InvalidParameter("axis2 must be strictly increasing between rows")
 
 
@@ -262,10 +272,9 @@ class SweepGrid:
 def sweep(pair: Pair | str, params: ToyParams, axes: SweepAxes) -> SweepGrid:
     """Evaluate a comparison pair over a grid and attach its zero contours."""
     pair = Pair(pair)
-    expected_kind = "c_spec" if pair == Pair.SPEC_GEN else "n"
-    if axes.second.kind != expected_kind:
+    if axes.second.kind != pair.axis_kind:
         raise InvalidParameter(
-            f"pair {pair.value} needs a {expected_kind!r} axis, got {axes.second.kind!r}"
+            f"pair {pair.value} needs a {pair.axis_kind!r} axis, got {axes.second.kind!r}"
         )
     omega = axes.omega_values()
     axis2 = axes.second.values()

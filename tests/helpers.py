@@ -106,13 +106,19 @@ def enumerate_episode(env: EnvironmentModel, u_of_round, n_rounds: int):
 class Recording:
     """Delegates to ``inner`` and records every ``(round, history)`` it is asked about.
 
-    It is history-free exactly when ``inner`` is, so an engine treats the two alike.
+    A history is a row's ordered ``(u, y)`` pairs as a tuple, or None when the
+    engine shows no paths. It is history-free exactly when ``inner`` is, unless
+    ``history_free`` says otherwise: a sampled run, which never merges, can then
+    be shown every trial's history with the same bits.
     """
 
-    def __init__(self, inner):
+    def __init__(self, inner, history_free=None):
         self.inner, self.calls = inner, []
-        self.history_free = getattr(inner, "history_free", False)
+        self.history_free = (getattr(inner, "history_free", False) if history_free is None
+                             else history_free)
 
-    def choose(self, belief, env, t, history):
-        self.calls.append((t, history))
-        return self.inner.choose(belief, env, t, history)
+    def choose(self, beliefs, env, t, paths):
+        histories = ([None] * len(beliefs) if paths is None
+                     else [tuple(map(tuple, p)) for p in paths.tolist()])
+        self.calls.extend((t, history) for history in histories)
+        return self.inner.choose(beliefs, env, t, paths)

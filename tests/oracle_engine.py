@@ -7,7 +7,9 @@ outcome, and the information gain is the posterior-side drop
 pushforwards use their own copies too, so this module shares no entropy,
 gain or posterior code with :mod:`thermosci.cycle_sim`. Sampled trials run
 one at a time, each drawing its uniforms from a SplitMix64 written here in
-Python ints, so it shares no random-number code with :mod:`thermosci._streams`.
+Python ints, and ``RandomPolicy`` chooses through numpy's own ``SeedSequence``
+generator, so it shares no random-number code with :mod:`thermosci._streams`.
+Any other policy is asked about one row at a time.
 """
 
 from __future__ import annotations
@@ -23,13 +25,15 @@ from thermosci.cycle_sim import (
     EpisodeSummary,
     ExpectedMode,
     GreedyInfoMax,
-    History,
     Policy,
+    RandomPolicy,
     RoundRecord,
     WorkLedger,
 )
 from thermosci.errors import IndexOutOfRange, TreeTooLarge, ZeroEvidence
 from thermosci.info_core import LOG_FLOOR
+
+History = tuple[tuple[int, int], ...]
 
 
 def _entropy(probs: np.ndarray) -> float:
@@ -78,9 +82,25 @@ def _parent_pushforward(compression: CompressionMap, probs: np.ndarray) -> np.nd
     return np.bincount(np.asarray(compression.mapping), weights=probs)
 
 
+def reference_random_choice(seed: int, t: int, history: History, count: int) -> int:
+    """``RandomPolicy(seed)``'s choice at round ``t`` after ``history``, the ordered (u, y)
+    pairs so far, from numpy's own ``SeedSequence`` and generator."""
+    material = [seed, t]
+    for u, y in history:
+        material.extend((u, y))
+    return int(np.random.default_rng(np.random.SeedSequence(material)).integers(count))
+
+
 def _parent_choice(policy, belief, env, t, history):
-    if not isinstance(policy, GreedyInfoMax):
-        return policy.choose(belief, env, t, history)
+    if isinstance(policy, RandomPolicy):
+        return reference_random_choice(policy.seed, t, history, env.intervention_count)
+    if not isinstance(policy, GreedyInfoMax):  # asked about one row, as the engine asks
+        paths = (None if getattr(policy, "history_free", False)
+                 else np.array(history, dtype=np.int32).reshape(1, t, 2))
+        u = policy.choose(belief[None], env, t, paths)
+        if isinstance(u, np.ndarray):  # -1: this row's policy has run out
+            return None if u[0] == -1 else int(u[0])
+        return u
     table = env.likelihood.table
     gains = np.empty(env.intervention_count)
     for u in range(env.intervention_count):

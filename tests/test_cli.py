@@ -26,7 +26,7 @@ from thermosci.cycle_sim import (
     SampledMode,
     run_episode,
 )
-from thermosci.toy_model import SecondAxis, SweepAxes, ToyParams, c_fed, read_grid_csv, sweep
+from thermosci.toy_model import SecondAxis, SweepAxes, c_fed, read_grid_csv, sweep
 
 from helpers import asym_binary_env, noiseless_binary_env, three_state_env
 
@@ -638,9 +638,10 @@ def test_contour_of_a_sweep_file_gives_the_sweep_contours(tmp_path, capsys, pane
     assert main(["sweep", "--panel", panel, "--omega-steps", str(omega_steps),
                  "--out", str(csv)]) == 0
     assert main(["contour", "--grid", str(csv), "--out", str(out)]) == 0
-    pair, alphas, kind = cli._PANELS[panel]
+    pair, preset = cli._PANELS[panel]
+    kind = pair.axis_kind
     second = SecondAxis(kind, *((0.05, 1.0) if kind == "c_spec" else (1.0, 20.0)), 100)
-    grid = sweep(pair, ToyParams(**alphas), SweepAxes(second, omega_steps=omega_steps))
+    grid = sweep(pair, preset(), SweepAxes(second, omega_steps=omega_steps))
     lines = [np.array(line) for line in json.loads(out.read_text())["polylines"]]
     assert len(grid.contours) == (panel not in "AC")  # symmetric A and C: no sign change
     assert [line.shape for line in lines] == [line.shape for line in grid.contours]

@@ -9,7 +9,8 @@ a single trial, ``n`` and ``2n`` trials, a long ``RandomPolicy`` run, and
 how often the policy is asked.
 Expected-mode cases at 10-12 rounds on 2-outcome environments cover the
 merging of branches with equal outcome counts. The policy-protocol cases
-cover a policy asked row by row and one that chooses for all rows at once.
+cover out-of-range choices, rows whose policy runs out (``-1``), and how
+often each built-in policy's ``choose`` is called.
 """
 
 import itertools
@@ -101,8 +102,11 @@ def _stop_rounds(calls):
 
 
 def _sampled_pair(env, policy, budget, mode, max_rounds=None, compression=None):
-    """Both engines on one case, checked equal; returns the result and the policy calls."""
-    recorder = Recording(policy)
+    """Both engines on one case, checked equal; returns the result and the policy calls.
+
+    The recorder is shown every trial's history: sampled mode never merges, so the bits
+    are those of the policy alone."""
+    recorder = Recording(policy, history_free=False)
     got = run_episode(env, recorder, CostModel(), budget, mode, compression, max_rounds)
     want = run_reference(env, policy, CostModel(), budget, mode, compression, max_rounds)
     _assert_same(got, want, (policy, mode, budget, max_rounds, compression))
@@ -235,41 +239,60 @@ def test_random_policy_is_asked_about_every_ordered_history():
 
 
 # ---------------------------------------------------------------------------
-# the policy protocol: per-row ``choose`` with a history, or ``choose_rows``
+# the policy protocol: ``choose`` for all rows at once, with the paths unless history-free
 
 
 class _PerRowOutOfRange:
-    """Asked row by row; picks one past the last intervention from round 1 on."""
+    """Shown the paths; picks one past the last intervention for every row from round 1 on."""
 
-    def choose(self, belief, env, t, history):
-        return env.intervention_count if t else 0
+    def choose(self, beliefs, env, t, paths):
+        return np.full(len(paths), env.intervention_count if t else 0)
 
 
 class _BatchOutOfRange:
-    """Chooses for all rows at once; from round 1 on, one row gets an index past the end."""
+    """History-free; from round 1 on, one row gets an index past the end."""
 
     history_free = True
 
-    def choose(self, belief, env, t, history):
-        return int(self.choose_rows(belief[None], env, t)[0])
-
-    def choose_rows(self, beliefs, env, t):
+    def choose(self, beliefs, env, t, paths):
         us = np.zeros(len(beliefs), dtype=int)
         us[-1] = env.intervention_count if t else 0
         return us
 
 
+class _BelowRunOut:
+    """History-free; the last row gets -2, below the -1 that marks a row run out."""
+
+    history_free = True
+
+    def choose(self, beliefs, env, t, paths):
+        us = np.zeros(len(beliefs), dtype=int)
+        us[-1] = -2
+        return us
+
+
+class _LoneMinusOne:
+    """History-free; -1 as one index for every row, which marks no row run out."""
+
+    history_free = True
+
+    def choose(self, beliefs, env, t, paths):
+        return -1
+
+
 class _StopsAfterOutcomeZero:
-    """Asked row by row; runs out on every history whose last outcome was 0."""
+    """Runs out (-1) on every row whose last outcome was 0."""
 
-    def choose(self, belief, env, t, history):
-        if history and history[-1][1] == 0:
-            return None
-        return t % env.intervention_count
+    def choose(self, beliefs, env, t, paths):
+        us = np.full(len(paths), t % env.intervention_count)
+        if t:
+            us[paths[:, -1, 1] == 0] = -1
+        return us
 
 
-@pytest.mark.parametrize("policy", [_PerRowOutOfRange(), _BatchOutOfRange()],
-                         ids=["per-row", "batch"])
+@pytest.mark.parametrize("policy", [_PerRowOutOfRange(), _BatchOutOfRange(), _BelowRunOut(),
+                                    _LoneMinusOne()],
+                         ids=["per-row", "batch", "below-run-out", "lone-minus-one"])
 @pytest.mark.parametrize("mode", [ExpectedMode(), SampledMode(seed=2, trials=30)],
                          ids=["expected", "sampled"])
 def test_out_of_range_choice_raises(policy, mode):
@@ -294,6 +317,26 @@ def test_policy_running_out_on_some_histories_stops_only_their_trials():
     assert got[1].stop_reason == "policy_exhausted" and got[1].rounds == 1
 
 
+@pytest.mark.parametrize("policy", [FixedSequence((0, 1, 1, 0, 1)), RoundRobin(), RandomPolicy(6),
+                                    GreedyInfoMax()],
+                         ids=["fixed", "roundrobin", "random", "greedy"])
+@pytest.mark.parametrize("mode", [ExpectedMode(), SampledMode(seed=2, trials=30)],
+                         ids=["expected", "sampled"])
+def test_each_policy_class_choose_is_called_once_per_round(policy, mode, monkeypatch):
+    # the class attribute is the hook: perfbench's traced runs count policy steps through it
+    cls, calls = type(policy), []
+    original = cls.choose
+
+    def counted(self, beliefs, env, t, paths):
+        calls.append(t)
+        return original(self, beliefs, env, t, paths)
+
+    monkeypatch.setattr(cls, "choose", counted)
+    _, summary = run_episode(three_state_env(), policy, CostModel(), 50.0, mode, max_rounds=4)
+    assert (summary.rounds, summary.stop_reason) == (4, "max_rounds")
+    assert calls == [0, 1, 2, 3]
+
+
 def _tied_environment() -> EnvironmentModel:
     """Intervention 0 tells nothing; 1 and 2 are the same informative experiment."""
     informative = [[0.7, 0.2, 0.1], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]]
@@ -307,8 +350,8 @@ def test_greedy_batch_choice_equals_per_row_choice():
     for k, env in enumerate(envs + [_tied_environment()]):
         rng = np.random.default_rng(k)
         beliefs = np.vstack((env.prior.probs, rng.dirichlet(np.ones(env.n_states), size=40)))
-        batch = policy.choose_rows(beliefs, env, 0)
+        batch = policy.choose(beliefs, env, 0, None)
         assert batch.shape == (len(beliefs),)
-        assert batch.tolist() == [policy.choose(b, env, 0, ()) for b in beliefs], k
+        assert batch.tolist() == [policy.choose(b[None], env, 0, None)[0] for b in beliefs], k
     # exact ties between the identical interventions go to the lower index
     assert batch.tolist() == [1] * len(beliefs)

@@ -69,9 +69,9 @@ def _check_against_oracle(grid: SweepGrid, tmp_path) -> None:
 
 def _panel_grid(panel: str) -> SweepGrid:
     # the CLI defaults of ``sweep --panel``
-    pair, alphas, kind = _PANELS[panel]
-    params = ToyParams(c_min=0.05, gamma=1.0, **alphas)
-    second = (SecondAxis("c_spec", 0.05, 1.0, 100) if kind == "c_spec"
+    pair, preset = _PANELS[panel]
+    params = preset(c_min=0.05, gamma=1.0)
+    second = (SecondAxis("c_spec", 0.05, 1.0, 100) if pair.axis_kind == "c_spec"
               else SecondAxis("n", 1.0, 20.0, 100))
     return sweep(pair, params, SweepAxes(second))
 
@@ -149,11 +149,15 @@ def test_random_isolines_match_oracle(seed):
     assert _polylines_json(got) == _polylines_json(expected)
 
 
-@pytest.mark.parametrize("low", [1e-300, 1e300])
-def test_svg_of_an_omega_axis_whose_ends_share_one_log(low, tmp_path):
-    # two distinct omegas, one ulp apart, whose math.log is the same float
-    omega = np.array([low, np.nextafter(low, np.inf)])
+@pytest.mark.parametrize("omega", [(1.0000000049999999e-300, 1.000000005e-300),
+                                   (1.000000005e300, 1.0000000050000001e300)],
+                         ids=["1e-300", "1e+300"])
+def test_svg_of_an_omega_axis_whose_ends_share_one_log(omega, tmp_path):
+    # two omegas distinct at the file's 9 digits, astride a rounding boundary, whose
+    # math.log is the same float
+    omega = np.array(omega)
     assert math.log(omega[0]) == math.log(omega[1])
+    assert f"{omega[0]:.9g}" != f"{omega[1]:.9g}"
     arrays = {k: np.array([[0.5, -0.5], [-0.5, 0.5]]) for k in ("eta_first", "delta")}
     grid = SweepGrid(None, None, omega, np.array([1.0, 2.0]), "n", eta_second=np.zeros((2, 2)),
                      contours=[], **arrays)
@@ -164,6 +168,18 @@ def test_svg_of_an_omega_axis_whose_ends_share_one_log(low, tmp_path):
     render_heatmap_svg(grid, new_svg)
     oracle.render_heatmap_svg(grid, old_svg)
     assert new_svg.read_bytes() == old_svg.read_bytes()
+
+
+def test_svg_of_an_axis2_span_past_the_float_range_has_no_nan(tmp_path):
+    # the axis2 span, 2e308, overflows a float; the y fraction is formed from halves
+    arrays = {k: np.array([[0.5, -0.5], [-0.5, 0.5]]) for k in ("eta_first", "delta")}
+    grid = SweepGrid(None, None, np.array([1.0, 2.0]), np.array([-1e308, 1e308]), "n",
+                     eta_second=np.zeros((2, 2)), contours=[], **arrays)
+    grid.contours = zero_contours(grid)
+    assert grid.contours
+    path = tmp_path / "wide.svg"
+    render_heatmap_svg(grid, path)
+    assert "nan" not in path.read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +444,16 @@ def test_grid_names_the_non_finite_field(name, value):
     ([1.0], [1.0, 2.0], "grid needs at least 2 points on each axis"),
     ([1.0, 2.0], [1.0], "grid needs at least 2 points on each axis"),
     ([-1.0], [2.0, 1.0], "grid needs at least 2 points on each axis"),
+    # distinct floats that write_grid_csv's 9 significant digits would write as one
+    ([1.0, 1.0 + 1e-12], [1.0, 2.0], "omega must be > 0 and strictly increasing along each row"),
+    ([1e-300, math.nextafter(1e-300, 1.0)], [1.0, 2.0],
+     "omega must be > 0 and strictly increasing along each row"),
+    ([1e300, math.nextafter(1e300, math.inf)], [1.0, 2.0],
+     "omega must be > 0 and strictly increasing along each row"),
+    ([1.0, 2.0], [1.0, 1.0 + 1e-12], "axis2 must be strictly increasing between rows"),
 ], ids=["axis2-decreasing", "omega-negative", "omega-decreasing", "axis2-signed-zeros",
-        "one-omega", "one-axis2", "one-bad-omega"])
+        "one-omega", "one-axis2", "one-bad-omega", "omega-same-at-9-digits",
+        "omega-one-ulp-1e-300", "omega-one-ulp-1e+300", "axis2-same-at-9-digits"])
 def test_grid_rejects_the_axes_the_reader_rejects(tmp_path, omega, axis2, message):
     # each grid used to construct and write a CSV that contour refuses
     shape = (len(axis2), len(omega))

@@ -28,7 +28,8 @@ def _frontier(parents: int, n_outcomes: int, interventions: int, counts, rounds:
     env = SimpleNamespace(n_outcomes=n_outcomes, intervention_count=interventions,
                           likelihood=SimpleNamespace(table=table),
                           prior=SimpleNamespace(probs=np.ones(2)))
-    frontier = _Frontier(env, RoundRobin(), counts is not None, math.inf)
+    # RoundRobin is history-free: its expected-mode frontier merges, its sampled one does not
+    frontier = _Frontier(env, RoundRobin(), counts is None, math.inf)
     frontier.beliefs = np.stack([np.arange(parents, dtype=float), np.ones(parents)], axis=1)
     frontier.rounds = rounds
     if counts is not None:  # packed as the frontier packs them before that round

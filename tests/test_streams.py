@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from thermosci import RandomPolicy, _streams
 
 from helpers import random_environment
-from oracle_engine import reference_uniform
+from oracle_engine import reference_random_choice, reference_uniform
 
 SEEDS = st.integers(min_value=0, max_value=2**130)
 #: spawn keys at and above 2**32 take two words
@@ -92,10 +92,10 @@ def test_random_policy_batch_choice_equals_per_row_choice(seed, t, env_seed, dat
     paths = np.stack((rng.integers(0, env.intervention_count, size=(rows, t)),
                       rng.integers(0, env.n_outcomes, size=(rows, t))), axis=2).astype(np.int32)
     beliefs = np.tile(env.prior.probs, (rows, 1))
-    policy = RandomPolicy(seed)
-    batch = policy.choose_rows(beliefs, env, t, paths)
-    assert batch.tolist() == [policy.choose(b, env, t, tuple(map(tuple, p.tolist())))
-                              for b, p in zip(beliefs, paths)]
+    batch = RandomPolicy(seed).choose(beliefs, env, t, paths)
+    assert batch.tolist() == [
+        reference_random_choice(seed, t, tuple(map(tuple, p)), env.intervention_count)
+        for p in paths.tolist()]
 
 
 @pytest.mark.parametrize("seed", [0, 2**31, 2**64 + 5, 10**30])
