@@ -37,7 +37,6 @@ from .cycle_sim import (
 )
 from .info_core import (
     DiscreteDistribution,
-    InfoQuantity,
     LikelihoodModel,
     Units,
     entropy,

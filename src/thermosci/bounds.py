@@ -107,7 +107,8 @@ class BudgetScenario:
             if abs(mass - 1.0) > 1e-9:
                 raise InvalidParameter(f"subdomain masses subdomains[*].p sum to {mass!r}, not 1")
             weighted = sum(s.p * s.beta_w for s in subs)
-            if abs(weighted - self.beta_w) > _CONSISTENCY_TOL:
+            gap = abs(weighted - self.beta_w)  # past 1, relative to the smaller side
+            if gap > _CONSISTENCY_TOL and gap > _CONSISTENCY_TOL * min(weighted, self.beta_w):
                 raise InvalidParameter(f"mass-weighted subdomain budgets subdomains[*].beta_w "
                                        f"give {weighted!r}, not beta_w {self.beta_w!r}")
 

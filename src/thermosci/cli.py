@@ -9,7 +9,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .bounds import (
@@ -29,6 +29,7 @@ from .cycle_sim import (
     RandomPolicy,
     RoundRobin,
     SampledMode,
+    WorkLedger,
     cumulative_information,
     run_episode,
 )
@@ -141,11 +142,7 @@ def _cmd_simulate(args) -> int:
             "units": units.value,
             "cumulative_info": summary.cumulative_info * scale_out,
             "budget_spent": ledger.budget_spent * scale_out,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "observed": c.observed,
-                 "limit": c.limit, "detail": c.detail}
-                for c in checks
-            ],
+            "checks": [asdict(c) for c in checks],
         }
         Path(args.report).write_text(json.dumps(payload, indent=2) + "\n")
     return 0 if all(c.passed for c in checks) else 1
@@ -213,8 +210,6 @@ def _cmd_verify(args) -> int:
     report = run_suite(args.scope, args.seed)
 
     if args.ledger:
-        from .cycle_sim import WorkLedger
-
         with open(args.ledger) as fh:
             ledger = WorkLedger.from_json_dict(json.load(fh))
         scenario = None
@@ -223,7 +218,7 @@ def _cmd_verify(args) -> int:
                 scenario = BudgetScenario.from_json_dict(json.load(fh))
         checks = bound_report(ledger, scenario.h0 if scenario else None)
         if scenario is not None:
-            cum = cumulative_information(ledger).value
+            cum = cumulative_information(ledger)
             cap = unpartitioned_info_cap(scenario)
             checks.append(BoundCheck("scenario_info_cap", cum <= cap + 1e-10, cum, cap))
             if scenario.beta_w > 0.0 and ledger.budget_spent > 0.0:

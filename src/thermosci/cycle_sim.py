@@ -49,7 +49,6 @@ from .info_core import (
     LN2,
     LOG_FLOOR,
     DiscreteDistribution,
-    InfoQuantity,
     LikelihoodModel,
     Units,
     _entropies,
@@ -179,19 +178,21 @@ class CompressionMap:
             raise IncompleteMapping(
                 f"mapping covers {len(self.mapping)} outcomes, distribution has {n_outcomes}"
             )
-        return outcome_probs @ np.eye(max(self.mapping) + 1)[list(self.mapping)]
+        kept = np.zeros((n_outcomes, max(self.mapping) + 1))  # the rows of an identity matrix
+        kept[np.arange(n_outcomes), self.mapping] = 1.0
+        return outcome_probs @ kept
 
 
 def stored_entropy(
     outcome_dist: DiscreteDistribution, compression: CompressionMap | None = None
-) -> InfoQuantity:
-    """Entropy of the stored record: the pushforward of the outcome distribution.
+) -> float:
+    """Entropy in nats of the stored record: the pushforward of the outcome distribution.
 
     With no compression map this is just the outcome entropy.
     """
     if compression is None:
-        return InfoQuantity(_entropy(outcome_dist.probs))
-    return InfoQuantity(_entropy(compression.pushforward(outcome_dist.probs)))
+        return _entropy(outcome_dist.probs)
+    return _entropy(compression.pushforward(outcome_dist.probs))
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +364,14 @@ class WorkLedger:
             raise InvalidLedger("budget_total must not be NaN")
         if not math.isfinite(self.budget_spent):
             raise InvalidLedger(f"budget_spent must be finite, got {self.budget_spent!r}")
+        # both tolerances scale with magnitude: a ledger read back from bits is a few ulps off;
+        # the sum's is relative, past 1, to the smaller side, so an overflowing sum still fails
         spent = sum(r.work_meas + r.work_erase for r in self.records)
-        if abs(spent - self.budget_spent) > 1e-10:
+        gap = abs(spent - self.budget_spent)
+        if gap > 1e-10 and gap > 1e-10 * min(abs(spent), abs(self.budget_spent)):
             raise InvalidLedger(f"budget_spent {self.budget_spent!r} does not match the sum "
                                 f"of records[*].work_meas and records[*].work_erase, {spent!r}")
-        if self.budget_spent > self.budget_total + BUDGET_SLACK:
+        if self.budget_spent > self.budget_total + BUDGET_SLACK * (1.0 + abs(self.budget_spent)):
             raise InvalidLedger(f"budget_spent {self.budget_spent!r} exceeds budget_total "
                                 f"{self.budget_total!r}")
 
@@ -436,16 +440,16 @@ class EpisodeSummary:
     cumulative_info_se: float | None = None
 
 
-def cumulative_information(ledger: WorkLedger) -> InfoQuantity:
+def cumulative_information(ledger: WorkLedger) -> float:
     """Total information gained over the episode, in nats."""
-    return InfoQuantity(sum(r.info_gain for r in ledger.records))
+    return sum((r.info_gain for r in ledger.records), 0.0)
 
 
 def efficiency(ledger: WorkLedger) -> float:
     """Information gained per unit of spent work (both in nats)."""
     if ledger.budget_spent <= 0.0:
         raise NoWorkSpent("efficiency undefined: no work was spent")
-    total_info = sum(r.info_gain for r in ledger.records)
+    total_info = cumulative_information(ledger)
     eta = total_info / ledger.budget_spent
     floor = sum(r.info_gain + r.stored_entropy for r in ledger.records)
     if floor > 0.0 and eta > total_info / floor + 1e-10:

@@ -1,14 +1,16 @@
 """Exact information-theory primitives on finite discrete distributions.
 
-Everything internal is computed in nats; bits exist only as an explicit
-unit conversion on :class:`InfoQuantity`. The conventions used throughout:
+Every information value is a plain float in nats; divide by :data:`LN2` for
+bits. The conventions used throughout:
 
 * ``0 * ln 0 == 0``, and probabilities below ``1e-15`` are treated as
   exactly zero inside log terms.
 * Vectors whose sum is within ``1e-9`` of one are renormalized on
   construction; anything worse is rejected.
-* Entropies and mutual informations are clamped to zero from below; a value
-  more than ``1e-9`` below zero raises :class:`InvalidDistribution`.
+* Entropies are clamped to zero from below silently: only rounding takes
+  them below zero. Information gains and the mutual information of a joint
+  are clamped likewise, but a value more than ``GAIN_NOISE`` (``1e-9``)
+  below zero raises :class:`InvalidDistribution`.
 
 :func:`predictive_gain` is the single information-gain path: the greedy
 policy, both episode modes and :func:`expected_information_gain` all call it
@@ -159,43 +161,9 @@ class LikelihoodModel:
         return int(self.table.shape[2])
 
 
-@dataclass(frozen=True)
-class InfoQuantity:
-    """A scalar information value tagged with its unit (nats or bits)."""
-
-    value: float
-    units: Units = Units.NATS
-
-    def to(self, units: Units | str) -> "InfoQuantity":
-        units = Units(units)
-        if units == self.units:
-            return self
-        if units == Units.BITS:
-            return InfoQuantity(self.value / LN2, Units.BITS)
-        return InfoQuantity(self.value * LN2, Units.NATS)
-
-    def to_nats(self) -> "InfoQuantity":
-        return self.to(Units.NATS)
-
-    def to_bits(self) -> "InfoQuantity":
-        return self.to(Units.BITS)
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-
-def _clamped_info(value: float) -> float:
-    # entropies/MI are mathematically >= 0; tolerate only float noise below zero
-    if value < 0.0:
-        if value < -GAIN_NOISE:
-            raise InvalidDistribution(f"information quantity {value!r} is negative beyond noise")
-        return 0.0
-    return value
-
-
-def entropy(dist: DiscreteDistribution) -> InfoQuantity:
+def entropy(dist: DiscreteDistribution) -> float:
     """Shannon entropy ``-sum p ln p`` in nats."""
-    return InfoQuantity(_clamped_info(_entropy(dist.probs)))
+    return _entropy(dist.probs)
 
 
 def _check_compat(belief: DiscreteDistribution, lik: LikelihoodModel, u: int):
@@ -259,7 +227,7 @@ def predictive_gain(beliefs: np.ndarray, tables: np.ndarray, row_h: np.ndarray):
 
 def expected_information_gain(
     belief: DiscreteDistribution, lik: LikelihoodModel, u: int
-) -> InfoQuantity:
+) -> float:
     """Mutual information between state and outcome under the current belief.
 
     Evaluated by :func:`predictive_gain` and cross-checked against the
@@ -276,17 +244,19 @@ def expected_information_gain(
         raise InvalidDistribution(
             f"information-gain formulas disagree: {gain!r} vs {posterior_side!r}"
         )
-    return InfoQuantity(gain)
+    return gain
 
 
-def mutual_information_of_joint(joint) -> InfoQuantity:
+def mutual_information_of_joint(joint) -> float:
     """Mutual information of a 2-D joint table, clamped at zero from below."""
     arr = _normalised(joint, 2, "joint", InvalidJoint)
     px = np.add.reduce(arr, axis=1)
     pk = np.add.reduce(arr, axis=0)
     mask = arr > LOG_FLOOR
     if not np.logical_or.reduce(mask, axis=None):
-        return InfoQuantity(0.0)
+        return 0.0
     outer = np.outer(px, pk)
     mi = float(np.add.reduce(arr[mask] * np.log(arr[mask] / outer[mask])))
-    return InfoQuantity(_clamped_info(mi))
+    if mi < -GAIN_NOISE:
+        raise InvalidDistribution(f"information quantity {mi!r} is negative beyond noise")
+    return max(mi, 0.0)

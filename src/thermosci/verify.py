@@ -117,7 +117,7 @@ def verify_info(seed: int) -> list[dict]:
     def entropy_maximized_by_uniform():
         for probs in _dirichlet_rows(rng, rng.integers(2, 7, size=trials)):
             d = DiscreteDistribution(probs)
-            if entropy(d).value > math.log(len(d)) + 1e-12:
+            if entropy(d) > math.log(len(d)) + 1e-12:
                 return f"entropy above uniform bound for {d.probs}"
 
     def information_gain_bounded_and_consistent():
@@ -128,8 +128,8 @@ def verify_info(seed: int) -> list[dict]:
             w = w[:env.n_states]
             belief = DiscreteDistribution(w / w.sum())
             u = int(pick * env.intervention_count)
-            gain = expected_information_gain(belief, env.likelihood, u).value
-            if gain > entropy(belief).value + 1e-12:
+            gain = expected_information_gain(belief, env.likelihood, u)
+            if gain > entropy(belief) + 1e-12:
                 return f"gain {gain} exceeds belief entropy"
             # independent posterior-side evaluation: one posterior column per outcome
             lik = env.likelihood.table[u]
@@ -158,8 +158,8 @@ def verify_info(seed: int) -> list[dict]:
             while joint.size % rows:
                 rows -= 1
             table = joint.reshape(rows, -1)
-            a = mutual_information_of_joint(table).value
-            b = mutual_information_of_joint(table.T).value
+            a = mutual_information_of_joint(table)
+            b = mutual_information_of_joint(table.T)
             if abs(a - b) > 1e-12:
                 return f"asymmetric MI: {a} vs {b}"
 
@@ -167,7 +167,7 @@ def verify_info(seed: int) -> list[dict]:
                    belief_martingale, mutual_information_symmetric)
     px = rng.dirichlet(np.ones(4))
     pk = rng.dirichlet(np.ones(3))
-    product_mi = mutual_information_of_joint(np.outer(px, pk)).value
+    product_mi = mutual_information_of_joint(np.outer(px, pk))
     return results + [_check("independent_joint_has_zero_mi", product_mi <= 1e-12,
                              f"mi={product_mi}")]
 
@@ -219,7 +219,7 @@ def verify_cycle(seed: int) -> list[dict]:
                                           ExpectedMode(), max_rounds=4)
             scenario = bounds_mod.scenario_from_ledger(ledger, summary.prior_entropy)
             cap = bounds_mod.unpartitioned_info_cap(scenario)
-            cum = cumulative_information(ledger).value
+            cum = cumulative_information(ledger)
             if ledger.budget_spent > 0.0 and cum > cap + 1e-10:
                 return f"cumulative info {cum} above cap {cap}"
 
@@ -327,7 +327,7 @@ def verify_bounds(seed: int) -> list[dict]:
             h_cond = sum(masses[k] * _entropy(joint[:, k] / masses[k])
                          for k in range(n_sub) if masses[k] > 0.0)
             gap = bounds_mod.partition_entropy_gap(h_gen, h_cond)
-            mi = mutual_information_of_joint(joint).value
+            mi = mutual_information_of_joint(joint)
             if abs(gap - mi) > 1e-10:
                 return f"gap {gap} != mutual information {mi}"
 

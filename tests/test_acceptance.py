@@ -210,7 +210,7 @@ def test_criterion_7_chain_rule_consistency():
         h_gen = entropy_of(joint.sum(axis=1))
         gap = h_gen - h_fed(part)
         assert gap >= -1e-12
-        mi = mutual_information_of_joint(joint).value
+        mi = mutual_information_of_joint(joint)
         worst = max(worst, abs(gap - mi))
         assert abs(gap - mi) <= 1e-10
     _report(7, f"entropy gap equals joint mutual information on 500 random joints, "

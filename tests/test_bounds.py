@@ -54,6 +54,16 @@ def test_scenario_checks_subdomain_mass_and_budget():
         BudgetScenario(1.0, 3.0, 0.0, subs)  # weighted budgets give 2.0, not 3.0
 
 
+def test_scenario_accepts_its_weighted_budget_summed_in_another_order():
+    subs = (SubdomainBudget(0.517, 1.0, 5248722.5, 0.0),
+            SubdomainBudget(0.218, 1.0, 6474498.3, 0.0),
+            SubdomainBudget(0.265, 1.0, 5996937.4, 0.0))
+    forward = sum(s.p * s.beta_w for s in subs)
+    reverse = sum(s.p * s.beta_w for s in reversed(subs))
+    assert abs(forward - reverse) > 1e-10  # past the tolerance, were it absolute
+    assert BudgetScenario(1.0, reverse, 0.0, subs).beta_w == reverse
+
+
 def test_scenario_json_round_trip():
     subs = (SubdomainBudget(0.5, 1.0, 0.4, 0.1), SubdomainBudget(0.5, 1.0, 2.0, 0.5))
     s = BudgetScenario(2.0, 1.2, 0.3, subs)
@@ -167,7 +177,7 @@ def test_entropy_gap_values():
     gap = partition_entropy_gap(math.log(4.0), math.log(2.0))
     assert gap == pytest.approx(LN2, abs=1e-12)
     joint = np.array([[0.25, 0.0], [0.25, 0.0], [0.0, 0.25], [0.0, 0.25]])
-    assert gap == pytest.approx(mutual_information_of_joint(joint).value, abs=1e-12)
+    assert gap == pytest.approx(mutual_information_of_joint(joint), abs=1e-12)
 
 
 def test_entropy_gap_rejects_inconsistent_inputs():
@@ -266,7 +276,7 @@ def test_ledger_cap_and_report_on_noiseless_round():
     assert scenario.beta_w == pytest.approx(2 * LN2, abs=1e-12)
     assert scenario.sum_hy == pytest.approx(LN2, abs=1e-12)
     cap = unpartitioned_info_cap(scenario)
-    assert cumulative_information(ledger).value <= cap + 1e-10
+    assert cumulative_information(ledger) <= cap + 1e-10
     eta_cap = unpartitioned_eta_cap(scenario)
     assert eta_cap == pytest.approx(0.5, abs=1e-12)
 

@@ -473,6 +473,26 @@ def test_infinite_budget_ledger_round_trips(tmp_path, env_file, capsys):
     assert _verify_ledger(path) == 0
 
 
+# a bits ledger read back is a few ulps off in nats: at 1e7 its spent work no longer
+# matches its summed records within 1e-10, and spending within 1e-12 of the budget
+# (1.08430576... bits here) makes it overdraw by more than 1e-12
+@pytest.mark.parametrize("flags", [
+    ("--policy", "greedy", "--budget", "1e7", "--kappa-meas", "1e6", "--kappa-erase", "1e6"),
+    ("--policy", "greedy", "--budget", "1e12", "--kappa-meas", "1e9", "--kappa-erase", "1e9"),
+    ("--policy", "greedy", "--budget", "1e3"),
+    ("--policy", "fixed:0,1", "--budget", "1.0843057617770913"),
+], ids=["1e7-kappa-1e6", "1e12-kappa-1e9", "1e3", "spent-at-budget"])
+def test_a_bits_ledger_written_by_simulate_verifies(tmp_path, capsys, flags):
+    env_path = tmp_path / "env.json"
+    env_path.write_text(json.dumps({
+        "prior": [0.2, 0.3, 0.5], "interventions": 2,
+        "likelihood": [[[0.7, 0.3], [0.4, 0.6], [0.1, 0.9]],
+                       [[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]]]}))
+    path = _saved_ledger(tmp_path, env_path, *flags, "--units", "bits", "--max-rounds", "50")
+    capsys.readouterr()
+    assert main(["verify", "--scope", "info", "--seed", "1", "--ledger", str(path)]) == 0
+
+
 @pytest.mark.parametrize("policy", ["roundrobin", "greedy", "fixed:0"])
 def test_negative_seed_exits_2_in_expected_mode(env_file, capsys, policy):
     # expected mode draws nothing, but a seed it is given must still be valid

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,17 @@ def test_ledger_invariants():
         WorkLedger((rec,), budget_total=2.0, budget_spent=0.9)  # mismatched sum
     with pytest.raises(InvalidLedger):
         WorkLedger((rec,), budget_total=1.0, budget_spent=1.1)  # overdraft
+    # past the tolerances scaled to the records' 1.1, which the smaller side sets
+    for total, spent in ((2.0, 1e300), (2.0, 1.1 * (1 + 2e-10)), (1.1, 1.1 * (1 + 5e-12))):
+        with pytest.raises(InvalidLedger):
+            WorkLedger((rec,), budget_total=total, budget_spent=spent)
+
+
+def test_ledger_tolerances_scale_with_magnitude():
+    rec = RoundRecord(0, 0, 0.5, 0.6, 0.6, 5e5, 6e5, 0.1)  # 1.1e6 of work
+    WorkLedger((rec,), 2e6, 1.1e6 * (1 + 5e-11))  # 5.5e-5 off the summed records
+    WorkLedger((rec,), 1.1e6 * (1 - 5e-13), 1.1e6)  # 5.5e-7 past budget_total
+
 
 
 RECORD_FIELDS = ("info_gain", "outcome_entropy", "stored_entropy", "work_meas", "work_erase",
@@ -229,20 +241,30 @@ def test_ledger_rejects_non_finite_budget_fields():
 def test_stored_entropy_identity_map():
     d = DiscreteDistribution([0.25, 0.75])
     expected = entropy_of(d.probs)
-    assert stored_entropy(d).value == pytest.approx(expected, abs=1e-15)
-    assert stored_entropy(d, CompressionMap.identity(2)).value == pytest.approx(
-        expected, abs=1e-15)
+    assert stored_entropy(d) == pytest.approx(expected, abs=1e-15)
+    assert stored_entropy(d, CompressionMap.identity(2)) == pytest.approx(expected, abs=1e-15)
 
 
 def test_stored_entropy_constant_map():
     d = DiscreteDistribution([0.25, 0.75])
-    assert stored_entropy(d, CompressionMap.constant(2)).value == 0.0
+    assert stored_entropy(d, CompressionMap.constant(2)) == 0.0
 
 
 def test_stored_entropy_pairwise_merge():
     d = DiscreteDistribution([0.25, 0.25, 0.25, 0.25])
-    merged = stored_entropy(d, CompressionMap((0, 0, 1, 1))).value
+    merged = stored_entropy(d, CompressionMap((0, 0, 1, 1)))
     assert merged == pytest.approx(LN2, abs=1e-12)
+
+
+def test_pushforward_builds_only_the_rows_it_keeps():
+    tracemalloc.start()  # a (K, K) identity for K = 40,001 would be 12.8 GB
+    try:
+        stats = CompressionMap((0, 40000)).pushforward(np.array([0.25, 0.75]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert stats.shape == (40001,) and (stats[0], stats[40000], stats.sum()) == (0.25, 0.75, 1.0)
 
 
 def test_stored_entropy_incomplete_mapping():
@@ -291,7 +313,7 @@ def test_noiseless_round_ledger():
     assert ledger.budget_spent == pytest.approx(2 * LN2, abs=1e-12)
     assert efficiency(ledger) == pytest.approx(0.5, abs=1e-12)
     assert summary.posterior_entropy == pytest.approx(0.0, abs=1e-12)
-    assert cumulative_information(ledger).value == pytest.approx(LN2, abs=1e-12)
+    assert cumulative_information(ledger) == pytest.approx(LN2, abs=1e-12)
 
 
 def test_noiseless_round_with_dissipation():
@@ -307,7 +329,7 @@ def test_zero_budget_gives_empty_ledger():
     ledger, summary = run_episode(env, RoundRobin(), CostModel(), 0.0, ExpectedMode())
     assert ledger.rounds_completed == 0
     assert summary.status == "budget_exhausted_immediately"
-    assert cumulative_information(ledger).value == 0.0
+    assert cumulative_information(ledger) == 0.0
     with pytest.raises(NoWorkSpent):
         efficiency(ledger)
 
@@ -724,7 +746,7 @@ def test_bounds_hold_across_random_episodes():
         total_floor = sum(r.info_gain + r.stored_entropy for r in ledger.records)
         assert ledger.budget_spent >= total_floor - 1e-10
         if ledger.budget_spent > 0 and total_floor > 0:
-            cum = cumulative_information(ledger).value
+            cum = cumulative_information(ledger)
             assert efficiency(ledger) <= cum / total_floor + 1e-10
             assert cum / total_floor <= 1.0 + 1e-10
 

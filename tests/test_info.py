@@ -7,14 +7,18 @@ from hypothesis import strategies as st
 
 from thermosci import (
     DiscreteDistribution,
-    InfoQuantity,
+    EnvironmentModel,
+    FixedSequence,
     LikelihoodModel,
-    Units,
+    WorkLedger,
+    cumulative_information,
     entropy,
     expected_information_gain,
     mutual_information_of_joint,
     posterior_update,
     predictive_outcome_dist,
+    run_episode,
+    stored_entropy,
 )
 from thermosci.errors import (
     DimensionMismatch,
@@ -69,35 +73,35 @@ class TestLikelihoodModel:
             LikelihoodModel([[0.5, 0.5]])
 
 
-class TestInfoQuantity:
-    def test_unit_round_trip_is_exact_scaling(self):
-        q = InfoQuantity(LN2)
-        assert q.to_bits().value == pytest.approx(1.0, abs=1e-15)
-        assert q.to_bits().to_nats().value == pytest.approx(LN2, abs=1e-15)
-        assert q.to(Units.NATS) is q
-
-    def test_float_coercion(self):
-        assert float(InfoQuantity(0.25)) == 0.25
-
-
 # ---------------------------------------------------------------------------
 # entropy
 
 
 def test_entropy_uniform_binary():
-    assert entropy(DiscreteDistribution.uniform(2)).value == pytest.approx(LN2, abs=1e-12)
-    assert entropy(DiscreteDistribution.uniform(2)).value == pytest.approx(0.693147, abs=1e-6)
+    assert entropy(DiscreteDistribution.uniform(2)) == pytest.approx(LN2, abs=1e-12)
+    assert entropy(DiscreteDistribution.uniform(2)) == pytest.approx(0.693147, abs=1e-6)
 
 
 def test_entropy_point_mass_is_zero():
-    assert entropy(DiscreteDistribution([1.0, 0.0])).value == 0.0
+    assert entropy(DiscreteDistribution([1.0, 0.0])) == 0.0
 
 
 def test_entropy_quarter_three_quarters():
     expected = -(0.25 * math.log(0.25) + 0.75 * math.log(0.75))
-    got = entropy(DiscreteDistribution([0.25, 0.75])).value
+    got = entropy(DiscreteDistribution([0.25, 0.75]))
     assert got == pytest.approx(expected, abs=1e-12)
     assert got == pytest.approx(0.562335, abs=1e-6)
+
+
+def test_information_values_are_plain_floats():
+    d = DiscreteDistribution([0.25, 0.75])
+    lik = LikelihoodModel([[[0.9, 0.1], [0.2, 0.8]]])
+    ledger, _ = run_episode(EnvironmentModel(d, lik), FixedSequence((0,)), budget=10.0)
+    values = [entropy(d), expected_information_gain(d, lik, 0),
+              mutual_information_of_joint([[0.4, 0.1], [0.1, 0.4]]),
+              mutual_information_of_joint([[0.5, 0.5]]), stored_entropy(d),
+              cumulative_information(ledger), cumulative_information(WorkLedger((), 1.0, 0.0))]
+    assert [type(v) for v in values] == [float] * len(values)
 
 
 # ---------------------------------------------------------------------------
@@ -175,20 +179,20 @@ def test_predictive_dimension_mismatch():
 
 def test_noiseless_gain_is_ln2():
     env = noiseless_binary_env()
-    gain = expected_information_gain(env.prior, env.likelihood, 0).value
+    gain = expected_information_gain(env.prior, env.likelihood, 0)
     assert gain == pytest.approx(LN2, abs=1e-12)
 
 
 def test_constant_likelihood_gain_is_zero():
     lik = LikelihoodModel([[[0.3, 0.7], [0.3, 0.7]]])
-    gain = expected_information_gain(DiscreteDistribution([0.4, 0.6]), lik, 0).value
+    gain = expected_information_gain(DiscreteDistribution([0.4, 0.6]), lik, 0)
     assert gain == pytest.approx(0.0, abs=1e-12)
 
 
 def test_binary_symmetric_channel_gain():
     env = bsc_env(0.25)
     expected = LN2 - binary_entropy(0.25)
-    gain = expected_information_gain(env.prior, env.likelihood, 0).value
+    gain = expected_information_gain(env.prior, env.likelihood, 0)
     assert gain == pytest.approx(expected, abs=1e-10)
     assert gain == pytest.approx(0.130812, abs=1e-6)
 
@@ -199,18 +203,17 @@ def test_binary_symmetric_channel_gain():
 
 def test_product_joint_independent():
     joint = np.outer([0.3, 0.7], [0.2, 0.5, 0.3])
-    assert mutual_information_of_joint(joint).value == pytest.approx(0.0, abs=1e-12)
+    assert mutual_information_of_joint(joint) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_diagonal_joint_perfect_correlation():
-    assert mutual_information_of_joint([[0.5, 0.0], [0.0, 0.5]]).value == pytest.approx(
-        LN2, abs=1e-12)
+    assert mutual_information_of_joint([[0.5, 0.0], [0.0, 0.5]]) == pytest.approx(LN2, abs=1e-12)
 
 
 def test_half_indicator_joint():
     # four equally likely states, indicator of the upper half
     joint = np.array([[0.25, 0.0], [0.25, 0.0], [0.0, 0.25], [0.0, 0.25]])
-    mi = mutual_information_of_joint(joint).value
+    mi = mutual_information_of_joint(joint)
     assert mi == pytest.approx(LN2, abs=1e-12)
     assert mi == pytest.approx(math.log(4.0) - math.log(2.0), abs=1e-12)
 
@@ -238,7 +241,7 @@ def dist_from_weights(w) -> DiscreteDistribution:
 @settings(max_examples=200, deadline=None)
 def test_uniform_maximizes_entropy(w):
     d = dist_from_weights(w)
-    assert entropy(d).value <= math.log(len(d)) + 1e-12
+    assert entropy(d) <= math.log(len(d)) + 1e-12
 
 
 @given(weights, st.data())
@@ -252,8 +255,8 @@ def test_gain_bounded_by_belief_entropy(w, data):
     table = np.asarray(rows, dtype=float)
     table = table / table.sum(axis=1, keepdims=True)
     lik = LikelihoodModel(table[None, :, :])
-    gain = expected_information_gain(belief, lik, 0).value
-    assert gain <= entropy(belief).value + 1e-12
+    gain = expected_information_gain(belief, lik, 0)
+    assert gain <= entropy(belief) + 1e-12
     # independent posterior-side recomputation
     pred = belief.probs @ table
     expected_post = sum(
@@ -292,7 +295,7 @@ def test_mutual_information_symmetric_under_transpose(rows, cols, data):
                       .filter(lambda w: sum(w) > 1e-6))
     joint = np.asarray(cells, dtype=float).reshape(rows, cols)
     joint = joint / joint.sum()
-    a = mutual_information_of_joint(joint).value
-    b = mutual_information_of_joint(joint.T).value
+    a = mutual_information_of_joint(joint)
+    b = mutual_information_of_joint(joint.T)
     assert a == pytest.approx(b, abs=1e-12)
     assert a >= 0.0

@@ -272,7 +272,7 @@ def test_disjoint_halves_joint():
     h_gen = math.log(4.0)
     gap = partition_entropy_gap(h_gen, h_fed(part))
     assert gap == pytest.approx(LN2, abs=1e-12)
-    assert gap == pytest.approx(mutual_information_of_joint(HALVES_JOINT).value, abs=1e-10)
+    assert gap == pytest.approx(mutual_information_of_joint(HALVES_JOINT), abs=1e-10)
 
 
 def test_joint_zero_mass_column_needs_zero_budget():

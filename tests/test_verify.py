@@ -1,6 +1,5 @@
 import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -112,8 +111,7 @@ def test_check_names_and_order_are_pinned():
 
 
 def _zero_gain(monkeypatch):
-    monkeypatch.setattr(verify, "expected_information_gain",
-                        lambda belief, likelihood, u: SimpleNamespace(value=0.0))
+    monkeypatch.setattr(verify, "expected_information_gain", lambda belief, likelihood, u: 0.0)
 
 
 def _inflated_efficiency(monkeypatch):
