@@ -31,9 +31,7 @@ from .cycle_sim import (
     WorkLedger,
     cumulative_information,
     efficiency,
-    round_work_lower_bound,
     run_episode,
-    stored_entropy,
 )
 from .info_core import (
     DiscreteDistribution,

@@ -112,15 +112,6 @@ class BudgetScenario:
                 raise InvalidParameter(f"mass-weighted subdomain budgets subdomains[*].beta_w "
                                        f"give {weighted!r}, not beta_w {self.beta_w!r}")
 
-    def to_json_dict(self) -> dict:
-        d = {"h0": self.h0, "beta_w": self.beta_w, "sum_hy": self.sum_hy, "subdomains": None}
-        if self.subdomains is not None:
-            d["subdomains"] = [
-                {"p": s.p, "h": s.h, "beta_w": s.beta_w, "sum_hy": s.sum_hy}
-                for s in self.subdomains
-            ]
-        return d
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "BudgetScenario":
         def finite(d: dict, path: str, *keys: str) -> list[float]:
@@ -247,12 +238,15 @@ class BoundCheck:
         object.__setattr__(self, "limit", float(self.limit))
 
 
-def bound_report(ledger, h0: float | None = None) -> list[BoundCheck]:
+def bound_report(ledger, h0: float | None = None,
+                 scenario: BudgetScenario | None = None) -> list[BoundCheck]:
     """Check a ledger against every applicable work/information bound.
 
     Covers the per-round work floor, the cumulative work floor, the
     efficiency cap, and (when ``h0`` is given) the budget-information cap,
-    each within ``_CONSISTENCY_TOL``.
+    each within ``_CONSISTENCY_TOL``. A ``scenario`` adds its own information
+    cap and, when its budget and the ledger's spent work are positive, its
+    efficiency cap.
     """
     checks: list[BoundCheck] = []
     records = ledger.records
@@ -289,5 +283,14 @@ def bound_report(ledger, h0: float | None = None) -> list[BoundCheck]:
         cap = unpartitioned_info_cap(scenario_from_ledger(ledger, h0))
         checks.append(BoundCheck("info_cap", total_info <= cap + _CONSISTENCY_TOL,
                                  total_info, cap))
+
+    if scenario is not None:
+        cap = unpartitioned_info_cap(scenario)
+        checks.append(BoundCheck("scenario_info_cap", total_info <= cap + _CONSISTENCY_TOL,
+                                 total_info, cap))
+        if scenario.beta_w > 0.0 and ledger.budget_spent > 0.0:
+            eta = total_info / ledger.budget_spent
+            cap = unpartitioned_eta_cap(scenario)
+            checks.append(BoundCheck("scenario_eta_cap", eta <= cap + _CONSISTENCY_TOL, eta, cap))
 
     return checks

@@ -163,14 +163,6 @@ class CompressionMap:
                                         f"got {m!r}")
         object.__setattr__(self, "mapping", tuple(int(m) for m in self.mapping))
 
-    @classmethod
-    def identity(cls, n_outcomes: int) -> "CompressionMap":
-        return cls(tuple(range(n_outcomes)))
-
-    @classmethod
-    def constant(cls, n_outcomes: int) -> "CompressionMap":
-        return cls((0,) * n_outcomes)
-
     def pushforward(self, outcome_probs: np.ndarray) -> np.ndarray:
         """Statistic probabilities of outcome probabilities; leading batch axes are kept."""
         n_outcomes = outcome_probs.shape[-1]
@@ -181,18 +173,6 @@ class CompressionMap:
         kept = np.zeros((n_outcomes, max(self.mapping) + 1))  # the rows of an identity matrix
         kept[np.arange(n_outcomes), self.mapping] = 1.0
         return outcome_probs @ kept
-
-
-def stored_entropy(
-    outcome_dist: DiscreteDistribution, compression: CompressionMap | None = None
-) -> float:
-    """Entropy in nats of the stored record: the pushforward of the outcome distribution.
-
-    With no compression map this is just the outcome entropy.
-    """
-    if compression is None:
-        return _entropy(outcome_dist.probs)
-    return _entropy(compression.pushforward(outcome_dist.probs))
 
 
 # ---------------------------------------------------------------------------
@@ -381,20 +361,20 @@ class WorkLedger:
 
     def to_json_dict(self, units: Units | str = Units.NATS) -> dict:
         units = Units(units)
-        scale = 1.0 if units == Units.NATS else 1.0 / LN2
+        nats_per_unit = 1.0 if units == Units.NATS else LN2  # divided by: one rounding
         recs = [{"round": r.round_index, "intervention": r.intervention,
-                 **{name: getattr(r, name) * scale for name in _RECORD_FLOATS}}
+                 **{name: getattr(r, name) / nats_per_unit for name in _RECORD_FLOATS}}
                 for r in self.records]
         return {
             "units": units.value,
-            "budget_total": self.budget_total * scale,
-            "budget_spent": self.budget_spent * scale,
+            "budget_total": self.budget_total / nats_per_unit,
+            "budget_spent": self.budget_spent / nats_per_unit,
             "rounds": self.rounds_completed,
             "records": recs,
             "totals": {
-                "cumulative_info": sum(r.info_gain for r in self.records) * scale,
-                "work_meas": sum(r.work_meas for r in self.records) * scale,
-                "work_erase": sum(r.work_erase for r in self.records) * scale,
+                "cumulative_info": sum(r.info_gain for r in self.records) / nats_per_unit,
+                "work_meas": sum(r.work_meas for r in self.records) / nats_per_unit,
+                "work_erase": sum(r.work_erase for r in self.records) / nats_per_unit,
             },
         }
 
@@ -455,14 +435,6 @@ def efficiency(ledger: WorkLedger) -> float:
     if floor > 0.0 and eta > total_info / floor + 1e-10:
         raise InvalidLedger(f"efficiency {eta!r} exceeds its work-floor cap")
     return eta
-
-
-def round_work_lower_bound(record: RoundRecord) -> float:
-    """Reversible floor ``info_gain + stored_entropy`` for one round, in nats."""
-    bound = record.info_gain + record.stored_entropy
-    if record.work_meas + record.work_erase < bound - BUDGET_SLACK:
-        raise InvalidLedger(f"round {record.round_index} work below its reversible floor")
-    return bound
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BudgetScenario, SubdomainBudget, _check_at_least, _json_finite, _json_numbers
+from .bounds import BudgetScenario, SubdomainBudget, _check_at_least
 from .errors import (
     IndexOutOfRange,
     InvalidJoint,
@@ -94,39 +94,6 @@ class PartitionSpec:
     def total_budget(self) -> float:
         """Mass-weighted sum of the subdomain budgets."""
         return sum(p * w for p, w in zip(self.masses.probs.tolist(), self.budgets))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "masses": [float(p) for p in self.masses.probs],
-            "conditional_priors": None if self.conditional_priors is None else [
-                [float(v) for v in pr.probs] for pr in self.conditional_priors
-            ],
-            "entropies": list(self.subdomain_entropies),
-            "budgets": list(self.budgets),
-        }
-
-    @classmethod
-    @np.errstate(over="ignore")  # the normaliser names an overflowing sum; numpy need not warn
-    def from_json_dict(cls, data: dict) -> "PartitionSpec":
-        try:
-            masses = DiscreteDistribution(_json_numbers(data["masses"], "masses"), what="masses")
-            priors = data.get("conditional_priors")
-            conditional = None
-            if priors is not None:
-                if not isinstance(priors, list):
-                    raise InvalidParameter(f"conditional_priors must be a list, got {priors!r}")
-                conditional = tuple(
-                    DiscreteDistribution(_json_numbers(p, f"conditional_priors[{i}]"),
-                                         what=f"conditional_priors[{i}]")
-                    for i, p in enumerate(priors))
-            entropies = data.get("entropies")
-            if entropies is not None:
-                entropies = tuple(_json_finite(h, f"entropies[{i}]")
-                                  for i, h in enumerate(entropies))
-            budgets = tuple(_json_finite(b, f"budgets[{i}]") for i, b in enumerate(data["budgets"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InvalidParameter(f"partition JSON does not match schema: {exc}") from exc
-        return cls(masses, budgets, conditional, entropies)
 
 
 def h_fed(part: PartitionSpec) -> float:

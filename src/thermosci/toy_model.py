@@ -90,13 +90,15 @@ def eta_toy(omega: float, c: float, alpha: float) -> float:
         raise NonPositiveOmega(f"omega must be > 0, got {omega!r}")
     if not 0.0 < c <= 1.0:
         raise InvalidParameter(f"c must be in (0, 1], got {c!r}")
-    _check_at_least(0.0, alpha=alpha)
+    if not alpha >= 0.0:  # the plain test first: the message is built only on failure
+        _check_at_least(0.0, alpha=alpha)
     return min(c / omega, 1.0 / (1.0 + alpha))
 
 
 def c_fed(n: float, c_min: float = 0.05, gamma: float = 1.0) -> float:
     """Effective prior-entropy ratio of an N-way federated decomposition."""
-    _check_at_least(1.0, "partition count ", NBelowOne, n=n)
+    if not n >= 1.0:
+        _check_at_least(1.0, "partition count ", NBelowOne, n=n)
     if not 0.0 < c_min <= 1.0:
         raise InvalidParameter("c_min must be in (0, 1]")
     if not gamma > 0.0:
@@ -111,7 +113,8 @@ def crossover_omega(c: float, alpha: float) -> float:
     """Budget at which the prior-limited branch meets the overhead ceiling."""
     if not 0.0 < c <= 1.0:
         raise InvalidParameter(f"c must be in (0, 1], got {c!r}")
-    _check_at_least(0.0, alpha=alpha)
+    if not alpha >= 0.0:
+        _check_at_least(0.0, alpha=alpha)
     return c * (1.0 + alpha)
 
 
@@ -211,10 +214,6 @@ class SweepAxes:
 
     def omega_values(self) -> np.ndarray:
         return np.geomspace(self.omega_min, self.omega_max, self.omega_steps)
-
-    @classmethod
-    def default_cspec(cls, params: ToyParams, steps: int = 100) -> "SweepAxes":
-        return cls(SecondAxis("c_spec", params.c_min, 1.0, steps))
 
     @classmethod
     def default_n(cls, n_max: float = 20.0, steps: int = 100) -> "SweepAxes":

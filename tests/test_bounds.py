@@ -66,11 +66,14 @@ def test_scenario_accepts_its_weighted_budget_summed_in_another_order():
 
 def test_scenario_json_round_trip():
     subs = (SubdomainBudget(0.5, 1.0, 0.4, 0.1), SubdomainBudget(0.5, 1.0, 2.0, 0.5))
-    s = BudgetScenario(2.0, 1.2, 0.3, subs)
-    clone = BudgetScenario.from_json_dict(s.to_json_dict())
-    assert clone == s
-    flat = BudgetScenario(2.0, 1.2, 0.3)
-    assert BudgetScenario.from_json_dict(flat.to_json_dict()) == flat
+    doc = {"h0": 2.0, "beta_w": 1.2, "sum_hy": 0.3,
+           "subdomains": [{"p": 0.5, "h": 1.0, "beta_w": 0.4, "sum_hy": 0.1},
+                          {"p": 0.5, "h": 1.0, "beta_w": 2.0, "sum_hy": 0.5}]}
+    assert BudgetScenario.from_json_dict(doc) == BudgetScenario(2.0, 1.2, 0.3, subs)
+    flat = {"h0": 2.0, "beta_w": 1.2, "sum_hy": 0.3, "subdomains": None}
+    assert BudgetScenario.from_json_dict(flat) == BudgetScenario(2.0, 1.2, 0.3)
+    assert BudgetScenario.from_json_dict({"h0": 2.0, "beta_w": 1.2, "sum_hy": 0.3}) == (
+        BudgetScenario(2.0, 1.2, 0.3))
 
 
 @pytest.mark.parametrize("value, message", [
@@ -291,3 +294,25 @@ def test_bound_report_on_empty_ledger():
     ledger, summary = run_episode(env, RoundRobin(), CostModel(), 0.0, ExpectedMode())
     checks = bound_report(ledger, summary.prior_entropy)
     assert all(c.passed for c in checks)
+
+
+def test_bound_report_adds_the_scenario_caps():
+    ledger, _ = run_episode(noiseless_binary_env(), RoundRobin(), CostModel(), 2 * LN2,
+                            ExpectedMode())
+    subs = (SubdomainBudget(0.5, 0.1, 1.0, 0.0), SubdomainBudget(0.5, 0.1, 1.0, 0.0))
+    scenario = BudgetScenario(LN2, 1.0, 0.0, subs)
+    checks = {c.name: c for c in bound_report(ledger, scenario.h0, scenario)}
+    assert list(checks) == ["round_work_floor", "total_work_floor", "efficiency_cap",
+                            "info_cap", "scenario_info_cap", "scenario_eta_cap"]
+    info = cumulative_information(ledger)
+    assert checks["info_cap"].limit == unpartitioned_info_cap(
+        scenario_from_ledger(ledger, scenario.h0))
+    assert (checks["scenario_info_cap"].observed, checks["scenario_info_cap"].limit) == (
+        info, unpartitioned_info_cap(scenario))
+    assert (checks["scenario_eta_cap"].observed, checks["scenario_eta_cap"].limit) == (
+        info / ledger.budget_spent, unpartitioned_eta_cap(scenario))
+    assert all(c.passed for c in checks.values())
+
+    tight = {c.name: c for c in bound_report(ledger, scenario=BudgetScenario(LN2, 0.5, 0.4))}
+    assert not tight["scenario_info_cap"].passed
+    assert not tight["scenario_eta_cap"].passed

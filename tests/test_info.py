@@ -18,7 +18,6 @@ from thermosci import (
     posterior_update,
     predictive_outcome_dist,
     run_episode,
-    stored_entropy,
 )
 from thermosci.errors import (
     DimensionMismatch,
@@ -99,7 +98,7 @@ def test_information_values_are_plain_floats():
     ledger, _ = run_episode(EnvironmentModel(d, lik), FixedSequence((0,)), budget=10.0)
     values = [entropy(d), expected_information_gain(d, lik, 0),
               mutual_information_of_joint([[0.4, 0.1], [0.1, 0.4]]),
-              mutual_information_of_joint([[0.5, 0.5]]), stored_entropy(d),
+              mutual_information_of_joint([[0.5, 0.5]]),
               cumulative_information(ledger), cumulative_information(WorkLedger((), 1.0, 0.0))]
     assert [type(v) for v in values] == [float] * len(values)
 

@@ -1,12 +1,11 @@
 """Loader fuzz gate: one leaf of a valid document changed at a time.
 
 For the env (``simulate --env``), ledger (``verify --ledger``) and scenario
-(``verify --scenario``) files, and for ``PartitionSpec.from_json_dict``
-in-process, no traceback may escape; an exit of 2 must name the changed
-leaf's path; NaN, +-Infinity, strings and ``10**400`` must exit 2. One string
-is the leaf's own value written as a JSON string, such as ``"0.5"``: unlike
-``"5"``, it keeps a probability vector's sum at one. A check
-across entries, such as a sum over records, names the path with ``[*]`` for
+(``verify --scenario``) files, no traceback may escape; an exit of 2 must name
+the changed leaf's path; NaN, +-Infinity, strings and ``10**400`` must exit 2.
+One string is the leaf's own value written as a JSON string, such as ``"0.5"``:
+unlike ``"5"``, it keeps a probability vector's sum at one. A check across
+entries, such as a sum over records, names the path with ``[*]`` for
 the index. The grid CSV (``contour --grid``) gets one cell or line edit at a
 time instead: it must read as a ``SweepGrid`` or raise ``MalformedGrid``,
 with no warning.
@@ -25,8 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from thermosci.cli import main
-from thermosci.errors import MalformedGrid, ThermosciError
-from thermosci.strategies import PartitionSpec
+from thermosci.errors import MalformedGrid
 from thermosci.toy_model import (
     Pair,
     SecondAxis,
@@ -49,10 +47,6 @@ ENV = asym_binary_env().to_json_dict()
 SCENARIO = {"h0": 0.69, "beta_w": 3.0, "sum_hy": 1.0,
             "subdomains": [{"p": 0.5, "h": 0.1, "beta_w": 3.0, "sum_hy": 0.5},
                            {"p": 0.5, "h": 0.1, "beta_w": 3.0, "sum_hy": 0.5}]}
-PARTITIONS = ({"masses": [0.5, 0.5], "conditional_priors": [[0.5, 0.5], [1.0, 0.0]],
-               "entropies": [math.log(2.0), 0.0], "budgets": [1.0, 2.0]},
-              {"masses": [0.25, 0.75], "conditional_priors": None, "entropies": [0.5, 0.1],
-               "budgets": [1.0, 2.0]})
 
 
 def _leaves(doc, path=""):
@@ -145,21 +139,6 @@ def test_a_changed_leaf_exits_2_by_its_path_or_loads(files, kind):
     check()
 
 
-@pytest.mark.parametrize("base", PARTITIONS, ids=["with-priors", "entropies-only"])
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_a_changed_partition_leaf_raises_by_its_path_or_loads(base, data):
-    path = data.draw(st.sampled_from(list(_leaves(base))))
-    value = data.draw(st.sampled_from(VALUES))
-    doc = json.loads(json.dumps(_changed(base, path, value)))  # as a JSON file gives it
-    try:
-        PartitionSpec.from_json_dict(doc)
-        code, message = 0, ""
-    except ThermosciError as exc:  # any other exception fails the test
-        code, message = 2, str(exc)
-    _check(code, message, path, value)
-
-
 # ---------------------------------------------------------------------------
 # one pinned test per loader the gate caught
 
@@ -211,30 +190,6 @@ def test_scenario_names_the_subdomain_field(files, tmp_path, path, value, messag
                       "--scenario", str(tmp_path / "bad.json")])
     assert code == 2
     assert json.loads(err) == {"error": "InvalidParameter", "message": message}
-
-
-@pytest.mark.parametrize("path, value, message", [
-    ("conditional_priors", 1.5, "conditional_priors must be a list, got 1.5"),
-    ("masses[1]", 10**400, "masses contains non-finite entries"),
-    ("masses[0]", "0.5", "masses[0] must be a number, got '0.5'"),
-    ("conditional_priors[1][0]", True, "conditional_priors[1][0] must be a number, got True"),
-], ids=["priors-not-a-list", "mass-past-the-float-range", "string-mass", "boolean-prior"])
-def test_partition_names_the_field(path, value, message):
-    with pytest.raises(ThermosciError) as info:
-        PartitionSpec.from_json_dict(_changed(PARTITIONS[0], path, value))
-    assert str(info.value) == message
-
-
-@pytest.mark.parametrize("path, message", [
-    ("masses", "masses sums to inf; expected 1 within 1e-09"),
-    ("conditional_priors[0]", "conditional_priors[0] sums to inf; expected 1 within 1e-09"),
-])
-def test_partition_names_an_overflowing_sum_without_a_numpy_warning(path, message):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)  # as under python -W error::RuntimeWarning
-        with pytest.raises(ThermosciError) as info:
-            PartitionSpec.from_json_dict(_changed(PARTITIONS[0], path, [1e308, 1e308]))
-    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -111,49 +110,65 @@ def test_scenario_from_partition_names_nan_sum_hy_entry():
         scenario_from_partition(part, LN2, (0.1, math.nan))
 
 
-@pytest.mark.parametrize("data, message", [
-    ({"masses": [0.5, math.nan], "entropies": [0.1, 0.2]},
-     "masses contains non-finite entries"),
-    ({"masses": [0.5, 0.5], "conditional_priors": [[0.5, 0.5], [0.7, 0.2]]},
-     "conditional_priors[1] sums to 0.8999999999999999; expected 1 within 1e-09"),
-], ids=["masses", "conditional_priors"])
-def test_partition_json_names_the_bad_probability_field(data, message):
-    with pytest.raises(InvalidDistribution) as info:
-        PartitionSpec.from_json_dict({**data, "budgets": [1.0, 1.0]})
-    assert str(info.value) == message
-
-
-@pytest.mark.parametrize("text, message", [
-    ('"entropies": [0.1, 0.2], "budgets": [1.0, Infinity]', "budgets[1] must be finite, got inf"),
-    ('"entropies": [0.1, Infinity], "budgets": [1.0, 1.0]',
-     "entropies[1] must be finite, got inf"),
-    ('"entropies": ["x", 0.2], "budgets": [1.0, 1.0]', "entropies[0] must be finite, got 'x'"),
-], ids=["infinite-budget", "infinite-entropy", "string-entropy"])
-def test_partition_json_names_a_non_finite_entry(text, message):
-    data = json.loads('{"masses": [0.5, 0.5], ' + text + "}")
-    with pytest.raises(InvalidParameter) as info:
-        PartitionSpec.from_json_dict(data)
-    assert str(info.value) == message
-
-
 def test_infinite_budget_stays_valid():
     assert generalist_partition(HALVES, math.inf).total_budget == math.inf
 
 
-def test_partition_json_round_trip():
-    priors = (DiscreteDistribution([0.5, 0.5]), DiscreteDistribution([0.25, 0.75]))
-    spec = PartitionSpec(DiscreteDistribution([0.4, 0.6]), (1.0, 2.0),
-                         conditional_priors=priors)
-    clone = PartitionSpec.from_json_dict(spec.to_json_dict())
-    assert np.allclose(clone.masses.probs, spec.masses.probs)
-    assert clone.budgets == spec.budgets
-    assert clone.subdomain_entropies == pytest.approx(spec.subdomain_entropies, abs=1e-12)
+@pytest.mark.parametrize("kwargs, message", [
+    ({"budgets": (1.0,), "subdomain_entropies": (0.1, 0.2)}, "1 budgets for 2 subdomains"),
+    ({"budgets": (1.0, -0.5), "subdomain_entropies": (0.1, 0.2)},
+     "budgets[1] must be >= 0, got -0.5"),
+    ({"budgets": (1.0, 1.0), "conditional_priors": (HALVES,)},
+     "1 conditional priors for 2 subdomains"),
+    ({"budgets": (1.0, 1.0), "subdomain_entropies": (0.1,)}, "1 entropies for 2 subdomains"),
+    ({"budgets": (1.0, 1.0), "subdomain_entropies": (0.1, -0.2)},
+     "subdomain_entropies[1] must be >= 0, got -0.2"),
+    ({"budgets": (1.0, 1.0), "conditional_priors": (HALVES, HALVES),
+      "subdomain_entropies": (LN2,)},
+     "supplied subdomain entropies disagree with conditional priors"),
+], ids=["budgets-count", "negative-budget", "priors-count", "entropies-count",
+        "negative-entropy", "supplied-entropies-count"])
+def test_partition_spec_names_the_bad_argument(kwargs, message):
+    with pytest.raises(InvalidParameter) as info:
+        PartitionSpec(HALVES, **kwargs)
+    assert str(info.value) == message
 
-    bare = PartitionSpec(DiscreteDistribution([0.4, 0.6]), (1.0, 2.0),
-                         subdomain_entropies=(0.3, 0.9))
-    clone = PartitionSpec.from_json_dict(bare.to_json_dict())
-    assert clone.conditional_priors is None
-    assert clone.subdomain_entropies == pytest.approx((0.3, 0.9), abs=1e-15)
+
+def test_zero_mass_subdomain_message_names_it():
+    with pytest.raises(ZeroMassSubdomain) as info:
+        PartitionSpec(DiscreteDistribution([1.0, 0.0]), (1.0, 0.5),
+                      subdomain_entropies=(0.1, 0.2))
+    assert str(info.value) == "subdomain 1 has zero mass but positive budget 0.5"
+
+
+def test_zero_mass_subdomain_with_zero_budget_accepted():
+    spec = PartitionSpec(DiscreteDistribution([1.0, 0.0]), [2, 0],
+                         subdomain_entropies=[0.3, 0])
+    assert spec.budgets == (2.0, 0.0)
+    assert spec.subdomain_entropies == (0.3, 0.0)
+    assert spec.total_budget == 2.0
+
+
+def test_partition_spec_stores_tuples_of_floats():
+    priors = [HALVES, DiscreteDistribution([1.0, 0.0])]
+    spec = PartitionSpec(HALVES, [1, 3], conditional_priors=priors)
+    assert spec.budgets == (1.0, 3.0)
+    assert all(type(b) is float for b in spec.budgets)
+    assert spec.conditional_priors == tuple(priors)
+    assert spec.subdomain_entropies == pytest.approx((LN2, 0.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("values, what, message", [
+    ([0.5, math.nan], "masses", "masses contains non-finite entries"),
+    ([0.7, 0.2], "conditional_priors[1]",
+     "conditional_priors[1] sums to 0.8999999999999999; expected 1 within 1e-09"),
+    ([1.5, -0.5], "masses", "masses has negative entries"),
+    ([[0.5, 0.5]], "masses", "masses must be a non-empty 1-D vector, got shape (1, 2)"),
+], ids=["masses", "conditional_priors", "negative-masses", "masses-shape"])
+def test_partition_distribution_names_the_bad_probability_field(values, what, message):
+    with pytest.raises(InvalidDistribution) as info:
+        DiscreteDistribution(values, what=what)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

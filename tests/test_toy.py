@@ -216,7 +216,7 @@ def test_pair_axis_mismatch_rejected():
     with pytest.raises(InvalidParameter):
         sweep(Pair.SPEC_GEN, params, SweepAxes.default_n())
     with pytest.raises(InvalidParameter):
-        sweep(Pair.FED_GEN, params, SweepAxes.default_cspec(params))
+        sweep(Pair.FED_GEN, params, SweepAxes(SecondAxis("c_spec", params.c_min, 1.0, 100)))
 
 
 def test_symmetric_fed_gen_grid_nonpositive():
@@ -228,7 +228,7 @@ def test_symmetric_fed_gen_grid_nonpositive():
 
 def test_asymmetric_spec_gen_positive_band_at_low_budget():
     params = ToyParams.asymmetric()
-    grid = sweep(Pair.SPEC_GEN, params, SweepAxes.default_cspec(params))
+    grid = sweep(Pair.SPEC_GEN, params, SweepAxes(SecondAxis("c_spec", params.c_min, 1.0, 100)))
     band = 1.0 / (1.0 + params.alpha_spec) - 1.0 / (1.0 + params.alpha_gen)
     assert np.allclose(grid.delta[:, 0], band, atol=1e-12)
 
