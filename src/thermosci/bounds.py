@@ -140,10 +140,10 @@ def unpartitioned_eta_cap(s: BudgetScenario) -> float:
     return max(0.0, min(s.h0 / s.beta_w, 1.0 - s.sum_hy / s.beta_w))
 
 
-def per_subdomain_cap(p: float, h: float, beta_w: float, sum_hy: float) -> float:
+def per_subdomain_cap(h: float, beta_w: float, sum_hy: float) -> float:
     """Information cap for one subdomain's budgeted cycle."""
-    if not (p >= 0.0 and h >= 0.0 and beta_w >= 0.0 and sum_hy >= 0.0):
-        _check_at_least(0.0, "subdomain ", p=p, h=h, beta_w=beta_w, sum_hy=sum_hy)
+    if not (h >= 0.0 and beta_w >= 0.0 and sum_hy >= 0.0):
+        _check_at_least(0.0, "subdomain ", h=h, beta_w=beta_w, sum_hy=sum_hy)
     return max(0.0, min(h, beta_w - sum_hy))
 
 
@@ -151,7 +151,7 @@ def federated_info_cap(s: BudgetScenario) -> float:
     """Mass-weighted sum of the per-subdomain information caps."""
     if s.subdomains is None:
         raise MissingPartition("federated cap requires subdomain data")
-    return sum(sub.p * per_subdomain_cap(sub.p, sub.h, sub.beta_w, sub.sum_hy)
+    return sum(sub.p * per_subdomain_cap(sub.h, sub.beta_w, sub.sum_hy)
                for sub in s.subdomains)
 
 

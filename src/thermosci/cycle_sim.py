@@ -66,7 +66,9 @@ DEFAULT_NODE_CAP = 1_000_000
 #: frontier grows a row a round, so rounds cost O(R^2); 2,000 RoundRobin rounds on the
 #: README environment take 0.66-1.26 s in-process on a 2-core VM (README gives the method)
 DEFAULT_ROUND_CAP = 2_000
-#: most trials a sampled run takes: at about 300 bytes per trial, 10**7 is about 3 GB
+#: most trials a sampled run takes. It does not bound memory: a trial's traced peak grows
+#: with the state count S, about 250 + 56 * S bytes at 4 outcomes (README gives the method),
+#: so 10**7 trials take about 3.6 GB at S = 2 and 11 GB at S = 16
 MAX_TRIALS = 10**7
 
 
@@ -538,9 +540,9 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
     h_prior = _entropy(env.prior.probs)
     sampled = isinstance(mode, SampledMode)
     # Walkers: in sampled mode one per trial on one frontier row, held in arrays; in
-    # expected mode one, the whole tree with its rows weighted by mass, held in floats.
-    # Only expected mode merges rows: sampled rows stay keyed by ordered history, as a
-    # merged row's belief would come from another order of updates.
+    # expected mode one, the whole tree, held in floats. Only expected mode merges rows:
+    # sampled rows stay keyed by ordered history, as a merged row's belief would come from
+    # another order of updates.
     n = mode.trials if sampled else 1
     frontier = _Frontier(env, policy, sampled, math.inf if sampled else node_cap)
     live = np.arange(n)  # running walkers
@@ -552,14 +554,11 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
                                 side="right")
         n_states, cdf_cols = env.n_states, _cdf(table).reshape(-1, env.n_outcomes).T[:-1].copy()
         node = np.zeros(n, dtype=np.intp)  # frontier row of each running trial
-    masses = np.ones(1)
-
-    def per_walker(v):  # each running walker's value of a per-row quantity
-        return v[node] if sampled else (masses @ v[:, None]).item()  # same bits as masses @ v
-
+    # Each frontier row's weight: its running trials in sampled mode, its mass in expected
+    # mode. Every ledger value is a weighted row sum over n in numpy's pairwise order, the
+    # same bits under any BLAS build or thread count; n is 1 in expected mode.
+    weights = np.full(1, float(n))
     spent, cum = (np.zeros(n), np.zeros(n)) if sampled else (0.0, 0.0)  # work, gain per walker
-    # Sampled sums run over rows, each row's value times its trial count, in numpy's pairwise
-    # ``sum``: a BLAS product's rounding may vary by build and thread count.
     stopped, h_rows = 0.0, np.full(1, h_prior)  # stopped trials' summed entropy; each row's
     reasons: set[str] = set()
     records: list[RoundRecord] = []
@@ -570,18 +569,17 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
         hs = hy
         if compression is not None:  # (1, Y) products per row; one 2-D product rounds apart
             hs = _entropies(compression.pushforward(pred[:, None]))[:, 0]
-        if not sampled:  # uncompressed, hs is hy: one product serves both
-            info, hs = per_walker(info), per_walker(hs)
-            hy = hs if compression is None else per_walker(hy)
         work_meas = cost.kappa_meas * (info + cost.delta_f_mem)
         work_erase = cost.kappa_erase * hs
-        sums = (info, hy, hs, work_meas, work_erase)  # per row in sampled mode, else per walker
-        gain, round_cost = info, work_meas + work_erase
-        if sampled:
-            gain, round_cost = gain[node], round_cost[node]
+        columns = (info, hy, hs, work_meas, work_erase)  # the record's, each by row
+        sums = (np.add.reduce(np.array(columns) * weights, axis=-1) / n).tolist()
+        # a trial pays its own row's cost; the tree pays its record's
+        gain, round_cost = ((info[node], (work_meas + work_erase)[node]) if sampled
+                            else (sums[0], sums[3] + sums[4]))
         run = (round_cost > ZERO_ROUND_TOL) & (round_cost <= budget - spent + BUDGET_SLACK)
         if us.min() < 0 or not (run.all() if sampled else run):  # only then find out why
-            exhausted = per_walker(us < 0) > 0  # a tree stops whole when a branch runs out
+            # a tree stops whole when a branch of nonzero mass runs out
+            exhausted = (us < 0)[node] if sampled else weights[us < 0].any()
             exhausted, run, round_cost = np.atleast_1d(exhausted, run, round_cost)
             degenerate = ~exhausted & (round_cost <= ZERO_ROUND_TOL)
             run &= ~exhausted
@@ -596,11 +594,11 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
             stopped += (h_rows * np.bincount(node[~run], minlength=h_rows.size)).sum()
             node, theta = node[run], theta[run]
             gain, round_cost, spent = gain[run], round_cost[run], spent[run]
+            weights = np.bincount(node, minlength=weights.size)  # the record's trials run
+            sums = (np.add.reduce(np.array(columns) * weights, axis=-1) / n).tolist()
         spent += round_cost
         if sampled:
             cum[live] += gain
-            counts = np.bincount(node, minlength=len(frontier.beliefs))
-            sums = ((np.array(sums) * counts).sum(axis=1) / n).tolist()
             draw, row = _streams.uniforms(mode.seed, t + 1, live), us[node] * n_states + theta
             parent, y = node, sum(col[row] <= draw for col in cdf_cols)  # one 1-D gather each
             if not (pred[node, y] > 0.0).all():
@@ -611,12 +609,9 @@ def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
         used = us[parent]
         u_rec = int(used[0]) if (used == used[0]).all() else None
         node = frontier.advance(us, pred, parent, y)  # the row of each trial, or of each branch
-        if sampled:
-            h_rows = _entropies(frontier.beliefs)
-            h_after = (stopped + (h_rows * np.bincount(node)).sum()) / n
-        else:  # no per-row array outlives the round of an expected tree
-            masses = np.bincount(node, weights=masses[parent] * pred[parent, y])
-            h_after = per_walker(_entropies(frontier.beliefs))
+        weights = np.bincount(node, None if sampled else weights[parent] * pred[parent, y])
+        h_rows = _entropies(frontier.beliefs)
+        h_after = (stopped + np.add.reduce(h_rows * weights)) / n
         records.append(RoundRecord(t, u_rec, *sums, h_after))
         t += 1
     if live.size:
@@ -665,9 +660,12 @@ def run_episode(
     per outcome-count vector under a history-free policy (``FixedSequence``,
     ``RoundRobin``, ``GreedyInfoMax``), one per ordered history otherwise.
     Sampled mode never merges: a merged row's belief would come from another
-    order of updates, which can flip a greedy near-tie. Its ledger sums run
-    over frontier rows, within about 1e-15 of the sums over trials. The seed
-    fixes each trial's counter-based draws, whatever the trial count.
+    order of updates, which can flip a greedy near-tie. In either mode every
+    ledger value is a weighted row sum over the frontier, in numpy's pairwise
+    order: rows weigh their trial counts, or their branch masses, so no value
+    depends on the BLAS thread count. Sampled sums lie within about 1e-15 of
+    the sums over trials. The seed fixes each trial's counter-based draws,
+    whatever the trial count.
     """
     cost = cost if cost is not None else CostModel()
     mode = mode if mode is not None else ExpectedMode()

@@ -120,9 +120,9 @@ def test_eta_cap_zero_budget():
 
 
 def test_per_subdomain_cap_values():
-    assert per_subdomain_cap(0.5, 1.0, 5.0, 1.0) == 1.0
-    assert per_subdomain_cap(0.5, 1.0, 0.0, 0.0) == 0.0
-    assert per_subdomain_cap(0.5, 0.0, 5.0, 0.0) == 0.0
+    assert per_subdomain_cap(1.0, 5.0, 1.0) == 1.0
+    assert per_subdomain_cap(1.0, 0.0, 0.0) == 0.0
+    assert per_subdomain_cap(0.0, 5.0, 0.0) == 0.0
 
 
 def test_federated_info_cap_weighted_mean():
@@ -134,7 +134,7 @@ def test_federated_info_cap_weighted_mean():
 def test_federated_info_cap_degenerate_mass():
     subs = (SubdomainBudget(1.0, 1.5, 2.0, 0.5), SubdomainBudget(0.0, 3.0, 0.0, 0.0))
     s = BudgetScenario(2.0, 2.0, 0.5, subs)
-    assert federated_info_cap(s) == pytest.approx(per_subdomain_cap(1.0, 1.5, 2.0, 0.5))
+    assert federated_info_cap(s) == pytest.approx(per_subdomain_cap(1.5, 2.0, 0.5))
 
 
 def test_federated_info_cap_hand_value():
@@ -217,8 +217,7 @@ def test_regime_classification():
 @pytest.mark.parametrize("build, field", [
     (lambda: regime_classify(math.nan, 1.0), "beta_w"),
     (lambda: regime_classify(1.0, math.nan), "h"),
-    (lambda: per_subdomain_cap(math.nan, 1.0, 1.0, 0.0), "p"),
-    (lambda: per_subdomain_cap(0.5, 1.0, 1.0, math.nan), "sum_hy"),
+    (lambda: per_subdomain_cap(1.0, 1.0, math.nan), "sum_hy"),
     (lambda: SubdomainBudget(1.0, 1.0, math.nan, 0.0), "beta_w"),
     (lambda: BudgetScenario(math.nan, 1.0, 0.0), "h0"),
     (lambda: BudgetScenario(1.0, 1.0, math.nan), "sum_hy"),
@@ -230,7 +229,7 @@ def test_nan_inputs_are_rejected_by_name(build, field):
 
 def test_infinite_inputs_stay_valid():
     assert regime_classify(math.inf, 1.0).regime is Regime.PRIOR_LIMITED
-    assert per_subdomain_cap(1.0, 1.0, math.inf, 0.0) == 1.0
+    assert per_subdomain_cap(1.0, math.inf, 0.0) == 1.0
     assert unpartitioned_info_cap(BudgetScenario(1.0, math.inf, 0.0)) == 1.0
 
 

@@ -563,6 +563,53 @@ def test_sampled_mode_is_deterministic():
     assert digests[0] == digests[1] == _seeded_sampled_digests()
 
 
+def _thread_env_json() -> str:
+    # a seeded 16x8x4 environment: 8 expected rounds reach thousands of frontier rows, where
+    # a BLAS product of the branch masses rounds by how OpenBLAS splits it over threads
+    rng = np.random.default_rng(0)
+    return json.dumps({"prior": rng.dirichlet(np.ones(16)).tolist(), "interventions": 8,
+                       "likelihood": rng.dirichlet(np.ones(4), size=(8, 16)).tolist()})
+
+
+def _under_blas_threads(args: list[str], threads: str) -> str:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("policy", ["roundrobin", "greedy", "random"])
+def test_expected_ledgers_do_not_depend_on_the_blas_thread_count(tmp_path, policy):
+    # every ledger value is a weighted row sum in numpy's pairwise order, whatever the threads
+    env = tmp_path / "env.json"
+    env.write_text(_thread_env_json())
+    ledgers = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"{policy}-{threads}.json"
+        _under_blas_threads(["-m", "thermosci.cli", "simulate", "--env", str(env), "--policy",
+                             policy, "--budget", "1e6", "--max-rounds", "8", "--out", str(out)],
+                            threads)
+        ledgers.append(out.read_bytes())
+    assert ledgers[0] == ledgers[1]
+
+
+def test_compressed_expected_ledgers_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # with a compression map the stored and outcome entropies are separate columns of the sum
+    env = tmp_path / "env.json"
+    env.write_text(_thread_env_json())
+    script = (
+        "import json, sys\n"
+        "from thermosci import CompressionMap, EnvironmentModel, GreedyInfoMax, run_episode\n"
+        "env = EnvironmentModel.from_json_dict(json.loads(open(sys.argv[1]).read()))\n"
+        "ledger, summary = run_episode(env, GreedyInfoMax(), budget=1e6, max_rounds=8,\n"
+        "                              compression=CompressionMap((0, 0, 1, 1)))\n"
+        "print(repr(ledger), repr(summary))\n")
+    runs = [_under_blas_threads(["-c", script, str(env)], threads) for threads in ("1", "2")]
+    assert runs[0] == runs[1]
+
+
 def test_sampled_mode_tracks_expected_mode():
     env = asym_binary_env()
     _, exp = run_episode(env, RoundRobin(), CostModel(), 1.6, ExpectedMode())

@@ -27,6 +27,7 @@ BAD = ((math.nan, "nan"), (-math.inf, "-inf"), (-1.0, "-1.0"))
 MASSES = DiscreteDistribution([0.2, 0.3, 0.5])
 PARTITION = PartitionSpec(MASSES, (1.0, 2.0, 3.0), subdomain_entropies=(0.1, 0.2, 0.3))
 SUBDOMAIN = {"p": 0.5, "h": 0.4, "beta_w": 2.0, "sum_hy": 0.3}
+CAP = {name: SUBDOMAIN[name] for name in ("h", "beta_w", "sum_hy")}  # per_subdomain_cap's
 SCENARIO = {"h0": 0.7, "beta_w": 2.0, "sum_hy": 0.3}
 RECORD = {"info_gain": 0.1, "outcome_entropy": 0.5, "stored_entropy": 0.2, "work_meas": 0.3,
           "work_erase": 0.3, "belief_entropy_after": 0.4}
@@ -58,8 +59,9 @@ def _cases():
                    lambda kw=_with(SUBDOMAIN, name, value): SubdomainBudget(
                        **kw, what="subdomains[2]."),
                    "InvalidParameter", f"subdomains[2].{name} must be >= 0, got {shown}")
+        for name in CAP:
             yield (f"per_subdomain_cap-{name}-{shown}",
-                   lambda kw=_with(SUBDOMAIN, name, value): per_subdomain_cap(**kw),
+                   lambda kw=_with(CAP, name, value): per_subdomain_cap(**kw),
                    "InvalidParameter", f"subdomain {name} must be >= 0, got {shown}")
         for name in SCENARIO:
             yield (f"BudgetScenario-{name}-{shown}",
@@ -106,6 +108,6 @@ def test_the_valid_bases_pass():
                                         subdomain_entropies=(0.1, 0.2, 0.3))) is None
     assert raised(lambda: scenario_from_partition(PARTITION, 0.5, (0.0, 0.0, 0.0))) is None
     assert raised(lambda: SubdomainBudget(**SUBDOMAIN)) is None
-    assert raised(lambda: per_subdomain_cap(**SUBDOMAIN)) is None
+    assert raised(lambda: per_subdomain_cap(**CAP)) is None
     assert raised(lambda: BudgetScenario(**SCENARIO)) is None
     assert raised(lambda: RoundRecord(3, 0, **RECORD, path="records[3].")) is None
