@@ -58,7 +58,6 @@ from .toy_model import (
     SweepGrid,
     ToyParams,
     c_fed,
-    crossover_omega,
     delta_eta,
     eta_toy,
     read_grid_csv,

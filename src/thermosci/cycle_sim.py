@@ -682,4 +682,11 @@ def run_episode(
             f"compression covers {len(compression.mapping)} outcomes, environment has "
             f"{env.n_outcomes}"
         )
+    ln_y = math.log(env.n_outcomes)  # gain and stored entropy are each at most ln Y
+    bound = (cost.kappa_meas * (cost.delta_f_mem + ln_y) + cost.kappa_erase * ln_y) / LN2
+    times = max(mode.trials if isinstance(mode, SampledMode) else 1,  # trial-weighted sums,
+                max_rounds if math.isinf(budget) else 1)  # or an unbudgeted episode's total
+    if math.isinf(bound * times):
+        raise InvalidParameter("kappa_meas, kappa_erase and delta_f_mem put the work past the "
+                               f"float range: {times} x {bound!r} bits")
     return _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode)

@@ -1,8 +1,8 @@
 """Subdomain partitions and the generalist / specialist / federated archetypes.
 
 A partition splits the environment into ``n`` subdomains with masses
-``p_i``, per-subdomain conditional priors (or bare entropies ``H_i``), and
-per-subdomain work budgets ``W_i``. The three strategy archetypes are just
+``p_i``, per-subdomain conditional priors (whose entropies are the ``H_i``),
+and per-subdomain work budgets ``W_i``. The three strategy archetypes are just
 special partitions: a generalist is the trivial one-subdomain partition, a
 specialist concentrates all mass and budget on one subdomain, and a
 federated strategy spreads both across several.
@@ -10,7 +10,7 @@ federated strategy spreads both across several.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .errors import (
 )
 from .info_core import DiscreteDistribution, _entropy, _normalised
 
-_ENTROPY_TOL = 1e-10
 #: the generalist's one-subdomain masses; immutable, so every partition shares it
 _UNIT_MASS = DiscreteDistribution([1.0])
 
@@ -32,16 +31,14 @@ _UNIT_MASS = DiscreteDistribution([1.0])
 class PartitionSpec:
     """A complete description of one K-partition.
 
-    Either ``conditional_priors`` or ``subdomain_entropies`` must be given;
-    when priors are present the entropies are derived from them (and any
-    supplied entropies are cross-checked). Zero-mass subdomains may exist
-    but must carry zero budget.
+    ``subdomain_entropies`` is derived from ``conditional_priors``. Zero-mass
+    subdomains may exist but must carry zero budget.
     """
 
     masses: DiscreteDistribution
     budgets: tuple[float, ...]
-    conditional_priors: tuple[DiscreteDistribution, ...] | None = None
-    subdomain_entropies: tuple[float, ...] | None = None
+    conditional_priors: tuple[DiscreteDistribution, ...]
+    subdomain_entropies: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
         n = len(self.masses)
@@ -52,39 +49,15 @@ class PartitionSpec:
             _check_at_least(0.0, **{f"budgets[{i}]": b for i, b in enumerate(budgets)})
         object.__setattr__(self, "budgets", budgets)
 
-        masses = self.masses.probs.tolist()
-        for i, (p, w) in enumerate(zip(masses, budgets)):
+        for i, (p, w) in enumerate(zip(self.masses.probs.tolist(), budgets)):
             if p <= 0.0 and w > 0.0:
-                raise ZeroMassSubdomain(
-                    f"subdomain {i} has zero mass but positive budget {w!r}"
-                )
+                raise ZeroMassSubdomain(f"subdomain {i} has zero mass but positive budget {w!r}")
 
-        if self.conditional_priors is not None:
-            priors = tuple(self.conditional_priors)
-            if len(priors) != n:
-                raise InvalidParameter(f"{len(priors)} conditional priors for {n} subdomains")
-            object.__setattr__(self, "conditional_priors", priors)
-            derived = tuple(_entropy(pr.probs) for pr in priors)
-            if self.subdomain_entropies is not None:
-                supplied = tuple(float(h) for h in self.subdomain_entropies)
-                if len(supplied) != n or not all(  # NaN fails too
-                    abs(a - b) <= _ENTROPY_TOL for a, b in zip(supplied, derived)
-                ):
-                    raise InvalidParameter(
-                        "supplied subdomain entropies disagree with conditional priors"
-                    )
-            object.__setattr__(self, "subdomain_entropies", derived)
-        else:
-            if self.subdomain_entropies is None:
-                raise InvalidParameter(
-                    "need conditional_priors or subdomain_entropies"
-                )
-            entropies = tuple(float(h) for h in self.subdomain_entropies)
-            if len(entropies) != n:
-                raise InvalidParameter(f"{len(entropies)} entropies for {n} subdomains")
-            _check_at_least(0.0, **{f"subdomain_entropies[{i}]": h
-                                    for i, h in enumerate(entropies)})
-            object.__setattr__(self, "subdomain_entropies", entropies)
+        priors = tuple(self.conditional_priors)
+        if len(priors) != n:
+            raise InvalidParameter(f"{len(priors)} conditional priors for {n} subdomains")
+        object.__setattr__(self, "conditional_priors", priors)
+        object.__setattr__(self, "subdomain_entropies", tuple(_entropy(q.probs) for q in priors))
 
     @property
     def n(self) -> int:
@@ -159,16 +132,14 @@ def build_partition_from_joint(joint, budgets) -> PartitionSpec:
 def scenario_from_partition(
     part: PartitionSpec,
     h_gen: float,
-    sum_hy: tuple[float, ...] | list[float] | None = None,
+    sum_hy: tuple[float, ...] | list[float],
 ) -> BudgetScenario:
     """Assemble the budget scenario a partition induces.
 
     ``h_gen`` is the unpartitioned prior entropy; ``sum_hy`` gives each
-    subdomain's aggregate outcome entropy (zeros when omitted). The global
-    outcome-entropy term is the mass-weighted mixture.
+    subdomain's aggregate outcome entropy. The global outcome-entropy term is
+    the mass-weighted mixture.
     """
-    if sum_hy is None:
-        sum_hy = (0.0,) * part.n
     sum_hy = tuple(float(v) for v in sum_hy)
     if len(sum_hy) != part.n:
         raise InvalidParameter(f"{len(sum_hy)} outcome-entropy sums for {part.n} subdomains")

@@ -109,15 +109,6 @@ def c_fed(n: float, c_min: float = 0.05, gamma: float = 1.0) -> float:
         return c_min
 
 
-def crossover_omega(c: float, alpha: float) -> float:
-    """Budget at which the prior-limited branch meets the overhead ceiling."""
-    if not 0.0 < c <= 1.0:
-        raise InvalidParameter(f"c must be in (0, 1], got {c!r}")
-    if not alpha >= 0.0:
-        _check_at_least(0.0, alpha=alpha)
-    return c * (1.0 + alpha)
-
-
 def _pair_levers(pair: Pair, params: ToyParams, axis_value: float):
     """(c, alpha) for the first and second strategy of a comparison pair."""
     if pair == Pair.SPEC_GEN:

@@ -481,7 +481,8 @@ def test_infinite_budget_ledger_round_trips(tmp_path, env_file, capsys):
     ("--policy", "greedy", "--budget", "1e12", "--kappa-meas", "1e9", "--kappa-erase", "1e9"),
     ("--policy", "greedy", "--budget", "1e3"),
     ("--policy", "fixed:0,1", "--budget", "1.0843057617770913"),
-], ids=["1e7-kappa-1e6", "1e12-kappa-1e9", "1e3", "spent-at-budget"])
+    ("--policy", "greedy", "--budget", "inf", "--kappa-meas", "1e305", "--delta-f", "2"),
+], ids=["1e7-kappa-1e6", "1e12-kappa-1e9", "1e3", "spent-at-budget", "inf-kappa-1e305"])
 def test_a_bits_ledger_written_by_simulate_verifies(tmp_path, capsys, flags):
     env_path = tmp_path / "env.json"
     env_path.write_text(json.dumps({
@@ -491,6 +492,35 @@ def test_a_bits_ledger_written_by_simulate_verifies(tmp_path, capsys, flags):
     path = _saved_ledger(tmp_path, env_path, *flags, "--units", "bits", "--max-rounds", "50")
     capsys.readouterr()
     assert main(["verify", "--scope", "info", "--seed", "1", "--ledger", str(path)]) == 0
+
+
+# A round costs at most kappa_meas (delta_f_mem + ln Y) + kappa_erase ln Y. Where that bound,
+# in bits, passes the float range once multiplied by the trial count or by an unbudgeted
+# episode's rounds, numpy used to warn of an overflow mid-episode, or the last case wrote
+# a bits ledger holding Infinity that verify refused
+@pytest.mark.parametrize("units", ["nats", "bits"])
+@pytest.mark.parametrize("flags", [
+    ("--budget", "1e308", "--max-rounds", "3", "--kappa-meas", "1e308", "--delta-f", "10"),
+    ("--budget", "1e308", "--max-rounds", "3", "--kappa-meas", "1e308", "--delta-f", "10",
+     "--mode", "sampled:100"),
+    ("--budget", "inf", "--max-rounds", "3", "--kappa-meas", "1e308", "--delta-f", "1e308"),
+    ("--mode", "sampled:100", "--budget", "1e308", "--max-rounds", "3", "--kappa-meas", "1e308",
+     "--kappa-erase", "1e308"),
+    ("--budget", "inf", "--max-rounds", "1", "--kappa-meas", "1e308", "--delta-f", "2"),
+], ids=["delta-f-expected", "delta-f-sampled", "inf-budget", "kappa-erase-sampled",
+        "inf-budget-one-round"])
+def test_work_past_the_float_range_is_refused_before_round_0(tmp_path, capsys, flags, units):
+    path = tmp_path / "ledger.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--env", str(_readme_env_file(tmp_path)), *flags,
+                     "--units", units, "--out", str(path)])
+    assert code == 2
+    assert not path.exists()
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "InvalidParameter"
+    assert payload["message"].startswith("kappa_meas, kappa_erase and delta_f_mem put the work "
+                                         "past the float range")
 
 
 @pytest.mark.parametrize("policy", ["roundrobin", "greedy", "fixed:0"])

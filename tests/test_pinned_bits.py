@@ -49,7 +49,7 @@ def _sha(data: str | bytes) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
-@pytest.mark.parametrize("policy, compressed, ledger_sha, summary_sha", [
+POLICY_CASES = [
     ("fixed", False,
      "aaca302d171a1b4c4a716ecb229a12c2b746bca2bb8a2a93d2591e35e0127b69",
      "3029ecd233912f90dd4740d97730901c1de63c6febcf42c468285b1df8b37e3b"),
@@ -74,7 +74,13 @@ def _sha(data: str | bytes) -> str:
     ("greedy", True,
      "6b22b2d47d817dfd24c83823160cd5516cb4ff6731b5944376c0391de35fa1ef",
      "2de429b01b4f9ffeb5e46e5cb9b9758f2e4edcbd04919008d56e47d8a19532e4"),
-])
+]
+
+
+# ids name the case, not its digests, so re-recording a pin keeps the test's name
+@pytest.mark.parametrize("policy, compressed, ledger_sha, summary_sha", POLICY_CASES,
+                         ids=[f"{case[0]}-{'compressed' if case[1] else 'plain'}"
+                              for case in POLICY_CASES])
 def test_expected_policy_bits_are_pinned(policy, compressed, ledger_sha, summary_sha):
     compression = CompressionMap((0, 0, 1)) if compressed else None
     ledger, summary = run_episode(three_state_env(), POLICIES[policy], CostModel(1.5, 1.25, 0.01),

@@ -36,21 +36,6 @@ HALVES_JOINT = np.array([[0.25, 0.0], [0.25, 0.0], [0.0, 0.25], [0.0, 0.25]])
 # PartitionSpec validation
 
 
-def test_entropies_or_priors_required():
-    with pytest.raises(InvalidParameter):
-        PartitionSpec(DiscreteDistribution([0.5, 0.5]), (1.0, 1.0))
-
-
-def test_supplied_entropies_cross_checked_against_priors():
-    priors = (DiscreteDistribution([0.5, 0.5]), DiscreteDistribution([1.0, 0.0]))
-    with pytest.raises(InvalidParameter):
-        PartitionSpec(DiscreteDistribution([0.5, 0.5]), (1.0, 1.0),
-                      conditional_priors=priors, subdomain_entropies=(LN2, 0.5))
-    spec = PartitionSpec(DiscreteDistribution([0.5, 0.5]), (1.0, 1.0),
-                         conditional_priors=priors, subdomain_entropies=(LN2, 0.0))
-    assert spec.subdomain_entropies == pytest.approx((LN2, 0.0))
-
-
 def test_zero_mass_subdomain_with_budget_rejected():
     priors = (DiscreteDistribution([0.5, 0.5]), DiscreteDistribution([1.0, 0.0]))
     with pytest.raises(ZeroMassSubdomain):
@@ -59,6 +44,8 @@ def test_zero_mass_subdomain_with_budget_rejected():
 
 
 HALVES = DiscreteDistribution([0.5, 0.5])
+#: two conditional priors of known entropies, ln 2 and ln 4
+UNIFORMS = (DiscreteDistribution.uniform(2), DiscreteDistribution.uniform(4))
 
 
 def test_total_budget_is_derived_from_masses_and_budgets():
@@ -76,19 +63,7 @@ def test_total_budget_is_derived_from_masses_and_budgets():
 
 def test_nan_budget_rejected_by_name():
     with pytest.raises(InvalidParameter, match=r"budgets\[1\]"):
-        PartitionSpec(HALVES, (1.0, math.nan), subdomain_entropies=(0.1, 0.2))
-
-
-def test_nan_subdomain_entropy_rejected_by_name():
-    with pytest.raises(InvalidParameter, match=r"subdomain_entropies\[1\]"):
-        PartitionSpec(HALVES, (1.0, 1.0), subdomain_entropies=(0.1, math.nan))
-
-
-def test_nan_supplied_entropy_fails_the_prior_cross_check():
-    priors = (HALVES, DiscreteDistribution([1.0, 0.0]))
-    with pytest.raises(InvalidParameter, match="subdomain entropies"):
-        PartitionSpec(HALVES, (1.0, 1.0), conditional_priors=priors,
-                      subdomain_entropies=(LN2, math.nan))
+        PartitionSpec(HALVES, (1.0, math.nan), UNIFORMS)
 
 
 def test_nan_constructor_budget_rejected_by_name():
@@ -101,11 +76,11 @@ def test_nan_constructor_budget_rejected_by_name():
 def test_scenario_from_partition_names_nan_h_gen():
     part = generalist_partition(HALVES, 1.0)
     with pytest.raises(InvalidParameter, match="h_gen must be >= 0, got nan"):
-        scenario_from_partition(part, math.nan)
+        scenario_from_partition(part, math.nan, (0.0,))
 
 
 def test_scenario_from_partition_names_nan_sum_hy_entry():
-    part = PartitionSpec(HALVES, (1.0, 1.0), subdomain_entropies=(0.1, 0.2))
+    part = PartitionSpec(HALVES, (1.0, 1.0), UNIFORMS)
     with pytest.raises(InvalidParameter, match=r"sum_hy\[1\] must be >= 0, got nan"):
         scenario_from_partition(part, LN2, (0.1, math.nan))
 
@@ -115,19 +90,12 @@ def test_infinite_budget_stays_valid():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"budgets": (1.0,), "subdomain_entropies": (0.1, 0.2)}, "1 budgets for 2 subdomains"),
-    ({"budgets": (1.0, -0.5), "subdomain_entropies": (0.1, 0.2)},
+    ({"budgets": (1.0,), "conditional_priors": UNIFORMS}, "1 budgets for 2 subdomains"),
+    ({"budgets": (1.0, -0.5), "conditional_priors": UNIFORMS},
      "budgets[1] must be >= 0, got -0.5"),
     ({"budgets": (1.0, 1.0), "conditional_priors": (HALVES,)},
      "1 conditional priors for 2 subdomains"),
-    ({"budgets": (1.0, 1.0), "subdomain_entropies": (0.1,)}, "1 entropies for 2 subdomains"),
-    ({"budgets": (1.0, 1.0), "subdomain_entropies": (0.1, -0.2)},
-     "subdomain_entropies[1] must be >= 0, got -0.2"),
-    ({"budgets": (1.0, 1.0), "conditional_priors": (HALVES, HALVES),
-      "subdomain_entropies": (LN2,)},
-     "supplied subdomain entropies disagree with conditional priors"),
-], ids=["budgets-count", "negative-budget", "priors-count", "entropies-count",
-        "negative-entropy", "supplied-entropies-count"])
+], ids=["budgets-count", "negative-budget", "priors-count"])
 def test_partition_spec_names_the_bad_argument(kwargs, message):
     with pytest.raises(InvalidParameter) as info:
         PartitionSpec(HALVES, **kwargs)
@@ -136,16 +104,14 @@ def test_partition_spec_names_the_bad_argument(kwargs, message):
 
 def test_zero_mass_subdomain_message_names_it():
     with pytest.raises(ZeroMassSubdomain) as info:
-        PartitionSpec(DiscreteDistribution([1.0, 0.0]), (1.0, 0.5),
-                      subdomain_entropies=(0.1, 0.2))
+        PartitionSpec(DiscreteDistribution([1.0, 0.0]), (1.0, 0.5), UNIFORMS)
     assert str(info.value) == "subdomain 1 has zero mass but positive budget 0.5"
 
 
 def test_zero_mass_subdomain_with_zero_budget_accepted():
-    spec = PartitionSpec(DiscreteDistribution([1.0, 0.0]), [2, 0],
-                         subdomain_entropies=[0.3, 0])
+    spec = PartitionSpec(DiscreteDistribution([1.0, 0.0]), [2, 0], UNIFORMS)
     assert spec.budgets == (2.0, 0.0)
-    assert spec.subdomain_entropies == (0.3, 0.0)
+    assert spec.subdomain_entropies == pytest.approx((LN2, 2 * LN2), abs=1e-15)
     assert spec.total_budget == 2.0
 
 
@@ -156,6 +122,8 @@ def test_partition_spec_stores_tuples_of_floats():
     assert all(type(b) is float for b in spec.budgets)
     assert spec.conditional_priors == tuple(priors)
     assert spec.subdomain_entropies == pytest.approx((LN2, 0.0), abs=1e-15)
+    with pytest.raises(TypeError):  # derived: no caller can declare other entropies
+        PartitionSpec(HALVES, [1, 3], priors, subdomain_entropies=(LN2, 0.0))
 
 
 @pytest.mark.parametrize("values, what, message", [
@@ -176,15 +144,13 @@ def test_partition_distribution_names_the_bad_probability_field(values, what, me
 
 
 def test_h_fed_weighted_mean():
-    spec = PartitionSpec(DiscreteDistribution([0.5, 0.5]), (1.0, 1.0),
-                         subdomain_entropies=(1.0, 2.0))
-    assert h_fed(spec) == pytest.approx(1.5, abs=1e-15)
+    spec = PartitionSpec(DiscreteDistribution([0.5, 0.5]), (1.0, 1.0), UNIFORMS)
+    assert h_fed(spec) == pytest.approx(1.5 * LN2, abs=1e-15)
 
 
 def test_h_fed_degenerate_mass():
-    spec = PartitionSpec(DiscreteDistribution([1.0, 0.0]), (1.0, 0.0),
-                         subdomain_entropies=(1.0, 2.0))
-    assert h_fed(spec) == pytest.approx(1.0, abs=1e-15)
+    spec = PartitionSpec(DiscreteDistribution([1.0, 0.0]), (1.0, 0.0), UNIFORMS)
+    assert h_fed(spec) == pytest.approx(LN2, abs=1e-15)
 
 
 def test_h_fed_disjoint_halves():
@@ -314,17 +280,17 @@ def test_h_fed_never_exceeds_h_gen():
 
 
 def test_identical_subdomains_pool_to_unpartitioned():
-    # equal entropies, equal budgets, equal outcome entropies: the mixture
+    # equal priors, equal budgets, equal outcome entropies: the mixture
     # collapses to a single pooled cycle
     rng = np.random.default_rng(8)
     for _ in range(100):
         n = int(rng.integers(2, 5))
         masses = DiscreteDistribution(rng.dirichlet(np.ones(n)))
-        h = float(rng.uniform(0.1, 2.0))
+        prior = DiscreteDistribution(rng.dirichlet(np.ones(int(rng.integers(2, 8)))))
         w = float(rng.uniform(0.1, 4.0))
         shy = float(rng.uniform(0.0, 1.0))
-        part = PartitionSpec(masses, tuple([w] * n), subdomain_entropies=tuple([h] * n))
-        scenario = scenario_from_partition(part, h, tuple([shy] * n))
+        part = PartitionSpec(masses, tuple([w] * n), (prior,) * n)
+        scenario = scenario_from_partition(part, entropy_of(prior.probs), tuple([shy] * n))
         pooled = unpartitioned_info_cap(scenario)
         assert federated_info_cap(scenario) == pytest.approx(pooled, abs=1e-12)
 
@@ -335,3 +301,5 @@ def test_scenario_from_partition_validates_sum_hy():
         scenario_from_partition(part, LN2, (0.1, 0.2))
     with pytest.raises(InvalidParameter):
         scenario_from_partition(part, LN2, (-0.1,))
+    with pytest.raises(TypeError):  # no zeros default: every caller states its sums
+        scenario_from_partition(part, LN2)

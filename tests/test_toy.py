@@ -10,7 +10,6 @@ from thermosci import (
     SweepAxes,
     ToyParams,
     c_fed,
-    crossover_omega,
     delta_eta,
     eta_toy,
     read_grid_csv,
@@ -45,7 +44,7 @@ def test_eta_ceiling_branch():
 
 def test_eta_branches_meet_at_crossover():
     c, alpha = 0.4, 0.7
-    omega = crossover_omega(c, alpha)
+    omega = c * (1.0 + alpha)
     assert c / omega == pytest.approx(1.0 / (1.0 + alpha), abs=1e-12)
     assert eta_toy(omega, c, alpha) == pytest.approx(1.0 / (1.0 + alpha), abs=1e-12)
 
@@ -66,8 +65,7 @@ def test_eta_rejects_bad_inputs():
     (lambda: eta_toy(1.0, 0.5, math.nan), InvalidParameter, "alpha"),
     (lambda: c_fed(math.nan), NBelowOne, "n must"),
     (lambda: c_fed(2.0, 0.05, math.nan), InvalidParameter, "gamma"),
-    (lambda: crossover_omega(0.5, math.nan), InvalidParameter, "alpha"),
-], ids=["eta_toy-omega", "eta_toy-alpha", "c_fed-n", "c_fed-gamma", "crossover_omega-alpha"])
+], ids=["eta_toy-omega", "eta_toy-alpha", "c_fed-n", "c_fed-gamma"])
 def test_toy_law_rejects_nan_by_name(call, error, field):
     with pytest.raises(error, match=field):
         call()
@@ -78,7 +76,6 @@ def test_toy_law_infinite_inputs_unchanged():
     assert eta_toy(1.0, 0.5, math.inf) == 0.0
     assert c_fed(math.inf) == 0.05
     assert c_fed(2.0, 0.05, math.inf) == 0.05
-    assert crossover_omega(0.5, math.inf) == math.inf
 
 
 def test_eta_monotonicities():
@@ -122,12 +119,6 @@ def test_c_fed_shape():
 def test_c_fed_rejects_n_below_one():
     with pytest.raises(NBelowOne):
         c_fed(0.5)
-
-
-def test_crossover_values():
-    assert crossover_omega(1.0, 0.3) == pytest.approx(1.3, abs=1e-15)
-    assert crossover_omega(0.05, 0.2) == pytest.approx(0.06, abs=1e-15)
-    assert crossover_omega(0.7, 0.0) == pytest.approx(0.7, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +329,7 @@ def test_contour_points_reevaluate_near_zero():
 
 def test_fed_spec_asymmetric_crossover():
     params = ToyParams.asymmetric()
-    below = crossover_omega(params.c_min, params.alpha_spec) * 0.5
+    below = params.c_min * (1.0 + params.alpha_spec) * 0.5
     assert delta_eta(Pair.FED_SPEC, below, params, 6.0) < 0.0
     assert delta_eta(Pair.FED_SPEC, 50.0, params, 6.0) > 0.0
 

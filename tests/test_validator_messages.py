@@ -25,7 +25,8 @@ from thermosci.errors import ThermosciError
 #: each failing value, with its text in a message
 BAD = ((math.nan, "nan"), (-math.inf, "-inf"), (-1.0, "-1.0"))
 MASSES = DiscreteDistribution([0.2, 0.3, 0.5])
-PARTITION = PartitionSpec(MASSES, (1.0, 2.0, 3.0), subdomain_entropies=(0.1, 0.2, 0.3))
+PRIORS = (DiscreteDistribution([0.5, 0.5]),) * 3
+PARTITION = PartitionSpec(MASSES, (1.0, 2.0, 3.0), PRIORS)
 SUBDOMAIN = {"p": 0.5, "h": 0.4, "beta_w": 2.0, "sum_hy": 0.3}
 CAP = {name: SUBDOMAIN[name] for name in ("h", "beta_w", "sum_hy")}  # per_subdomain_cap's
 SCENARIO = {"h0": 0.7, "beta_w": 2.0, "sum_hy": 0.3}
@@ -43,8 +44,7 @@ def _cases():
             budgets = [1.0, 1.0, 1.0]
             budgets[i] = value
             yield (f"PartitionSpec-budgets[{i}]-{shown}",
-                   lambda b=tuple(budgets): PartitionSpec(MASSES, b, subdomain_entropies=(
-                       0.1, 0.2, 0.3)),
+                   lambda b=tuple(budgets): PartitionSpec(MASSES, b, PRIORS),
                    "InvalidParameter", f"budgets[{i}] must be >= 0, got {shown}")
             sum_hy = [0.0, 0.0, 0.0]
             sum_hy[i] = value
@@ -76,7 +76,7 @@ def _cases():
                        "InvalidLedger", f"round 3: {path}{name} {rule}, got {shown}")
     # with more than one field failing, the first in the site's order is named
     yield ("PartitionSpec-first-failing", lambda: PartitionSpec(
-        MASSES, (1.0, -1.0, math.nan), subdomain_entropies=(0.1, 0.2, 0.3)),
+        MASSES, (1.0, -1.0, math.nan), PRIORS),
         "InvalidParameter", "budgets[1] must be >= 0, got -1.0")
     yield ("SubdomainBudget-first-failing",
            lambda: SubdomainBudget(0.5, math.nan, -1.0, -math.inf),
@@ -104,8 +104,7 @@ def test_validator_failure_keeps_its_message(build, error, message):
 
 
 def test_the_valid_bases_pass():
-    assert raised(lambda: PartitionSpec(MASSES, (1.0, 1.0, 1.0),
-                                        subdomain_entropies=(0.1, 0.2, 0.3))) is None
+    assert raised(lambda: PartitionSpec(MASSES, (1.0, 1.0, 1.0), PRIORS)) is None
     assert raised(lambda: scenario_from_partition(PARTITION, 0.5, (0.0, 0.0, 0.0))) is None
     assert raised(lambda: SubdomainBudget(**SUBDOMAIN)) is None
     assert raised(lambda: per_subdomain_cap(**CAP)) is None
