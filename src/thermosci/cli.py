@@ -37,7 +37,6 @@ from .toy_model import (
     read_grid_csv,
     sweep,
     write_grid_csv,
-    zero_contours,
 )
 from .verify import run_suite
 
@@ -114,7 +113,10 @@ def _cmd_simulate(args) -> int:
     if args.out:
         Path(args.out).write_text(json.dumps(ledger.to_json_dict(units), indent=2) + "\n")
 
-    checks = bound_report(ledger, summary.prior_entropy)
+    # every check but the efficiency ratio is in nats, so it takes the run's units
+    checks = [c if c.name == "efficiency_cap" else replace(
+        c, observed=c.observed / nats_per_unit, limit=c.limit / nats_per_unit)
+        for c in bound_report(ledger, summary.prior_entropy)]
     print(f"status={summary.status} stop={summary.stop_reason} rounds={summary.rounds}")
     print(f"cumulative_info={summary.cumulative_info / nats_per_unit:.9g} {units.value}")
     print(f"budget_spent={ledger.budget_spent / nats_per_unit:.9g} {units.value}")
@@ -161,6 +163,8 @@ def _build_axes(args, kind: str, cmin: float) -> SweepAxes:
 
 
 def _cmd_sweep(args) -> int:
+    if args.panel and args.pair:
+        raise InvalidParameter("--pair does not apply with --panel, which sweeps its own pair")
     if args.panel:
         pair, preset = _PANELS[args.panel]
     elif args.pair:
@@ -188,7 +192,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_contour(args) -> int:
     grid = read_grid_csv(args.grid)
-    grid.contours = zero_contours(grid)
     payload = contours_to_json_dict(grid, pair=args.pair)
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"contour_components={len(grid.contours)} out={args.out}")

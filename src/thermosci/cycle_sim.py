@@ -89,10 +89,6 @@ class EnvironmentModel:
                 f"prior support {len(self.prior)} does not match likelihood states "
                 f"{self.likelihood.n_states}"
             )
-        # outcome entropy of each (u, state) row, the H(Y|s) term of every gain
-        row_h = _entropies(self.likelihood.table)
-        row_h.flags.writeable = False
-        object.__setattr__(self, "_row_entropies", row_h)
 
     @property
     def intervention_count(self) -> int:
@@ -181,9 +177,9 @@ class CompressionMap:
 # policies
 
 # A policy's ``choose(beliefs, env, t, paths)`` chooses round ``t``'s intervention for
-# every row of the ``(rows, S)`` belief matrix at once. It returns None once it has run
-# out, one index for every row, or an index array in which -1 marks a row whose policy
-# has run out. ``paths`` is the ``int32`` ``(rows, t, 2)`` array of each row's ordered
+# every row of the ``(rows, S)`` belief matrix at once. It returns one index for every
+# row, or an index array, in which -1 marks a row whose policy has run out: a lone -1
+# stops every row. ``paths`` is the ``int32`` ``(rows, t, 2)`` array of each row's ordered
 # (u, y) pairs. A class setting ``history_free = True`` chooses from (beliefs, t) alone:
 # it is shown no paths (None), and none are kept. Bayes updates commute, so expected
 # mode merges the branches of such a policy with equal (u, y) counts.
@@ -197,9 +193,7 @@ class FixedSequence:
     history_free = True
 
     def choose(self, beliefs: np.ndarray, env: EnvironmentModel, t: int, paths: np.ndarray | None):
-        if t >= len(self.interventions):
-            return None
-        return int(self.interventions[t])
+        return int(self.interventions[t]) if t < len(self.interventions) else -1
 
 
 @dataclass(frozen=True)
@@ -247,7 +241,8 @@ class GreedyInfoMax:
 
     def choose(self, beliefs: np.ndarray, env: EnvironmentModel, t: int, paths: np.ndarray | None):
         # (rows, 1, S) beliefs against the (U, S, Y) tables: one gain per row and intervention
-        _, _, gains = predictive_gain(beliefs[:, None], env.likelihood.table, env._row_entropies)
+        _, _, gains = predictive_gain(beliefs[:, None], env.likelihood.table,
+                                      env.likelihood.row_entropies)
         return gains.argmax(axis=1)
 
 
@@ -362,21 +357,33 @@ class WorkLedger:
         return len(self.records)
 
     def to_json_dict(self, units: Units | str = Units.NATS) -> dict:
+        """The ledger as JSON values in ``units``; raises ``InvalidLedger`` naming the first
+        field whose finite nats value is past the float range in those units."""
         units = Units(units)
         nats_per_unit = 1.0 if units == Units.NATS else LN2  # divided by: one rounding
-        recs = [{"round": r.round_index, "intervention": r.intervention,
-                 **{name: getattr(r, name) / nats_per_unit for name in _RECORD_FLOATS}}
-                for r in self.records]
-        return {
+
+        def scaled(value: float, name: str, i: int | None = None) -> float:
+            out = value / nats_per_unit
+            if out == math.inf and value < math.inf:  # an infinite budget stays unbounded
+                where = name if i is None else f"records[{i}].{name}"
+                raise InvalidLedger(f"{where} {value!r} nats is past the float range "
+                                    f"in {units.value}")
+            return out
+
+        records = self.records
+        return {  # built in file order, so the first field past the range is named
             "units": units.value,
-            "budget_total": self.budget_total / nats_per_unit,
-            "budget_spent": self.budget_spent / nats_per_unit,
+            "budget_total": scaled(self.budget_total, "budget_total"),
+            "budget_spent": scaled(self.budget_spent, "budget_spent"),
             "rounds": self.rounds_completed,
-            "records": recs,
+            "records": [{"round": r.round_index, "intervention": r.intervention,
+                         **{name: scaled(getattr(r, name), name, i) for name in _RECORD_FLOATS}}
+                        for i, r in enumerate(records)],
             "totals": {
-                "cumulative_info": sum(r.info_gain for r in self.records) / nats_per_unit,
-                "work_meas": sum(r.work_meas for r in self.records) / nats_per_unit,
-                "work_erase": sum(r.work_erase for r in self.records) / nats_per_unit,
+                "cumulative_info": scaled(sum(r.info_gain for r in records),
+                                          "totals.cumulative_info"),
+                "work_meas": scaled(sum(r.work_meas for r in records), "totals.work_meas"),
+                "work_erase": scaled(sum(r.work_erase for r in records), "totals.work_erase"),
             },
         }
 
@@ -466,11 +473,9 @@ class _Frontier:
         """Each row's intervention at round ``t``; -1 where the policy has run out."""
         count = self.env.intervention_count
         us = self.policy.choose(self.beliefs, self.env, t, self.paths)
-        if isinstance(us, np.ndarray):
-            wrong = us[(us < -1) | (us >= count)]
-        else:  # None, or one index for every row
-            wrong = [] if us is None or 0 <= us < count else [us]
-            us = np.full(len(self.beliefs), -1 if us is None else us)
+        if not isinstance(us, np.ndarray):  # one index for every row
+            us = np.full(len(self.beliefs), us)
+        wrong = us[(us < -1) | (us >= count)]
         if len(wrong):
             raise IndexOutOfRange(f"policy chose intervention {wrong[0]} outside [0, {count})")
         return us
@@ -536,7 +541,7 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
 
 
 def _run(env, policy, cost, budget, compression, max_rounds, node_cap, mode):
-    table, row_h = env.likelihood.table, env._row_entropies
+    table, row_h = env.likelihood.table, env.likelihood.row_entropies
     h_prior = _entropy(env.prior.probs)
     sampled = isinstance(mode, SampledMode)
     # Walkers: in sampled mode one per trial on one frontier row, held in arrays; in

@@ -20,7 +20,7 @@ on a ``(nodes, states)`` belief matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -139,14 +139,20 @@ class LikelihoodModel:
 
     Every ``(u, state)`` row must be a valid distribution over outcomes; rows
     are renormalized under the same ingestion tolerance as distributions.
-    ``what`` is the name validation errors give the table.
+    ``what`` is the name validation errors give the table. ``row_entropies``
+    is derived: the read-only ``(U, S)`` outcome entropy of each row, the
+    ``H(Y|s)`` term of every gain.
     """
 
     table: np.ndarray
     what: InitVar[str] = "likelihood table"
+    row_entropies: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, what: str):
         object.__setattr__(self, "table", _normalised(self.table, 3, what, InvalidDistribution))
+        row_h = _entropies(self.table)
+        row_h.flags.writeable = False
+        object.__setattr__(self, "row_entropies", row_h)
 
     @property
     def n_interventions(self) -> int:
@@ -235,7 +241,7 @@ def expected_information_gain(
     """
     _check_compat(belief, lik, u)
     b, table_u = belief.probs, lik.table[u]
-    pred, _, gain = predictive_gain(b[None], table_u[None], _entropies(table_u)[None])
+    pred, _, gain = predictive_gain(b[None], table_u[None], lik.row_entropies[u][None])
     gain = float(gain[0])
     live = pred[0] > LOG_FLOOR
     posts = b[:, None] * table_u[:, live] / pred[0, live]

@@ -21,6 +21,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -234,7 +235,7 @@ class SweepGrid:
     """Evaluated efficiency-difference surface plus its zero contours.
 
     Arrays have shape ``(len(axis2), len(omega))``; contour polylines are in
-    ``(omega, axis2)`` data coordinates.
+    ``(omega, axis2)`` data coordinates, traced from ``delta`` on first read.
     """
 
     pair: str | None
@@ -245,7 +246,6 @@ class SweepGrid:
     eta_first: np.ndarray
     eta_second: np.ndarray
     delta: np.ndarray
-    contours: list[np.ndarray]
 
     def __post_init__(self):
         for arr in (self.eta_first, self.eta_second, self.delta):
@@ -258,9 +258,13 @@ class SweepGrid:
         if max(self.delta.max(), -self.delta.min()) > 1.0 + 1e-12:  # no |delta| grid
             raise InvalidParameter("efficiency differences must lie in [-1, 1]")
 
+    @cached_property
+    def contours(self) -> list[np.ndarray]:
+        return zero_contours(self)
+
 
 def sweep(pair: Pair | str, params: ToyParams, axes: SweepAxes) -> SweepGrid:
-    """Evaluate a comparison pair over a grid and attach its zero contours."""
+    """Evaluate a comparison pair over a grid; its zero contours are traced when read."""
     pair = Pair(pair)
     if axes.second.kind != pair.axis_kind:
         raise InvalidParameter(
@@ -274,10 +278,8 @@ def sweep(pair: Pair | str, params: ToyParams, axes: SweepAxes) -> SweepGrid:
     for k, eta in enumerate((eta_first, eta_second)):  # capped in place: one grid each
         np.minimum(eta, 1.0 / (1.0 + levers[0, k, 1]), out=eta)
     delta = eta_first - eta_second
-    grid = SweepGrid(pair.value, params, omega, axis2, axes.second.kind,
-                     eta_first, eta_second, delta, contours=[])
-    grid.contours = zero_contours(grid)
-    return grid
+    return SweepGrid(pair.value, params, omega, axis2, axes.second.kind,
+                     eta_first, eta_second, delta)
 
 
 def zero_contours(grid: SweepGrid) -> list[np.ndarray]:
@@ -365,8 +367,7 @@ def read_grid_csv(path) -> SweepGrid:
     if not (np.all(blocks[0] == omega) and np.all(blocks[1] == axis2[:, None])):
         raise MalformedGrid("grid rows are not row-major with omega varying fastest")
     try:  # such as an axis out of order: the file is at fault, not a caller
-        return SweepGrid(None, None, omega, axis2, "axis2", blocks[2], blocks[3], blocks[4],
-                         contours=[])
+        return SweepGrid(None, None, omega, axis2, "axis2", blocks[2], blocks[3], blocks[4])
     except InvalidParameter as exc:
         raise MalformedGrid(str(exc)) from None
 

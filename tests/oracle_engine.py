@@ -98,9 +98,7 @@ def _parent_choice(policy, belief, env, t, history):
         paths = (None if getattr(policy, "history_free", False)
                  else np.array(history, dtype=np.int32).reshape(1, t, 2))
         u = policy.choose(belief[None], env, t, paths)
-        if isinstance(u, np.ndarray):  # -1: this row's policy has run out
-            return None if u[0] == -1 else int(u[0])
-        return u
+        return int(u[0]) if isinstance(u, np.ndarray) else u  # -1: the policy has run out
     table = env.likelihood.table
     gains = np.empty(env.intervention_count)
     for u in range(env.intervention_count):
@@ -138,7 +136,7 @@ def _round_quantities(belief: np.ndarray, table_u: np.ndarray,
 def _choose(policy: Policy, belief: np.ndarray, env: EnvironmentModel,
             t: int, history: History):
     u = _parent_choice(policy, belief, env, t, history)
-    if u is not None and not 0 <= u < env.intervention_count:
+    if not -1 <= u < env.intervention_count:
         raise IndexOutOfRange(
             f"policy chose intervention {u} outside [0, {env.intervention_count})"
         )
@@ -155,14 +153,8 @@ def _run_expected(env, policy, cost, budget, compression, max_rounds, node_cap):
     status, reason = "ok", "max_rounds"
     t = 0
     while max_rounds is None or t < max_rounds:
-        choices = []
-        for _, belief, history in nodes:
-            u = _choose(policy, belief, env, t, history)
-            if u is None:
-                choices = None
-                break
-            choices.append(u)
-        if choices is None:
+        choices = [_choose(policy, belief, env, t, history) for _, belief, history in nodes]
+        if -1 in choices:
             reason = "policy_exhausted"
             break
 
@@ -235,7 +227,7 @@ def _run_sampled(env, policy, cost, budget, compression, max_rounds, mode, node_
         reason = "max_rounds"
         while max_rounds is None or t < max_rounds:
             u = _choose(policy, belief, env, t, history)
-            if u is None:
+            if u == -1:
                 reason = "policy_exhausted"
                 break
             info, hy, hs, pred, posts = _round_quantities(belief, table[u], compression)

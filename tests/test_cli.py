@@ -73,6 +73,26 @@ def test_simulate_bits_units(tmp_path, env_file):
     assert ledger["records"][0]["info_gain"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_simulate_bits_checks_are_nats_divided_by_ln2(tmp_path, capsys):
+    # the checks used to be printed and reported in nats beside a bits cumulative_info
+    env, reports, lines = _readme_env_file(tmp_path), {}, {}
+    for units in ("nats", "bits"):
+        reports[units] = tmp_path / f"{units}.json"
+        assert main(["simulate", "--env", str(env), "--policy", "roundrobin", "--budget", "inf",
+                     "--max-rounds", "3", "--units", units,
+                     "--report", str(reports[units])]) == 0
+        lines[units] = capsys.readouterr().out.splitlines()
+    nats, bits = (json.loads(reports[u].read_text())["checks"] for u in ("nats", "bits"))
+    assert [c["name"] for c in bits] == ["round_work_floor", "total_work_floor",
+                                         "efficiency_cap", "info_cap"]
+    for n, b in zip(nats, bits):
+        scale = 1.0 if n["name"] == "efficiency_cap" else LN2
+        assert (b["observed"], b["limit"]) == (n["observed"] / scale, n["limit"] / scale)
+    info_cap = next(c for c in bits if c["name"] == "info_cap")
+    assert f"cumulative_info={info_cap['observed']:.9g} bits" in lines["bits"]
+    assert f"PASS info_cap: observed={info_cap['observed']:.9g} " in lines["bits"][-1]
+
+
 def test_simulate_rejects_sub_unity_kappa(tmp_path, env_file, capsys):
     code = main([
         "simulate", "--env", str(env_file), "--budget", "1", "--kappa-meas", "0.5",
@@ -245,6 +265,17 @@ def test_sweep_needs_pair_or_panel(capsys):
     assert main(["sweep", "--out", "/tmp/unused.csv"]) == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "InvalidParameter"
+
+
+def test_sweep_refuses_a_pair_beside_a_panel(tmp_path, capsys, monkeypatch):
+    # the panel's own pair was swept, and --pair dropped without a word
+    monkeypatch.setattr(cli, "sweep", lambda *args: pytest.fail("a grid was evaluated"))
+    out = tmp_path / "g.csv"
+    assert main(["sweep", "--panel", "D", "--pair", "spec-gen", "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "InvalidParameter"
+    assert "--pair" in payload["message"] and "--panel" in payload["message"]
+    assert not out.exists()
 
 
 def test_sweep_rejects_nan_alpha(tmp_path, capsys):

@@ -368,6 +368,12 @@ def test_fixed_sequence_exhaustion_ends_episode():
     assert summary.stop_reason == "policy_exhausted"
 
 
+def test_fixed_sequence_answers_minus_one_once_run_out():
+    env, beliefs = asym_binary_env(), np.array([[0.5, 0.5]])
+    assert FixedSequence((0,)).choose(beliefs, env, 0, None) == 0
+    assert FixedSequence((0,)).choose(beliefs, env, 1, None) == -1
+
+
 def test_tree_node_cap():
     env = three_state_env()
     with pytest.raises(TreeTooLarge):
@@ -835,6 +841,27 @@ def test_ledger_json_bits_are_nats_divided_by_ln2():
               for k in n if k not in ("round", "intervention")]
     assert len(pairs) > 10
     assert [b for _, b in pairs] == [n / LN2 for n, _ in pairs]
+
+
+def test_bits_ledger_past_the_float_range_names_its_first_field():
+    # 1.511e308 nats spent on the README environment: in bits the spent work, and the finite
+    # budget, are past the float range, and were written as Infinity, an unbounded budget
+    ledger, _ = run_episode(asym_binary_env(), RoundRobin(), CostModel(5e306, 1.0, 10.0),
+                            1.7e308, max_rounds=3)
+    assert ledger.budget_spent > 1.5e308
+    assert WorkLedger.from_json_dict(ledger.to_json_dict(Units.NATS)) == ledger
+    with pytest.raises(InvalidLedger, match=r"^budget_total 1\.7e\+308 nats is past the float "
+                                            r"range in bits$"):
+        ledger.to_json_dict(Units.BITS)
+
+
+def test_bits_ledger_keeps_an_unbounded_budget_and_names_the_spent_work():
+    record = RoundRecord(0, 0, 0.5, 0.6, 0.6, 1.5e308, 0.6, 0.1)
+    ledger = WorkLedger((record,), math.inf, record.work_meas + record.work_erase)
+    with pytest.raises(InvalidLedger, match=r"^budget_spent 1\.5e\+308 nats is past the float "
+                                            r"range in bits$"):
+        ledger.to_json_dict(Units.BITS)
+    assert ledger.to_json_dict(Units.NATS)["budget_total"] == math.inf
 
 
 @pytest.mark.parametrize("value, shown", [("0.2", "'0.2'"),

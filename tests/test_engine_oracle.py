@@ -271,13 +271,22 @@ class _BelowRunOut:
         return us
 
 
-class _LoneMinusOne:
-    """History-free; -1 as one index for every row, which marks no row run out."""
+class _LoneBelowRunOut:
+    """History-free; -2 as one index for every row, below the -1 that marks a run-out."""
 
     history_free = True
 
     def choose(self, beliefs, env, t, paths):
-        return -1
+        return -2
+
+
+class _LoneRunOut:
+    """History-free; round 0's intervention for every row, then a lone -1."""
+
+    history_free = True
+
+    def choose(self, beliefs, env, t, paths):
+        return -1 if t else 0
 
 
 class _StopsAfterOutcomeZero:
@@ -291,8 +300,8 @@ class _StopsAfterOutcomeZero:
 
 
 @pytest.mark.parametrize("policy", [_PerRowOutOfRange(), _BatchOutOfRange(), _BelowRunOut(),
-                                    _LoneMinusOne()],
-                         ids=["per-row", "batch", "below-run-out", "lone-minus-one"])
+                                    _LoneBelowRunOut()],
+                         ids=["per-row", "batch", "below-run-out", "lone-minus-two"])
 @pytest.mark.parametrize("mode", [ExpectedMode(), SampledMode(seed=2, trials=30)],
                          ids=["expected", "sampled"])
 def test_out_of_range_choice_raises(policy, mode):
@@ -300,6 +309,16 @@ def test_out_of_range_choice_raises(policy, mode):
     for run in (run_episode, run_reference):
         with pytest.raises(IndexOutOfRange, match="outside"):
             run(env, policy, CostModel(), 50.0, mode, max_rounds=4)
+
+
+@pytest.mark.parametrize("mode", [ExpectedMode(), SampledMode(seed=2, trials=30)],
+                         ids=["expected", "sampled"])
+def test_lone_minus_one_stops_every_row(mode):
+    env = three_state_env()
+    got = run_episode(env, _LoneRunOut(), CostModel(), 50.0, mode, max_rounds=4)
+    _assert_same(got, run_reference(env, _LoneRunOut(), CostModel(), 50.0, mode, max_rounds=4),
+                 type(mode).__name__)
+    assert got[1].stop_reason == "policy_exhausted" and got[1].rounds == 1
 
 
 def test_policy_running_out_on_some_histories_stops_only_their_trials():

@@ -127,10 +127,8 @@ def _random_grid(seed: int) -> SweepGrid:
     ny, nx = delta.shape
     rng = np.random.default_rng(seed + 1000)
     eta_first = rng.uniform(0.0, 1.0, delta.shape)
-    grid = SweepGrid(None, None, np.geomspace(1e-2, 1e2, nx), np.linspace(1.0, 20.0, ny), "n",
-                     eta_first, eta_first - delta, delta, contours=[])
-    grid.contours = zero_contours(grid)
-    return grid
+    return SweepGrid(None, None, np.geomspace(1e-2, 1e2, nx), np.linspace(1.0, 20.0, ny), "n",
+                     eta_first, eta_first - delta, delta)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -160,8 +158,7 @@ def test_svg_of_an_omega_axis_whose_ends_share_one_log(omega, tmp_path):
     assert f"{omega[0]:.9g}" != f"{omega[1]:.9g}"
     arrays = {k: np.array([[0.5, -0.5], [-0.5, 0.5]]) for k in ("eta_first", "delta")}
     grid = SweepGrid(None, None, omega, np.array([1.0, 2.0]), "n", eta_second=np.zeros((2, 2)),
-                     contours=[], **arrays)
-    grid.contours = zero_contours(grid)
+                     **arrays)
     expected = oracle.zero_isolines(grid.delta, grid.omega, grid.axis2)
     assert grid.contours and _polylines_json(grid.contours) == _polylines_json(expected)
     new_svg, old_svg = tmp_path / "new.svg", tmp_path / "old.svg"
@@ -174,8 +171,7 @@ def test_svg_of_an_axis2_span_past_the_float_range_has_no_nan(tmp_path):
     # the axis2 span, 2e308, overflows a float; the y fraction is formed from halves
     arrays = {k: np.array([[0.5, -0.5], [-0.5, 0.5]]) for k in ("eta_first", "delta")}
     grid = SweepGrid(None, None, np.array([1.0, 2.0]), np.array([-1e308, 1e308]), "n",
-                     eta_second=np.zeros((2, 2)), contours=[], **arrays)
-    grid.contours = zero_contours(grid)
+                     eta_second=np.zeros((2, 2)), **arrays)
     assert grid.contours
     path = tmp_path / "wide.svg"
     render_heatmap_svg(grid, path)
@@ -245,7 +241,7 @@ def test_writer_matches_oracle_on_repeated_rows_and_extreme_values(tmp_path):
                       [2.5e-324, -0.0, 1.0, -1.0, 0.0]])
     # strictly increasing, as every grid's axis2 must be, with a negative zero and subnormals
     grid = SweepGrid(None, None, omega, np.array([-5e-324, -0.0, 5e-324, 1.0, 1e300]), "n",
-                     first, second, delta, contours=[])
+                     first, second, delta)
     new_csv, old_csv = tmp_path / "new.csv", tmp_path / "old.csv"
     write_grid_csv(grid, new_csv)
     oracle.write_grid_csv(grid, old_csv)
@@ -286,7 +282,7 @@ def _grid_of(first, second, delta) -> SweepGrid:
     first, second, delta = (np.array(a, dtype=float) for a in (first, second, delta))
     ny, nx = first.shape
     return SweepGrid(None, None, np.linspace(0.5, 2.0, nx), np.linspace(1.0, 2.0, ny), "n",
-                     first, second, delta, contours=[])
+                     first, second, delta)
 
 
 def test_writer_copies_none_some_or_all_of_the_row_above(tmp_path):
@@ -433,7 +429,7 @@ def test_grid_names_the_non_finite_field(name, value):
     arrays["omega"], arrays["axis2"] = np.array([0.1, 0.2, 0.3]), np.array([1.0, 2.0])
     arrays[name][-1] = value
     with pytest.raises(InvalidParameter, match=f"^{name} contains non-finite values$"):
-        SweepGrid(None, None, axis2_kind="n", contours=[], **arrays)
+        SweepGrid(None, None, axis2_kind="n", **arrays)
 
 
 @pytest.mark.parametrize("omega, axis2, message", [
@@ -459,7 +455,7 @@ def test_grid_rejects_the_axes_the_reader_rejects(tmp_path, omega, axis2, messag
     shape = (len(axis2), len(omega))
     arrays = {k: np.zeros(shape) for k in ("eta_first", "eta_second", "delta")}
     with pytest.raises(InvalidParameter, match=f"^{message}$"):
-        SweepGrid(None, None, np.array(omega), np.array(axis2), "n", contours=[], **arrays)
+        SweepGrid(None, None, np.array(omega), np.array(axis2), "n", **arrays)
     path = tmp_path / "grid.csv"  # the reader keeps its own error for a file
     path.write_text("omega,axis2,eta_first,eta_second,delta_eta\n" + "".join(
         f"{w!r},{a!r},0,0,0\n" for a in axis2 for w in omega))

@@ -141,6 +141,17 @@ def test_index_validation():
         posterior_update(env.prior, env.likelihood, 0, 2)
 
 
+def test_likelihood_row_entropies_are_derived_and_read_only():
+    lik = LikelihoodModel([[[0.2, 0.8], [1.0, 0.0]], [[0.5, 0.5], [0.3, 0.7]]])
+    want = [[entropy_of([0.2, 0.8]), 0.0], [LN2, entropy_of([0.3, 0.7])]]
+    assert np.allclose(lik.row_entropies, want, rtol=0.0, atol=1e-15)
+    with pytest.raises(ValueError):
+        lik.row_entropies[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        LikelihoodModel(lik.table, row_entropies=lik.row_entropies)
+    assert "row_entropies" not in repr(lik)
+
+
 # ---------------------------------------------------------------------------
 # predictive distribution
 

@@ -144,8 +144,8 @@ def test_parity_tool_passes_a_against_a():
                            "--parent", REPO, "--change", REPO, "--cases", "12"],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == ("12 cases: every expected-mode repr matches, every sampled case is "
-                           "within 1e-12\n")
+    assert done.stdout == ("12 cases: every expected-mode case is within 1e-12 (0 moved), "
+                           "every sampled case is within 1e-12\n")
 
 
 @pytest.fixture
@@ -190,9 +190,23 @@ def test_parity_tool_names_a_sampled_case_1e_9_off(parity, monkeypatch, capsys):
     assert capsys.readouterr().out == f"case 1 differs: {json.dumps(parity.make_case(1))}\n"
 
 
-def test_parity_tool_fails_an_expected_case_one_ulp_off(parity):
+def test_parity_tool_passes_an_expected_case_one_ulp_off_and_counts_it_moved(
+        parity, monkeypatch, capsys):
     want, got = _result_and_nudged(parity, ExpectedMode(), _one_ulp_up)
-    assert parity.first_difference([want], [got]) == 0
+    sides = {"p": [want, want], "c": [want, got]}
+    monkeypatch.setattr(parity, "results", lambda checkout, cases: sides[checkout])
+    assert parity.main(["--parent", "p", "--change", "c", "--cases", "2"]) == 0
+    assert capsys.readouterr().out == ("2 cases: every expected-mode case is within 1e-12 "
+                                       "(1 moved), every sampled case is within 1e-12\n")
+
+
+def test_parity_tool_names_an_expected_case_1e_9_off(parity, monkeypatch, capsys):
+    # never judged statistically: an expected-mode case has no random draws to blame
+    want, got = _result_and_nudged(parity, ExpectedMode(), lambda x: x + 1e-9)
+    sides = {"p": [want, want], "c": [want, got]}
+    monkeypatch.setattr(parity, "results", lambda checkout, cases: sides[checkout])
+    assert parity.main(["--parent", "p", "--change", "c", "--cases", "2"]) == 1
+    assert capsys.readouterr().out == f"case 1 differs: {json.dumps(parity.make_case(1))}\n"
 
 
 def _sides(parity, on_parent, on_change, cases=10):
@@ -212,7 +226,7 @@ def test_parity_tool_counts_sampled_cases_beyond_3_se(parity, monkeypatch, capsy
     monkeypatch.setattr(parity, "results", lambda checkout, cases: sides[checkout])
     assert parity.main(["--parent", "p", "--change", "c", "--cases", "10"]) == code
     assert capsys.readouterr().out == (
-        "10 cases: every expected-mode repr matches; 10 sampled cases differ by more than "
+        "10 cases: every expected-mode case is within 1e-12 (0 moved); 10 sampled cases differ by more than "
         "1e-12 (0 with no expected-mode run); of the 10 judged, "
         f"{on_change} lie beyond 3 SE of expected mode on the change and 4 on the parent, "
         f"{verdict} the 8.0 allowed\n")
@@ -225,7 +239,7 @@ def test_parity_tool_does_not_judge_a_case_with_no_expected_mode_run(parity, mon
     monkeypatch.setattr(parity, "results", lambda checkout, cases: sides[checkout])
     assert parity.main(["--parent", "p", "--change", "c", "--cases", "3"]) == 1
     assert capsys.readouterr().out == (
-        "3 cases: every expected-mode repr matches; 3 sampled cases differ by more than "
+        "3 cases: every expected-mode case is within 1e-12 (0 moved); 3 sampled cases differ by more than "
         "1e-12 (1 with no expected-mode run); of the 2 judged, "
         "1 lie beyond 3 SE of expected mode on the change and 0 on the parent, "
         "more than the 0.0 allowed\n")
@@ -240,7 +254,7 @@ def test_parity_tool_judges_a_case_with_no_expected_mode_run_against_10x_the_tri
     monkeypatch.setattr(parity, "results", lambda checkout, cases: sides[checkout])
     assert parity.main(["--parent", "p", "--change", "c", "--cases", "3"]) == 1
     assert capsys.readouterr().out == (
-        "3 cases: every expected-mode repr matches; 3 sampled cases differ by more than "
+        "3 cases: every expected-mode case is within 1e-12 (0 moved); 3 sampled cases differ by more than "
         "1e-12 (1 with no expected-mode run); of the 3 judged, "
         "1 lie beyond 3 SE of expected mode on the change and 0 on the parent, "
         "more than the 0.0 allowed\n")

@@ -8,6 +8,7 @@ from thermosci import (
     Pair,
     SecondAxis,
     SweepAxes,
+    SweepGrid,
     ToyParams,
     c_fed,
     delta_eta,
@@ -18,6 +19,7 @@ from thermosci import (
     write_grid_csv,
     zero_contours,
 )
+from thermosci import toy_model
 from thermosci._marching import zero_isolines
 from thermosci.errors import (
     InvalidParameter,
@@ -253,6 +255,18 @@ def test_uniform_sign_grid_has_no_contours():
     # deep in the budget-limited region the specialist always wins
     assert np.all(grid.delta > 0)
     assert grid.contours == []
+
+
+def test_grid_contours_are_traced_from_delta_once(monkeypatch):
+    grid = sweep(Pair.FED_GEN, ToyParams.asymmetric(), SweepAxes.default_n(steps=20))
+    calls = []
+    monkeypatch.setattr(toy_model, "zero_contours",
+                        lambda g: calls.append(g) or zero_isolines(g.delta, g.omega, g.axis2))
+    lines = grid.contours
+    assert calls == [grid] and grid.contours is lines and len(lines) == 1
+    with pytest.raises(TypeError):
+        SweepGrid(grid.pair, grid.params, grid.omega, grid.axis2, grid.axis2_kind,
+                  grid.eta_first, grid.eta_second, grid.delta, contours=lines)
 
 
 def _traced_peak(fn, *args):

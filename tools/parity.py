@@ -9,31 +9,31 @@ and a budget that may stop it early or before round 1. An expected-mode
 case runs 1-14 rounds; a sampled case runs 1-60 rounds of 1-5,000 trials.
 Case ``i`` is drawn from ``random.Random(i)``, so both checkouts run the
 same cases, each in a subprocess that imports ``thermosci`` from the
-checkout's ``src``. The mode of a case picks the rule:
+checkout's ``src``. A case passes when rounds, interventions, status, stop
+reason, trials and every other field that is not a float match exactly, and
+each float of the records, the budget and the summary lies within
+``1e-12 * max(1, |x|)`` of the parent's ``x``. The mode of a case picks what
+happens to one that does not:
 
-* expected mode: the sha256 of ``repr(ledger)`` and of ``repr(summary)``
-  must match, bit for bit;
-* sampled mode: a case passes when rounds, interventions, status, stop
-  reason, trials and every other field that is not a float match exactly,
-  and each float of the records, the budget and the summary lies within
-  ``1e-12 * max(1, |x|)`` of the parent's ``x``. A case that does not is
-  judged statistically instead, as a change of random draws moves every
-  float: each side's mean cumulative information is compared with that
-  side's own reference run of the case, and the case counts as beyond on
-  that side if the gap exceeds ``3 * SE + 1e-12``. The reference is the
-  case's expected-mode run, its tree capped at ``EXPECTED_CAP`` rows, and
-  the SE the sampled run's. A case whose tree is larger is judged against a
-  sampled run of ``REFERENCE_TRIALS`` times the trials on the next seed,
-  its draws independent of the case's, and the SE is both runs' SEs
-  combined in quadrature. The change fails if its count of such cases
-  exceeds the parent's count ``p`` by more than ``2 * sqrt(p)``.
+* expected mode: it fails outright;
+* sampled mode: it is judged statistically instead, as a change of random
+  draws moves every float: each side's mean cumulative information is
+  compared with that side's own reference run of the case, and the case
+  counts as beyond on that side if the gap exceeds ``3 * SE + 1e-12``. The
+  reference is the case's expected-mode run, its tree capped at
+  ``EXPECTED_CAP`` rows, and the SE the sampled run's. A case whose tree is
+  larger is judged against a sampled run of ``REFERENCE_TRIALS`` times the
+  trials on the next seed, its draws independent of the case's, and the SE
+  is both runs' SEs combined in quadrature. The change fails if its count of
+  such cases exceeds the parent's count ``p`` by more than ``2 * sqrt(p)``.
 
 A case that raises must raise the same error, with the same text, on both
-sides. The tool prints the number of cases that agreed, and the counts of
-the sampled cases that differ, of those with no expected-mode run, and of
-the judged ones, and exits 0; or it names the first case that differs,
-with its inputs, or the two counts, and exits 1. A result with no
-reference run is not judged.
+sides. The tool prints the number of cases that agreed, the count of the
+expected-mode cases that moved at all, so a bit-exact change reads
+``0 moved``, and the counts of the sampled cases that differ, of those with
+no expected-mode run, and of the judged ones, and exits 0; or it names the
+first case that differs, with its inputs, or the two counts, and exits 1. A
+result with no reference run is not judged.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ import sys
 
 #: an unmerged expected-mode tree of the random policy holds outcomes**rounds nodes
 MAX_TREE = 4096
-#: how far a sampled-mode float may lie from the parent's, relative above 1, else absolute
-SAMPLED_TOL = 1e-12
+#: how far a float may lie from the parent's, relative above 1, else absolute
+FLOAT_TOL = 1e-12
 #: most rows of the expected-mode tree a sampled case is judged against
 EXPECTED_CAP = 2**16
 #: a sampled case with a larger tree is judged against this many times its trials
@@ -98,11 +98,8 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def result_of(ledger, summary) -> list | dict:
-    """A run's result as JSON values: in expected mode the sha256 of ``repr(ledger)`` and
-    ``repr(summary)``; in sampled mode the fields that must match exactly, and the floats."""
-    if summary.mode == "expected":
-        return [_digest(repr(ledger)), _digest(repr(summary))]
+def result_of(ledger, summary) -> dict:
+    """A run's result as JSON values: the fields that must match exactly, and the floats."""
     values = [v for obj in (*ledger.records, summary) for v in vars(obj).values()]
     values += [ledger.budget_total, ledger.budget_spent]
     return {"exact": [v for v in values if type(v) is not float],
@@ -169,11 +166,17 @@ def results(checkout: str, cases: int) -> list:
 
 def agree(parent, change) -> bool:
     """Whether two results of one case agree, under the rule of the case's mode."""
-    if not (isinstance(parent, dict) and isinstance(change, dict)):  # digests, or an error
+    if not (isinstance(parent, dict) and isinstance(change, dict)):  # an error's digests
         return parent == change
     return parent["exact"] == change["exact"] and len(parent["floats"]) == len(
-        change["floats"]) and all(x == y or abs(x - y) <= SAMPLED_TOL * max(1.0, abs(x))
+        change["floats"]) and all(x == y or abs(x - y) <= FLOAT_TOL * max(1.0, abs(x))
                                   for x, y in zip(parent["floats"], change["floats"]))
+
+
+def moved(parent: list, change: list) -> int:
+    """How many expected-mode cases that agree differ at all: by one ulp, or a zero's sign."""
+    return sum(isinstance(a, dict) and "judge" not in a and agree(a, b)
+               and json.dumps(a) != json.dumps(b) for a, b in zip(parent, change))
 
 
 def _judged(result) -> bool:
@@ -199,7 +202,7 @@ def _reference(judge: list) -> tuple[float, float] | None:
 
 def _beyond(judge: list) -> bool:
     (mean, se), (ref, ref_se) = judge[:2], _reference(judge)
-    return abs(mean - ref) > 3.0 * math.hypot(se, ref_se) + SAMPLED_TOL
+    return abs(mean - ref) > 3.0 * math.hypot(se, ref_se) + FLOAT_TOL
 
 
 def beyond_counts(parent: list, change: list) -> tuple[int, int, int, int, int]:
@@ -231,14 +234,15 @@ def main(argv=None) -> int:
     if i is not None:
         print(f"case {i} differs: {json.dumps(make_case(i))}")
         return 1
+    expected = (f"{args.cases} cases: every expected-mode case is within {FLOAT_TOL:g} "
+                f"({moved(parent, change)} moved)")
     differ, no_exact, judged, on_parent, on_change = beyond_counts(parent, change)
     if differ == 0:
-        print(f"{args.cases} cases: every expected-mode repr matches, every sampled case is "
-              f"within {SAMPLED_TOL:g}")
+        print(f"{expected}, every sampled case is within {FLOAT_TOL:g}")
         return 0
     allowed = on_parent + 2.0 * math.sqrt(on_parent)
-    print(f"{args.cases} cases: every expected-mode repr matches; {differ} sampled "
-          f"cases differ by more than {SAMPLED_TOL:g} ({no_exact} with no expected-mode run); "
+    print(f"{expected}; {differ} sampled cases differ by more than {FLOAT_TOL:g} "
+          f"({no_exact} with no expected-mode run); "
           f"of the {judged} judged, {on_change} lie beyond 3 SE of expected mode on the change "
           f"and {on_parent} on the parent, {'within' if on_change <= allowed else 'more than'} "
           f"the {allowed:.1f} allowed")
