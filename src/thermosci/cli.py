@@ -113,10 +113,10 @@ def _cmd_simulate(args) -> int:
     if args.out:
         Path(args.out).write_text(json.dumps(ledger.to_json_dict(units), indent=2) + "\n")
 
-    # every check but the efficiency ratio is in nats, so it takes the run's units
-    checks = [c if c.name == "efficiency_cap" else replace(
-        c, observed=c.observed / nats_per_unit, limit=c.limit / nats_per_unit)
-        for c in bound_report(ledger, summary.prior_entropy)]
+    checks = bound_report(ledger, summary.prior_entropy)
+    if units == Units.BITS:  # every check but the efficiency ratio is in nats
+        checks = [c if c.name == "efficiency_cap" else
+                  replace(c, observed=c.observed / LN2, limit=c.limit / LN2) for c in checks]
     print(f"status={summary.status} stop={summary.stop_reason} rounds={summary.rounds}")
     print(f"cumulative_info={summary.cumulative_info / nats_per_unit:.9g} {units.value}")
     print(f"budget_spent={ledger.budget_spent / nats_per_unit:.9g} {units.value}")

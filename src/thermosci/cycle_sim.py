@@ -473,9 +473,11 @@ class _Frontier:
         """Each row's intervention at round ``t``; -1 where the policy has run out."""
         count = self.env.intervention_count
         us = self.policy.choose(self.beliefs, self.env, t, self.paths)
-        if not isinstance(us, np.ndarray):  # one index for every row
+        if isinstance(us, np.ndarray):
+            wrong = us[(us < -1) | (us >= count)]
+        else:  # one index for every row
+            wrong = [] if -1 <= us < count else [us]
             us = np.full(len(self.beliefs), us)
-        wrong = us[(us < -1) | (us >= count)]
         if len(wrong):
             raise IndexOutOfRange(f"policy chose intervention {wrong[0]} outside [0, {count})")
         return us
