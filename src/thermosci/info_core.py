@@ -139,20 +139,18 @@ class LikelihoodModel:
 
     Every ``(u, state)`` row must be a valid distribution over outcomes; rows
     are renormalized under the same ingestion tolerance as distributions.
-    ``what`` is the name validation errors give the table. ``row_entropies``
-    is derived: the read-only ``(U, S)`` outcome entropy of each row, the
-    ``H(Y|s)`` term of every gain.
+    ``what`` is the name validation errors give the table.
     """
 
     table: np.ndarray
     what: InitVar[str] = "likelihood table"
+    #: derived, read-only: the ``(U, S)`` outcome entropy of each row, every gain's ``H(Y|s)``
     row_entropies: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, what: str):
         object.__setattr__(self, "table", _normalised(self.table, 3, what, InvalidDistribution))
-        row_h = _entropies(self.table)
-        row_h.flags.writeable = False
-        object.__setattr__(self, "row_entropies", row_h)
+        object.__setattr__(self, "row_entropies", _entropies(self.table))
+        self.row_entropies.flags.writeable = False
 
     @property
     def n_interventions(self) -> int:

@@ -226,8 +226,8 @@ def test_parity_tool_counts_sampled_cases_beyond_3_se(parity, monkeypatch, capsy
     monkeypatch.setattr(parity, "results", lambda checkout, cases: sides[checkout])
     assert parity.main(["--parent", "p", "--change", "c", "--cases", "10"]) == code
     assert capsys.readouterr().out == (
-        "10 cases: every expected-mode case is within 1e-12 (0 moved); 10 sampled cases differ by more than "
-        "1e-12 (0 with no expected-mode run); of the 10 judged, "
+        "10 cases: every expected-mode case is within 1e-12 (0 moved); 10 sampled cases "
+        "differ by more than 1e-12 (0 with no expected-mode run); of the 10 judged, "
         f"{on_change} lie beyond 3 SE of expected mode on the change and 4 on the parent, "
         f"{verdict} the 8.0 allowed\n")
 
@@ -239,8 +239,8 @@ def test_parity_tool_does_not_judge_a_case_with_no_expected_mode_run(parity, mon
     monkeypatch.setattr(parity, "results", lambda checkout, cases: sides[checkout])
     assert parity.main(["--parent", "p", "--change", "c", "--cases", "3"]) == 1
     assert capsys.readouterr().out == (
-        "3 cases: every expected-mode case is within 1e-12 (0 moved); 3 sampled cases differ by more than "
-        "1e-12 (1 with no expected-mode run); of the 2 judged, "
+        "3 cases: every expected-mode case is within 1e-12 (0 moved); 3 sampled cases "
+        "differ by more than 1e-12 (1 with no expected-mode run); of the 2 judged, "
         "1 lie beyond 3 SE of expected mode on the change and 0 on the parent, "
         "more than the 0.0 allowed\n")
 
@@ -254,8 +254,8 @@ def test_parity_tool_judges_a_case_with_no_expected_mode_run_against_10x_the_tri
     monkeypatch.setattr(parity, "results", lambda checkout, cases: sides[checkout])
     assert parity.main(["--parent", "p", "--change", "c", "--cases", "3"]) == 1
     assert capsys.readouterr().out == (
-        "3 cases: every expected-mode case is within 1e-12 (0 moved); 3 sampled cases differ by more than "
-        "1e-12 (1 with no expected-mode run); of the 3 judged, "
+        "3 cases: every expected-mode case is within 1e-12 (0 moved); 3 sampled cases "
+        "differ by more than 1e-12 (1 with no expected-mode run); of the 3 judged, "
         "1 lie beyond 3 SE of expected mode on the change and 0 on the parent, "
         "more than the 0.0 allowed\n")
     # run_case draws the larger run on the next seed, so its trials are not the case's own
